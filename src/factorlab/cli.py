@@ -61,24 +61,27 @@ def _envelope(args, command: str, params: dict, report: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _decide_trans(f: Hypergraph, s: int | None):
+    if s is None:
+        raise ValueError("decide trans requires --s")
+    return lattice.decide_trans(f, s)
+
+
+# Property -> decider(f, s).  Names are looked up at call time, so wrappers
+# patched onto the modules after import are still called.
+DECIDERS = {
+    "turan-zero": lambda f, s: deciders.decide_turan_zero_3(f),
+    "kpartite-link": lambda f, s: deciders.decide_linkdisjoint_kpartite(f),
+    "cover-partition": lambda f, s: deciders.decide_cover_partition_3(f),
+    "factor3": lambda f, s: deciders.decide_factor_3(f),
+    "partition-k": lambda f, s: deciders.decide_partition_condition_k(f),
+    "trans": _decide_trans,
+}
+
+
 def cmd_decide(args) -> int:
     f = _load(args.file)
-    if args.property == "turan-zero":
-        report = deciders.decide_turan_zero_3(f)
-    elif args.property == "kpartite-link":
-        report = deciders.decide_linkdisjoint_kpartite(f)
-    elif args.property == "cover-partition":
-        report = deciders.decide_cover_partition_3(f)
-    elif args.property == "factor3":
-        report = deciders.decide_factor_3(f)
-    elif args.property == "partition-k":
-        report = deciders.decide_partition_condition_k(f)
-    elif args.property == "trans":
-        if args.s is None:
-            raise ValueError("decide trans requires --s")
-        report = lattice.decide_trans(f, args.s)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown property {args.property}")
+    report = DECIDERS[args.property](f, args.s)
     params = {"property": args.property, "file": args.file, "s": args.s, "seed": None}
     _emit(args, _envelope(args, "decide", params, report.to_json_obj()),
           f"{args.property}: verdict={report.verdict}")
@@ -285,8 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, help="worker count (default: FACTORLAB_WORKERS or CPU count)")
 
     p_decide = sub.add_parser("decide", help="decide a membership property of a pattern graph")
-    p_decide.add_argument("property", choices=[
-        "turan-zero", "kpartite-link", "cover-partition", "factor3", "partition-k", "trans"])
+    p_decide.add_argument("property", choices=list(DECIDERS))
     p_decide.add_argument("file")
     p_decide.add_argument("--s", type=int, help="shadow order for trans")
     p_decide.add_argument("--expect", choices=["true", "false"])

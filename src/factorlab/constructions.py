@@ -5,7 +5,7 @@ graph (pairs, or s-sets) uniformly at random, then keep exactly the k-sets
 whose base clique is monochromatic in the one colour matched to the k-set's
 index vector.  The colour/index correspondence makes two structural
 guarantees hold deterministically, not just with high probability, and both
-are re-checked after every build at desk scale:
+are re-checked after every build, at every n:
 
 * partite variant: the special vertex's link crosses the parts, and any two
   edges sharing >= 2 vertices have equal index vectors;
@@ -25,8 +25,6 @@ from math import comb, ceil
 import numpy as np
 
 from .hypergraph import Hypergraph, Partition
-
-STRUCTURAL_CHECK_LIMIT = 40
 
 
 @dataclass(frozen=True)
@@ -132,7 +130,7 @@ def construct_partite_coloring(params: ConstructionParams) -> PartiteConstructio
         if all(pair_color[pair_index[p]] == j for p in combinations(e, 2)):
             edges.append(e)
     h = Hypergraph(k, n, edges)
-    if n <= STRUCTURAL_CHECK_LIMIT and not partite_structure_ok(h, z, partition):
+    if not partite_structure_ok(h, z, partition):
         raise RuntimeError("structural guarantee violated by construction output")
     colors = {p: int(pair_color[i]) for p, i in pair_index.items()}
     return PartiteConstruction(h, z, partition, palette, colors)
@@ -147,12 +145,7 @@ def partite_structure_ok(h: Hypergraph, z: int, partition: Partition) -> bool:
             rest = set(e) - {z}
             if any(len(rest & set(p)) != 1 for p in head):
                 return False
-    vectors = [partition.index_vector(e) for e in h.edges]
-    for i, e in enumerate(h.edges):
-        for j in range(i + 1, len(h.edges)):
-            if len(set(e) & set(h.edges[j])) >= 2 and vectors[i] != vectors[j]:
-                return False
-    return True
+    return _constant_on_overlaps(h, 2, [partition.index_vector(e) for e in h.edges])
 
 
 def construct_shadow_disjoint(params: ConstructionParams) -> BipartiteConstruction:
@@ -186,7 +179,7 @@ def construct_shadow_disjoint(params: ConstructionParams) -> BipartiteConstructi
         if all(base_color[base_index[b]] == j for b in combinations(e, s)):
             edges.append(e)
     h = Hypergraph(k, n, edges)
-    if n <= STRUCTURAL_CHECK_LIMIT and not shadow_disjoint_ok(h, x_side, s):
+    if not shadow_disjoint_ok(h, x_side, s):
         raise RuntimeError("s-shadow disjointness violated by construction output")
     colors = {b: int(base_color[i]) for b, i in base_index.items()}
     return BipartiteConstruction(h, partition, palette, colors)
@@ -195,12 +188,13 @@ def construct_shadow_disjoint(params: ConstructionParams) -> BipartiteConstructi
 def shadow_disjoint_ok(h: Hypergraph, a_side, s: int) -> bool:
     """Exhaustive check: edges with different |e ∩ A| share fewer than s vertices."""
     a = set(a_side)
-    counts = [len(a & set(e)) for e in h.edges]
-    for i, e in enumerate(h.edges):
-        for j in range(i + 1, len(h.edges)):
-            if counts[i] != counts[j] and len(set(e) & set(h.edges[j])) >= s:
-                return False
-    return True
+    return _constant_on_overlaps(h, s, [len(a.intersection(e)) for e in h.edges])
+
+
+def _constant_on_overlaps(h: Hypergraph, s: int, labels: list) -> bool:
+    """Edges sharing >= s vertices carry equal labels, i.e. every overlap
+    class of ``h`` is labelled by one value."""
+    return all(len({labels[i] for i in members}) == 1 for members in h.overlap_classes(s))
 
 
 def random_uniform_hypergraph(n: int, k: int, p: float, seed: int) -> Hypergraph:

@@ -11,10 +11,11 @@ deterministic and lexicographically smallest.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import permutations
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, UnionFind
 
 RED, BLUE, GREEN = "red", "blue", "green"
 
@@ -226,57 +227,42 @@ def check_link_chain_free(f: Hypergraph, ordering: list[int] | tuple[int, ...]) 
 # ---------------------------------------------------------------------------
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def decide_cover_partition_3(f: Hypergraph) -> DecisionReport:
     """Is there a vertex vstar and bipartition {X, Y} of the rest such that
     every pair in link(vstar) crosses X and Y, and links of cross pairs and of
     vstar are pairwise disjoint?
 
-    Reduction: a candidate vstar must have link disjoint from every other
-    vertex's link (forced whenever its link is non-empty).  Vertices with
-    intersecting links must share a side, so contract them and 2-colour the
-    quotient against the "must differ" constraints from link(vstar).
+    Reduction: vertices with intersecting links must share a side, so
+    contract them once (the third vertices of the edges through each pair
+    have pairwise intersecting links).  A candidate vstar must have link
+    disjoint from every other vertex's link, i.e. be alone in its class; the
+    quotient is then 2-coloured against the "must differ" constraints from
+    link(vstar).
     """
     if f.k != 3:
         raise PreconditionError(f"applicable to 3-graphs only, got k={f.k}")
     t0 = time.perf_counter()
-    links = {v: f.link((v,)) for v in range(f.n)}
+    pairs = f.subset_edges(2)
+    contraction = UnionFind(f.n)
+    for pair, members in pairs.items():
+        thirds = [next(v for v in f.edges[i] if v not in pair) for i in members]
+        for u in thirds[1:]:
+            contraction.union(thirds[0], u)
+    class_of = [contraction.find(v) for v in range(f.n)]
+    class_size = Counter(class_of)
     nodes = 0
     flags = _base_flags(f)
 
     for vstar in range(f.n):
         nodes += 1
-        lv = links[vstar]
-        if any(links[u] & lv for u in range(f.n) if u != vstar):
+        if class_size[class_of[vstar]] > 1:
             continue
         others = [u for u in range(f.n) if u != vstar]
-        uf = _UnionFind(others)
-        for i, u in enumerate(others):
-            for w in others[i + 1 :]:
-                if links[u] & links[w]:
-                    uf.union(u, w)
         # "must differ" constraints between same-side classes
-        quotient: dict[int, set[int]] = {uf.find(u): set() for u in others}
+        quotient: dict[int, set[int]] = {class_of[u]: set() for u in others}
         ok = True
-        for a, b in lv:
-            ra, rb = uf.find(a), uf.find(b)
+        for a, b in f.link((vstar,)):
+            ra, rb = class_of[a], class_of[b]
             if ra == rb:
                 ok = False
                 break
@@ -303,10 +289,12 @@ def decide_cover_partition_3(f: Hypergraph) -> DecisionReport:
                 break
         if not ok:
             continue
-        x_side = sorted(u for u in others if side[uf.find(u)] == 0)
-        y_side = sorted(u for u in others if side[uf.find(u)] == 1)
+        x_side = sorted(u for u in others if side[class_of[u]] == 0)
+        y_side = sorted(u for u in others if side[class_of[u]] == 1)
         extra = list(flags)
-        if any(links[u] & links[w] for part in (x_side, y_side) for i, u in enumerate(part) for w in part[i + 1 :]):
+        if any(len(members) > 1 for members in pairs.values()):
+            # Two edges through one pair give their third vertices
+            # intersecting links; both lie in one class, hence on one side.
             # The condition constrains cross pairs only; same-side overlaps
             # are permitted and merely reported.
             extra.append("same-side-links-intersect")
@@ -361,12 +349,17 @@ def decide_linkdisjoint_kpartite(f: Hypergraph) -> DecisionReport:
     partition = f.is_k_partite()
     if partition is None:
         raise PreconditionError("input is not k-partite; this criterion does not apply")
+    # vstar fails exactly when some pair lies in an edge through vstar and in
+    # an edge avoiding it: vstar is in some but not all edges of that pair.
+    blocked: set[int] = set()
+    for members in (f.subset_edges(2) if f.k > 2 else {}).values():
+        if len(members) > 1:
+            through = [set(f.edges[i]) for i in members]
+            blocked |= set.union(*through) - set.intersection(*through)
     nodes = 0
     for vstar in range(f.n):
         nodes += 1
-        with_v = [e for e in f.edges if vstar in e]
-        without_v = [e for e in f.edges if vstar not in e]
-        if all(len(set(e) & set(e2)) <= 1 for e in with_v for e2 in without_v):
+        if vstar not in blocked:
             stats = {"nodes": nodes, "time_s": time.perf_counter() - t0}
             witness = {"vstar": vstar, "partition": partition.to_json_obj()}
             return DecisionReport("kpartite-link", True, witness, _base_flags(f), stats)
@@ -396,15 +389,7 @@ def decide_partition_condition_k(f: Hypergraph) -> DecisionReport:
     if k >= 4:
         # The characterization is proven for k = 3 and conjectured beyond.
         flags.append("conjectural-for-k>=4")
-    edge_sets = [set(e) for e in f.edges]
-    uf = _UnionFind(range(len(f.edges)))
-    for i in range(len(f.edges)):
-        for j in range(i + 1, len(f.edges)):
-            if len(edge_sets[i] & edge_sets[j]) >= 2:
-                uf.union(i, j)
-    classes: dict[int, list[int]] = {}
-    for i in range(len(f.edges)):
-        classes.setdefault(uf.find(i), []).append(i)
+    classes = f.overlap_classes(2)
     nodes = 0
 
     def search(vstar: int) -> list[list[int]] | None:
@@ -419,15 +404,15 @@ def decide_partition_condition_k(f: Hypergraph) -> DecisionReport:
             return tuple(vec)
 
         def consistent() -> bool:
-            for e, es in zip(f.edges, edge_sets):
-                if vstar in es:
+            for e in f.edges:
+                if vstar in e:
                     counts = [0] * (k - 1)
                     for v in e:
                         if v != vstar and v in part_of:
                             counts[part_of[v]] += 1
                     if any(c > 1 for c in counts):
                         return False
-            for members in classes.values():
+            for members in classes:
                 vec = None
                 for ei in members:
                     if all(v in part_of for v in f.edges[ei]):

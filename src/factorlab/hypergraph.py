@@ -2,9 +2,17 @@
 
 A :class:`Hypergraph` is immutable after construction: edges are stored as
 lexicographically sorted tuples of strictly increasing vertex ids, which is
-the canonical form used for equality and serialization.  Derived data
-(shadows, links) is computed lazily and cached under a lock so instances can
-be shared across threads.
+the canonical form used for equality and serialization.  Derived data is
+computed lazily and cached under a lock so instances can be shared across
+threads:
+
+* ``shadow(r)``: the r-sets lying in some edge;
+* ``link(S)``: the (k-|S|)-sets completing S to an edge;
+* ``subset_edges(s)``: each s-set lying in some edge, mapped to the ascending
+  indices of the edges containing it, built in one pass over the edges;
+* ``overlap_classes(s)``: the classes of edge indices under the transitive
+  closure of "share >= s vertices", read off ``subset_edges(s)``.  Every
+  criterion beyond a colouring rests on this relation.
 
 Vertex subsets handed to operations may be any iterable of ints; results use
 sorted tuples.  Partitions are ordered lists of disjoint parts covering
@@ -17,8 +25,9 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from typing import IO, Iterable, Iterator, Sequence
+from itertools import combinations
+from math import comb
+from typing import IO, Iterable, Sequence
 
 
 class FormatError(ValueError):
@@ -35,21 +44,17 @@ class FormatError(ValueError):
 class DensenessParams:
     """Definitional parameters of the quantified denseness property.
 
-    The target density and slack both live strictly inside (0, 1); the
-    optional minimum-degree coefficient, when present, does too.
+    The target density and slack both live strictly inside (0, 1).
     """
 
     p: float
     mu: float
-    alpha: float | None = None
 
     def __post_init__(self):
         if not 0 < self.p < 1:
             raise ValueError(f"target density must lie in (0, 1), got {self.p}")
         if not 0 < self.mu < 1:
             raise ValueError(f"slack must lie in (0, 1), got {self.mu}")
-        if self.alpha is not None and not 0 < self.alpha < 1:
-            raise ValueError(f"degree coefficient must lie in (0, 1), got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -83,6 +88,26 @@ class Partition:
 
     def to_json_obj(self) -> list[list[int]]:
         return [list(p) for p in self.parts]
+
+
+class UnionFind:
+    """Disjoint sets over ``0..size-1``; each root is its set's smallest member."""
+
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
 
 
 class Hypergraph:
@@ -185,30 +210,44 @@ class Hypergraph:
         return len(self.link(vertices))
 
     def min_s_degree(self, s: int) -> int:
-        if not 1 <= s <= self.k - 1:
-            raise ValueError(f"degree order s must satisfy 1 <= s <= k-1, got {s}")
-        degs = [self.degree(c) for c in combinations(range(self.n), s)]
-        return min(degs, default=0)
+        """Smallest number of edges containing an s-set of ``range(n)``."""
+        buckets = self.subset_edges(s)
+        if len(buckets) < comb(self.n, s):
+            return 0  # some s-set lies in no edge
+        return min(map(len, buckets.values()), default=0)
 
-    def count_tuple_edges(self, sets: Sequence[Iterable[int]]) -> int:
-        """Ordered tuples from ``sets[0] x ... x sets[k-1]`` whose underlying set is an edge.
+    # -- overlaps -------------------------------------------------------------
 
-        Tuples with a repeated vertex never form an edge, so they contribute 0.
-        """
-        if len(sets) != self.k:
-            raise ValueError(f"expected {self.k} vertex sets, got {len(sets)}")
-        families = []
-        for x in sets:
-            fs = frozenset(x)
-            if any(v < 0 or v >= self.n for v in fs):
-                raise ValueError("vertex set contains a vertex outside [0, n)")
-            families.append(fs)
-        total = 0
-        for e in self.edges:
-            for perm in permutations(e):
-                if all(v in fam for v, fam in zip(perm, families)):
-                    total += 1
-        return total
+    def subset_edges(self, s: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Each s-set lying in some edge -> ascending indices of the edges containing it."""
+        if not 1 <= s < self.k:
+            raise ValueError(f"subset order s must satisfy 1 <= s < k, got {s}")
+
+        def compute():
+            buckets: dict[tuple[int, ...], list[int]] = {}
+            for i, e in enumerate(self.edges):
+                for sub in combinations(e, s):
+                    buckets.setdefault(sub, []).append(i)
+            return {sub: tuple(members) for sub, members in buckets.items()}
+
+        return self._cached(("subset_edges", s), compute)
+
+    def overlap_classes(self, s: int) -> tuple[tuple[int, ...], ...]:
+        """Classes of edge indices under the transitive closure of "share >= s
+        vertices": each ascending, ordered by smallest member, singletons kept."""
+        buckets = self.subset_edges(s)  # outside compute: the cache lock is not reentrant
+
+        def compute():
+            uf = UnionFind(len(self.edges))
+            for members in buckets.values():
+                for i in members[1:]:
+                    uf.union(members[0], i)
+            classes: dict[int, list[int]] = {}
+            for i in range(len(self.edges)):
+                classes.setdefault(uf.find(i), []).append(i)
+            return tuple(map(tuple, classes.values()))
+
+        return self._cached(("overlap_classes", s), compute)
 
     # -- structure ----------------------------------------------------------
 
@@ -360,8 +399,3 @@ def load_hypergraph(source: str | bytes | IO) -> Hypergraph:
         return _parse_json(source)
     return _parse_text(source)
 
-
-def all_subsets(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Every subset of ``items`` as a sorted tuple, smallest first."""
-    for r in range(len(items) + 1):
-        yield from combinations(items, r)

@@ -60,25 +60,7 @@ def enumerate_shadow_disjoint_bipartitions(f: Hypergraph, s: int) -> list[Bipart
     if not 2 <= s <= f.k - 1:
         raise ValueError(f"shadow order must satisfy 2 <= s <= k-1, got s={s}")
     m = len(f.edges)
-    edge_sets = [set(e) for e in f.edges]
-    parent = list(range(m))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if len(edge_sets[i] & edge_sets[j]) >= s:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    classes: dict[int, list[int]] = {}
-    for i in range(m):
-        classes.setdefault(find(i), []).append(i)
-    multi = [members for members in classes.values() if len(members) > 1]
+    multi = [members for members in f.overlap_classes(s) if len(members) > 1]
 
     in_a = [False] * f.n
     assigned_a = [0] * m  # per edge: chosen vertices currently in A
@@ -94,8 +76,8 @@ def enumerate_shadow_disjoint_bipartitions(f: Hypergraph, s: int) -> list[Bipart
         return True
 
     incident = [[] for _ in range(f.n)]
-    for i, es in enumerate(edge_sets):
-        for v in es:
+    for i, e in enumerate(f.edges):
+        for v in e:
             incident[v].append(i)
 
     def assign(v: int) -> None:

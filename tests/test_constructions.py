@@ -1,8 +1,10 @@
+from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
-from factorlab import Hypergraph
+from factorlab import Hypergraph, Partition, constructions
 from factorlab.constructions import (
     ConstructionParams,
     construct_partite_coloring,
@@ -153,3 +155,43 @@ class TestRandomUniform:
     def test_probability_guard(self):
         with pytest.raises(ValueError):
             random_uniform_hypergraph(5, 3, 1.5, 0)
+
+
+class TestStructuralChecks:
+    """The checks agree with their pair-loop definitions and run on every build."""
+
+    def test_checks_match_pair_loop(self):
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            p = rng.choice([0.05, 0.15, 0.3])
+            h = Hypergraph(3, 7, [e for e in combinations(range(7), 3) if rng.random() < p])
+            a_side = [v for v in range(7) if rng.random() < 0.5]
+            a = set(a_side)
+            expected = all(
+                len(set(e) & set(f)) < 2 or len(a & set(e)) == len(a & set(f))
+                for e, f in combinations(h.edges, 2)
+            )
+            assert shadow_disjoint_ok(h, a_side, 2) == expected
+
+            split = int(rng.integers(1, 6))
+            partition = Partition((tuple(range(split)), tuple(range(split, 6)), (6,)))
+            head = partition.parts[:-1]
+            expected = all(
+                all(len((set(e) - {6}) & set(part)) == 1 for part in head)
+                for e in h.edges
+                if 6 in e
+            ) and all(
+                len(set(e) & set(f)) < 2 or partition.index_vector(e) == partition.index_vector(f)
+                for e, f in combinations(h.edges, 2)
+            )
+            assert partite_structure_ok(h, 6, partition) == expected
+
+    def test_lemma51_checked_above_old_limit(self, monkeypatch):
+        monkeypatch.setattr(constructions, "partite_structure_ok", lambda *args: False)
+        with pytest.raises(RuntimeError):
+            construct_partite_coloring(ConstructionParams(n=45, k=3, seed=1))
+
+    def test_obs62_checked_above_old_limit(self, monkeypatch):
+        monkeypatch.setattr(constructions, "shadow_disjoint_ok", lambda *args: False)
+        with pytest.raises(RuntimeError):
+            construct_shadow_disjoint(ConstructionParams(n=60, k=3, seed=1, s=2))

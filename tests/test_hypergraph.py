@@ -6,6 +6,7 @@ import pytest
 
 from factorlab import DensenessParams, FormatError, Hypergraph, load_hypergraph
 from factorlab.corpus import complete, k4, k222, single_edge
+from factorlab.verification import _edges_array, _ordered_tuple_count
 
 K222_TEXT = "3 6 8\n" + "\n".join(
     " ".join(map(str, sorted((a, b, c)))) for a, b, c in product((0, 1), (2, 3), (4, 5))
@@ -116,12 +117,102 @@ class TestShadowLinkDegree:
         assert Hypergraph(3, 6, []).min_s_degree(2) == 0
 
 
+def classes_by_definition(h, s):
+    """Components of the plain pair loop "share >= s vertices", each ascending,
+    ordered by smallest member."""
+    m = len(h.edges)
+    adj = [
+        [j for j in range(m) if j != i and len(set(h.edges[i]) & set(h.edges[j])) >= s]
+        for i in range(m)
+    ]
+    seen: set[int] = set()
+    out = []
+    for i in range(m):
+        if i in seen:
+            continue
+        comp, stack = {i}, [i]
+        while stack:
+            for j in adj[stack.pop()]:
+                if j not in comp:
+                    comp.add(j)
+                    stack.append(j)
+        seen |= comp
+        out.append(tuple(sorted(comp)))
+    return tuple(out)
+
+
+def seeded_graphs():
+    """Random 3- and 4-graphs on 0-8 vertices over a spread of densities."""
+    rng = np.random.default_rng(17)
+    for k in (3, 4):
+        for n in range(9):
+            for p in (0.1, 0.3, 0.6):
+                yield random_graph(rng, n, k, p)
+
+
+class TestOverlaps:
+    def test_subset_edges_match_definition(self):
+        for h in seeded_graphs():
+            for s in range(1, h.k):
+                expected = {}
+                for c in combinations(range(h.n), s):
+                    members = tuple(i for i, e in enumerate(h.edges) if set(c) <= set(e))
+                    if members:
+                        expected[c] = members
+                assert h.subset_edges(s) == expected
+
+    def test_overlap_classes_match_pair_loop(self):
+        for h in seeded_graphs():
+            for s in range(1, h.k):
+                assert h.overlap_classes(s) == classes_by_definition(h, s)
+
+    def test_min_s_degree_matches_count(self):
+        for h in seeded_graphs():
+            for s in range(1, h.k):
+                expected = min(
+                    (sum(1 for e in h.edges if set(c) <= set(e)) for c in combinations(range(h.n), s)),
+                    default=0,
+                )
+                assert h.min_s_degree(s) == expected
+
+    def test_small_cases(self):
+        h = k222()
+        assert h.subset_edges(2)[(0, 2)] == (0, 1)
+        assert h.overlap_classes(2) == (tuple(range(8)),)
+        assert single_edge().overlap_classes(2) == ((0,),)
+        assert Hypergraph(3, 2, []).min_s_degree(2) == 0
+        assert Hypergraph(3, 6, [(0, 1, 2), (3, 4, 5)]).overlap_classes(1) == ((0,), (1,))
+        assert Hypergraph(3, 5, [(0, 1, 2), (0, 3, 4), (1, 2, 3)]).overlap_classes(2) == ((0, 2), (1,))
+
+    def test_derived_data_is_cached(self):
+        h = k4()
+        assert h.subset_edges(2) is h.subset_edges(2)
+        assert h.overlap_classes(2) is h.overlap_classes(2)
+
+    @pytest.mark.parametrize("s", [0, 3])
+    def test_order_out_of_range(self, s):
+        for method in ("subset_edges", "overlap_classes", "min_s_degree"):
+            with pytest.raises(ValueError):
+                getattr(k4(), method)(s)
+
+
+def tuple_count(h, sets):
+    """Ordered-tuple count through the denseness estimator's counter, with
+    one boolean vertex mask per vertex set."""
+    masks = []
+    for x in sets:
+        mask = np.zeros(h.n, dtype=bool)
+        mask[list(x)] = True
+        masks.append(mask)
+    return _ordered_tuple_count(_edges_array(h), masks)
+
+
 class TestTupleCounting:
     def test_complete_all_vertices(self):
-        assert complete(5, 3).count_tuple_edges([range(5)] * 3) == 60
+        assert tuple_count(complete(5, 3), [range(5)] * 3) == 60
 
     def test_single_edge_singletons(self):
-        assert single_edge().count_tuple_edges([{0}, {1}, {2}]) == 1
+        assert tuple_count(single_edge(), [{0}, {1}, {2}]) == 1
 
     def test_overlapping_sets(self):
         # Oracle: enumerate the 2*2*1 tuples directly.
@@ -133,19 +224,13 @@ class TestTupleCounting:
             if len(set(t)) == 3 and frozenset(t) in h.edge_set
         )
         assert expected == 2
-        assert h.count_tuple_edges(sets) == 2
+        assert tuple_count(h, sets) == 2
 
     def test_all_vertex_count_is_k_factorial_times_edges(self):
         rng = np.random.default_rng(11)
         for _ in range(8):
             h = random_graph(rng, 7)
-            assert h.count_tuple_edges([range(7)] * 3) == 6 * len(h.edges)
-
-    def test_rejects_bad_sets(self):
-        with pytest.raises(ValueError):
-            single_edge().count_tuple_edges([{0}, {1}])
-        with pytest.raises(ValueError):
-            single_edge().count_tuple_edges([{0}, {1}, {9}])
+            assert tuple_count(h, [range(7)] * 3) == 6 * len(h.edges)
 
 
 class TestStructure:
@@ -198,12 +283,10 @@ class TestStructure:
 
     def test_denseness_params_ranges(self):
         DensenessParams(p=0.5, mu=0.01)
-        DensenessParams(p=0.5, mu=0.01, alpha=0.3)
         for bad in (
             dict(p=0.0, mu=0.1),
             dict(p=1.0, mu=0.1),
             dict(p=0.5, mu=0.0),
-            dict(p=0.5, mu=0.1, alpha=1.0),
         ):
             with pytest.raises(ValueError):
                 DensenessParams(**bad)
