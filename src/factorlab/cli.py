@@ -193,6 +193,8 @@ def cmd_verify(args) -> int:
         f, h = _load(args.pattern), _load(args.host)
         if f.k != h.k:
             raise ValueError(f"uniformity mismatch: F has k={f.k}, H has k={h.k}")
+        if args.cap < 1:
+            raise ValueError(f"--cap must be at least 1, got {args.cap}")
         params.update({"F": args.pattern, "H": args.host, "cap": args.cap})
 
     if args.task == "cover":
@@ -217,6 +219,8 @@ def cmd_verify(args) -> int:
         if args.expect is not None:
             mismatch = res.status != args.expect
     elif args.task == "rooted":
+        if args.w is None:
+            raise ValueError("verify rooted requires --w")
         w = _resolve_w(args.w, h)
         params["w"] = w
         roots = [args.vstar] if args.vstar is not None else list(range(f.n))
@@ -235,6 +239,8 @@ def cmd_verify(args) -> int:
         if not args.host:
             raise ValueError("verify denseness requires --H")
         h = _load(args.host)
+        if args.p is None or not 0 < args.p < 1:
+            raise ValueError(f"verify denseness requires --p in (0, 1), got {args.p}")
         if args.mu is not None:
             # validates the definitional (p, mu) ranges; recorded for replay
             DensenessParams(p=args.p, mu=args.mu)

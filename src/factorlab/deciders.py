@@ -91,61 +91,84 @@ def forced_coloring(f: Hypergraph, ordering: list[int] | tuple[int, ...]) -> Pai
 def decide_turan_zero_3(f: Hypergraph) -> DecisionReport:
     """Is some vertex ordering's forced shadow colouring consistent?
 
-    Backtracking over partial orderings: a pair already forced to one colour
-    prunes any extension forcing another.  Wholly equivalent to scanning all
-    f! orderings (the oracle used in tests).
+    Backtracking over orderings in lexicographic order, with forward
+    checking: an edge's three colours are fixed once two of its vertices are
+    placed.  Placing v assigns, for each edge {v, x, y} through it:
+
+    * neither x nor y placed: both come after v, so xy is green;
+    * x placed, y not: x comes first and y last, so xv is red and xy blue
+      (vy turned green when x was placed);
+    * both placed: nothing new.
+
+    A pair already holding another colour prunes the placement; colours are
+    kept in an array indexed by pair id and undone from a trail.  Every
+    colour assigned is one that each completion of the prefix forces, so no
+    prefix with a consistent completion is pruned: the first complete
+    ordering is the lexicographically smallest consistent one (the oracle in
+    tests scans all f! orderings), and the colouring held then is its forced
+    colouring.  ``nodes`` counts the placements tried.
     """
     if f.k != 3:
         raise PreconditionError(f"applicable to 3-graphs only, got k={f.k}")
     t0 = time.perf_counter()
-    edges_at = [[] for _ in range(f.n)]
-    for e in f.edges:
-        for v in e:
-            edges_at[v].append(e)
-
+    n = f.n
+    pair_id: dict[tuple[int, int], int] = {}
+    # through[v]: (x, y, id of vx, id of vy, id of xy) for each edge {v, x, y}
+    through: list[list[tuple[int, int, int, int, int]]] = [[] for _ in range(n)]
+    for a, b, c in f.edges:
+        ab = pair_id.setdefault((a, b), len(pair_id))
+        ac = pair_id.setdefault((a, c), len(pair_id))
+        bc = pair_id.setdefault((b, c), len(pair_id))
+        through[a].append((b, c, ab, ac, bc))
+        through[b].append((a, c, ab, bc, ac))
+        through[c].append((a, b, ac, bc, ab))
+    color: list[str | None] = [None] * len(pair_id)
+    trail: list[int] = []
+    placed = [False] * n
     order: list[int] = []
-    placed: set[int] = set()
-    colors: PairColoring = {}
     nodes = 0
 
-    def try_place(v: int) -> list[tuple[int, int]] | None:
-        pos = {u: i for i, u in enumerate(order)}
-        pos[v] = len(order)
-        added: list[tuple[int, int]] = []
-        for e in edges_at[v]:
-            if not all(u == v or u in placed for u in e):
-                continue
-            a, b, c = sorted(e, key=pos.__getitem__)
-            for pair, col in ((_pair(a, b), RED), (_pair(a, c), BLUE), (_pair(b, c), GREEN)):
-                prev = colors.get(pair)
-                if prev is None:
-                    colors[pair] = col
-                    added.append(pair)
-                elif prev != col:
-                    for p in added:
-                        del colors[p]
-                    return None
-        return added
+    def force(p: int, col: str) -> bool:
+        cur = color[p]
+        if cur is None:
+            color[p] = col
+            trail.append(p)
+            return True
+        return cur == col
+
+    def place(v: int) -> bool:
+        for x, y, vx, vy, xy in through[v]:
+            if placed[x]:
+                if placed[y]:
+                    continue
+                ok = force(vx, RED) and force(xy, BLUE)
+            elif placed[y]:
+                ok = force(vy, RED) and force(xy, BLUE)
+            else:
+                ok = force(xy, GREEN)
+            if not ok:
+                return False
+        return True
 
     def extend() -> bool:
         nonlocal nodes
-        if len(order) == f.n:
+        if len(order) == n:
             return True
-        for v in range(f.n):
-            if v in placed:
+        for v in range(n):
+            if placed[v]:
                 continue
             nodes += 1
-            added = try_place(v)
-            if added is None:
-                continue
-            order.append(v)
-            placed.add(v)
-            if extend():
-                return True
-            order.pop()
-            placed.remove(v)
-            for p in added:
-                del colors[p]
+            mark = len(trail)
+            if place(v):
+                placed[v] = True
+                order.append(v)
+                if extend():
+                    return True
+                order.pop()
+                placed[v] = False
+            for p in trail[mark:]:
+                color[p] = None
+            del trail[mark:]
         return False
 
     found = extend()
@@ -154,7 +177,7 @@ def decide_turan_zero_3(f: Hypergraph) -> DecisionReport:
     if found:
         witness = {
             "ordering": list(order),
-            "coloring": [[u, v, col] for (u, v), col in sorted(colors.items())],
+            "coloring": [[u, v, color[i]] for (u, v), i in sorted(pair_id.items())],
         }
     return DecisionReport("turan-zero", found, witness, _base_flags(f), stats)
 
@@ -377,51 +400,53 @@ def decide_partition_condition_k(f: Hypergraph) -> DecisionReport:
     link(vstar) and equal index vectors on every pair of edges sharing >= 2
     vertices?
 
-    Edges sharing >= 2 vertices are merged into classes up front; the part
-    assignment is then found by backtracking over vertices with rainbow and
-    class-consistency pruning.
+    Edges sharing >= 2 vertices are merged into classes up front, and the
+    condition becomes: each class has one index vector.  For each vstar (in
+    part k-1), the other vertices are assigned parts in ascending order by
+    backtracking.  Assigning v checks only the edges through v:
+
+    * rainbow: v's part differs from that of every earlier vertex sharing an
+      edge with v and vstar;
+    * vectors: each edge of a class of two or more whose last vertex to be
+      assigned is v is now fully assigned; its index vector is compared with
+      the one recorded for its class, or recorded if none is (and dropped
+      again on backtrack).
+
+    The prefix before v passed the same checks, so this accepts exactly the
+    prefixes a rescan of every edge and class would: the same prefixes are
+    pruned in the same order, and ``nodes`` counts the part choices tried.
     """
     if f.k < 3:
         raise PreconditionError(f"requires k >= 3, got k={f.k}")
     t0 = time.perf_counter()
-    k = f.k
+    k, n, edges = f.k, f.n, f.edges
     flags = _base_flags(f)
     if k >= 4:
         # The characterization is proven for k = 3 and conjectured beyond.
         flags.append("conjectural-for-k>=4")
-    classes = f.overlap_classes(2)
+    # Singleton classes constrain nothing.
+    classes = [members for members in f.overlap_classes(2) if len(members) > 1]
+    # An index vector as one int: counts are at most k, so base k + 1 is exact.
+    weight = [(k + 1) ** p for p in range(k)]
     nodes = 0
 
     def search(vstar: int) -> list[list[int]] | None:
         nonlocal nodes
-        others = [u for u in range(f.n) if u != vstar]
-        part_of: dict[int, int] = {vstar: k - 1}
-
-        def full_vector(ei: int) -> tuple[int, ...]:
-            vec = [0] * k
-            for v in f.edges[ei]:
-                vec[part_of[v]] += 1
-            return tuple(vec)
-
-        def consistent() -> bool:
-            for e in f.edges:
-                if vstar in e:
-                    counts = [0] * (k - 1)
-                    for v in e:
-                        if v != vstar and v in part_of:
-                            counts[part_of[v]] += 1
-                    if any(c > 1 for c in counts):
-                        return False
-            for members in classes:
-                vec = None
-                for ei in members:
-                    if all(v in part_of for v in f.edges[ei]):
-                        cur = full_vector(ei)
-                        if vec is None:
-                            vec = cur
-                        elif vec != cur:
-                            return False
-            return True
+        others = [u for u in range(n) if u != vstar]
+        part_of = [-1] * n
+        part_of[vstar] = k - 1
+        mates: list[set[int]] = [set() for _ in range(n)]
+        for e in edges:
+            if vstar in e:
+                rest = [u for u in e if u != vstar]
+                for i in range(1, len(rest)):
+                    mates[rest[i]].update(rest[:i])
+        closing: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n)]
+        for ci, members in enumerate(classes):
+            for ei in members:
+                e = edges[ei]
+                closing[e[-1] if e[-1] != vstar else e[-2]].append((e, ci))
+        vector: list[int | None] = [None] * len(classes)
 
         def assign(idx: int) -> bool:
             nonlocal nodes
@@ -430,17 +455,30 @@ def decide_partition_condition_k(f: Hypergraph) -> DecisionReport:
             v = others[idx]
             for part in range(k - 1):
                 nodes += 1
+                if any(part_of[u] == part for u in mates[v]):
+                    continue
                 part_of[v] = part
-                if consistent() and assign(idx + 1):
-                    return True
-                del part_of[v]
+                recorded = []
+                for e, ci in closing[v]:
+                    vec = sum(weight[part_of[u]] for u in e)
+                    if vector[ci] is None:
+                        vector[ci] = vec
+                        recorded.append(ci)
+                    elif vector[ci] != vec:
+                        break
+                else:
+                    if assign(idx + 1):
+                        return True
+                for ci in recorded:
+                    vector[ci] = None
+            part_of[v] = -1
             return False
 
         if assign(0):
             return [sorted(v for v in others if part_of[v] == p) for p in range(k - 1)]
         return None
 
-    for vstar in range(f.n):
+    for vstar in range(n):
         parts = search(vstar)
         if parts is not None:
             stats = {"nodes": nodes, "time_s": time.perf_counter() - t0}

@@ -254,11 +254,12 @@ class Hypergraph:
     def is_k_partite(self) -> Partition | None:
         """A k-part partition with every edge rainbow, or None.
 
-        Equivalent to properly k-colouring the pair shadow; empty parts are
-        allowed so subgraphs of k-partite graphs validate.
+        Equivalent to properly k-colouring the pair shadow (for k = 2, the
+        edges themselves); empty parts are allowed so subgraphs of k-partite
+        graphs validate.
         """
         adj: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.shadow(2) if self.edges else ():
+        for u, v in self.edges if self.k == 2 else self.shadow(2):
             adj[u].add(v)
             adj[v].add(u)
         color = [-1] * self.n
@@ -378,9 +379,21 @@ def _parse_json(text: str) -> Hypergraph:
         raise FormatError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict) or not {"k", "n", "edges"}.issubset(obj):
         raise FormatError('JSON hypergraph must have keys "k", "n", "edges"')
+    # JSON numbers may be floats and true/false are not counts: only plain ints pass.
+    for key in ("k", "n"):
+        if type(obj[key]) is not int:
+            raise FormatError(f'"{key}" must be an integer, got {json.dumps(obj[key])}')
+    if not isinstance(obj["edges"], list):
+        raise FormatError('"edges" must be a list of edges')
+    for e in obj["edges"]:
+        if not isinstance(e, list):
+            raise FormatError(f"an edge must be a list of vertex ids, got {json.dumps(e)}")
+        for v in e:
+            if type(v) is not int:
+                raise FormatError(f"vertex ids must be integers, got {json.dumps(v)}")
     try:
         return Hypergraph(obj["k"], obj["n"], obj["edges"])
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise FormatError(str(exc)) from None
 
 

@@ -338,6 +338,8 @@ def estimate_denseness(
     """
     if sample_count < 1:
         raise ValueError("need at least one sample")
+    if h.n == 0:
+        raise ValueError("sampled denseness needs a host with at least one vertex")
     edges_arr = _edges_array(h)
     n_pow_k = h.n**h.k
 
@@ -385,6 +387,8 @@ def estimate_S_denseness(
     """
     if sample_count < 1:
         raise ValueError("need at least one sample")
+    if h.n == 0:
+        raise ValueError("sampled denseness needs a host with at least one vertex")
     fam = canonical_family(family)
     for s in fam:
         if any(i < 1 or i > h.k for i in s):

@@ -79,6 +79,24 @@ class TestDecide:
         code, _, err = run(capsys, ["decide", "factor3", str(f4)])
         assert code == 2 and "3-graphs" in err
 
+    def test_float_vertex_in_json_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"k": 3, "n": 3, "edges": [[0, 1.5, 2]]}')
+        code, _, err = run(capsys, ["decide", "factor3", str(bad)])
+        assert code == 2 and "integers" in err and "Traceback" not in err
+
+    def test_kpartite_link_refuses_odd_cycle(self, capsys, tmp_path):
+        triangle = tmp_path / "triangle.hg"
+        triangle.write_text("2 3 3\n0 1\n0 2\n1 2\n")
+        code, _, err = run(capsys, ["decide", "kpartite-link", str(triangle)])
+        assert code == 2 and "not k-partite" in err and "Traceback" not in err
+
+    def test_kpartite_link_on_a_path(self, capsys, tmp_path):
+        path = tmp_path / "path.hg"
+        path.write_text("2 3 2\n0 1\n1 2\n")
+        code, out, _ = run(capsys, ["decide", "kpartite-link", str(path)])
+        assert code == 0 and json.loads(out)["report"]["verdict"] is True
+
     def test_out_file(self, capsys, tmp_path, k222_file):
         target = tmp_path / "report.json"
         code, out, _ = run(capsys, ["decide", "factor3", k222_file, "--out", str(target)])
@@ -200,6 +218,39 @@ class TestVerify:
         )
         sampled = json.loads(out2)["report"]["worst_deficit"]
         assert code == code2 == 0 and exact >= sampled - 1e-9
+
+
+class TestRejectedFlags:
+    """Each bad flag value exits 2 with a one-line error, never a traceback."""
+
+    def run_rejected(self, capsys, argv, fragment):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert fragment in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_rooted_without_w(self, capsys, k222_file):
+        self.run_rejected(capsys, ["verify", "rooted", "--F", k222_file, "--H", k222_file],
+                          "requires --w")
+
+    def test_denseness_on_empty_host(self, capsys, tmp_path):
+        empty = tmp_path / "empty.hg"
+        empty.write_text("3 0 0\n")
+        self.run_rejected(capsys, ["verify", "denseness", "--H", str(empty), "--p", "0.5"],
+                          "at least one vertex")
+
+    @pytest.mark.parametrize("p", ["7", "0", "1", "-0.5"])
+    def test_denseness_p_outside_unit_interval(self, capsys, k222_file, p):
+        self.run_rejected(capsys, ["verify", "denseness", "--H", k222_file, "--p", p], "(0, 1)")
+
+    def test_denseness_without_p(self, capsys, k222_file):
+        self.run_rejected(capsys, ["verify", "denseness", "--H", k222_file], "requires --p")
+
+    @pytest.mark.parametrize("task", ["factor", "rooted"])
+    @pytest.mark.parametrize("cap", ["-1", "0"])
+    def test_cap_below_one(self, capsys, edge_file, k6_file, task, cap):
+        argv = ["verify", task, "--F", edge_file, "--H", k6_file, "--w", "0", "--cap", cap]
+        self.run_rejected(capsys, argv, "--cap")
 
 
 class TestWorkers:

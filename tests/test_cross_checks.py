@@ -38,6 +38,40 @@ class TestDeeperOrderingSearch:
             assert decide_turan_zero_3(f).verdict == exhaustive
 
 
+class TestSearchOrder:
+    """The witnesses are the first ones in the oracles' scan order."""
+
+    def test_turan_zero_witness_is_first_consistent_permutation(self):
+        rng = np.random.default_rng(60605)
+        for n in range(3, 8):
+            for _ in range(16):
+                f = random_uniform(rng, n, 3, float(rng.choice([0.1, 0.2, 0.35])))
+                first = next(
+                    (p for p in permutations(range(n)) if forced_coloring(f, p) is not None), None
+                )
+                report = decide_turan_zero_3(f)
+                if first is None:
+                    assert report.witness is None
+                    continue
+                assert report.witness["ordering"] == list(first)
+                coloring = sorted(forced_coloring(f, first).items())
+                assert report.witness["coloring"] == [[u, v, c] for (u, v), c in coloring]
+
+    @pytest.mark.parametrize("k, sizes", [(3, range(3, 8)), (4, range(4, 8))])
+    def test_partition_k_witness_is_the_oracles(self, k, sizes):
+        rng = np.random.default_rng(60606 + k)
+        for n in sizes:
+            for _ in range(12):
+                f = random_uniform(rng, n, k, float(rng.choice([0.1, 0.2, 0.35])))
+                expected = partition_condition_oracle(f)
+                report = decide_partition_condition_k(f)
+                if expected is None:
+                    assert report.witness is None
+                    continue
+                vstar, parts = expected
+                assert report.witness == {"vstar": vstar, "parts": [sorted(p) for p in parts]}
+
+
 class TestK4PartitionCondition:
     def test_matches_brute_force_at_k4(self):
         rng = np.random.default_rng(60602)

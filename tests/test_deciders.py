@@ -200,6 +200,22 @@ class TestLinkDisjointKPartite:
     def test_non_partite_inputs_refused(self):
         with pytest.raises(PreconditionError):
             decide_linkdisjoint_kpartite(k4())
+        with pytest.raises(PreconditionError, match="not k-partite"):
+            decide_linkdisjoint_kpartite(Hypergraph(2, 3, [(0, 1), (0, 2), (1, 2)]))
+
+    def test_two_graph_path(self):
+        f = Hypergraph(2, 3, [(0, 1), (1, 2)])
+        report = decide_linkdisjoint_kpartite(f)
+        assert report.verdict
+        parts = [set(p) for p in report.witness["partition"]]
+        assert sorted(v for p in parts for v in p) == [0, 1, 2]
+        assert all(len(set(e) & p) == 1 for e in f.edges for p in parts)
+        v = report.witness["vstar"]
+        assert all(
+            len(set(e) & set(e2)) <= 1
+            for e in f.edges if v in e
+            for e2 in f.edges if v not in e2
+        )
 
 
 class TestPartitionConditionK:

@@ -64,6 +64,22 @@ class TestLoading:
         h = load_hypergraph(json.dumps({"k": 3, "n": 6, "edges": k222().to_json_obj()["edges"]}))
         assert h == k222()
 
+    @pytest.mark.parametrize(
+        "obj, fragment",
+        [
+            ({"k": 3, "n": 3, "edges": [[0, 1.5, 2]]}, "vertex ids must be integers, got 1.5"),
+            ({"k": 3, "n": 3, "edges": [[0, True, 2]]}, "vertex ids must be integers, got true"),
+            ({"k": 3.0, "n": 3, "edges": []}, '"k" must be an integer, got 3.0'),
+            ({"k": True, "n": 3, "edges": []}, '"k" must be an integer, got true'),
+            ({"k": 3, "n": 3.0, "edges": []}, '"n" must be an integer, got 3.0'),
+            ({"k": 3, "n": False, "edges": []}, '"n" must be an integer, got false'),
+        ],
+    )
+    def test_json_numbers_must_be_plain_ints(self, obj, fragment):
+        with pytest.raises(FormatError) as err:
+            load_hypergraph(json.dumps(obj))
+        assert fragment in str(err.value)
+
     def test_round_trip_is_identity(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -245,6 +261,11 @@ class TestStructure:
         parts = single_edge().is_k_partite().parts
         assert sorted(v for p in parts for v in p) == [0, 1, 2]
         assert all(len(p) == 1 for p in parts)
+
+    def test_two_graphs_are_bipartite_or_not(self):
+        path = Hypergraph(2, 3, [(0, 1), (1, 2)])
+        assert path.is_k_partite().parts == ((0, 2), (1,))
+        assert Hypergraph(2, 3, [(0, 1), (0, 2), (1, 2)]).is_k_partite() is None
 
     def test_empty_parts_allowed(self):
         h = Hypergraph(3, 3, [(0, 1, 2)])
