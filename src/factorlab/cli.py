@@ -21,6 +21,11 @@ EXIT_OK = 0
 EXIT_EXPECT = 1
 EXIT_USAGE = 2
 
+# The deciders, the lattice enumerator and the copy searches recurse once per
+# pattern vertex, so a larger pattern would exhaust the interpreter's
+# recursion limit (1000 frames by default).
+PATTERN_VERTEX_LIMIT = 256
+
 
 def _workers(args) -> int:
     if getattr(args, "workers", None):
@@ -37,6 +42,13 @@ def _workers(args) -> int:
 def _load(path: str) -> Hypergraph:
     with open(path, "r", encoding="utf-8") as handle:
         return load_hypergraph(handle)
+
+
+def _load_pattern(path: str) -> Hypergraph:
+    f = _load(path)
+    if f.n > PATTERN_VERTEX_LIMIT:
+        raise ValueError(f"pattern has {f.n} vertices; patterns above {PATTERN_VERTEX_LIMIT} are refused")
+    return f
 
 
 def _emit(args, payload: dict, summary: str) -> None:
@@ -80,7 +92,7 @@ DECIDERS = {
 
 
 def cmd_decide(args) -> int:
-    f = _load(args.file)
+    f = _load_pattern(args.file)
     report = DECIDERS[args.property](f, args.s)
     params = {"property": args.property, "file": args.file, "s": args.s, "seed": None}
     _emit(args, _envelope(args, "decide", params, report.to_json_obj()),
@@ -91,7 +103,7 @@ def cmd_decide(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    f = _load(args.file)
+    f = _load_pattern(args.file)
     gens = lattice.size_generators(f, args.s)
     lat = lattice.lattice_from_generators(gens)
     bips = lattice.enumerate_shadow_disjoint_bipartitions(f, args.s)
@@ -190,7 +202,7 @@ def cmd_verify(args) -> int:
     if args.task in ("cover", "factor", "rooted"):
         if not args.pattern or not args.host:
             raise ValueError(f"verify {args.task} requires --F and --H")
-        f, h = _load(args.pattern), _load(args.host)
+        f, h = _load_pattern(args.pattern), _load(args.host)
         if f.k != h.k:
             raise ValueError(f"uniformity mismatch: F has k={f.k}, H has k={h.k}")
         if args.cap < 1:
@@ -328,7 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--mu", type=float, help="recorded slack (informational)")
     p_ver.add_argument("--samples", type=int, default=1000)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--cap", type=int, default=verification.DEFAULT_CAP)
+    p_ver.add_argument("--cap", type=int, default=verification.DEFAULT_CAP,
+                       help="factor: most copies (one per Aut(F) class) listed before the answer "
+                       "is inconclusive; rooted: most labelled embeddings counted per root")
     p_ver.add_argument("--mode", choices=["sampled", "exhaustive"], default="sampled")
     p_ver.add_argument("--family", help="JSON list of index subsets for directed denseness")
     p_ver.add_argument("--expect", help="expected outcome; mismatch exits 1")

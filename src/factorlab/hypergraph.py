@@ -12,7 +12,10 @@ threads:
   indices of the edges containing it, built in one pass over the edges;
 * ``overlap_classes(s)``: the classes of edge indices under the transitive
   closure of "share >= s vertices", read off ``subset_edges(s)``.  Every
-  criterion beyond a colouring rests on this relation.
+  criterion beyond a colouring rests on this relation;
+* ``embedding_masks()``: vertex bitmasks for copy searches (which vertices
+  complete a (k-1)-set to an edge, which share an edge with a vertex, which
+  have at least a given degree), read off ``subset_edges``.
 
 Vertex subsets handed to operations may be any iterable of ints; results use
 sorted tuples.  Partitions are ordered lists of disjoint parts covering
@@ -27,7 +30,11 @@ import threading
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
+
+# Largest vertex count the loaders accept: derived data and the deciders
+# allocate O(n) per graph, so a header may not ask for more.
+MAX_VERTICES = 10**6
 
 
 class FormatError(ValueError):
@@ -110,6 +117,15 @@ class UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
+class EmbeddingMasks(NamedTuple):
+    """Bitmask view of a hypergraph for copy searches (bit w is vertex w)."""
+
+    completion: dict[int, int]  # mask of a (k-1)-set -> vertices completing it to an edge
+    neighbours: tuple[int, ...]  # vertex -> vertices sharing an edge with it
+    degrees: tuple[int, ...]  # vertex -> number of edges containing it
+    at_least: tuple[int, ...]  # d -> vertices of degree >= d, for d up to the largest degree
+
+
 class Hypergraph:
     """Immutable k-uniform hypergraph on vertices ``0..n-1``."""
 
@@ -136,7 +152,8 @@ class Hypergraph:
         self.n = n
         self.edges: tuple[tuple[int, ...], ...] = tuple(canon)
         self._cache: dict = {}
-        self._lock = threading.Lock()
+        # Reentrant, so a compute function may read other cached values.
+        self._lock = threading.RLock()
 
     # -- identity ----------------------------------------------------------
 
@@ -235,9 +252,8 @@ class Hypergraph:
     def overlap_classes(self, s: int) -> tuple[tuple[int, ...], ...]:
         """Classes of edge indices under the transitive closure of "share >= s
         vertices": each ascending, ordered by smallest member, singletons kept."""
-        buckets = self.subset_edges(s)  # outside compute: the cache lock is not reentrant
-
         def compute():
+            buckets = self.subset_edges(s)
             uf = UnionFind(len(self.edges))
             for members in buckets.values():
                 for i in members[1:]:
@@ -248,6 +264,35 @@ class Hypergraph:
             return tuple(map(tuple, classes.values()))
 
         return self._cached(("overlap_classes", s), compute)
+
+    def embedding_masks(self) -> EmbeddingMasks:
+        """Completion, neighbour and degree masks, read off ``subset_edges``."""
+
+        def compute():
+            bits = [sum(1 << v for v in e) for e in self.edges]
+            completion = {}
+            for sub, members in self.subset_edges(self.k - 1).items():
+                key = sum(1 << v for v in sub)
+                mask = 0
+                for i in members:
+                    mask |= bits[i]
+                completion[key] = mask ^ key
+            neighbours = [0] * self.n
+            degrees = [0] * self.n
+            for (w,), members in self.subset_edges(1).items():
+                mask = 0
+                for i in members:
+                    mask |= bits[i]
+                neighbours[w] = mask ^ (1 << w)
+                degrees[w] = len(members)
+            at_least = [0] * (max(degrees, default=0) + 1)
+            for w, d in enumerate(degrees):
+                at_least[d] |= 1 << w
+            for d in range(len(at_least) - 2, -1, -1):
+                at_least[d] |= at_least[d + 1]
+            return EmbeddingMasks(completion, tuple(neighbours), tuple(degrees), tuple(at_least))
+
+        return self._cached("embedding_masks", compute)
 
     # -- structure ----------------------------------------------------------
 
@@ -347,6 +392,8 @@ def _parse_text(text: str) -> Hypergraph:
         raise FormatError(f"uniformity k must be >= 2, got {k}", head_no)
     if n < 0 or m < 0:
         raise FormatError("n and m must be non-negative", head_no)
+    if n > MAX_VERTICES:
+        raise FormatError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}", head_no)
     body = data_lines[1:]
     if len(body) != m:
         raise FormatError(f"expected {m} edge lines, found {len(body)}")
@@ -375,7 +422,7 @@ def _parse_text(text: str) -> Hypergraph:
 def _parse_json(text: str) -> Hypergraph:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, over-long ints, deep nesting
         raise FormatError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict) or not {"k", "n", "edges"}.issubset(obj):
         raise FormatError('JSON hypergraph must have keys "k", "n", "edges"')
@@ -383,6 +430,8 @@ def _parse_json(text: str) -> Hypergraph:
     for key in ("k", "n"):
         if type(obj[key]) is not int:
             raise FormatError(f'"{key}" must be an integer, got {json.dumps(obj[key])}')
+    if obj["n"] > MAX_VERTICES:
+        raise FormatError(f"vertex count {obj['n']} exceeds the limit of {MAX_VERTICES}")
     if not isinstance(obj["edges"], list):
         raise FormatError('"edges" must be a list of edges')
     for e in obj["edges"]:
@@ -406,7 +455,10 @@ def load_hypergraph(source: str | bytes | IO) -> Hypergraph:
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
+        try:
+            source = source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"input is not UTF-8: {exc}") from None
     stripped = source.lstrip()
     if stripped.startswith("{"):
         return _parse_json(source)

@@ -2,10 +2,17 @@
 denseness estimation, and reachable-set counting.
 
 Copies are non-induced: an embedding is an injection of the pattern's
-vertices such that every pattern edge maps onto a host edge.  The factor
-solver collapses embeddings to their vertex images (one witness embedding per
-image) and runs a complete exact-cover search, so "absent" results are
-proofs, not heuristics — unless the copy-enumeration cap was hit, in which
+vertices such that every pattern edge maps onto a host edge; a copy is an
+embedding up to automorphisms of the pattern.  One backtracking search over
+host bitmasks answers every copy question: it fixes pattern vertices in a
+static order and draws each vertex's candidates from one int, scanned in
+ascending vertex order, so every listing is deterministic.  Labelled
+listings (``enumerate_copies``, ``rooted_copies``, ``find_cover``) see every
+embedding; ``copy_images`` adds symmetry-breaking order constraints and sees
+one embedding per copy, so its ``cap`` (and ``find_factor``'s) counts copies.
+The factor solver collapses copies to their vertex images (one witness
+embedding per image) and runs a complete exact-cover search, so "absent"
+results are proofs, not heuristics — unless the copy cap was hit, in which
 case the result is explicitly inconclusive.
 """
 
@@ -13,8 +20,8 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations, islice, permutations
-from typing import Iterable, Iterator
+from itertools import islice, permutations
+from typing import Iterator
 
 import numpy as np
 
@@ -27,11 +34,10 @@ DEFAULT_CAP = 10**6
 # embeddings
 # ---------------------------------------------------------------------------
 
-
 def _embedding_order(f: Hypergraph, root: int | None) -> list[int]:
     """Static search order: root first, then vertices attached to the chosen
     prefix by as many edges as possible (ties: higher degree, lower id)."""
-    degs = [f.degree((v,)) for v in range(f.n)]
+    degs = f.embedding_masks().degrees
     chosen: list[int] = []
     in_chosen = [False] * f.n
     if root is not None:
@@ -51,55 +57,137 @@ def _embedding_order(f: Hypergraph, root: int | None) -> list[int]:
     return chosen
 
 
-def iter_embeddings(
-    f: Hypergraph, h: Hypergraph, pre: dict[int, int] | None = None
+# One step per pattern vertex in search order: (vertex, the other k-1
+# vertices of each edge it completes, earlier neighbours not in those edges,
+# its degree).
+_Plan = tuple[tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...], int], ...]
+
+
+def _plan(f: Hypergraph, root: int | None) -> _Plan:
+    """The search plan along ``_embedding_order``, cached per (f, root)."""
+
+    def compute() -> _Plan:
+        masks = f.embedding_masks()
+        order = _embedding_order(f, root)
+        rank = {v: i for i, v in enumerate(order)}
+        ready: list[list[tuple[int, ...]]] = [[] for _ in order]
+        for e in f.edges:
+            last = max(e, key=rank.__getitem__)
+            ready[rank[last]].append(tuple(v for v in e if v != last))
+        steps = []
+        for i, u in enumerate(order):
+            in_ready = {v for rest in ready[i] for v in rest}
+            earlier = tuple(v for v in order[:i] if masks.neighbours[u] >> v & 1 and v not in in_ready)
+            steps.append((u, tuple(ready[i]), earlier, masks.degrees[u]))
+        return tuple(steps)
+
+    return f._cached(("embedding_plan", root), compute)
+
+
+def _class_floors(f: Hypergraph) -> tuple[tuple[int, ...], ...]:
+    """Symmetry-breaking constraints for the root-less plan: for each step,
+    the earlier vertices whose images its image must exceed.
+
+    Along the search order o_0, o_1, ..., the image of o_j must be smaller
+    than the image of every other vertex of its orbit under the automorphisms
+    fixing o_0..o_{j-1} (Grochow-Kellis).  Exactly one embedding of each
+    Aut(F) class meets all of them: the one whose images, read in search
+    order, are lexicographically smallest, which is the first of its class
+    the search reaches.  Orbits are found with the same search, embedding f
+    into f with vertices pinned.
+    """
+
+    def compute() -> tuple[tuple[int, ...], ...]:
+        order = [step[0] for step in _plan(f, None)]
+        degs = f.embedding_masks().degrees
+        floors: list[list[int]] = [[] for _ in order]
+        for j, a in enumerate(order):
+            fixed = {b: b for b in order[:j]}
+            for i in range(j + 1, len(order)):
+                v = order[i]
+                if degs[v] == degs[a] and next(_search(f, f, {**fixed, a: v}), None) is not None:
+                    floors[i].append(a)
+        return tuple(map(tuple, floors))
+
+    return f._cached("class_floors", compute)
+
+
+def _search(
+    f: Hypergraph, h: Hypergraph, pre: dict[int, int], floors: tuple[tuple[int, ...], ...] | None = None
 ) -> Iterator[tuple[int, ...]]:
-    """All labelled embeddings of f into h in deterministic order.
+    """Embeddings of f into h in search order; host vertices ascending at each step.
+
+    A step's candidates are one int: the degree mask, AND the completion mask
+    of each edge the step closes, AND the neighbour mask of each earlier
+    neighbour's image, less the used vertices and the images pinned by
+    ``pre`` for other vertices (and, with ``floors``, less the vertices up to
+    the largest image of the step's floor vertices).
+    """
+    if f.n == 0:
+        yield ()
+        return
+    masks = h.embedding_masks()
+    completion, neighbours, at_least = masks.completion, masks.neighbours, masks.at_least
+    pinned = 0
+    for w in pre.values():
+        pinned |= 1 << w
+    steps = []
+    for i, (u, ready, earlier, degree) in enumerate(_plan(f, min(pre) if pre else None)):
+        start = at_least[degree] if degree < len(at_least) else 0
+        start &= (1 << pre[u]) if u in pre else ~pinned
+        steps.append((u, start, ready, earlier, floors[i] if floors else ()))
+    last = len(steps) - 1
+    image = [0] * f.n
+    bit = [0] * f.n
+
+    def rec(i: int, used: int) -> Iterator[tuple[int, ...]]:
+        u, cand, ready, earlier, below = steps[i]
+        cand &= ~used
+        for rest in ready:
+            key = 0
+            for v in rest:
+                key |= bit[v]
+            cand &= completion.get(key, 0)
+        for v in earlier:
+            cand &= neighbours[image[v]]
+        if below:
+            floor = max(image[v] for v in below) + 1
+            cand = cand >> floor << floor
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            image[u] = low.bit_length() - 1
+            bit[u] = low
+            if i == last:
+                yield tuple(image)
+            else:
+                yield from rec(i + 1, used | low)
+
+    yield from rec(0, 0)
+
+
+def iter_embeddings(
+    f: Hypergraph, h: Hypergraph, pre: dict[int, int] | None = None, *, per_copy: bool = False
+) -> Iterator[tuple[int, ...]]:
+    """Labelled embeddings of f into h in deterministic order.
 
     ``pre`` pins pattern vertices to host vertices before the search starts.
+    With ``per_copy`` (no ``pre``) only the first embedding of each copy,
+    that is of each Aut(f) class, is yielded; the order is unchanged.
     """
     if f.k != h.k:
         raise ValueError(f"uniformity mismatch: pattern k={f.k}, host k={h.k}")
+    pre = pre or {}
+    for u, w in pre.items():
+        if not 0 <= u < f.n:
+            raise ValueError(f"pattern vertex {u} out of range")
+        if not 0 <= w < h.n:
+            raise ValueError(f"host vertex {w} out of range")
+    if per_copy and pre:
+        raise ValueError("per_copy listing takes no pinned vertices")
     if f.n > h.n:
         return
-    pre = pre or {}
-    root = min(pre) if pre else None
-    order = _embedding_order(f, root)
-    # edges checkable once the i-th vertex of the order is mapped
-    rank = {v: i for i, v in enumerate(order)}
-    edges_ready: list[list[tuple[int, ...]]] = [[] for _ in order]
-    for e in f.edges:
-        edges_ready[max(rank[v] for v in e)].append(e)
-    f_degs = [f.degree((v,)) for v in range(f.n)]
-    h_degs = [h.degree((w,)) for w in range(h.n)]
-    edge_set = h.edge_set
-
-    assignment: dict[int, int] = {}
-    used: set[int] = set()
-
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        if i == f.n:
-            yield tuple(assignment[v] for v in range(f.n))
-            return
-        u = order[i]
-        candidates: Iterable[int]
-        if u in pre:
-            candidates = (pre[u],)
-        else:
-            candidates = range(h.n)
-        for w in candidates:
-            if w in used or h_degs[w] < f_degs[u]:
-                continue
-            assignment[u] = w
-            used.add(w)
-            if all(
-                frozenset(assignment[v] for v in e) in edge_set for e in edges_ready[i]
-            ):
-                yield from rec(i + 1)
-            used.discard(w)
-            del assignment[u]
-
-    yield from rec(0)
+    yield from _search(f, h, pre, _class_floors(f) if per_copy else None)
 
 
 @dataclass
@@ -187,21 +275,27 @@ class FactorSearchResult:
 def copy_images(
     f: Hypergraph, h: Hypergraph, cap: int = DEFAULT_CAP
 ) -> tuple[dict[frozenset[int], tuple[int, ...]], bool]:
-    """Distinct copy images with one witness embedding each (automorphism
-    classes collapsed)."""
-    enum = enumerate_copies(f, h, cap)
+    """Distinct copy images, each with the first embedding onto it in search
+    order as its witness.
+
+    One embedding is listed per copy (per Aut(f) class), so ``cap`` counts
+    copies; ``truncated`` flags that more than ``cap`` copies exist.
+    """
     images: dict[frozenset[int], tuple[int, ...]] = {}
-    for phi in enum.embeddings:
+    for count, phi in enumerate(iter_embeddings(f, h, per_copy=True)):
+        if count == cap:
+            return images, True
         images.setdefault(frozenset(phi), phi)
-    return images, enum.truncated
+    return images, False
 
 
 def find_factor(f: Hypergraph, h: Hypergraph, cap: int = DEFAULT_CAP) -> FactorSearchResult:
     """Complete exact-cover search for vertex-disjoint copies covering V(H).
 
     Branches on the uncovered vertex with the fewest admissible copies
-    (ties: smallest id).  Divisibility is checked first; a hit enumeration cap
-    downgrades "absent" to "inconclusive".
+    (ties: smallest id).  Divisibility is checked first.  ``cap`` bounds the
+    copies listed by :func:`copy_images`; a hit cap downgrades "absent" to
+    "inconclusive".
     """
     if f.n == 0:
         raise ValueError("pattern must have at least one vertex")
@@ -459,18 +553,20 @@ REACHABLE_HOST_LIMIT = 14
 
 def count_reachable_sets(h: Hypergraph, f: Hypergraph, u: int, v: int) -> int:
     """Number of (v(F)-1)-sets W avoiding {u, v} such that both {u} ∪ W and
-    {v} ∪ W span factor-patterned subgraphs."""
+    {v} ∪ W span factor-patterned subgraphs.
+
+    A host on v(F) vertices has an F-factor exactly when its vertex set is a
+    copy image, so one listing of the copy images of f in h decides every W.
+    """
     if h.n > REACHABLE_HOST_LIMIT:
         raise ValueError(f"host too large for exact reachability count (n > {REACHABLE_HOST_LIMIT})")
     if u == v or not (0 <= u < h.n and 0 <= v < h.n):
         raise ValueError("u and v must be distinct host vertices")
-    rest = [w for w in range(h.n) if w != u and w != v]
-    count = 0
-    for witness_set in combinations(rest, f.n - 1):
-        sub_u, _ = h.induced((u,) + witness_set)
-        if find_factor(f, sub_u).status != "found":
-            continue
-        sub_v, _ = h.induced((v,) + witness_set)
-        if find_factor(f, sub_v).status == "found":
-            count += 1
-    return count
+    if f.n == 0:
+        raise ValueError("pattern must have at least one vertex")
+    images, truncated = copy_images(f, h)
+    if truncated:
+        raise ValueError(f"more than {DEFAULT_CAP} copies: no exact reachability count")
+    masks = {sum(1 << w for w in img) for img in images}
+    bu, bv = 1 << u, 1 << v
+    return sum(1 for m in masks if m & bu and not m & bv and m ^ bu | bv in masks)

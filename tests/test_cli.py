@@ -3,10 +3,10 @@ import json
 import pytest
 
 from factorlab import load_hypergraph
-from factorlab.cli import main
+from factorlab.cli import PATTERN_VERTEX_LIMIT, main
 from factorlab.constructions import partite_structure_ok
 from factorlab.corpus import by_name, k222
-from factorlab.hypergraph import Partition
+from factorlab.hypergraph import MAX_VERTICES, Partition
 
 
 @pytest.fixture
@@ -220,37 +220,81 @@ class TestVerify:
         assert code == code2 == 0 and exact >= sampled - 1e-9
 
 
+def run_rejected(capsys, argv, fragment):
+    """Exit 2 with a one-line error naming ``fragment``, never a traceback."""
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert fragment in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 class TestRejectedFlags:
     """Each bad flag value exits 2 with a one-line error, never a traceback."""
 
-    def run_rejected(self, capsys, argv, fragment):
-        code, out, err = run(capsys, argv)
-        assert code == 2 and out == ""
-        assert fragment in err and "Traceback" not in err
-        assert len(err.strip().splitlines()) == 1
-
     def test_rooted_without_w(self, capsys, k222_file):
-        self.run_rejected(capsys, ["verify", "rooted", "--F", k222_file, "--H", k222_file],
-                          "requires --w")
+        run_rejected(capsys, ["verify", "rooted", "--F", k222_file, "--H", k222_file],
+                     "requires --w")
 
     def test_denseness_on_empty_host(self, capsys, tmp_path):
         empty = tmp_path / "empty.hg"
         empty.write_text("3 0 0\n")
-        self.run_rejected(capsys, ["verify", "denseness", "--H", str(empty), "--p", "0.5"],
-                          "at least one vertex")
+        run_rejected(capsys, ["verify", "denseness", "--H", str(empty), "--p", "0.5"],
+                     "at least one vertex")
 
     @pytest.mark.parametrize("p", ["7", "0", "1", "-0.5"])
     def test_denseness_p_outside_unit_interval(self, capsys, k222_file, p):
-        self.run_rejected(capsys, ["verify", "denseness", "--H", k222_file, "--p", p], "(0, 1)")
+        run_rejected(capsys, ["verify", "denseness", "--H", k222_file, "--p", p], "(0, 1)")
 
     def test_denseness_without_p(self, capsys, k222_file):
-        self.run_rejected(capsys, ["verify", "denseness", "--H", k222_file], "requires --p")
+        run_rejected(capsys, ["verify", "denseness", "--H", k222_file], "requires --p")
 
     @pytest.mark.parametrize("task", ["factor", "rooted"])
     @pytest.mark.parametrize("cap", ["-1", "0"])
     def test_cap_below_one(self, capsys, edge_file, k6_file, task, cap):
         argv = ["verify", task, "--F", edge_file, "--H", k6_file, "--w", "0", "--cap", cap]
-        self.run_rejected(capsys, argv, "--cap")
+        run_rejected(capsys, argv, "--cap")
+
+
+class TestSizeBounds:
+    """Inputs too large to hold or to recurse over exit 2 with one line."""
+
+    @pytest.mark.parametrize("text", [
+        f"3 {MAX_VERTICES + 1} 0\n",
+        "3 10000000000 0\n",
+        json.dumps({"k": 3, "n": MAX_VERTICES + 1, "edges": []}),
+    ])
+    def test_vertex_count_over_loader_limit(self, capsys, tmp_path, text):
+        path = tmp_path / "huge.hg"
+        path.write_text(text)
+        run_rejected(capsys, ["decide", "turan-zero", str(path)], "exceeds the limit")
+
+    @pytest.fixture
+    def big_pattern(self, tmp_path):
+        path = tmp_path / "big.hg"
+        path.write_text(f"3 {PATTERN_VERTEX_LIMIT + 1} 1\n0 1 2\n")
+        return str(path)
+
+    @pytest.mark.parametrize("prop", ["turan-zero", "kpartite-link", "cover-partition",
+                                      "factor3", "partition-k", "trans"])
+    def test_decide_refuses_big_pattern(self, capsys, big_pattern, prop):
+        run_rejected(capsys, ["decide", prop, big_pattern, "--s", "2"], "refused")
+
+    def test_lattice_refuses_big_pattern(self, capsys, big_pattern):
+        run_rejected(capsys, ["lattice", big_pattern, "--s", "2"], "refused")
+
+    @pytest.mark.parametrize("task", ["cover", "factor", "rooted"])
+    def test_verify_refuses_big_pattern(self, capsys, big_pattern, k6_file, task):
+        run_rejected(capsys, ["verify", task, "--F", big_pattern, "--H", k6_file, "--w", "0"],
+                          "refused")
+
+    def test_pattern_at_the_limit_is_answered(self, capsys, tmp_path):
+        path = tmp_path / "limit.hg"
+        path.write_text(f"3 {PATTERN_VERTEX_LIMIT} 1\n0 1 2\n")
+        for argv in (["decide", "turan-zero", str(path)], ["decide", "partition-k", str(path)],
+                     ["decide", "kpartite-link", str(path)],
+                     ["verify", "cover", "--F", str(path), "--H", str(path)]):
+            code, out, err = run(capsys, argv)
+            assert code == 0 and "Traceback" not in err
 
 
 class TestWorkers:

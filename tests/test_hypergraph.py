@@ -80,6 +80,18 @@ class TestLoading:
             load_hypergraph(json.dumps(obj))
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize(
+        "source, fragment",
+        [
+            (b"\x80", "not UTF-8"),
+            ('{"k": 1' + "0" * 5000 + ', "n": 3, "edges": []}', "invalid JSON"),
+            ('{"k": ' + "[" * 100000 + "]" * 100000 + "}", "invalid JSON"),
+        ],
+    )
+    def test_unreadable_inputs_are_format_errors(self, source, fragment):
+        with pytest.raises(FormatError, match=fragment):
+            load_hypergraph(source)
+
     def test_round_trip_is_identity(self):
         rng = np.random.default_rng(7)
         for _ in range(20):

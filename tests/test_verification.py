@@ -19,7 +19,7 @@ from factorlab import (
 from factorlab.constructions import random_uniform_hypergraph
 from factorlab.corpus import complete, k222, single_edge
 from factorlab.oracles import copy_images_oracle, factor_oracle
-from factorlab.verification import copy_images
+from factorlab.verification import copy_images, iter_embeddings
 
 
 def random_graph(rng, n, p=0.4):
@@ -75,6 +75,105 @@ class TestEmbeddings:
         assert not validate_embedding(single_edge(), h, (0, 1, 9))
         sparse = Hypergraph(3, 4, [(0, 1, 2)])
         assert not validate_embedding(single_edge(), sparse, (0, 1, 3))
+
+
+def reference_embeddings(f, h, pre=None):
+    """Plain search in the documented order: root (the smallest pinned vertex)
+    first, then most edges into the prefix, higher degree, lower id; every
+    host vertex tried in ascending order, every edge checked as a set."""
+    pre = pre or {}
+    deg = [sum(v in e for e in f.edges) for v in range(f.n)]
+    order = [min(pre)] if pre else []
+    while len(order) < f.n:
+        order.append(min(
+            (v for v in range(f.n) if v not in order),
+            key=lambda v: (-sum(v in e and any(u in order for u in e) for e in f.edges), -deg[v], v),
+        ))
+    if f.n > h.n:
+        return []
+    out, phi = [], {}
+
+    def rec(i):
+        if i == f.n:
+            out.append(tuple(phi[v] for v in range(f.n)))
+            return
+        u = order[i]
+        for w in [pre[u]] if u in pre else range(h.n):
+            if w in phi.values():
+                continue
+            phi[u] = w
+            placed = order[: i + 1]
+            if all(frozenset(phi[v] for v in e) in h.edge_set
+                   for e in f.edges if u in e and all(v in placed for v in e)):
+                rec(i + 1)
+            del phi[u]
+
+    rec(0)
+    return out
+
+
+def random_pairs(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        fn = int(rng.integers(3, 6))
+        f = random_graph(rng, fn, p=0.5)
+        if not f.edges:
+            f = Hypergraph(3, fn, [(0, 1, 2)])
+        yield f, random_graph(rng, int(rng.integers(fn, 9)), p=0.5)
+
+
+class TestSearch:
+    """The bitmask search against plain definitions."""
+
+    def test_matches_reference_search(self):
+        for f, h in random_pairs(71, 40):
+            assert list(iter_embeddings(f, h)) == reference_embeddings(f, h)
+
+    def test_matches_reference_search_with_pins(self):
+        for i, (f, h) in enumerate(random_pairs(72, 40)):
+            pre = {i % f.n: i % h.n}
+            if i % 2:
+                pre[(i + 1) % f.n] = (i + 3) % h.n
+            assert list(iter_embeddings(f, h, pre)) == reference_embeddings(f, h, pre)
+
+    def test_one_embedding_per_copy(self):
+        # a copy is a vertex set with an edge set; per_copy yields the first
+        # labelled embedding of each copy, in labelled order
+        for f, h in random_pairs(73, 40):
+            firsts = {}
+            for phi in iter_embeddings(f, h):
+                copy = frozenset(phi), frozenset(frozenset(phi[v] for v in e) for e in f.edges)
+                firsts.setdefault(copy, phi)
+            assert list(iter_embeddings(f, h, per_copy=True)) == list(firsts.values())
+
+    def test_witness_is_first_labelled_embedding_of_its_image(self):
+        for f, h in random_pairs(74, 40):
+            first = {}
+            for phi in enumerate_copies(f, h).embeddings:
+                first.setdefault(frozenset(phi), phi)
+            images, truncated = copy_images(f, h)
+            assert images == first and list(images) == list(first) and not truncated
+
+    def test_cap_counts_copies(self):
+        # 20 copies of an edge in K6^(3), each with 6 labelled embeddings
+        images, truncated = copy_images(single_edge(), complete(6, 3), cap=20)
+        assert len(images) == 20 and not truncated
+        images, truncated = copy_images(single_edge(), complete(6, 3), cap=19)
+        assert len(images) == 19 and truncated
+        # a cherry has several copies on each 4-set, so images <= copies
+        cherry = Hypergraph(3, 4, [(0, 1, 2), (0, 1, 3)])
+        copies = list(iter_embeddings(cherry, complete(5, 3), per_copy=True))
+        images, truncated = copy_images(cherry, complete(5, 3), cap=len(copies) - 1)
+        assert truncated and len(images) == len({frozenset(phi) for phi in copies[:-1]})
+
+    @pytest.mark.parametrize("pre", [{0: -1}, {0: 6}, {3: 0}, {-1: 0}])
+    def test_out_of_range_pins_rejected(self, pre):
+        with pytest.raises(ValueError, match="out of range"):
+            list(iter_embeddings(single_edge(), complete(6, 3), pre))
+
+    def test_per_copy_takes_no_pins(self):
+        with pytest.raises(ValueError):
+            list(iter_embeddings(single_edge(), complete(6, 3), {0: 0}, per_copy=True))
 
 
 class TestRootedCopies:
@@ -226,6 +325,20 @@ class TestReachability:
     def test_isolated_endpoint(self):
         h = Hypergraph(3, 4, [(0, 1, 2)])
         assert count_reachable_sets(h, single_edge(), 0, 3) == 0
+
+    def test_matches_factor_oracle_per_set(self):
+        rng = np.random.default_rng(75)
+        patterns = [single_edge(), Hypergraph(3, 5, [(0, 1, 2), (2, 3, 4)]),
+                    Hypergraph(3, 4, [(0, 1, 2), (0, 1, 3)])]
+        for i in range(12):
+            f, h = patterns[i % 3], random_graph(rng, int(rng.integers(6, 10)), p=0.5)
+            u, v = 0, h.n - 1
+            rest = [w for w in range(h.n) if w not in (u, v)]
+            expected = sum(
+                factor_oracle(f, h.induced((u,) + ws)[0]) and factor_oracle(f, h.induced((v,) + ws)[0])
+                for ws in combinations(rest, f.n - 1)
+            )
+            assert count_reachable_sets(h, f, u, v) == expected
 
     def test_size_guard(self):
         with pytest.raises(ValueError):
