@@ -128,51 +128,48 @@ def _parse_part_sizes(raw: str | None) -> tuple[int, ...] | None:
         raise ValueError(f"--part-sizes must be comma-separated integers, got {raw!r}") from exc
 
 
+def _colouring_params(args, params, s) -> dict:
+    return {"n": args.n, "k": args.k, "s": s,
+            "part_sizes": list(params.part_sizes) if params.part_sizes else None}
+
+
+def _construct_lemma51(args, params):
+    built = constructions.construct_partite_coloring(params)
+    return built.hypergraph, _colouring_params(args, params, None), {
+        "z": built.z, "partition": built.partition.to_json_obj(), "palette_size": built.palette_size}
+
+
+def _construct_obs62(args, params):
+    if args.s is None:
+        raise ValueError("construct obs62 requires --s")
+    built = constructions.construct_shadow_disjoint(params)
+    return built.hypergraph, _colouring_params(args, params, args.s), {
+        "z": None, "partition": built.partition.to_json_obj(), "palette_size": built.palette_size}
+
+
+def _construct_gnp(args, params):
+    if args.p is None:
+        raise ValueError("construct gnp requires --p")
+    h = constructions.random_uniform_hypergraph(args.n, args.k, args.p, args.seed)
+    return h, {"n": args.n, "k": args.k, "p": args.p}, {"z": None, "partition": None, "palette_size": None}
+
+
+# Variant -> builder(args, params) returning (hypergraph, recorded params,
+# the z / partition / palette_size fields of the sidecar).
+CONSTRUCTIONS = {
+    "lemma51": _construct_lemma51,
+    "obs62": _construct_obs62,
+    "gnp": _construct_gnp,
+}
+
+
 def cmd_construct(args) -> int:
     params = constructions.ConstructionParams(
         n=args.n, k=args.k, seed=args.seed, s=args.s,
         part_sizes=_parse_part_sizes(args.part_sizes),
     )
-    if args.variant == "lemma51":
-        built = constructions.construct_partite_coloring(params)
-        h = built.hypergraph
-        sidecar = {
-            "variant": args.variant,
-            "params": {"n": args.n, "k": args.k, "s": None,
-                       "part_sizes": list(params.part_sizes) if params.part_sizes else None},
-            "seed": args.seed,
-            "z": built.z,
-            "partition": built.partition.to_json_obj(),
-            "palette_size": built.palette_size,
-        }
-    elif args.variant == "obs62":
-        if args.s is None:
-            raise ValueError("construct obs62 requires --s")
-        built = constructions.construct_shadow_disjoint(params)
-        h = built.hypergraph
-        sidecar = {
-            "variant": args.variant,
-            "params": {"n": args.n, "k": args.k, "s": args.s,
-                       "part_sizes": list(params.part_sizes) if params.part_sizes else None},
-            "seed": args.seed,
-            "z": None,
-            "partition": built.partition.to_json_obj(),
-            "palette_size": built.palette_size,
-        }
-    elif args.variant == "gnp":
-        if args.p is None:
-            raise ValueError("construct gnp requires --p")
-        h = constructions.random_uniform_hypergraph(args.n, args.k, args.p, args.seed)
-        sidecar = {
-            "variant": args.variant,
-            "params": {"n": args.n, "k": args.k, "p": args.p},
-            "seed": args.seed,
-            "z": None,
-            "partition": None,
-            "palette_size": None,
-        }
-    else:  # pragma: no cover
-        raise ValueError(f"unknown variant {args.variant}")
+    h, recorded, fields = CONSTRUCTIONS[args.variant](args, params)
+    sidecar = {"variant": args.variant, "params": recorded, "seed": args.seed, **fields}
 
     if args.out:
         base = Path(args.out)
@@ -261,7 +258,10 @@ def cmd_verify(args) -> int:
         if args.mode == "exhaustive":
             est = verification.exact_denseness_small(h, args.p)
         elif args.family is not None:
-            family = [tuple(s) for s in json.loads(args.family)]
+            try:
+                family = json.loads(args.family)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"--family is not JSON: {exc}") from exc
             est = verification.estimate_S_denseness(
                 h, args.p, family, args.samples, args.seed, workers=_workers(args))
         else:
@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lat.set_defaults(func=cmd_lattice)
 
     p_con = sub.add_parser("construct", help="build a seeded instance")
-    p_con.add_argument("variant", choices=["lemma51", "obs62", "gnp"])
+    p_con.add_argument("variant", choices=list(CONSTRUCTIONS))
     p_con.add_argument("--n", type=int, required=True)
     p_con.add_argument("--k", type=int, default=3)
     p_con.add_argument("--s", type=int)

@@ -11,20 +11,38 @@ are re-checked after every build, at every n:
   edges sharing >= 2 vertices have equal index vectors;
 * bipartition variant: the bipartition is s-shadow disjoint.
 
+Neither builder scans all k-sets.  Both read one listing of the k-sets
+whose s-sets (pairs for the partite variant) all carry one colour j, and
+keep those whose index vector (or |e ∩ X|) matches j.  The listing grows
+cliques in increasing vertex order; the candidates for the next vertex are
+one int, the AND of the colour-j masks of the clique's (s-1)-subsets, so
+the work follows the monochromatic partial cliques, not the C(n, k) k-sets.
+
 All randomness comes from numpy's PCG64 stream seeded with the given 64-bit
 seed; colours are drawn by index in lexicographic base-edge order, so equal
-parameters yield bit-identical hypergraphs on every platform.
+parameters yield bit-identical hypergraphs on every platform.  A build that
+would draw more than ``MAX_DRAWS`` numbers (C(n, s) colours, C(n, k) coin
+flips for the binomial model) is refused with ``ValueError`` before
+anything is drawn.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, ceil
+from math import ceil
+from typing import Iterator
 
 import numpy as np
 
 from .hypergraph import Hypergraph, Partition
+
+# Most random draws one seeded build may make: C(n, s) colours (C(n, k)
+# coin flips for the binomial model), and at most this many colours in a
+# palette.  Checked before anything is drawn or listed.  At the limit a
+# colouring keeps up to a few hundred thousand edges: lemma51 at n = 447
+# and obs62 (k = 3, s = 2) at n = 447 are the largest builds allowed.
+MAX_DRAWS = 10**5
 
 
 @dataclass(frozen=True)
@@ -92,6 +110,57 @@ def _blocks(sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
     return parts
 
 
+def _bounded_comb(n: int, r: int, what: str) -> int:
+    """C(n, r), refused with ValueError once it passes ``MAX_DRAWS``.
+
+    Counts up one factor at a time, so a huge n and r never build a huge
+    integer before the refusal.
+    """
+    if n < 0 or r < 0:
+        raise ValueError(f"{what}: need n >= 0 and r >= 0, got n={n}, r={r}")
+    count = 1 if r <= n else 0
+    for i in range(min(r, n - r)):
+        count = count * (n - i) // (i + 1)
+        if count > MAX_DRAWS:
+            raise ValueError(f"{what}: C({n}, {r}) exceeds the limit of {MAX_DRAWS}")
+    return count
+
+
+def _monochromatic_cliques(n: int, k: int, s: int, colours: list[int]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(e, j) for each k-set e of ``range(n)`` whose s-subsets all have colour j.
+
+    ``colours`` holds the colour of every s-set in lexicographic order.  The
+    mask of an (s-1)-set T and colour j holds each v > max(T) with colour
+    j on T ∪ {v}.  A clique grows in increasing vertex order, and its next
+    vertex comes from one int: the AND of the masks of all its (s-1)-subsets,
+    scanned low bit first.
+    """
+    masks: dict[tuple[tuple[int, ...], int], int] = {}
+    for b, j in zip(combinations(range(n), s), colours):
+        key = (b[:-1], j)
+        masks[key] = masks.get(key, 0) | 1 << b[-1]
+
+    def extend(clique: tuple[int, ...], cand: int, j: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        # cand: the vertices above clique[-1] that extend it in colour j
+        need = k - len(clique) - 1  # vertices still missing after the next
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            e = clique + (v,)
+            if not need:
+                yield e, j
+                continue
+            nxt = cand
+            for t in combinations(clique, s - 2):
+                nxt &= masks.get((t + (v,), j), 0)
+            if nxt.bit_count() >= need:
+                yield from extend(e, nxt, j)
+
+    for (t, j), cand in masks.items():
+        yield from extend(t, cand, j)
+
+
 def construct_partite_coloring(params: ConstructionParams) -> PartiteConstruction:
     """Keep the k-sets whose pair clique is monochromatic in the colour
     matched to their index vector w.r.t. (V_1, ..., V_{k-1}, {z}).
@@ -103,6 +172,8 @@ def construct_partite_coloring(params: ConstructionParams) -> PartiteConstructio
     n, k = params.n, params.k
     if k < 3:
         raise ValueError(f"requires k >= 3, got k={k}")
+    draws = _bounded_comb(n, 2, "lemma51 colour draws")
+    _bounded_comb(2 * k - 2, k, "lemma51 palette")
     sizes = params.part_sizes or default_partite_sizes(n, k)
     if len(sizes) != k or sizes[-1] != 1:
         raise ValueError(f"part sizes must be (n_1..n_{k-1}, 1), got {sizes}")
@@ -112,27 +183,22 @@ def construct_partite_coloring(params: ConstructionParams) -> PartiteConstructio
     partition = Partition(tuple(parts))
     z = n - 1
 
-    vectors = crossing_index_vectors(k)
-    color_of_vector = {(1,) * k: 0}
-    for j, vec in enumerate(vectors, start=1):
-        color_of_vector[vec] = j
-    palette = len(vectors) + 1  # == comb(2k-2, k) + 1
+    vectors = [(1,) * k] + crossing_index_vectors(k)  # colour j belongs to vectors[j]
+    palette = len(vectors)  # == comb(2k-2, k) + 1
 
     rng = np.random.default_rng(params.seed)
-    pair_color = rng.integers(0, palette, size=comb(n, 2))
-    pair_index = {p: i for i, p in enumerate(combinations(range(n), 2))}
-
-    edges = []
-    for e in combinations(range(n), k):
-        j = color_of_vector.get(partition.index_vector(e))
-        if j is None:
-            continue
-        if all(pair_color[pair_index[p]] == j for p in combinations(e, 2)):
-            edges.append(e)
+    colours = rng.integers(0, palette, size=draws).tolist()
+    # The parts are consecutive blocks and e ascends, so the parts of e's
+    # vertices, in order, spell out e's index vector.
+    part_of = [i for i, part in enumerate(parts) for _ in part]
+    color_of_parts = {tuple(i for i, c in enumerate(vec) for _ in range(c)): j
+                      for j, vec in enumerate(vectors)}
+    edges = [e for e, j in _monochromatic_cliques(n, k, 2, colours)
+             if color_of_parts.get(tuple(map(part_of.__getitem__, e))) == j]
     h = Hypergraph(k, n, edges)
     if not partite_structure_ok(h, z, partition):
         raise RuntimeError("structural guarantee violated by construction output")
-    colors = {p: int(pair_color[i]) for p, i in pair_index.items()}
+    colors = dict(zip(combinations(range(n), 2), colours))
     return PartiteConstruction(h, z, partition, palette, colors)
 
 
@@ -155,6 +221,7 @@ def construct_shadow_disjoint(params: ConstructionParams) -> BipartiteConstructi
     n, k, s = params.n, params.k, params.s
     if s is None or not 2 <= s <= k - 1:
         raise ValueError(f"requires 2 <= s <= k-1, got s={s}")
+    draws = _bounded_comb(n, s, "obs62 colour draws")
     if params.part_sizes is not None:
         if len(params.part_sizes) != 2 or sum(params.part_sizes) != n:
             raise ValueError(f"bipartition sizes must be (n_1, n_2) summing to {n}")
@@ -170,18 +237,12 @@ def construct_shadow_disjoint(params: ConstructionParams) -> BipartiteConstructi
 
     palette = k + 1
     rng = np.random.default_rng(params.seed)
-    base_color = rng.integers(0, palette, size=comb(n, s))
-    base_index = {b: i for i, b in enumerate(combinations(range(n), s))}
-
-    edges = []
-    for e in combinations(range(n), k):
-        j = sum(1 for v in e if v < n1)
-        if all(base_color[base_index[b]] == j for b in combinations(e, s)):
-            edges.append(e)
+    colours = rng.integers(0, palette, size=draws).tolist()
+    edges = [e for e, j in _monochromatic_cliques(n, k, s, colours) if sum(1 for v in e if v < n1) == j]
     h = Hypergraph(k, n, edges)
     if not shadow_disjoint_ok(h, x_side, s):
         raise RuntimeError("s-shadow disjointness violated by construction output")
-    colors = {b: int(base_color[i]) for b, i in base_index.items()}
+    colors = dict(zip(combinations(range(n), s), colours))
     return BipartiteConstruction(h, partition, palette, colors)
 
 
@@ -201,7 +262,8 @@ def random_uniform_hypergraph(n: int, k: int, p: float, seed: int) -> Hypergraph
     """Each k-set is an edge independently with probability p (binomial model)."""
     if not 0 <= p <= 1:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
+    draws = _bounded_comb(n, k, "gnp coin flips")
     rng = np.random.default_rng(seed)
-    draws = rng.random(comb(n, k))
-    edges = [e for e, u in zip(combinations(range(n), k), draws) if u < p]
+    flips = rng.random(draws)
+    edges = [e for e, u in zip(combinations(range(n), k), flips) if u < p]
     return Hypergraph(k, n, edges)

@@ -450,7 +450,17 @@ def estimate_denseness(
     return DensenessEstimate(p, sample_count, max(deficits), "sampled", seed)
 
 
+# Most cells of one dense n^k array (the edge tensor and each sample's
+# allowed tuples, ten million cells, about 10 MB as booleans; the largest
+# family draw holds as many 8-byte floats).
+DENSE_CELL_LIMIT = 10**7
+
+
 def _edge_tensor(h: Hypergraph) -> np.ndarray:
+    if h.n**h.k > DENSE_CELL_LIMIT:
+        raise ValueError(
+            f"a dense n^k array for n={h.n}, k={h.k} has {h.n**h.k} cells; "
+            f"more than {DENSE_CELL_LIMIT} are refused")
     tensor = np.zeros((h.n,) * h.k, dtype=bool)
     for e in h.edges:
         for perm in permutations(e):
@@ -459,6 +469,15 @@ def _edge_tensor(h: Hypergraph) -> np.ndarray:
 
 
 def canonical_family(family) -> tuple[tuple[int, ...], ...]:
+    """Sorted, deduplicated index sets; ``family`` must be a list of
+    non-empty lists of ints."""
+    if not isinstance(family, (list, tuple)):
+        raise ValueError(f"family must be a list of index lists, got {family!r}")
+    for s in family:
+        if not isinstance(s, (list, tuple)) or not s or not all(
+            isinstance(i, int) and not isinstance(i, bool) for i in s
+        ):
+            raise ValueError(f"family member {s!r} is not a non-empty list of ints")
     canon = sorted({tuple(sorted(set(s))) for s in family})
     return tuple(canon)
 
@@ -477,7 +496,8 @@ def estimate_S_denseness(
     Each G_S is a uniform subset of V^S (elements drawn in lexicographic
     order), sharing the sample streams of :func:`estimate_denseness`; with the
     singleton family {{1},...,{k}} the two estimators agree bit for bit under
-    equal seeds.
+    equal seeds.  Each sample holds dense n^k arrays, so hosts with more than
+    ``DENSE_CELL_LIMIT`` cells are refused with ``ValueError``.
     """
     if sample_count < 1:
         raise ValueError("need at least one sample")

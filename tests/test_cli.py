@@ -297,6 +297,26 @@ class TestSizeBounds:
             assert code == 0 and "Traceback" not in err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["construct", "lemma51", "--n", "200000", "--seed", "1"],
+        ["construct", "obs62", "--n", "100000", "--s", "2", "--seed", "1"],
+        ["construct", "gnp", "--n", "100000", "--p", "0.1", "--seed", "1"],
+    ])
+    def test_construct_over_draw_limit(self, capsys, argv):
+        run_rejected(capsys, argv, "exceeds the limit")
+
+    @pytest.mark.parametrize("family", ['[1]', '[["a"]]', '{"x":1}', '[[]]', '[[true]]', '"12"', '[[1.0]]', '[1'])
+    def test_denseness_refuses_malformed_family(self, capsys, k222_file, family):
+        run_rejected(capsys, ["verify", "denseness", "--H", k222_file, "--p", "0.5",
+                              "--samples", "2", "--family", family], "family")
+
+    def test_directed_denseness_over_dense_array_limit(self, capsys, tmp_path):
+        host = tmp_path / "empty.hg"
+        host.write_text("3 3000 0\n")
+        run_rejected(capsys, ["verify", "denseness", "--H", str(host), "--p", "0.5", "--samples", "1",
+                              "--family", "[[1],[2],[3]]"], "cells")
+
+
 class TestWorkers:
     def test_env_var_recorded(self, capsys, monkeypatch, edge_file):
         monkeypatch.setenv("FACTORLAB_WORKERS", "3")

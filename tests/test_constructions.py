@@ -18,6 +18,20 @@ from factorlab.constructions import (
 from factorlab.corpus import complete
 
 
+def _partite_reference(built, n, k):
+    """The plain per-k-set filter: keep e when every pair of e has the colour
+    matched to e's index vector."""
+    color_of_vector = {(1,) * k: 0}
+    for j, vec in enumerate(crossing_index_vectors(k), start=1):
+        color_of_vector[vec] = j
+    expected = []
+    for e in combinations(range(n), k):
+        j = color_of_vector.get(built.partition.index_vector(e))
+        if j is not None and all(built.base_colors[p] == j for p in combinations(e, 2)):
+            expected.append(e)
+    return expected
+
+
 class TestIndexVectors:
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_count_and_shape(self, k):
@@ -84,22 +98,13 @@ class TestPartiteColoring:
         assert partite_structure_ok(built.hypergraph, built.z, built.partition)
 
     def test_edge_set_rederives_from_base_colors(self):
-        from itertools import combinations
-
-        from factorlab.constructions import crossing_index_vectors
-
-        built = construct_partite_coloring(ConstructionParams(n=14, k=3, seed=6))
-        color_of_vector = {(1, 1, 1): 0}
-        for j, vec in enumerate(crossing_index_vectors(3), start=1):
-            color_of_vector[vec] = j
-        expected = []
-        for e in combinations(range(14), 3):
-            j = color_of_vector.get(built.partition.index_vector(e))
-            if j is None:
-                continue
-            if all(built.base_colors[p] == j for p in combinations(e, 2)):
-                expected.append(e)
-        assert built.hypergraph.edges == tuple(expected)
+        cases = [(14, 3, None), (20, 3, (12, 7, 1)), (13, 4, None), (15, 4, (2, 6, 6, 1)),
+                 (13, 5, None), (14, 5, (4, 1, 3, 5, 1))]
+        for n, k, sizes in cases:
+            for seed in (6, 7, 8):
+                built = construct_partite_coloring(ConstructionParams(n=n, k=k, seed=seed, part_sizes=sizes))
+                assert list(built.base_colors) == list(combinations(range(n), 2))
+                assert built.hypergraph.edges == tuple(_partite_reference(built, n, k))
 
 
 class TestShadowDisjoint:
@@ -126,16 +131,64 @@ class TestShadowDisjoint:
             construct_shadow_disjoint(ConstructionParams(n=12, k=3, seed=1, s=3))
 
     def test_edge_set_rederives_from_base_colors(self):
-        from itertools import combinations
+        cases = [(12, 3, 2, None), (16, 3, 2, (7, 9)), (12, 4, 2, None), (13, 4, 3, (5, 8)),
+                 (11, 5, 3, None), (12, 5, 4, (6, 6))]
+        for n, k, s, sizes in cases:
+            for seed in (5, 6, 7):
+                built = construct_shadow_disjoint(ConstructionParams(n=n, k=k, seed=seed, s=s, part_sizes=sizes))
+                assert list(built.base_colors) == list(combinations(range(n), s))
+                n1 = len(built.partition.parts[0])
+                expected = [
+                    e
+                    for e in combinations(range(n), k)
+                    if all(built.base_colors[b] == sum(1 for v in e if v < n1) for b in combinations(e, s))
+                ]
+                assert built.hypergraph.edges == tuple(expected)
 
-        built = construct_shadow_disjoint(ConstructionParams(n=12, k=3, seed=5, s=2))
-        n1 = len(built.partition.parts[0])
-        expected = [
-            e
-            for e in combinations(range(12), 3)
-            if all(built.base_colors[b] == sum(1 for v in e if v < n1) for b in combinations(e, 2))
-        ]
-        assert built.hypergraph.edges == tuple(expected)
+
+class TestMonochromaticCliques:
+    """The clique listing both builders share, on small palettes where many
+    k-sets are monochromatic."""
+
+    @pytest.mark.parametrize("n,k,s,palette", [(9, 3, 2, 2), (10, 4, 2, 2), (9, 5, 2, 1), (10, 4, 3, 2),
+                                               (10, 5, 3, 2), (9, 5, 4, 3), (3, 3, 2, 1), (4, 3, 2, 5)])
+    def test_matches_per_kset_definition(self, n, k, s, palette):
+        for seed in range(3):
+            colours = np.random.default_rng(seed).integers(0, palette, size=comb(n, s)).tolist()
+            colour_of = dict(zip(combinations(range(n), s), colours))
+            expected = []
+            for e in combinations(range(n), k):
+                seen = {colour_of[b] for b in combinations(e, s)}
+                if len(seen) == 1:
+                    expected.append((e, seen.pop()))
+            assert sorted(constructions._monochromatic_cliques(n, k, s, colours)) == expected
+
+
+class TestDrawLimit:
+    """Every seeded build refuses more than MAX_DRAWS draws before drawing."""
+
+    def test_limit_is_inclusive(self):
+        assert comb(447, 2) <= constructions.MAX_DRAWS < comb(448, 2)
+        assert len(random_uniform_hypergraph(447, 2, 0.0, 1).edges) == 0
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            random_uniform_hypergraph(448, 2, 0.0, 1)
+
+    @pytest.mark.parametrize("params", [
+        ConstructionParams(n=448, k=3, seed=1),
+        ConstructionParams(n=10**12, k=3, seed=1),
+        ConstructionParams(n=40, k=11, seed=1),  # palette C(20, 11) + 1
+        ConstructionParams(n=448, k=3, seed=1, s=2),
+        ConstructionParams(n=86, k=4, seed=1, s=3),
+        ConstructionParams(n=10**9, k=10**6, seed=1, s=10**5),
+    ])
+    def test_colourings_refused(self, params):
+        build = construct_partite_coloring if params.s is None else construct_shadow_disjoint
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            build(params)
+
+    def test_gnp_refused_for_huge_k(self):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            random_uniform_hypergraph(10**18, 10**9, 0.5, 1)
 
 
 class TestRandomUniform:

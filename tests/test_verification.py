@@ -19,7 +19,7 @@ from factorlab import (
 from factorlab.constructions import random_uniform_hypergraph
 from factorlab.corpus import complete, k222, single_edge
 from factorlab.oracles import copy_images_oracle, factor_oracle
-from factorlab.verification import copy_images, iter_embeddings
+from factorlab.verification import DENSE_CELL_LIMIT, copy_images, iter_embeddings
 
 
 def random_graph(rng, n, p=0.4):
@@ -313,6 +313,17 @@ class TestDenseness:
     def test_oversized_family_member_rejected(self):
         with pytest.raises(ValueError):
             estimate_S_denseness(single_edge(), 0.5, [[1, 4]], 2, seed=0)
+
+    @pytest.mark.parametrize("family", [[1], [["a"]], {"x": 1}, [[]], [[True]], "12", [[1.5]]])
+    def test_malformed_family_rejected(self, family):
+        with pytest.raises(ValueError, match="family"):
+            estimate_S_denseness(single_edge(), 0.5, family, 2, seed=0)
+
+    def test_dense_arrays_bounded(self):
+        n = round(DENSE_CELL_LIMIT ** (1 / 3)) + 1
+        assert n**3 > DENSE_CELL_LIMIT
+        with pytest.raises(ValueError, match="cells"):
+            estimate_S_denseness(Hypergraph(3, n, []), 0.5, [[1], [2], [3]], 1, seed=0)
 
 
 class TestReachability:
