@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -28,15 +27,15 @@ PATTERN_VERTEX_LIMIT = 256
 
 
 def _workers(args) -> int:
-    if getattr(args, "workers", None):
-        return args.workers
-    env = os.environ.get("FACTORLAB_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValueError(f"FACTORLAB_WORKERS must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
+    # Sampling runs on the calling thread; this stays only because the
+    # benchmark (bench/run.py, bench/workloads.py) still asks for the count.
+    return 1
+
+
+def _check_seed(seed: int) -> None:
+    # numpy's own error for a negative seed names neither the flag nor the value.
+    if seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {seed}")
 
 
 def _load(path: str) -> Hypergraph:
@@ -60,14 +59,8 @@ def _emit(args, payload: dict, summary: str) -> None:
     print(summary, file=sys.stderr)
 
 
-def _envelope(args, command: str, params: dict, report: dict) -> dict:
-    return {
-        "command": command,
-        "params": params,
-        "seed": params.get("seed"),
-        "workers": _workers(args),
-        "report": report,
-    }
+def _envelope(command: str, params: dict, report: dict) -> dict:
+    return {"command": command, "params": params, "seed": params.get("seed"), "report": report}
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +88,7 @@ def cmd_decide(args) -> int:
     f = _load_pattern(args.file)
     report = DECIDERS[args.property](f, args.s)
     params = {"property": args.property, "file": args.file, "s": args.s, "seed": None}
-    _emit(args, _envelope(args, "decide", params, report.to_json_obj()),
+    _emit(args, _envelope("decide", params, report.to_json_obj()),
           f"{args.property}: verdict={report.verdict}")
     if args.expect is not None and report.verdict != (args.expect == "true"):
         return EXIT_EXPECT
@@ -114,7 +107,7 @@ def cmd_lattice(args) -> int:
         "bipartition_count": len(bips),
     }
     params = {"file": args.file, "s": args.s, "seed": None}
-    _emit(args, _envelope(args, "lattice", params, report),
+    _emit(args, _envelope("lattice", params, report),
           f"lattice: {len(gens)} generators, basis {report['basis']}")
     return EXIT_OK
 
@@ -164,6 +157,7 @@ CONSTRUCTIONS = {
 
 
 def cmd_construct(args) -> int:
+    _check_seed(args.seed)
     params = constructions.ConstructionParams(
         n=args.n, k=args.k, seed=args.seed, s=args.s,
         part_sizes=_parse_part_sizes(args.part_sizes),
@@ -255,6 +249,8 @@ def cmd_verify(args) -> int:
             DensenessParams(p=args.p, mu=args.mu)
         params.update({"H": args.host, "p": args.p, "mu": args.mu,
                        "samples": args.samples, "mode": args.mode, "family": args.family})
+        if args.mode == "sampled":
+            _check_seed(args.seed)
         if args.mode == "exhaustive":
             est = verification.exact_denseness_small(h, args.p)
         elif args.family is not None:
@@ -262,17 +258,15 @@ def cmd_verify(args) -> int:
                 family = json.loads(args.family)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"--family is not JSON: {exc}") from exc
-            est = verification.estimate_S_denseness(
-                h, args.p, family, args.samples, args.seed, workers=_workers(args))
+            est = verification.estimate_S_denseness(h, args.p, family, args.samples, args.seed)
         else:
-            est = verification.estimate_denseness(
-                h, args.p, args.samples, args.seed, workers=_workers(args))
+            est = verification.estimate_denseness(h, args.p, args.samples, args.seed)
         report = est.to_json_obj()
         summary = f"denseness: worst_deficit={est.worst_deficit:.6g} ({est.mode})"
     else:  # pragma: no cover
         raise ValueError(f"unknown task {args.task}")
 
-    _emit(args, _envelope(args, "verify", params, report), summary)
+    _emit(args, _envelope("verify", params, report), summary)
     return EXIT_EXPECT if mismatch else EXIT_OK
 
 
@@ -303,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", help="write the JSON report to this path instead of stdout")
-        p.add_argument("--workers", type=int, help="worker count (default: FACTORLAB_WORKERS or CPU count)")
 
     p_decide = sub.add_parser("decide", help="decide a membership property of a pattern graph")
     p_decide.add_argument("property", choices=list(DECIDERS))

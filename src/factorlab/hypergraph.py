@@ -171,10 +171,6 @@ class Hypergraph:
     def __repr__(self) -> str:
         return f"Hypergraph(k={self.k}, n={self.n}, m={len(self.edges)})"
 
-    @property
-    def vertices(self) -> range:
-        return range(self.n)
-
     def _cached(self, key, compute):
         # Double-checked so concurrent readers never observe partial values.
         cache = self._cache
@@ -188,9 +184,6 @@ class Hypergraph:
     @property
     def edge_set(self) -> frozenset[frozenset[int]]:
         return self._cached("edge_set", lambda: frozenset(map(frozenset, self.edges)))
-
-    def contains_edge(self, vertices: Iterable[int]) -> bool:
-        return frozenset(vertices) in self.edge_set
 
     # -- shadows, links, degrees -------------------------------------------
 
@@ -222,9 +215,6 @@ class Hypergraph:
             return frozenset(out)
 
         return self._cached(("link", s), compute)
-
-    def degree(self, vertices: Iterable[int]) -> int:
-        return len(self.link(vertices))
 
     def min_s_degree(self, s: int) -> int:
         """Smallest number of edges containing an s-set of ``range(n)``."""
@@ -325,20 +315,6 @@ class Hypergraph:
             return None
         parts = [tuple(v for v in range(self.n) if color[v] == c) for c in range(self.k)]
         return Partition(tuple(parts))
-
-    def duplicate_vertex(self, w: int, t: int) -> "Hypergraph":
-        """Add t new vertices, each with exactly the link of w."""
-        if not 0 <= w < self.n:
-            raise ValueError(f"vertex {w} out of range")
-        if t < 1:
-            raise ValueError(f"clone count must be >= 1, got {t}")
-        new_edges = list(self.edges)
-        neighborhood = self.link((w,))
-        for i in range(t):
-            clone = self.n + i
-            for rest in neighborhood:
-                new_edges.append(tuple(sorted(rest + (clone,))))
-        return Hypergraph(self.k, self.n + t, new_edges)
 
     def induced(self, vertices: Iterable[int]) -> tuple["Hypergraph", dict[int, int]]:
         """Induced subgraph on the given vertices, relabelled to 0..m-1."""

@@ -18,7 +18,6 @@ case the result is explicitly inconclusive.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice, permutations
 from typing import Iterator
@@ -412,13 +411,6 @@ def _ordered_tuple_count(edges_arr: np.ndarray, masks: list[np.ndarray]) -> int:
     return total
 
 
-def _map_samples(fn, sample_count: int, workers: int) -> list[float]:
-    if workers > 1 and sample_count > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, range(sample_count)))
-    return [fn(i) for i in range(sample_count)]
-
-
 def estimate_denseness(
     h: Hypergraph, p: float, sample_count: int, seed: int, workers: int = 1
 ) -> DensenessEstimate:
@@ -426,8 +418,10 @@ def estimate_denseness(
     uniformly sampled subset tuples.
 
     Sample i draws its subsets from an independent stream seeded by
-    (seed, i), so results do not depend on worker count.  A sampled report is
-    a lower bound on the slack a denseness verdict would need, never a
+    (seed, i).  Samples run one after another on the calling thread and only
+    the running maximum is kept, so memory does not grow with
+    ``sample_count``.  ``workers`` is accepted and ignored.  A sampled report
+    is a lower bound on the slack a denseness verdict would need, never a
     verdict itself.
     """
     if sample_count < 1:
@@ -446,8 +440,8 @@ def estimate_denseness(
         count = _ordered_tuple_count(edges_arr, masks)
         return _deficit(p, sizes, count, n_pow_k)
 
-    deficits = _map_samples(one, sample_count, workers)
-    return DensenessEstimate(p, sample_count, max(deficits), "sampled", seed)
+    worst = max(one(i) for i in range(sample_count))
+    return DensenessEstimate(p, sample_count, worst, "sampled", seed)
 
 
 # Most cells of one dense n^k array (the edge tensor and each sample's
@@ -496,7 +490,9 @@ def estimate_S_denseness(
     Each G_S is a uniform subset of V^S (elements drawn in lexicographic
     order), sharing the sample streams of :func:`estimate_denseness`; with the
     singleton family {{1},...,{k}} the two estimators agree bit for bit under
-    equal seeds.  Each sample holds dense n^k arrays, so hosts with more than
+    equal seeds.  As there, samples run on the calling thread, keeping only
+    the running maximum, and ``workers`` is accepted and ignored.  Each
+    sample holds dense n^k arrays, so hosts with more than
     ``DENSE_CELL_LIMIT`` cells are refused with ``ValueError``.
     """
     if sample_count < 1:
@@ -523,10 +519,8 @@ def estimate_S_denseness(
         count = int((allowed & edge_tensor).sum())
         return _deficit(p, kk, count, n_pow_k)
 
-    deficits = _map_samples(one, sample_count, workers)
-    return DensenessEstimate(
-        p, sample_count, max(deficits), "sampled", seed, [list(s) for s in fam]
-    )
+    worst = max(one(i) for i in range(sample_count))
+    return DensenessEstimate(p, sample_count, worst, "sampled", seed, [list(s) for s in fam])
 
 
 EXHAUSTIVE_LIMIT = 12

@@ -254,6 +254,18 @@ class TestRejectedFlags:
         argv = ["verify", task, "--F", edge_file, "--H", k6_file, "--w", "0", "--cap", cap]
         run_rejected(capsys, argv, "--cap")
 
+    @pytest.mark.parametrize("argv", [
+        ["construct", "lemma51", "--n", "10"],
+        ["construct", "obs62", "--n", "10", "--s", "2"],
+        ["construct", "gnp", "--n", "10", "--p", "0.5"],
+        ["verify", "denseness", "--p", "0.5", "--samples", "2"],
+        ["verify", "denseness", "--p", "0.5", "--samples", "2", "--family", "[[1],[2],[3]]"],
+    ], ids=["lemma51", "obs62", "gnp", "denseness", "denseness-family"])
+    def test_negative_seed(self, capsys, k222_file, argv):
+        if argv[0] == "verify":
+            argv = argv + ["--H", k222_file]
+        run_rejected(capsys, argv + ["--seed", "-3"], "--seed must be non-negative, got -3")
+
 
 class TestSizeBounds:
     """Inputs too large to hold or to recurse over exit 2 with one line."""
@@ -315,23 +327,6 @@ class TestSizeBounds:
         host.write_text("3 3000 0\n")
         run_rejected(capsys, ["verify", "denseness", "--H", str(host), "--p", "0.5", "--samples", "1",
                               "--family", "[[1],[2],[3]]"], "cells")
-
-
-class TestWorkers:
-    def test_env_var_recorded(self, capsys, monkeypatch, edge_file):
-        monkeypatch.setenv("FACTORLAB_WORKERS", "3")
-        code, out, _ = run(capsys, ["decide", "turan-zero", edge_file])
-        assert code == 0 and json.loads(out)["workers"] == 3
-
-    def test_flag_beats_env(self, capsys, monkeypatch, edge_file):
-        monkeypatch.setenv("FACTORLAB_WORKERS", "3")
-        code, out, _ = run(capsys, ["decide", "turan-zero", edge_file, "--workers", "2"])
-        assert code == 0 and json.loads(out)["workers"] == 2
-
-    def test_invalid_env_rejected(self, capsys, monkeypatch, edge_file):
-        monkeypatch.setenv("FACTORLAB_WORKERS", "lots")
-        code, _, err = run(capsys, ["decide", "turan-zero", edge_file])
-        assert code == 2 and "FACTORLAB_WORKERS" in err
 
 
 class TestCorpus:

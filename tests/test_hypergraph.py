@@ -132,13 +132,6 @@ class TestShadowLinkDegree:
         with pytest.raises(ValueError):
             single_edge().link((0, 1, 2))
 
-    def test_degree_equals_link_size(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            h = random_graph(rng, 7)
-            for v in range(h.n):
-                assert h.degree((v,)) == len(h.link((v,)))
-
     def test_min_degrees(self):
         assert k222().min_s_degree(1) == 4
         assert single_edge().min_s_degree(2) == 1
@@ -284,28 +277,6 @@ class TestStructure:
         sub = Hypergraph(3, 2, [])  # subgraph of a 3-partite graph
         assert h.is_k_partite() is not None
         assert sub.is_k_partite() is not None
-
-    def test_duplicate_vertex_single_edge(self):
-        h = single_edge().duplicate_vertex(0, 1)
-        assert h.n == 4
-        assert h.edges == ((0, 1, 2), (1, 2, 3))
-
-    def test_duplicate_in_edgeless_graph(self):
-        h = Hypergraph(3, 4, []).duplicate_vertex(2, 5)
-        assert h.n == 9 and h.edges == ()
-
-    def test_duplicate_in_k4_preserves_degrees(self):
-        h = k4().duplicate_vertex(0, 2)
-        assert h.degree((4,)) == h.degree((5,)) == h.degree((0,)) == 3
-
-    def test_clone_links_match_original(self):
-        rng = np.random.default_rng(13)
-        for _ in range(6):
-            base = random_graph(rng, 6)
-            w = int(rng.integers(6))
-            clone_graph = base.duplicate_vertex(w, 2)
-            for clone in (6, 7):
-                assert clone_graph.link((clone,)) == base.link((w,))
 
     def test_induced_and_relabel(self):
         h = k222()

@@ -1,3 +1,4 @@
+import threading
 from itertools import combinations
 
 import numpy as np
@@ -298,11 +299,18 @@ class TestDenseness:
         directed = estimate_S_denseness(h, 0.37, [[1], [2], [3]], 50, seed=5)
         assert plain.worst_deficit == directed.worst_deficit
 
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        # ``workers`` is accepted and ignored: every sample runs on the calling thread.
+        def refuse(thread):
+            raise AssertionError(f"sampling started thread {thread.name}")
+
         h = random_uniform_hypergraph(10, 3, 0.5, 11)
-        a = estimate_denseness(h, 0.5, 40, seed=3, workers=1)
-        b = estimate_denseness(h, 0.5, 40, seed=3, workers=4)
-        assert a.worst_deficit == b.worst_deficit
+        one = [estimate_denseness(h, 0.5, 40, seed=3, workers=1),
+               estimate_S_denseness(h, 0.5, [[1, 2], [3]], 40, seed=3, workers=1)]
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        four = [estimate_denseness(h, 0.5, 40, seed=3, workers=4),
+                estimate_S_denseness(h, 0.5, [[1, 2], [3]], 40, seed=3, workers=4)]
+        assert [e.worst_deficit for e in four] == [e.worst_deficit for e in one]
 
     def test_empty_family_counts_all_tuples(self):
         h = random_uniform_hypergraph(8, 3, 0.5, 2)
