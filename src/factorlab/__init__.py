@@ -26,9 +26,10 @@ from .deciders import (
 from .hypergraph import DensenessParams, FormatError, Hypergraph, Partition, load_hypergraph
 from .lattice import (
     Bipartition,
-    Lattice2,
+    Lattice,
     decide_trans,
     enumerate_shadow_disjoint_bipartitions,
+    lattice_combination,
     lattice_contains,
     lattice_from_generators,
     size_generators,

@@ -183,7 +183,10 @@ def _resolve_w(token: str, h: Hypergraph) -> int:
     # The partite construction always places its special vertex last.
     if token == "z":
         return h.n - 1
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"--w must be a host vertex id or 'z', got {token!r}") from None
 
 
 def cmd_verify(args) -> int:
@@ -241,6 +244,10 @@ def cmd_verify(args) -> int:
     elif args.task == "denseness":
         if not args.host:
             raise ValueError("verify denseness requires --H")
+        if args.expect is not None:
+            raise ValueError("--expect is not supported by verify denseness")
+        if args.mode == "exhaustive" and args.family is not None:
+            raise ValueError("--family is not supported with --mode exhaustive")
         h = _load(args.host)
         if args.p is None or not 0 < args.p < 1:
             raise ValueError(f"verify denseness requires --p in (0, 1), got {args.p}")
@@ -256,7 +263,7 @@ def cmd_verify(args) -> int:
         elif args.family is not None:
             try:
                 family = json.loads(args.family)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # bad JSON, huge ints, deep nesting
                 raise ValueError(f"--family is not JSON: {exc}") from exc
             est = verification.estimate_S_denseness(h, args.p, family, args.samples, args.seed)
         else:

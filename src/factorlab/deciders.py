@@ -13,7 +13,6 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import permutations
 
 from .hypergraph import Hypergraph, UnionFind
 
@@ -188,9 +187,19 @@ def build_compatible_enumeration(
     """Block-structured ordering (vstar, X..., Y...) with a consistent forced colouring.
 
     Requires a valid cover-partition witness and a graph whose shadow is
-    orderable at all; both failures raise :class:`PreconditionError`.  The
-    block ordering obtained by sorting X and Y by any consistent base ordering
-    is guaranteed to work, so the permutation fallback is defensive only.
+    orderable at all; both failures raise :class:`PreconditionError`.  X and
+    Y sorted by any consistent base ordering tau always work, since a pair's
+    colour depends only on where each of its third vertices falls: before,
+    between or after the pair's two vertices.
+
+    * A pair through vstar gets one colour: link(vstar) crosses X and Y, so
+      its third vertex lies on the other side.
+    * The third vertices of any other pair lie on one side, since two on
+      opposite sides would have intersecting links across X and Y.  The one
+      exception is vstar, whose link meets no other; it is then the only one.
+    * Each side keeps tau's order, under which the third vertices all fall
+      alike; so they fall alike about a pair vertex on their own side, and a
+      pair vertex on the other side comes before all or after all of them.
     """
     if not validate_cover_witness(f, vstar, x_side, y_side):
         raise PreconditionError("not a valid cover-partition witness for this graph")
@@ -203,15 +212,9 @@ def build_compatible_enumeration(
     pos = {v: i for i, v in enumerate(tau)}
     candidate = [vstar] + sorted(x_side, key=pos.__getitem__) + sorted(y_side, key=pos.__getitem__)
     colors = forced_coloring(f, candidate)
-    if colors is not None:
-        return candidate, colors
-    for px in permutations(sorted(x_side)):
-        for py in permutations(sorted(y_side)):
-            ordering = [vstar, *px, *py]
-            colors = forced_coloring(f, ordering)
-            if colors is not None:
-                return ordering, colors
-    raise RuntimeError("no block-structured enumeration exists; compatibility guarantee violated")
+    if colors is None:
+        raise RuntimeError("block ordering is inconsistent; compatibility guarantee violated")
+    return candidate, colors
 
 
 def check_link_chain_free(f: Hypergraph, ordering: list[int] | tuple[int, ...]) -> bool:

@@ -1,5 +1,5 @@
-"""Shadow-disjoint bipartitions, the 2-dimensional integer lattice they
-generate, and the resulting transferral membership test.
+"""Shadow-disjoint bipartitions, the integer lattice they generate, and the
+resulting transferral membership test.
 
 A bipartition {A, B} of the vertex set is s-shadow disjoint when any two
 edges whose index vectors w.r.t. {A, B} differ meet in fewer than s vertices.
@@ -7,8 +7,9 @@ The size vectors (|A|, |B|) of all such bipartitions generate a lattice in
 Z^2; membership of (1, -1) is the decided property.
 
 Membership is computed twice on every decision — once through an integer
-echelon basis and once through a gcd shortcut valid because all generators
-share the coordinate sum v(F) — and the two must agree.
+echelon form over Z^d, which also gives the witness combination, and once
+through a gcd shortcut valid because all generators share the coordinate sum
+v(F) — and the two must agree.
 """
 
 from __future__ import annotations
@@ -30,11 +31,15 @@ class Bipartition:
 
 
 @dataclass(frozen=True)
-class Lattice2:
-    """Integer lattice in Z^2 with an echelon basis of at most two vectors."""
+class Lattice:
+    """Lattice spanned by ``generators`` in Z^d.  ``basis`` is its echelon
+    form: positive pivots in strictly increasing columns, entries above a
+    pivot in [0, pivot).  ``combinations[i]`` yields ``basis[i]`` from the
+    generators."""
 
-    generators: tuple[tuple[int, int], ...]
-    basis: tuple[tuple[int, int], ...]
+    generators: tuple[tuple[int, ...], ...]
+    basis: tuple[tuple[int, ...], ...]
+    combinations: tuple[tuple[int, ...], ...]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -113,53 +118,78 @@ def size_generators(f: Hypergraph, s: int) -> list[tuple[int, int]]:
     return [(a, f.n - a) for a in sizes]
 
 
-def lattice_from_generators(gens) -> Lattice2:
-    """Echelon basis of the lattice spanned by 2d integer generators."""
-    gens = tuple((int(x), int(y)) for x, y in gens)
+def lattice_from_generators(gens) -> Lattice:
+    """Echelon form of the lattice spanned by integer generators in Z^d.
+
+    Column by column, the extended gcd folds every pending row into one pivot
+    row; the leftovers, zero in that column, go on to the next column.
+    """
+    gens = tuple(tuple(map(int, g)) for g in gens)
     if not gens:
         raise ValueError("empty generator set")
-    row0: tuple[int, int] | None = None  # pivot in the first coordinate
-    tail = 0  # gcd of second coordinates of (0, y) rows
-    for x, y in gens:
-        if x != 0:
-            if row0 is None:
-                row0 = (x, y)
+    if len({len(g) for g in gens}) != 1:
+        raise ValueError("generators differ in length")
+    dim, m = len(gens[0]), len(gens)
+    # A row is a lattice vector followed by its combination of the generators,
+    # at first a unit vector.
+    pending = [[*g, *[0] * i, 1, *[0] * (m - 1 - i)] for i, g in enumerate(gens)]
+    rows: list[list[int]] = []
+    for col in range(dim):
+        pivot = None
+        rest = []
+        for row in pending:
+            b = row[col]
+            if b == 0:
+                rest.append(row)
+            elif pivot is None:
+                pivot = row
+            elif b % pivot[col] == 0:  # the pivot stays; no gcd step needed
+                q = b // pivot[col]
+                rest.append([r - q * p for p, r in zip(pivot, row)])
             else:
-                a0, b0 = row0
-                g, u, w = _xgcd(a0, x)
-                leftover = (a0 // g) * y - (x // g) * b0
-                row0 = (g, u * b0 + w * y)
-                tail = gcd(tail, leftover)
-            x, y = 0, 0
-        tail = gcd(tail, y)
-    basis = []
-    if row0 is not None:
-        a0, b0 = row0
-        if a0 < 0:
-            a0, b0 = -a0, -b0
-        if tail:
-            b0 %= tail
-        basis.append((a0, b0))
-    if tail:
-        basis.append((0, tail))
-    return Lattice2(gens, tuple(basis))
+                a = pivot[col]
+                g, u, w = _xgcd(a, b)
+                rest.append([(a // g) * r - (b // g) * p for p, r in zip(pivot, row)])
+                pivot = [u * p + w * r for p, r in zip(pivot, row)]
+        pending = rest
+        if pivot is None:
+            continue
+        if pivot[col] < 0:
+            pivot = [-c for c in pivot]
+        for row in rows:
+            q = row[col] // pivot[col]
+            row[:] = [r - q * p for r, p in zip(row, pivot)]
+        rows.append(pivot)
+    return Lattice(gens, tuple(tuple(r[:dim]) for r in rows), tuple(tuple(r[dim:]) for r in rows))
 
 
-def lattice_contains(lat: Lattice2, vector) -> bool:
+def lattice_combination(lat: Lattice, vector) -> list[int] | None:
+    """Integer coefficients over ``lat.generators`` reaching ``vector``, or
+    None when it lies outside the lattice.  The target is reduced down the
+    basis, and is a member when nothing is left; the combination is
+    re-evaluated exactly against the generators."""
+    target = tuple(int(c) for c in vector)
+    dim = len(lat.generators[0])
+    if len(target) != dim:
+        raise ValueError(f"vector has {len(target)} coordinates, the lattice lives in Z^{dim}")
+    rest = list(target)
+    coeffs = [0] * len(lat.generators)
+    for row, combo in zip(lat.basis, lat.combinations):
+        col = next(i for i, c in enumerate(row) if c)
+        q = rest[col] // row[col]
+        rest = [t - q * b for t, b in zip(rest, row)]
+        coeffs = [c + q * k for c, k in zip(coeffs, combo)]
+    if any(rest):
+        return None
+    check = tuple(sum(c * g[i] for c, g in zip(coeffs, lat.generators)) for i in range(dim))
+    if check != target:
+        raise RuntimeError(f"combination {coeffs} re-evaluates to {check}, expected {target}")
+    return coeffs
+
+
+def lattice_contains(lat: Lattice, vector) -> bool:
     """Exact membership of an integer vector via the echelon basis."""
-    x, y = (int(c) for c in vector)
-    rows = list(lat.basis)
-    if rows and rows[0][0] != 0:
-        a0, b0 = rows.pop(0)
-        if x % a0 != 0:
-            return False
-        y -= (x // a0) * b0
-        x = 0
-    if x != 0:
-        return False
-    if rows:
-        return y % rows[0][1] == 0
-    return y == 0
+    return lattice_combination(lat, vector) is not None
 
 
 def shared_sum_contains(gens, vector) -> bool:
@@ -196,50 +226,6 @@ def shared_sum_contains(gens, vector) -> bool:
     return target == 0 if g == 0 else target % g == 0
 
 
-def shared_sum_combination(gens, vector) -> list[int] | None:
-    """Integer coefficients over ``gens`` reaching ``vector``, or None.
-
-    Valid only for generators sharing a coordinate sum; the returned
-    combination re-evaluates to the target exactly.
-    """
-    gens = [(int(a), int(b)) for a, b in gens]
-    if not shared_sum_contains(gens, vector):
-        return None
-    x, y = (int(c) for c in vector)
-    total = gens[0][0] + gens[0][1]
-    if total == 0:
-        # Reach (x, -x) with multiples of the first coordinates alone.
-        g, coeffs = 0, [0] * len(gens)
-        for i, (a, _) in enumerate(gens):
-            g2, u, w = _xgcd(g, a)
-            coeffs = [c * u for c in coeffs]
-            coeffs[i] = w
-            g = g2
-        scale = 0 if g == 0 else x // g
-        coeffs = [c * scale for c in coeffs]
-    else:
-        m = (x + y) // total
-        a0 = gens[0][0]
-        # Combine differences a_i - a_0 to reach x - m*a_0, then fix the sum.
-        g, diff_coeffs = 0, [0] * len(gens)
-        for i, (a, _) in enumerate(gens[1:], start=1):
-            g2, u, w = _xgcd(g, a - a0)
-            diff_coeffs = [c * u for c in diff_coeffs]
-            diff_coeffs[i] = w
-            g = g2
-        target = x - m * a0
-        scale = 0 if g == 0 else target // g
-        coeffs = [c * scale for c in diff_coeffs]
-        coeffs[0] = m - sum(coeffs)
-    check = (
-        sum(c * a for c, (a, _) in zip(coeffs, gens)),
-        sum(c * b for c, (_, b) in zip(coeffs, gens)),
-    )
-    if check != (x, y):
-        raise RuntimeError(f"combination {coeffs} re-evaluates to {check}, expected {(x, y)}")
-    return coeffs
-
-
 def decide_trans(f: Hypergraph, s: int) -> DecisionReport:
     """Does (1, -1) lie in the lattice of s-shadow-disjoint bipartition sizes?
 
@@ -253,11 +239,11 @@ def decide_trans(f: Hypergraph, s: int) -> DecisionReport:
     gens = size_generators(f, s)
     lat = lattice_from_generators(gens)
     target = (1, -1)
-    via_basis = lattice_contains(lat, target)
+    coeffs = lattice_combination(lat, target)
     via_gcd = shared_sum_contains(gens, target)
-    if via_basis != via_gcd:
+    if (coeffs is not None) != via_gcd:
         raise RuntimeError(
-            f"membership cross-check failed: basis route {via_basis}, gcd route {via_gcd}"
+            f"membership cross-check failed: basis route {coeffs is not None}, gcd route {via_gcd}"
         )
     a0 = gens[0][0]
     diff_gcd = 0
@@ -270,8 +256,7 @@ def decide_trans(f: Hypergraph, s: int) -> DecisionReport:
         "first-coordinate-difference-gcd": diff_gcd,
         "time_s": time.perf_counter() - t0,
     }
-    if via_basis:
-        coeffs = shared_sum_combination(gens, target)
+    if coeffs is not None:
         witness = {
             "combination": [
                 [c, list(g)] for c, g in zip(coeffs, gens) if c != 0

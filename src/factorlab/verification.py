@@ -19,7 +19,7 @@ case the result is explicitly inconclusive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice, permutations
+from itertools import permutations
 from typing import Iterator
 
 import numpy as np
@@ -197,9 +197,11 @@ class CopyEnumeration:
 
 def enumerate_copies(f: Hypergraph, h: Hypergraph, cap: int = DEFAULT_CAP) -> CopyEnumeration:
     """Up to ``cap`` labelled embeddings; ``truncated`` flags a hit cap."""
-    out = list(islice(iter_embeddings(f, h), cap + 1))
-    if len(out) > cap:
-        return CopyEnumeration(out[:cap], True)
+    out = []
+    for phi in iter_embeddings(f, h):
+        if len(out) == cap:
+            return CopyEnumeration(out, True)
+        out.append(phi)
     return CopyEnumeration(out, False)
 
 
@@ -218,10 +220,10 @@ def rooted_copies(
     if not 0 <= w < h.n:
         raise ValueError(f"host vertex {w} out of range")
     count = 0
-    for _ in islice(iter_embeddings(f, h, {vstar: w}), cap + 1):
+    for _ in iter_embeddings(f, h, {vstar: w}):
+        if count == cap:
+            return RootedCount(cap, True)
         count += 1
-    if count > cap:
-        return RootedCount(cap, True)
     return RootedCount(count, False)
 
 

@@ -179,6 +179,12 @@ class TestVerify:
         report = json.loads(out)["report"]
         assert code == 0 and report["total"] == 0 and report["w"] == 14
 
+    def test_rooted_cap_beyond_index_range(self, capsys, edge_file, k6_file):
+        code, out, _ = run(capsys, ["verify", "rooted", "--F", edge_file, "--H", k6_file,
+                                    "--w", "0", "--cap", str(10**23)])
+        report = json.loads(out)["report"]
+        assert code == 0 and report["total"] == 60 and not report["truncated"]
+
     def test_uniformity_mismatch(self, capsys, edge_file, tmp_path):
         f4 = tmp_path / "f4.hg"
         f4.write_text("4 4 1\n0 1 2 3\n")
@@ -234,6 +240,24 @@ class TestRejectedFlags:
     def test_rooted_without_w(self, capsys, k222_file):
         run_rejected(capsys, ["verify", "rooted", "--F", k222_file, "--H", k222_file],
                      "requires --w")
+
+    def test_rooted_w_not_a_vertex(self, capsys, k222_file):
+        run_rejected(capsys, ["verify", "rooted", "--F", k222_file, "--H", k222_file, "--w", "abc"],
+                     "--w must be a host vertex id or 'z'")
+
+    @pytest.mark.parametrize("family", ["[" * 100000, "[[1" + "0" * 5000 + "]]"],
+                             ids=["deep", "long-int"])
+    def test_denseness_family_beyond_json_limits(self, capsys, k222_file, family):
+        run_rejected(capsys, ["verify", "denseness", "--H", k222_file, "--p", "0.5",
+                              "--samples", "2", "--family", family], "--family")
+
+    def test_denseness_refuses_expect(self, capsys, k222_file):
+        run_rejected(capsys, ["verify", "denseness", "--H", k222_file, "--p", "0.5",
+                              "--samples", "2", "--expect", "0"], "--expect")
+
+    def test_denseness_exhaustive_refuses_family(self, capsys, k222_file):
+        run_rejected(capsys, ["verify", "denseness", "--H", k222_file, "--p", "0.5",
+                              "--mode", "exhaustive", "--family", "[[1],[2],[3]]"], "--family")
 
     def test_denseness_on_empty_host(self, capsys, tmp_path):
         empty = tmp_path / "empty.hg"

@@ -1,4 +1,4 @@
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -295,6 +295,30 @@ class TestCompatibleEnumeration:
             assert ordering[0] == w["vstar"]
             assert validate_shadow_coloring(f, ordering, coloring)
         assert hits > 5
+
+    def test_block_ordering_from_every_consistent_ordering(self):
+        # The argument in build_compatible_enumeration's docstring: every
+        # valid witness, with its sides ordered by any consistent ordering,
+        # gives a consistent block ordering.
+        rng = np.random.default_rng(29)
+        checked = 0
+        for n in (3, 4, 5):
+            for f in random_3graphs(rng, 60, n, p=0.3):
+                taus = [t for t in permutations(range(n)) if forced_coloring(f, t) is not None]
+                for vstar in range(n):
+                    rest = [v for v in range(n) if v != vstar]
+                    for sides in product((0, 1), repeat=n - 1):
+                        x = [v for v, side in zip(rest, sides) if side == 0]
+                        y = [v for v, side in zip(rest, sides) if side == 1]
+                        if not validate_cover_witness(f, vstar, x, y):
+                            continue
+                        for tau in taus:
+                            pos = {v: i for i, v in enumerate(tau)}
+                            block = [vstar, *sorted(x, key=pos.__getitem__),
+                                     *sorted(y, key=pos.__getitem__)]
+                            assert forced_coloring(f, block) is not None
+                            checked += 1
+        assert checked > 1000
 
 
 class TestLinkChainFree:

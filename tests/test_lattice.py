@@ -8,15 +8,26 @@ from factorlab import (
     PreconditionError,
     decide_trans,
     enumerate_shadow_disjoint_bipartitions,
+    lattice_combination,
     lattice_contains,
     lattice_from_generators,
     size_generators,
 )
 from factorlab.corpus import k222, single_edge
-from factorlab.lattice import shared_sum_combination, shared_sum_contains
+from factorlab.lattice import shared_sum_contains
 from factorlab.oracles import bounded_combination_oracle
 
 TWO_SHARED = Hypergraph(3, 4, [(0, 1, 2), (0, 1, 3)])
+
+# Coefficient bound of the brute-force search: it reaches every combination
+# of the random targets below, which use coefficients in [-2, 2].
+BRUTE_BOUND = 4
+
+
+def random_generators(rng):
+    """1 to 3 generators in Z^1..Z^4 with entries in [-3, 3]."""
+    dim, count = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    return [tuple(int(v) for v in rng.integers(-3, 4, size=dim)) for _ in range(count)]
 
 
 def brute_force_bipartitions(f, s):
@@ -112,6 +123,66 @@ class TestLattice2:
         with pytest.raises(ValueError):
             lattice_from_generators([])
 
+    def test_ragged_generators_rejected(self):
+        with pytest.raises(ValueError):
+            lattice_from_generators([(1, 2), (3,)])
+        with pytest.raises(ValueError):
+            lattice_from_generators([(1,), (2, 0, 1)])
+        with pytest.raises(ValueError):
+            lattice_contains(lattice_from_generators([(1, 2)]), (1, 2, 0))
+
+    def test_pinned_bases(self):
+        assert lattice_from_generators(size_generators(k222(), 2)).basis == ((2, 4), (0, 6))
+        assert lattice_from_generators(size_generators(single_edge(), 2)).basis == ((1, 2), (0, 3))
+
+    def test_echelon_form(self):
+        # Positive pivots in strictly increasing columns, entries above each
+        # pivot in [0, pivot), and each row is its combination of generators.
+        rng = np.random.default_rng(305)
+        for _ in range(200):
+            gens = random_generators(rng)
+            lat = lattice_from_generators(gens)
+            cols = [next(i for i, c in enumerate(row) if c) for row in lat.basis]
+            assert cols == sorted(set(cols))
+            for i, (row, col) in enumerate(zip(lat.basis, cols)):
+                assert row[col] > 0
+                assert all(0 <= above[col] < row[col] for above in lat.basis[:i])
+            for row, combo in zip(lat.basis, lat.combinations):
+                assert tuple(int(v) for v in np.array(combo) @ np.array(gens)) == row
+
+    def test_basis_independent_of_generator_order(self):
+        rng = np.random.default_rng(303)
+        for _ in range(200):
+            gens = random_generators(rng)
+            basis = lattice_from_generators(gens).basis
+            for _ in range(3):
+                shuffled = [gens[i] for i in rng.permutation(len(gens))]
+                assert lattice_from_generators(shuffled).basis == basis
+
+    def test_agrees_with_bounded_brute_force_in_dimensions_1_to_4(self):
+        rng = np.random.default_rng(304)
+        for _ in range(150):
+            gens = random_generators(rng)
+            dim, m = len(gens[0]), len(gens)
+            grid = np.array(list(product(range(-BRUTE_BOUND, BRUTE_BOUND + 1), repeat=m)))
+            reachable = set(map(tuple, (grid @ np.array(gens)).tolist()))
+            lat = lattice_from_generators(gens)
+            targets = [(0,) * dim, (1,) + (0,) * (dim - 1)]
+            targets += [tuple(int(v) for v in rng.integers(-2, 3, size=m) @ np.array(gens))
+                        for _ in range(3)]
+            targets += [tuple(int(v) for v in rng.integers(-4, 5, size=dim)) for _ in range(3)]
+            for target in targets:
+                # A hit of the bounded search proves membership; a member the
+                # search misses must still come with a combination that
+                # re-evaluates to it.
+                contained = lattice_contains(lat, target)
+                assert contained or target not in reachable
+                coeffs = lattice_combination(lat, target)
+                assert (coeffs is not None) == contained
+                if contained:
+                    reached = tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(dim))
+                    assert reached == target
+
     def test_agrees_with_bounded_brute_force(self):
         rng = np.random.default_rng(301)
         for _ in range(100):
@@ -140,10 +211,10 @@ class TestLattice2:
             total = int(rng.integers(1, 13))
             firsts = sorted(set(int(rng.integers(0, total + 1)) for _ in range(4)))
             gens = [(a, total - a) for a in firsts]
-            coeffs = shared_sum_combination(gens, (1, -1))
-            if coeffs is None:
-                assert not lattice_contains(lattice_from_generators(gens), (1, -1))
-            else:
+            lat = lattice_from_generators(gens)
+            coeffs = lattice_combination(lat, (1, -1))
+            assert (coeffs is not None) == shared_sum_contains(gens, (1, -1))
+            if coeffs is not None:
                 x = sum(c * g[0] for c, g in zip(coeffs, gens))
                 y = sum(c * g[1] for c, g in zip(coeffs, gens))
                 assert (x, y) == (1, -1)

@@ -54,6 +54,12 @@ class TestEmbeddings:
         result = enumerate_copies(single_edge(), complete(6, 3), cap=10)
         assert result.truncated and len(result.embeddings) == 10
 
+    def test_cap_beyond_index_range(self):
+        # Caps at and above the count, up to past sys.maxsize, are not hit.
+        for cap in (24, 10**23):
+            result = enumerate_copies(single_edge(), complete(4, 3), cap=cap)
+            assert not result.truncated and len(result.embeddings) == 24
+
     def test_every_embedding_validates(self):
         rng = np.random.default_rng(61)
         pattern = Hypergraph(3, 4, [(0, 1, 2), (1, 2, 3)])
@@ -188,6 +194,11 @@ class TestRootedCopies:
     def test_cap(self):
         res = rooted_copies(single_edge(), 0, complete(6, 3), 0, cap=3)
         assert res.count == 3 and res.truncated
+
+    def test_cap_beyond_index_range(self):
+        for cap in (6, 10**23):
+            res = rooted_copies(single_edge(), 0, complete(4, 3), 0, cap=cap)
+            assert res.count == 6 and not res.truncated
 
 
 class TestCover:
