@@ -9,6 +9,7 @@ embeds the parameters and seeds needed to replay the run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -20,9 +21,9 @@ EXIT_OK = 0
 EXIT_EXPECT = 1
 EXIT_USAGE = 2
 
-# The deciders, the lattice enumerator and the copy searches recurse once per
-# pattern vertex, so a larger pattern would exhaust the interpreter's
-# recursion limit (1000 frames by default).
+# The turan-zero decider and the copy searches recurse once per pattern
+# vertex, so a larger pattern would exhaust the interpreter's recursion limit
+# (1000 frames by default).
 PATTERN_VERTEX_LIMIT = 256
 
 
@@ -181,12 +182,28 @@ def cmd_construct(args) -> int:
 
 def _resolve_w(token: str, h: Hypergraph) -> int:
     # The partite construction always places its special vertex last.
-    if token == "z":
-        return h.n - 1
     try:
-        return int(token)
+        w = h.n - 1 if token == "z" else int(token)
     except ValueError:
         raise ValueError(f"--w must be a host vertex id or 'z', got {token!r}") from None
+    if not 0 <= w < h.n:
+        raise ValueError(f"--w must be a host vertex in [0, {h.n}), got {token!r}")
+    return w
+
+
+# Task -> the outcomes --expect may name; verify rooted expects a count.
+EXPECT_OUTCOMES = {"cover": ("true", "false"), "factor": ("found", "absent", "inconclusive")}
+
+
+def _parse_expect(task: str, raw: str | None) -> str | int | None:
+    """The ``--expect`` value of ``verify cover|factor|rooted``, checked before any search."""
+    if raw is None or raw in EXPECT_OUTCOMES.get(task, ()):
+        return raw
+    if task == "rooted" and raw.isascii() and raw.isdigit():
+        with contextlib.suppress(ValueError):  # past the interpreter's digit limit
+            return int(raw)
+    wanted = "a non-negative count" if task == "rooted" else "one of " + ", ".join(EXPECT_OUTCOMES[task])
+    raise ValueError(f"--expect for verify {task} must be {wanted}, got {raw!r}")
 
 
 def cmd_verify(args) -> int:
@@ -201,6 +218,7 @@ def cmd_verify(args) -> int:
             raise ValueError(f"uniformity mismatch: F has k={f.k}, H has k={h.k}")
         if args.cap < 1:
             raise ValueError(f"--cap must be at least 1, got {args.cap}")
+        expect = _parse_expect(args.task, args.expect)
         params.update({"F": args.pattern, "H": args.host, "cap": args.cap})
 
     if args.task == "cover":
@@ -212,8 +230,7 @@ def cmd_verify(args) -> int:
             "witnesses": [list(phi) if phi else None for phi in rep.witnesses],
         }
         summary = f"cover: verdict={rep.verdict}"
-        if args.expect is not None:
-            mismatch = rep.verdict != (args.expect == "true")
+        mismatch = expect is not None and rep.verdict != (expect == "true")
     elif args.task == "factor":
         res = verification.find_factor(f, h, cap=args.cap)
         report = {
@@ -222,12 +239,13 @@ def cmd_verify(args) -> int:
             "stats": res.stats,
         }
         summary = f"factor: {res.status}"
-        if args.expect is not None:
-            mismatch = res.status != args.expect
+        mismatch = expect is not None and res.status != expect
     elif args.task == "rooted":
         if args.w is None:
             raise ValueError("verify rooted requires --w")
         w = _resolve_w(args.w, h)
+        if args.vstar is not None and not 0 <= args.vstar < f.n:
+            raise ValueError(f"--vstar must be a pattern vertex in [0, {f.n}), got {args.vstar}")
         params["w"] = w
         roots = [args.vstar] if args.vstar is not None else list(range(f.n))
         counts = {}
@@ -239,8 +257,7 @@ def cmd_verify(args) -> int:
         total = sum(counts.values())
         report = {"w": w, "counts": counts, "total": total, "truncated": truncated}
         summary = f"rooted: total={total} at w={w}"
-        if args.expect is not None:
-            mismatch = total != int(args.expect)
+        mismatch = expect is not None and total != expect
     elif args.task == "denseness":
         if not args.host:
             raise ValueError("verify denseness requires --H")

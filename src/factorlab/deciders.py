@@ -14,7 +14,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .hypergraph import Hypergraph, UnionFind
+from .hypergraph import Hypergraph, PartAssignments, UnionFind
 
 RED, BLUE, GREEN = "red", "blue", "green"
 
@@ -403,21 +403,12 @@ def decide_partition_condition_k(f: Hypergraph) -> DecisionReport:
     link(vstar) and equal index vectors on every pair of edges sharing >= 2
     vertices?
 
-    Edges sharing >= 2 vertices are merged into classes up front, and the
-    condition becomes: each class has one index vector.  For each vstar (in
-    part k-1), the other vertices are assigned parts in ascending order by
-    backtracking.  Assigning v checks only the edges through v:
-
-    * rainbow: v's part differs from that of every earlier vertex sharing an
-      edge with v and vstar;
-    * vectors: each edge of a class of two or more whose last vertex to be
-      assigned is v is now fully assigned; its index vector is compared with
-      the one recorded for its class, or recorded if none is (and dropped
-      again on backtrack).
-
-    The prefix before v passed the same checks, so this accepts exactly the
-    prefixes a rescan of every edge and class would: the same prefixes are
-    pruned in the same order, and ``nodes`` counts the part choices tried.
+    Edges sharing >= 2 vertices form ``overlap_classes(2)``, each of which
+    must have one index vector.  For each vstar, a :class:`PartAssignments`
+    search fixes vstar in part k-1 and places the rest in parts 0..k-2, with
+    two vertices sharing an edge through vstar in conflict (so link(vstar) is
+    rainbow).  Its first answer is the witness; ``nodes`` counts the part
+    choices tried over every vstar.
     """
     if f.k < 3:
         raise PreconditionError(f"requires k >= 3, got k={f.k}")
@@ -427,64 +418,21 @@ def decide_partition_condition_k(f: Hypergraph) -> DecisionReport:
     if k >= 4:
         # The characterization is proven for k = 3 and conjectured beyond.
         flags.append("conjectural-for-k>=4")
-    # Singleton classes constrain nothing.
-    classes = [members for members in f.overlap_classes(2) if len(members) > 1]
-    # An index vector as one int: counts are at most k, so base k + 1 is exact.
-    weight = [(k + 1) ** p for p in range(k)]
+    through = f.subset_edges(1)
     nodes = 0
-
-    def search(vstar: int) -> list[list[int]] | None:
-        nonlocal nodes
-        others = [u for u in range(n) if u != vstar]
-        part_of = [-1] * n
-        part_of[vstar] = k - 1
-        mates: list[set[int]] = [set() for _ in range(n)]
-        for e in edges:
-            if vstar in e:
-                rest = [u for u in e if u != vstar]
-                for i in range(1, len(rest)):
-                    mates[rest[i]].update(rest[:i])
-        closing: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n)]
-        for ci, members in enumerate(classes):
-            for ei in members:
-                e = edges[ei]
-                closing[e[-1] if e[-1] != vstar else e[-2]].append((e, ci))
-        vector: list[int | None] = [None] * len(classes)
-
-        def assign(idx: int) -> bool:
-            nonlocal nodes
-            if idx == len(others):
-                return True
-            v = others[idx]
-            for part in range(k - 1):
-                nodes += 1
-                if any(part_of[u] == part for u in mates[v]):
-                    continue
-                part_of[v] = part
-                recorded = []
-                for e, ci in closing[v]:
-                    vec = sum(weight[part_of[u]] for u in e)
-                    if vector[ci] is None:
-                        vector[ci] = vec
-                        recorded.append(ci)
-                    elif vector[ci] != vec:
-                        break
-                else:
-                    if assign(idx + 1):
-                        return True
-                for ci in recorded:
-                    vector[ci] = None
-            part_of[v] = -1
-            return False
-
-        if assign(0):
-            return [sorted(v for v in others if part_of[v] == p) for p in range(k - 1)]
-        return None
-
     for vstar in range(n):
-        parts = search(vstar)
-        if parts is not None:
+        mates = [0] * n
+        for i in through.get((vstar,), ()):
+            rest = [u for u in edges[i] if u != vstar]
+            bits = sum(1 << u for u in rest)
+            for u in rest:
+                mates[u] |= bits ^ (1 << u)
+        search = PartAssignments(f, k - 1, mates, s=2, fixed={vstar: k - 1})
+        part_of = next(iter(search), None)
+        nodes += search.nodes
+        if part_of is not None:
             stats = {"nodes": nodes, "time_s": time.perf_counter() - t0}
+            parts = [[v for v in range(n) if part_of[v] == p] for p in range(k - 1)]
             witness = {"vstar": vstar, "parts": parts}
             return DecisionReport("partition-k", True, witness, flags, stats)
     stats = {"nodes": nodes, "time_s": time.perf_counter() - t0}

@@ -15,7 +15,11 @@ threads:
   criterion beyond a colouring rests on this relation;
 * ``embedding_masks()``: vertex bitmasks for copy searches (which vertices
   complete a (k-1)-set to an edge, which share an edge with a vertex, which
-  have at least a given degree), read off ``subset_edges``.
+  have at least a given degree); the neighbour masks alone, uncached, are
+  ``neighbour_masks()``.
+
+:class:`PartAssignments`, the one search placing vertices in parts, serves the
+partition condition, the shadow-disjoint bipartitions and ``is_k_partite``.
 
 Vertex subsets handed to operations may be any iterable of ints; results use
 sorted tuples.  Partitions are ordered lists of disjoint parts covering
@@ -30,7 +34,7 @@ import threading
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 # Largest vertex count the loaders accept: derived data and the deciders
 # allocate O(n) per graph, so a header may not ask for more.
@@ -255,8 +259,18 @@ class Hypergraph:
 
         return self._cached(("overlap_classes", s), compute)
 
+    def neighbour_masks(self) -> tuple[int, ...]:
+        """Vertex -> bitmask of the other vertices sharing an edge with it."""
+        out = [0] * self.n
+        for e in self.edges:
+            bits = sum(1 << v for v in e)
+            for v in e:
+                out[v] |= bits
+        return tuple(mask ^ (1 << v) if mask else 0 for v, mask in enumerate(out))
+
     def embedding_masks(self) -> EmbeddingMasks:
-        """Completion, neighbour and degree masks, read off ``subset_edges``."""
+        """Completion masks read off ``subset_edges``, with ``neighbour_masks()``
+        and the degrees."""
 
         def compute():
             bits = [sum(1 << v for v in e) for e in self.edges]
@@ -267,20 +281,16 @@ class Hypergraph:
                 for i in members:
                     mask |= bits[i]
                 completion[key] = mask ^ key
-            neighbours = [0] * self.n
             degrees = [0] * self.n
-            for (w,), members in self.subset_edges(1).items():
-                mask = 0
-                for i in members:
-                    mask |= bits[i]
-                neighbours[w] = mask ^ (1 << w)
-                degrees[w] = len(members)
+            for e in self.edges:
+                for v in e:
+                    degrees[v] += 1
             at_least = [0] * (max(degrees, default=0) + 1)
             for w, d in enumerate(degrees):
                 at_least[d] |= 1 << w
             for d in range(len(at_least) - 2, -1, -1):
                 at_least[d] |= at_least[d + 1]
-            return EmbeddingMasks(completion, tuple(neighbours), tuple(degrees), tuple(at_least))
+            return EmbeddingMasks(completion, self.neighbour_masks(), tuple(degrees), tuple(at_least))
 
         return self._cached("embedding_masks", compute)
 
@@ -289,32 +299,15 @@ class Hypergraph:
     def is_k_partite(self) -> Partition | None:
         """A k-part partition with every edge rainbow, or None.
 
-        Equivalent to properly k-colouring the pair shadow (for k = 2, the
-        edges themselves); empty parts are allowed so subgraphs of k-partite
-        graphs validate.
+        The first answer of :class:`PartAssignments` with k parts, where each
+        vertex must take another part than every vertex sharing an edge with
+        it; empty parts are allowed so subgraphs of k-partite graphs validate.
         """
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges if self.k == 2 else self.shadow(2):
-            adj[u].add(v)
-            adj[v].add(u)
-        color = [-1] * self.n
-
-        def assign(v: int) -> bool:
-            if v == self.n:
-                return True
-            taken = {color[u] for u in adj[v] if color[u] >= 0}
-            for c in range(self.k):
-                if c not in taken:
-                    color[v] = c
-                    if assign(v + 1):
-                        return True
-            color[v] = -1
-            return False
-
-        if not assign(0):
+        part_of = next(iter(PartAssignments(self, self.k, self.neighbour_masks())), None)
+        if part_of is None:
             return None
-        parts = [tuple(v for v in range(self.n) if color[v] == c) for c in range(self.k)]
-        return Partition(tuple(parts))
+        return Partition(tuple(tuple(v for v in range(self.n) if part_of[v] == c)
+                               for c in range(self.k)))
 
     def induced(self, vertices: Iterable[int]) -> tuple["Hypergraph", dict[int, int]]:
         """Induced subgraph on the given vertices, relabelled to 0..m-1."""
@@ -341,6 +334,87 @@ class Hypergraph:
 
     def to_json_obj(self) -> dict:
         return {"k": self.k, "n": self.n, "edges": [list(e) for e in self.edges]}
+
+
+class PartAssignments:
+    """Assignments of the vertices of ``f`` to parts, by backtracking.
+
+    Vertices in ``fixed`` keep the parts it gives; the free ones are placed in
+    ascending order, each trying parts ``0..parts-1`` in ascending order.  A
+    part is refused to v when it holds a vertex set in ``conflicts[v]`` (the
+    bitmask of the vertices that must take another part than v), or when,
+    with ``s`` given, an edge of an ``overlap_classes(s)`` class of two or
+    more edges has its last free vertex at v and an index vector (one
+    base-(k+1) digit per part) other than the one its class recorded.  Both
+    checks read only placed vertices, so every valid assignment is yielded,
+    in lexicographic order, and nothing else.  Each is ``part_of`` (vertex ->
+    part), one list reused throughout; ``nodes`` counts the part choices
+    tried.  Every class edge needs a free vertex.
+    """
+
+    def __init__(self, f: Hypergraph, parts: int, conflicts: Sequence[int],
+                 s: int | None = None, fixed: dict[int, int] | None = None):
+        self.f, self.parts, self.conflicts, self.s = f, parts, conflicts, s
+        self.fixed = fixed or {}
+        self.nodes = 0
+
+    def __iter__(self) -> Iterator[list[int]]:
+        f, parts, conflicts, fixed = self.f, self.parts, self.conflicts, self.fixed
+        part_of = [-1] * f.n
+        for v, p in fixed.items():
+            part_of[v] = p
+        free = [v for v in range(f.n) if part_of[v] < 0]
+        classes = [] if self.s is None else [m for m in f.overlap_classes(self.s) if len(m) > 1]
+        # closing[v]: (edge, class id) for each class edge whose last free vertex is v
+        closing: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(f.n)]
+        for ci, cls in enumerate(classes):
+            for ei in cls:
+                e = f.edges[ei]
+                closing[next(u for u in reversed(e) if part_of[u] < 0)].append((e, ci))
+        # Counts are at most k, so base k + 1 keeps an index vector exact as one int.
+        weight = [(f.k + 1) ** p for p in range(max([parts, *(p + 1 for p in fixed.values())]))]
+        members = [0] * parts  # bitmask of the free vertices placed in each part
+        vector: list[int | None] = [None] * len(classes)
+        recorded: list[list[int]] = [[] for _ in free]  # class ids recorded at each depth
+        nodes = self.nodes
+        depth = 0
+        while depth >= 0:
+            if depth == len(free):
+                self.nodes = nodes
+                yield part_of
+                depth -= 1
+                continue
+            v = free[depth]
+            rec = recorded[depth]
+            p = part_of[v]
+            if p >= 0:  # back from a deeper level: withdraw v before its next part
+                members[p] ^= 1 << v
+                for ci in rec:
+                    vector[ci] = None
+                rec.clear()
+            for p in range(p + 1, parts):
+                nodes += 1
+                if members[p] & conflicts[v]:
+                    continue
+                part_of[v] = p
+                for e, ci in closing[v]:
+                    vec = sum(weight[part_of[u]] for u in e)
+                    if vector[ci] is None:
+                        vector[ci] = vec
+                        rec.append(ci)
+                    elif vector[ci] != vec:
+                        for cj in rec:
+                            vector[cj] = None
+                        rec.clear()
+                        break
+                else:
+                    members[p] |= 1 << v
+                    depth += 1
+                    break
+            else:
+                part_of[v] = -1
+                depth -= 1
+        self.nodes = nodes
 
 
 def _parse_int(token: str, line: int) -> int:

@@ -4,7 +4,9 @@ resulting transferral membership test.
 A bipartition {A, B} of the vertex set is s-shadow disjoint when any two
 edges whose index vectors w.r.t. {A, B} differ meet in fewer than s vertices.
 The size vectors (|A|, |B|) of all such bipartitions generate a lattice in
-Z^2; membership of (1, -1) is the decided property.
+Z^2; membership of (1, -1) is the decided property.  The bipartitions are
+listed by the part-assignment search shared with the deciders,
+:class:`factorlab.hypergraph.PartAssignments`.
 
 Membership is computed twice on every decision — once through an integer
 echelon form over Z^d, which also gives the witness combination, and once
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .deciders import DecisionReport, PreconditionError, _base_flags
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, PartAssignments
 
 
 @dataclass(frozen=True)
@@ -56,60 +58,18 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def enumerate_shadow_disjoint_bipartitions(f: Hypergraph, s: int) -> list[Bipartition]:
     """All bipartitions {A, B} such that edges with different index vectors
-    meet in fewer than s vertices.
+    meet in fewer than s vertices, in lexicographic order with A first.
 
-    Backtracking over vertices with the contrapositive propagated: edges
-    sharing >= s vertices are merged into classes that must agree on |e ∩ A|,
-    pruned through per-class intervals of achievable counts.
+    These are the answers of :class:`PartAssignments` with two parts, part 0
+    being A: each class of ``overlap_classes(s)`` keeps one index vector.
     """
     if not 2 <= s <= f.k - 1:
         raise ValueError(f"shadow order must satisfy 2 <= s <= k-1, got s={s}")
-    m = len(f.edges)
-    multi = [members for members in f.overlap_classes(s) if len(members) > 1]
-
-    in_a = [False] * f.n
-    assigned_a = [0] * m  # per edge: chosen vertices currently in A
-    remaining = [f.k] * m  # per edge: vertices not yet assigned
-    out: list[Bipartition] = []
-
-    def feasible() -> bool:
-        for members in multi:
-            lo = max(assigned_a[i] for i in members)
-            hi = min(assigned_a[i] + remaining[i] for i in members)
-            if lo > hi:
-                return False
-        return True
-
-    incident = [[] for _ in range(f.n)]
-    for i, e in enumerate(f.edges):
-        for v in e:
-            incident[v].append(i)
-
-    def assign(v: int) -> None:
-        if v == f.n:
-            out.append(
-                Bipartition(
-                    tuple(u for u in range(f.n) if in_a[u]),
-                    tuple(u for u in range(f.n) if not in_a[u]),
-                )
-            )
-            return
-        for choice in (True, False):
-            in_a[v] = choice
-            for i in incident[v]:
-                remaining[i] -= 1
-                if choice:
-                    assigned_a[i] += 1
-            if feasible():
-                assign(v + 1)
-            for i in incident[v]:
-                remaining[i] += 1
-                if choice:
-                    assigned_a[i] -= 1
-        in_a[v] = False
-
-    assign(0)
-    return out
+    return [
+        Bipartition(tuple(v for v in range(f.n) if part_of[v] == 0),
+                    tuple(v for v in range(f.n) if part_of[v] == 1))
+        for part_of in PartAssignments(f, 2, [0] * f.n, s=s)
+    ]
 
 
 def size_generators(f: Hypergraph, s: int) -> list[tuple[int, int]]:

@@ -158,6 +158,14 @@ class TestVerify:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("task, expect, code", [
+        ("cover", "true", 0), ("cover", "false", 1), ("factor", "found", 0),
+        ("factor", "inconclusive", 1), ("rooted", "60", 0), ("rooted", "59", 1),
+    ])
+    def test_expect_outcomes(self, capsys, edge_file, k6_file, task, expect, code):
+        argv = ["verify", task, "--F", edge_file, "--H", k6_file, "--w", "0", "--expect", expect]
+        assert run(capsys, argv)[0] == code
+
     def test_cover(self, capsys, edge_file, tmp_path):
         host = tmp_path / "host.hg"
         host.write_text("3 4 1\n0 1 2\n")
@@ -244,6 +252,22 @@ class TestRejectedFlags:
     def test_rooted_w_not_a_vertex(self, capsys, k222_file):
         run_rejected(capsys, ["verify", "rooted", "--F", k222_file, "--H", k222_file, "--w", "abc"],
                      "--w must be a host vertex id or 'z'")
+
+    @pytest.mark.parametrize("task, expect", [
+        ("cover", "maybe"), ("cover", "found"), ("factor", "fnd"), ("factor", "true"),
+        ("rooted", "abc"), ("rooted", "-1"),
+        pytest.param("rooted", "9" * 5000, id="rooted-past-digit-limit"),
+    ])
+    def test_verify_expect_outside_outcomes(self, capsys, edge_file, k6_file, task, expect):
+        run_rejected(capsys, ["verify", task, "--F", edge_file, "--H", k6_file, "--w", "0",
+                              "--expect", expect], "--expect")
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--w", ["--w", "-1"]), ("--w", ["--w", "6"]),
+        ("--vstar", ["--w", "0", "--vstar", "7"]), ("--vstar", ["--w", "0", "--vstar", "-1"]),
+    ])
+    def test_rooted_vertex_out_of_range(self, capsys, edge_file, k6_file, flag, argv):
+        run_rejected(capsys, ["verify", "rooted", "--F", edge_file, "--H", k6_file, *argv], flag)
 
     @pytest.mark.parametrize("family", ["[" * 100000, "[[1" + "0" * 5000 + "]]"],
                              ids=["deep", "long-int"])

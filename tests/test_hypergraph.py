@@ -18,6 +18,15 @@ def random_graph(rng, n, k=3, p=0.4):
     return Hypergraph(k, n, edges)
 
 
+def first_rainbow_colouring(f):
+    """Parts of the first colouring in ``product(range(k), repeat=n)`` order
+    that gives every edge k colours, or None."""
+    for colour in product(range(f.k), repeat=f.n):
+        if all(len({colour[v] for v in e}) == f.k for e in f.edges):
+            return tuple(tuple(v for v in range(f.n) if colour[v] == c) for c in range(f.k))
+    return None
+
+
 class TestLoading:
     def test_smallest_valid_input(self):
         h = load_hypergraph("3 3 1\n0 1 2")
@@ -271,6 +280,18 @@ class TestStructure:
         path = Hypergraph(2, 3, [(0, 1), (1, 2)])
         assert path.is_k_partite().parts == ((0, 2), (1,))
         assert Hypergraph(2, 3, [(0, 1), (0, 2), (1, 2)]).is_k_partite() is None
+
+    def test_is_k_partite_is_the_first_rainbow_colouring(self):
+        rng = np.random.default_rng(12)
+        answers = []
+        for k, n in ((2, 0), (2, 7), (3, 6), (3, 7), (4, 6)):
+            for p in (0.1, 0.3, 0.6):
+                f = random_graph(rng, n, k, p)
+                got = f.is_k_partite()
+                want = first_rainbow_colouring(f)
+                assert (None if got is None else got.parts) == want
+                answers.append(want is None)
+        assert True in answers and False in answers
 
     def test_empty_parts_allowed(self):
         h = Hypergraph(3, 3, [(0, 1, 2)])

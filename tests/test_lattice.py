@@ -72,6 +72,20 @@ class TestBipartitions:
             got = {frozenset(bp.a) for bp in enumerate_shadow_disjoint_bipartitions(f, 2)}
             assert got == set(brute_force_bipartitions(f, 2))
 
+    def test_listing_order_is_the_plain_filter_order(self):
+        """The listing equals, in order, the brute-force filter of all 2^n
+        A-first assignments (vertex 0 decided first, A before B)."""
+        rng = np.random.default_rng(205)
+        for k, n in ((3, 6), (3, 7), (4, 6), (4, 7)):
+            sets = list(combinations(range(n), k))
+            for p in (0.15, 0.3, 0.5):
+                f = Hypergraph(k, n, [e for e, keep in zip(sets, rng.random(len(sets)) < p) if keep])
+                for s in range(2, k):
+                    want = [(tuple(sorted(a)), tuple(v for v in range(n) if v not in a))
+                            for a in brute_force_bipartitions(f, s)]
+                    got = [(bp.a, bp.b) for bp in enumerate_shadow_disjoint_bipartitions(f, s)]
+                    assert got == want
+
     def test_complement_symmetry(self):
         rng = np.random.default_rng(203)
         triples = list(combinations(range(6), 3))
