@@ -311,8 +311,18 @@ def cmd_corpus(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors print one line and exit 2.
+
+    ``add_subparsers`` builds the subcommand parsers of the same class.
+    """
+
+    def error(self, message: str):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="factorlab",
         description="Decide factor/cover criteria, build seeded constructions, "
         "and verify cover/factor/denseness claims on small hypergraphs.",

@@ -13,7 +13,10 @@ one embedding per copy, so its ``cap`` (and ``find_factor``'s) counts copies.
 The factor solver collapses copies to their vertex images (one witness
 embedding per image) and runs a complete exact-cover search, so "absent"
 results are proofs, not heuristics — unless the copy cap was hit, in which
-case the result is explicitly inconclusive.
+case the result is explicitly inconclusive.  That search is iterative, keeps
+the options of each vertex and the live options as ints over option ids, and
+skips covered sets it has already refuted through a failure memo bounded by
+``MEMO_LIMIT`` words.
 """
 
 from __future__ import annotations
@@ -290,64 +293,113 @@ def copy_images(
     return images, False
 
 
+# Most words the failure memo of one find_factor search may hold, a stored
+# mask of an n-vertex host counting n // 64 + 1 words.  A full memo stops
+# inserting and never drops a mask, so it only ever skips refuted subtrees.
+MEMO_LIMIT = 10**6
+
+
+def _bitset(ids: list[int], size: int) -> int:
+    """The int with bits ``ids`` set, built in one pass over a byte buffer."""
+    buf = bytearray(size // 8 + 1)
+    for i in ids:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
 def find_factor(f: Hypergraph, h: Hypergraph, cap: int = DEFAULT_CAP) -> FactorSearchResult:
     """Complete exact-cover search for vertex-disjoint copies covering V(H).
 
-    Branches on the uncovered vertex with the fewest admissible copies
-    (ties: smallest id).  Divisibility is checked first.  ``cap`` bounds the
-    copies listed by :func:`copy_images`; a hit cap downgrades "absent" to
-    "inconclusive".
+    The options are the copy images in sorted order.  ``at_vertex[v]`` is the
+    int of the options containing v and ``live`` the int of those disjoint
+    from the covered vertices.  The search branches on the uncovered vertex
+    with the fewest live options (ties: smallest id) and tries them in
+    ascending id.  Choosing an option removes the live options it meets; the
+    removed bits go on a trail and come back on backtrack, as in Algorithm X
+    (Knuth, "Dancing Links", 2000).  The search runs on that trail, not on
+    the Python stack, so its depth is bounded only by v(H) / v(F).
+
+    Every covered set whose subtree was refuted goes into a failure memo, and
+    a repeat is refuted at once (the memo of DXZ, Nishino et al. 2017).  The
+    memo holds at most ``MEMO_LIMIT`` words; when full it stops inserting.
+    It only skips subtrees already refuted, so the status and certificate are
+    those of the search without it; ``stats["nodes"]`` (options tried) is
+    smaller, and ``stats["memo"]`` is the number of masks stored.
+
+    Divisibility is checked first.  ``cap`` bounds the copies listed by
+    :func:`copy_images`; a hit cap downgrades "absent" to "inconclusive".
     """
     if f.n == 0:
         raise ValueError("pattern must have at least one vertex")
     if h.n % f.n != 0:
-        return FactorSearchResult("absent", None, {"reason": "divisibility", "nodes": 0})
+        return FactorSearchResult("absent", None, {"reason": "divisibility", "nodes": 0, "memo": 0})
     if h.n == 0:
-        return FactorSearchResult("found", [], {"nodes": 0})
+        return FactorSearchResult("found", [], {"nodes": 0, "memo": 0})
     if not f.edges:
         blocks = [tuple(range(i, i + f.n)) for i in range(0, h.n, f.n)]
-        return FactorSearchResult("found", blocks, {"reason": "edgeless-pattern", "nodes": 0})
+        return FactorSearchResult("found", blocks, {"reason": "edgeless-pattern", "nodes": 0, "memo": 0})
 
     images, truncated = copy_images(f, h, cap)
     image_list = sorted(images, key=sorted)
     masks = [sum(1 << v for v in img) for img in image_list]
-    at_vertex: list[list[int]] = [[] for _ in range(h.n)]
+    ids: list[list[int]] = [[] for _ in range(h.n)]
     for idx, img in enumerate(image_list):
         for v in img:
-            at_vertex[v].append(idx)
+            ids[v].append(idx)
+    at_vertex = [_bitset(vs, len(image_list)) for vs in ids]
+    covered = bytearray(h.n)
+
+    def options(live: int) -> int:
+        """The live options of the uncovered vertex with the fewest."""
+        best, best_v = len(image_list) + 1, -1
+        for v in range(h.n):
+            if not covered[v]:
+                count = (at_vertex[v] & live).bit_count()
+                if count < best:
+                    best, best_v = count, v
+                    if not count:
+                        return 0
+        return at_vertex[best_v] & live
 
     full = (1 << h.n) - 1
-    chosen: list[int] = []
+    used, live = 0, (1 << len(image_list)) - 1
+    memo: set[int] = set()
+    room = MEMO_LIMIT // (h.n // 64 + 1)
+    trail: list[tuple[int, int, int]] = []  # per choice: option, options its frame has left, live ones it removed
     nodes = 0
-
-    def rec(used: int) -> bool:
-        nonlocal nodes
-        if used == full:
-            return True
-        best_v, best_opts = -1, None
-        for v in range(h.n):
-            if used >> v & 1:
-                continue
-            opts = [i for i in at_vertex[v] if masks[i] & used == 0]
-            if best_opts is None or len(opts) < len(best_opts):
-                best_v, best_opts = v, opts
-                if not opts:
-                    return False
-        for i in best_opts:
+    cand = options(live)
+    while True:
+        if cand:
+            low = cand & -cand
+            cand ^= low
+            i = low.bit_length() - 1
             nodes += 1
-            chosen.append(i)
-            if rec(used | masks[i]):
-                return True
-            chosen.pop()
-        return False
+            gone = 0
+            for v in image_list[i]:
+                gone |= at_vertex[v]
+                covered[v] = 1
+            gone &= live
+            live ^= gone
+            used |= masks[i]
+            trail.append((i, cand, gone))
+            if used == full:
+                break
+            cand = 0 if used in memo else options(live)
+        elif trail:
+            if len(memo) < room:
+                memo.add(used)
+            i, cand, gone = trail.pop()
+            live |= gone
+            used ^= masks[i]
+            for v in image_list[i]:
+                covered[v] = 0
+        else:
+            break
 
-    if rec(0):
-        certificate = [images[image_list[i]] for i in chosen]
-        return FactorSearchResult(
-            "found", certificate, {"nodes": nodes, "copies": len(image_list), "truncated": truncated}
-        )
-    status = "inconclusive" if truncated else "absent"
-    return FactorSearchResult(status, None, {"nodes": nodes, "copies": len(image_list), "truncated": truncated})
+    stats = {"nodes": nodes, "copies": len(image_list), "truncated": truncated, "memo": len(memo)}
+    if used == full:
+        return FactorSearchResult("found", [images[image_list[i]] for i, _, _ in trail], stats)
+    return FactorSearchResult("inconclusive" if truncated else "absent", None, stats)
 
 
 def validate_factor_certificate(

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from factorlab import load_hypergraph
+from factorlab import load_hypergraph, validate_factor_certificate
 from factorlab.cli import PATTERN_VERTEX_LIMIT, main
 from factorlab.constructions import partite_structure_ok
 from factorlab.corpus import by_name, k222
@@ -245,6 +245,20 @@ def run_rejected(capsys, argv, fragment):
 class TestRejectedFlags:
     """Each bad flag value exits 2 with a one-line error, never a traceback."""
 
+    @pytest.mark.parametrize("argv, message", [
+        (["decide", "turan-zero", "x.hg", "--s", "abc"], "argument --s: invalid int value: 'abc'"),
+        (["verify", "factor", "--cap", "1.5"], "argument --cap: invalid int value: '1.5'"),
+        (["verify", "factor", "--mode", "fast"], "argument --mode: invalid choice"),
+        (["decide", "turan-zero"], "the following arguments are required: file"),
+        (["corpus", "list", "--bogus"], "unrecognized arguments: --bogus"),
+    ])
+    def test_argparse_errors(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert out.err.startswith(f"error: {message}") and len(out.err.splitlines()) == 1
+
     def test_rooted_without_w(self, capsys, k222_file):
         run_rejected(capsys, ["verify", "rooted", "--F", k222_file, "--H", k222_file],
                      "requires --w")
@@ -356,6 +370,16 @@ class TestSizeBounds:
             code, out, err = run(capsys, argv)
             assert code == 0 and "Traceback" not in err
 
+    def test_factor_search_deeper_than_the_recursion_limit(self, capsys, tmp_path, edge_file):
+        # a perfect matching on 3300 vertices: the search goes 1100 choices deep
+        path = tmp_path / "matching.hg"
+        path.write_text("3 3300 1100\n" + "".join(f"{v} {v + 1} {v + 2}\n" for v in range(0, 3300, 3)))
+        code, out, err = run(capsys, ["verify", "factor", "--F", edge_file, "--H", str(path)])
+        assert code == 0 and "Traceback" not in err
+        report = json.loads(out)["report"]
+        assert report["status"] == "found"
+        certificate = [tuple(phi) for phi in report["certificate"]]
+        assert validate_factor_certificate(by_name("single-edge"), load_hypergraph(path.read_text()), certificate)
 
     @pytest.mark.parametrize("argv", [
         ["construct", "lemma51", "--n", "200000", "--seed", "1"],

@@ -1,3 +1,4 @@
+import random
 import threading
 from itertools import combinations
 
@@ -17,8 +18,9 @@ from factorlab import (
     validate_embedding,
     validate_factor_certificate,
 )
+from factorlab import verification
 from factorlab.constructions import random_uniform_hypergraph
-from factorlab.corpus import complete, k222, single_edge
+from factorlab.corpus import complete, k222, loose_path, single_edge
 from factorlab.oracles import copy_images_oracle, factor_oracle
 from factorlab.verification import DENSE_CELL_LIMIT, copy_images, iter_embeddings
 
@@ -222,6 +224,73 @@ class TestCover:
                 assert find_cover(single_edge(), host).verdict
 
 
+def reference_factor(f, h):
+    """Plain recursive exact cover over the sorted copy images: the uncovered
+    vertex with the fewest options (ties: smallest id), options in ascending
+    id, no memo.  Returns the certificate (None when absent) and the number
+    of options tried."""
+    images, truncated = copy_images(f, h)
+    assert not truncated
+    image_list = sorted(images, key=sorted)
+    masks = [sum(1 << v for v in img) for img in image_list]
+    full = (1 << h.n) - 1
+    chosen = []
+    nodes = 0
+
+    def rec(used):
+        nonlocal nodes
+        if used == full:
+            return True
+        best = None
+        for v in range(h.n):
+            if not used >> v & 1:
+                opts = [i for i, m in enumerate(masks) if m >> v & 1 and not m & used]
+                if best is None or len(opts) < len(best):
+                    best = opts
+        for i in best:
+            nodes += 1
+            chosen.append(i)
+            if rec(used | masks[i]):
+                return True
+            chosen.pop()
+        return False
+
+    found = rec(0)
+    return ([images[image_list[i]] for i in chosen] if found else None), nodes
+
+
+def space_barrier(rng, n, a, p):
+    """Every edge meets a set of ``a`` vertices."""
+    side = set(rng.sample(range(n), a))
+    return Hypergraph(3, n, [e for e in combinations(range(n), 3) if side & set(e) and rng.random() < p])
+
+
+def parity_barrier(rng, n, a, p):
+    """Every edge meets a set of ``a`` vertices in an even number of them."""
+    side = set(rng.sample(range(n), a))
+    return Hypergraph(3, n, [e for e in combinations(range(n), 3)
+                             if len(side & set(e)) % 2 == 0 and rng.random() < p])
+
+
+def pin_cases():
+    """Seeded (pattern, host) pairs: random hosts for the single edge, the
+    loose path and K222, and space and parity barriers without a factor."""
+    rng = random.Random(9)
+    for n, p in [(6, 0.3), (9, 0.2), (9, 0.35), (12, 0.15), (12, 0.3)]:
+        for _ in range(3):
+            yield single_edge(), Hypergraph(3, n, [e for e in combinations(range(n), 3) if rng.random() < p])
+    for n, p in [(10, 0.15), (10, 0.3), (15, 0.08)]:
+        for _ in range(3):
+            yield loose_path(), Hypergraph(3, n, [e for e in combinations(range(n), 3) if rng.random() < p])
+    for n, p in [(6, 0.7), (12, 0.4), (12, 0.6)]:
+        yield k222(), Hypergraph(3, n, [e for e in combinations(range(n), 3) if rng.random() < p])
+    for n, a, p in [(9, 2, 1.0), (12, 3, 1.0), (12, 3, 0.5)]:
+        yield single_edge(), space_barrier(rng, n, a, p)
+    for n, a, p in [(9, 3, 1.0), (12, 5, 1.0), (12, 5, 0.6)]:
+        yield single_edge(), parity_barrier(rng, n, a, p)
+    yield loose_path(), space_barrier(rng, 10, 1, 1.0)
+
+
 class TestFactor:
     def test_perfect_matching_in_k6(self):
         res = find_factor(single_edge(), complete(6, 3))
@@ -238,12 +307,49 @@ class TestFactor:
             assert (res.status == "found") == (n % 3 == 0)
 
     def test_agrees_with_brute_force(self):
-        rng = np.random.default_rng(64)
-        for _ in range(25):
-            host = random_graph(rng, 6, p=0.35)
-            assert (find_factor(single_edge(), host).status == "found") == factor_oracle(
-                single_edge(), host
-            )
+        for pattern, n, ps in [
+            (single_edge(), 6, (0.35,) * 25),
+            (loose_path(), 10, (0.05, 0.08, 0.1, 0.12) * 3),
+            (k222(), 12, (0.5, 0.7)),
+        ]:
+            rng = np.random.default_rng(64)
+            statuses = set()
+            for p in ps:
+                host = random_graph(rng, n, p)
+                res = find_factor(pattern, host)
+                assert (res.status == "found") == factor_oracle(pattern, host)
+                if res.status == "found":
+                    assert validate_factor_certificate(pattern, host, res.certificate)
+                statuses.add(res.status)
+            assert statuses == {"found", "absent"}
+
+    def test_certificate_and_nodes_pinned_to_plain_search(self):
+        statuses, saved = set(), 0
+        for f, h in pin_cases():
+            res = find_factor(f, h)
+            certificate, nodes = reference_factor(f, h)
+            assert res.status == ("found" if certificate else "absent")
+            assert res.certificate == certificate
+            assert res.stats["nodes"] <= nodes
+            statuses.add(res.status)
+            saved += nodes - res.stats["nodes"]
+        assert statuses == {"found", "absent"} and saved > 0
+
+    def test_memo_bound(self, monkeypatch):
+        rng = random.Random(3)
+        for f, h in [(single_edge(), space_barrier(rng, 12, 3, 1.0)),
+                     (single_edge(), parity_barrier(rng, 12, 5, 1.0))]:
+            certificate, nodes = reference_factor(f, h)
+            assert certificate is None
+            for limit in (0, 1, 7, 100, verification.MEMO_LIMIT):
+                monkeypatch.setattr(verification, "MEMO_LIMIT", limit)
+                res = find_factor(f, h)
+                assert res.status == "absent" and res.certificate is None
+                assert res.stats["memo"] * (h.n // 64 + 1) <= limit
+                assert res.stats["nodes"] <= nodes
+                if limit == 0:
+                    assert res.stats["nodes"] == nodes and res.stats["memo"] == 0
+            assert res.stats["nodes"] < nodes
 
     def test_k222_factors_itself(self):
         res = find_factor(k222(), k222())
