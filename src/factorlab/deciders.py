@@ -6,15 +6,19 @@ of this module; the validators share no machinery with the searches.
 
 Searches iterate candidates in ascending vertex-id order, so witnesses are
 deterministic and lexicographically smallest.
+
+The cover-partition condition for 3-graphs is the partition condition at
+k = 3, so both deciders run one part-assignment search per candidate vstar.
+No vertex of :func:`blocked_vertices` is a candidate there, nor in the
+k-partite link-disjointness.
 """
 
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 
-from .hypergraph import Hypergraph, PartAssignments, UnionFind
+from .hypergraph import Hypergraph, PartAssignments
 
 RED, BLUE, GREEN = "red", "blue", "green"
 
@@ -258,78 +262,30 @@ def decide_cover_partition_3(f: Hypergraph) -> DecisionReport:
     every pair in link(vstar) crosses X and Y, and links of cross pairs and of
     vstar are pairwise disjoint?
 
-    Reduction: vertices with intersecting links must share a side, so
-    contract them once (the third vertices of the edges through each pair
-    have pairwise intersecting links).  A candidate vstar must have link
-    disjoint from every other vertex's link, i.e. be alone in its class; the
-    quotient is then 2-coloured against the "must differ" constraints from
-    link(vstar).
+    This is the partition condition at k = 3, with parts (X, Y).  Both ask
+    link(vstar) to cross X and Y.  Two edges sharing a pair have equal index
+    vectors w.r.t. (X, Y, {vstar}) exactly when their third vertices lie in
+    one of X, Y and {vstar}.  Third vertices u and w of one pair make that
+    pair a member of link(u) ∩ link(w), and every member arises so.  Equal
+    vectors on all such edges therefore say that cross links are disjoint and
+    that link(vstar) meets no other link.  So the answer is that of
+    :func:`decide_partition_condition_k`, relabelled, with its ``nodes`` and
+    flags, plus "same-side-links-intersect" on a true verdict when some pair
+    lies in two edges.
     """
     if f.k != 3:
         raise PreconditionError(f"applicable to 3-graphs only, got k={f.k}")
-    t0 = time.perf_counter()
-    pairs = f.subset_edges(2)
-    contraction = UnionFind(f.n)
-    for pair, members in pairs.items():
-        thirds = [next(v for v in f.edges[i] if v not in pair) for i in members]
-        for u in thirds[1:]:
-            contraction.union(thirds[0], u)
-    class_of = [contraction.find(v) for v in range(f.n)]
-    class_size = Counter(class_of)
-    nodes = 0
-    flags = _base_flags(f)
-
-    for vstar in range(f.n):
-        nodes += 1
-        if class_size[class_of[vstar]] > 1:
-            continue
-        others = [u for u in range(f.n) if u != vstar]
-        # "must differ" constraints between same-side classes
-        quotient: dict[int, set[int]] = {class_of[u]: set() for u in others}
-        ok = True
-        for a, b in f.link((vstar,)):
-            ra, rb = class_of[a], class_of[b]
-            if ra == rb:
-                ok = False
-                break
-            quotient[ra].add(rb)
-            quotient[rb].add(ra)
-        if not ok:
-            continue
-        side: dict[int, int] = {}
-        for root in sorted(quotient):
-            if root in side:
-                continue
-            side[root] = 0
-            stack = [root]
-            while stack and ok:
-                cur = stack.pop()
-                for nxt in sorted(quotient[cur]):
-                    if nxt not in side:
-                        side[nxt] = 1 - side[cur]
-                        stack.append(nxt)
-                    elif side[nxt] == side[cur]:
-                        ok = False
-                        break
-            if not ok:
-                break
-        if not ok:
-            continue
-        x_side = sorted(u for u in others if side[class_of[u]] == 0)
-        y_side = sorted(u for u in others if side[class_of[u]] == 1)
-        extra = list(flags)
-        if any(len(members) > 1 for members in pairs.values()):
-            # Two edges through one pair give their third vertices
-            # intersecting links; both lie in one class, hence on one side.
-            # The condition constrains cross pairs only; same-side overlaps
-            # are permitted and merely reported.
-            extra.append("same-side-links-intersect")
-        stats = {"nodes": nodes, "time_s": time.perf_counter() - t0}
-        witness = {"vstar": vstar, "X": x_side, "Y": y_side}
-        return DecisionReport("cover-partition", True, witness, extra, stats)
-
-    stats = {"nodes": nodes, "time_s": time.perf_counter() - t0}
-    return DecisionReport("cover-partition", False, None, flags, stats)
+    report = decide_partition_condition_k(f)
+    witness = None
+    if report.verdict:
+        x_side, y_side = report.witness["parts"]
+        witness = {"vstar": report.witness["vstar"], "X": x_side, "Y": y_side}
+        if any(len(members) > 1 for members in f.subset_edges(2).values()):
+            # The third vertices of that pair lie on one side, with
+            # intersecting links; the condition constrains cross pairs only,
+            # so same-side overlaps are permitted and merely reported.
+            report.flags.append("same-side-links-intersect")
+    return DecisionReport("cover-partition", report.verdict, witness, report.flags, report.stats)
 
 
 def decide_factor_3(f: Hypergraph) -> DecisionReport:
@@ -365,6 +321,22 @@ def decide_factor_3(f: Hypergraph) -> DecisionReport:
 # ---------------------------------------------------------------------------
 
 
+def blocked_vertices(f: Hypergraph) -> set[int]:
+    """Vertices v with an edge through v and an edge avoiding v that share
+    two or more vertices.
+
+    Such edges share a pair, and v lies in some but not all edges through
+    that pair; so v is read off ``subset_edges(2)``.  No such v can be the
+    vstar of the link-disjointness or of the partition condition.
+    """
+    blocked: set[int] = set()
+    for members in (f.subset_edges(2) if f.k > 2 else {}).values():
+        if len(members) > 1:
+            through = [set(f.edges[i]) for i in members]
+            blocked |= set.union(*through) - set.intersection(*through)
+    return blocked
+
+
 def decide_linkdisjoint_kpartite(f: Hypergraph) -> DecisionReport:
     """Is there a vertex vstar with |e ∩ e'| <= 1 whenever vstar ∈ e, vstar ∉ e'?
 
@@ -375,13 +347,7 @@ def decide_linkdisjoint_kpartite(f: Hypergraph) -> DecisionReport:
     partition = f.is_k_partite()
     if partition is None:
         raise PreconditionError("input is not k-partite; this criterion does not apply")
-    # vstar fails exactly when some pair lies in an edge through vstar and in
-    # an edge avoiding it: vstar is in some but not all edges of that pair.
-    blocked: set[int] = set()
-    for members in (f.subset_edges(2) if f.k > 2 else {}).values():
-        if len(members) > 1:
-            through = [set(f.edges[i]) for i in members]
-            blocked |= set.union(*through) - set.intersection(*through)
+    blocked = blocked_vertices(f)
     nodes = 0
     for vstar in range(f.n):
         nodes += 1
@@ -404,11 +370,13 @@ def decide_partition_condition_k(f: Hypergraph) -> DecisionReport:
     vertices?
 
     Edges sharing >= 2 vertices form ``overlap_classes(2)``, each of which
-    must have one index vector.  For each vstar, a :class:`PartAssignments`
-    search fixes vstar in part k-1 and places the rest in parts 0..k-2, with
-    two vertices sharing an edge through vstar in conflict (so link(vstar) is
-    rainbow).  Its first answer is the witness; ``nodes`` counts the part
-    choices tried over every vstar.
+    must have one index vector.  A vertex of :func:`blocked_vertices` is
+    skipped without a search: its edge through it and its edge avoiding it
+    differ in the {vstar} coordinate.  For every other vstar, a
+    :class:`PartAssignments` search fixes vstar in part k-1 and places the
+    rest in parts 0..k-2, with two vertices sharing an edge through vstar in
+    conflict (so link(vstar) is rainbow).  Its first answer is the witness;
+    ``nodes`` counts the part choices tried over the vstars searched.
     """
     if f.k < 3:
         raise PreconditionError(f"requires k >= 3, got k={f.k}")
@@ -419,8 +387,11 @@ def decide_partition_condition_k(f: Hypergraph) -> DecisionReport:
         # The characterization is proven for k = 3 and conjectured beyond.
         flags.append("conjectural-for-k>=4")
     through = f.subset_edges(1)
+    blocked = blocked_vertices(f)
     nodes = 0
     for vstar in range(n):
+        if vstar in blocked:
+            continue
         mates = [0] * n
         for i in through.get((vstar,), ()):
             rest = [u for u in edges[i] if u != vstar]
@@ -478,14 +449,19 @@ def validate_cover_witness(f, vstar, x_side, y_side) -> bool:
         return False
     if xs | ys | {vstar} != set(range(f.n)):
         return False
-    link_star = f.link((vstar,))
+    links: list[set[tuple[int, int]]] = [set() for _ in range(f.n)]
+    for a, b, c in f.edges:
+        links[a].add((b, c))
+        links[b].add((a, c))
+        links[c].add((a, b))
+    link_star = links[vstar]
     for a, b in link_star:
         if not ((a in xs and b in ys) or (a in ys and b in xs)):
             return False
     for x in xs:
-        lx = f.link((x,))
+        lx = links[x]
         for y in ys:
-            ly = f.link((y,))
+            ly = links[y]
             if lx & ly or lx & link_star or ly & link_star:
                 return False
     return True

@@ -7,7 +7,6 @@ computed lazily and cached under a lock so instances can be shared across
 threads:
 
 * ``shadow(r)``: the r-sets lying in some edge;
-* ``link(S)``: the (k-|S|)-sets completing S to an edge;
 * ``subset_edges(s)``: each s-set lying in some edge, mapped to the ascending
   indices of the edges containing it, built in one pass over the edges;
 * ``overlap_classes(s)``: the classes of edge indices under the transitive
@@ -17,6 +16,9 @@ threads:
   complete a (k-1)-set to an edge, which share an edge with a vertex, which
   have at least a given degree); the neighbour masks alone, uncached, are
   ``neighbour_masks()``.
+
+``link(S)``, the (k-|S|)-sets completing S to an edge, is a plain scan and is
+not cached, since each set S asked about would add an entry.
 
 :class:`PartAssignments`, the one search placing vertices in parts, serves the
 partition condition, the shadow-disjoint bipartitions and ``is_k_partite``.
@@ -206,19 +208,10 @@ class Hypergraph:
 
     def link(self, vertices: Iterable[int]) -> frozenset[tuple[int, ...]]:
         """Neighbourhood of a set S: the (k-|S|)-sets completing S to an edge."""
-        s = tuple(sorted(set(vertices)))
+        s = set(vertices)
         if len(s) >= self.k:
             raise ValueError(f"link requires |S| < k, got |S|={len(s)}")
-
-        def compute():
-            ss = set(s)
-            out = []
-            for e in self.edges:
-                if ss.issubset(e):
-                    out.append(tuple(v for v in e if v not in ss))
-            return frozenset(out)
-
-        return self._cached(("link", s), compute)
+        return frozenset([tuple([v for v in e if v not in s]) for e in self.edges if s.issubset(e)])
 
     def min_s_degree(self, s: int) -> int:
         """Smallest number of edges containing an s-set of ``range(n)``."""

@@ -190,7 +190,7 @@ def decide_trans(f: Hypergraph, s: int) -> DecisionReport:
     """Does (1, -1) lie in the lattice of s-shadow-disjoint bipartition sizes?
 
     The witness is an explicit integer combination of the generators; a
-    refusal reports the gcd of first-coordinate differences, which exceeds 1
+    refusal reports the gcd of first-coordinate differences, which is not 1
     exactly when the vector is missing.
     """
     if not 2 <= s <= f.k - 1:

@@ -19,7 +19,7 @@ from factorlab import (
     validate_shadow_coloring,
 )
 from factorlab.corpus import cherry, k4, k4_minus, k222, loose_path, single_edge
-from factorlab.deciders import coloring_from_witness
+from factorlab.deciders import blocked_vertices, coloring_from_witness
 from factorlab.oracles import (
     cover_partition_oracle,
     partition_condition_oracle,
@@ -29,11 +29,21 @@ from factorlab.oracles import (
 TWO_EDGES = Hypergraph(3, 6, [(0, 1, 2), (3, 4, 5)])
 
 
-def random_3graphs(rng, count, n, p=0.5):
-    triples = list(combinations(range(n), 3))
+def random_kgraphs(rng, count, n, k, p=0.5):
+    ksets = list(combinations(range(n), k))
     for _ in range(count):
-        mask = rng.random(len(triples)) < p
-        yield Hypergraph(3, n, [t for t, keep in zip(triples, mask) if keep])
+        mask = rng.random(len(ksets)) < p
+        yield Hypergraph(k, n, [t for t, keep in zip(ksets, mask) if keep])
+
+
+def random_3graphs(rng, count, n, p=0.5):
+    return random_kgraphs(rng, count, n, 3, p)
+
+
+def all_3graphs(n):
+    triples = list(combinations(range(n), 3))
+    for mask in range(1 << len(triples)):
+        yield Hypergraph(3, n, [t for i, t in enumerate(triples) if mask >> i & 1])
 
 
 class TestForcedColoring:
@@ -218,6 +228,23 @@ class TestLinkDisjointKPartite:
         )
 
 
+class TestBlockedVertices:
+    def test_matches_definition(self):
+        rng = np.random.default_rng(61)
+        graphs = [*random_kgraphs(rng, 60, 6, 3, p=0.2), *random_kgraphs(rng, 40, 7, 4, p=0.1),
+                  *random_kgraphs(rng, 30, 7, 5, p=0.15), Hypergraph(2, 3, [(0, 1), (1, 2)])]
+        outcomes = set()
+        for f in graphs:
+            expected = {
+                v for v in range(f.n)
+                if any(len(set(e) & set(e2)) >= 2
+                       for e in f.edges if v in e for e2 in f.edges if v not in e2)
+            }
+            assert blocked_vertices(f) == expected
+            outcomes.add(bool(expected))
+        assert outcomes == {False, True}
+
+
 class TestPartitionConditionK:
     def test_single_edge_any_k(self):
         assert decide_partition_condition_k(single_edge()).verdict
@@ -240,16 +267,30 @@ class TestPartitionConditionK:
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(99)
-        for f in random_3graphs(rng, 120, 5):
-            assert decide_partition_condition_k(f).verdict == (
-                partition_condition_oracle(f) is not None
-            )
+        graphs = [*random_3graphs(rng, 120, 5),
+                  *random_kgraphs(rng, 40, 5, 4, p=0.4), *random_kgraphs(rng, 30, 6, 4, p=0.25)]
+        outcomes = set()
+        for f in graphs:
+            verdict = decide_partition_condition_k(f).verdict
+            assert verdict == (partition_condition_oracle(f) is not None)
+            outcomes.add((f.k, verdict))
+        assert outcomes == {(3, False), (3, True), (4, False), (4, True)}
 
-    def test_cover_partition_implies_partition_condition(self):
+    def test_cover_partition_is_partition_condition_at_k3(self):
+        # decide_cover_partition_3 answers through the partition condition;
+        # the two definitions agree, witness and all, by brute force alone.
         rng = np.random.default_rng(17)
-        for f in random_3graphs(rng, 200, 5):
-            if decide_cover_partition_3(f).verdict:
-                assert decide_partition_condition_k(f).verdict
+        graphs = [*all_3graphs(4), *all_3graphs(5), *random_3graphs(rng, 200, 6, p=0.25)]
+        positives = 0
+        for f in graphs:
+            cover = cover_partition_oracle(f)
+            partition = partition_condition_oracle(f)
+            if partition is not None:
+                vstar, (x_side, y_side) = partition
+                partition = vstar, x_side, y_side
+                positives += 1
+            assert cover == partition
+        assert 0 < positives < len(graphs)
 
 
 class TestCompatibleEnumeration:

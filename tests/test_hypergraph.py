@@ -141,6 +141,14 @@ class TestShadowLinkDegree:
         with pytest.raises(ValueError):
             single_edge().link((0, 1, 2))
 
+    def test_links_are_not_cached(self):
+        h = k222()
+        h.subset_edges(2)
+        before = dict(h._cache)
+        for v in range(h.n):
+            h.link((v,))
+        assert h._cache == before
+
     def test_min_degrees(self):
         assert k222().min_s_degree(1) == 4
         assert single_edge().min_s_degree(2) == 1
