@@ -8,9 +8,10 @@ Searches iterate candidates in ascending vertex-id order, so witnesses are
 deterministic and lexicographically smallest.
 
 The cover-partition condition for 3-graphs is the partition condition at
-k = 3, so both deciders run one part-assignment search per candidate vstar.
-No vertex of :func:`blocked_vertices` is a candidate there, nor in the
-k-partite link-disjointness.
+k = 3, so both deciders run one search per candidate vstar: a 2-colouring at
+k = 3, with no backtracking, and a part-assignment search at k >= 4.  No
+vertex of :func:`blocked_vertices` is a candidate there, nor in the k-partite
+link-disjointness.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .hypergraph import Hypergraph, PartAssignments
+from .hypergraph import Hypergraph, PartAssignments, UnionFind
 
 RED, BLUE, GREEN = "red", "blue", "green"
 
@@ -372,11 +373,13 @@ def decide_partition_condition_k(f: Hypergraph) -> DecisionReport:
     Edges sharing >= 2 vertices form ``overlap_classes(2)``, each of which
     must have one index vector.  A vertex of :func:`blocked_vertices` is
     skipped without a search: its edge through it and its edge avoiding it
-    differ in the {vstar} coordinate.  For every other vstar, a
-    :class:`PartAssignments` search fixes vstar in part k-1 and places the
-    rest in parts 0..k-2, with two vertices sharing an edge through vstar in
-    conflict (so link(vstar) is rainbow).  Its first answer is the witness;
-    ``nodes`` counts the part choices tried over the vstars searched.
+    differ in the {vstar} coordinate.  Every other vstar goes in part k-1,
+    and the first assignment of the rest to parts 0..k-2 is the witness.  At
+    k = 3 :func:`_two_sides` finds it in linear time.  At k >= 4 a
+    :class:`PartAssignments` search finds it, with two vertices sharing an
+    edge through vstar in conflict (so link(vstar) is rainbow).  ``nodes``
+    counts the choices made over the vstars searched: components coloured at
+    k = 3, part choices tried at k >= 4.
     """
     if f.k < 3:
         raise PreconditionError(f"requires k >= 3, got k={f.k}")
@@ -388,19 +391,32 @@ def decide_partition_condition_k(f: Hypergraph) -> DecisionReport:
         flags.append("conjectural-for-k>=4")
     through = f.subset_edges(1)
     blocked = blocked_vertices(f)
+    if k == 3:
+        # The third vertices of the edges through one pair share a part.
+        same = UnionFind(n)
+        for pair, members in f.subset_edges(2).items():
+            if len(members) > 1:
+                thirds = [next(v for v in edges[i] if v not in pair) for i in members]
+                for u in thirds[1:]:
+                    same.union(thirds[0], u)
+        class_of = [same.find(v) for v in range(n)]
     nodes = 0
     for vstar in range(n):
         if vstar in blocked:
             continue
-        mates = [0] * n
-        for i in through.get((vstar,), ()):
-            rest = [u for u in edges[i] if u != vstar]
-            bits = sum(1 << u for u in rest)
-            for u in rest:
-                mates[u] |= bits ^ (1 << u)
-        search = PartAssignments(f, k - 1, mates, s=2, fixed={vstar: k - 1})
-        part_of = next(iter(search), None)
-        nodes += search.nodes
+        if k == 3:
+            part_of, choices = _two_sides(f, vstar, class_of, through)
+            nodes += choices
+        else:
+            mates = [0] * n
+            for i in through.get((vstar,), ()):
+                rest = [u for u in edges[i] if u != vstar]
+                bits = sum(1 << u for u in rest)
+                for u in rest:
+                    mates[u] |= bits ^ (1 << u)
+            search = PartAssignments(f, k - 1, mates, s=2, fixed={vstar: k - 1})
+            part_of = next(iter(search), None)
+            nodes += search.nodes
         if part_of is not None:
             stats = {"nodes": nodes, "time_s": time.perf_counter() - t0}
             parts = [[v for v in range(n) if part_of[v] == p] for p in range(k - 1)]
@@ -408,6 +424,45 @@ def decide_partition_condition_k(f: Hypergraph) -> DecisionReport:
             return DecisionReport("partition-k", True, witness, flags, stats)
     stats = {"nodes": nodes, "time_s": time.perf_counter() - t0}
     return DecisionReport("partition-k", False, None, flags, stats)
+
+
+def _two_sides(f: Hypergraph, vstar: int, class_of: list[int],
+               through: dict[tuple[int, ...], tuple[int, ...]]) -> tuple[list[int] | None, int]:
+    """The first partition-k assignment at k = 3 for an unblocked vstar, or
+    None; and the number of components coloured.
+
+    At k = 3 two edges sharing a pair have equal index vectors exactly when
+    their third vertices share a part, so each class of ``class_of`` lies in
+    one part.  vstar is unblocked, so its class is {vstar}.  An edge through
+    vstar asks its other two classes to differ, so the rest is a 2-colouring
+    of the classes.  Each component takes part 0 at its smallest vertex, and
+    that one choice fixes the component.  So the colouring found is the
+    lexicographically first, as a part-assignment search would find it.
+    """
+    differ: dict[int, list[int]] = {}
+    for i in through.get((vstar,), ()):
+        a, b = (class_of[u] for u in f.edges[i] if u != vstar)
+        if a == b:
+            return None, 0
+        differ.setdefault(a, []).append(b)
+        differ.setdefault(b, []).append(a)
+    side = {vstar: f.k - 1}
+    components = 0
+    for u in range(f.n):
+        if class_of[u] in side:
+            continue
+        components += 1
+        side[class_of[u]] = 0
+        stack = [class_of[u]]
+        while stack:
+            cur = stack.pop()
+            for nxt in differ.get(cur, ()):
+                if nxt not in side:
+                    side[nxt] = 1 - side[cur]
+                    stack.append(nxt)
+                elif side[nxt] == side[cur]:
+                    return None, components
+    return [side[class_of[u]] for u in range(f.n)], components
 
 
 # ---------------------------------------------------------------------------
@@ -449,15 +504,17 @@ def validate_cover_witness(f, vstar, x_side, y_side) -> bool:
         return False
     if xs | ys | {vstar} != set(range(f.n)):
         return False
+    for e in f.edges:
+        if vstar in e:
+            a, b = (u for u in e if u != vstar)
+            if not ((a in xs and b in ys) or (a in ys and b in xs)):
+                return False
     links: list[set[tuple[int, int]]] = [set() for _ in range(f.n)]
     for a, b, c in f.edges:
         links[a].add((b, c))
         links[b].add((a, c))
         links[c].add((a, b))
     link_star = links[vstar]
-    for a, b in link_star:
-        if not ((a in xs and b in ys) or (a in ys and b in xs)):
-            return False
     for x in xs:
         lx = links[x]
         for y in ys:

@@ -1,3 +1,4 @@
+import signal
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -44,6 +45,30 @@ def all_3graphs(n):
     triples = list(combinations(range(n), 3))
     for mask in range(1 << len(triples)):
         yield Hypergraph(3, n, [t for i, t in enumerate(triples) if mask >> i & 1])
+
+
+def within(seconds, fn, f):
+    """fn(f), raising TimeoutError instead of hanging once ``seconds`` pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"{fn.__name__} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(f)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# A perfect matching whose vertex 0 also has the odd cycle 42-43-44 in its
+# link: vstar = 0 fails, but only once 44 is placed, after 3..41 are free.
+MATCHING_ODD_LINK = Hypergraph(
+    3, 45, [(i, i + 1, i + 2) for i in range(0, 42, 3)] + [(0, 42, 43), (0, 42, 44), (0, 43, 44)])
+# One component: with vstar = 0, each of 1..40 must differ from 41, and
+# link(0) also holds the odd cycle 41-42-43; every vstar fails.
+STAR_ODD_LINK = Hypergraph(
+    3, 44, [(0, i, 41) for i in range(1, 41)] + [(0, 41, 42), (0, 41, 43), (0, 42, 43)])
 
 
 class TestForcedColoring:
@@ -139,6 +164,14 @@ class TestCoverPartition:
         f = Hypergraph(3, 4, [(0, 1, 2)])
         report = decide_cover_partition_3(f)
         assert report.verdict and "isolated-vertices" in report.flags
+
+    def test_no_backtracking_over_free_vertices(self):
+        # A search placing vertices one by one tries about 2^39 assignments
+        # on each graph before it moves on from vstar = 0.
+        report = within(2, decide_cover_partition_3, MATCHING_ODD_LINK)
+        assert report.witness == {"vstar": 1, "X": [0, *range(3, 45)], "Y": [2]}
+        assert validate_cover_witness(MATCHING_ODD_LINK, 1, [0, *range(3, 45)], [2])
+        assert not within(2, decide_cover_partition_3, STAR_ODD_LINK).verdict
 
 
 class TestFactor3:
@@ -271,9 +304,13 @@ class TestPartitionConditionK:
                   *random_kgraphs(rng, 40, 5, 4, p=0.4), *random_kgraphs(rng, 30, 6, 4, p=0.25)]
         outcomes = set()
         for f in graphs:
-            verdict = decide_partition_condition_k(f).verdict
-            assert verdict == (partition_condition_oracle(f) is not None)
-            outcomes.add((f.k, verdict))
+            report = decide_partition_condition_k(f)
+            # Both return the first vstar and its lexicographically first parts.
+            expected = partition_condition_oracle(f)
+            assert report.verdict == (expected is not None)
+            if expected is not None:
+                assert report.witness == {"vstar": expected[0], "parts": expected[1]}
+            outcomes.add((f.k, report.verdict))
         assert outcomes == {(3, False), (3, True), (4, False), (4, True)}
 
     def test_cover_partition_is_partition_condition_at_k3(self):
