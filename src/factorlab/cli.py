@@ -98,9 +98,9 @@ def cmd_decide(args) -> int:
 
 def cmd_lattice(args) -> int:
     f = _load_pattern(args.file)
-    gens = lattice.size_generators(f, args.s)
-    lat = lattice.lattice_from_generators(gens)
     bips = lattice.enumerate_shadow_disjoint_bipartitions(f, args.s)
+    gens = lattice.generators_of(f, bips)
+    lat = lattice.lattice_from_generators(gens)
     report = {
         "s": args.s,
         "generators": [list(g) for g in gens],

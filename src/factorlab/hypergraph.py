@@ -76,28 +76,9 @@ class Partition:
 
     parts: tuple[tuple[int, ...], ...]
 
-    @classmethod
-    def from_parts(cls, parts: Iterable[Iterable[int]], n: int) -> "Partition":
-        norm = tuple(tuple(sorted(set(p))) for p in parts)
-        seen: set[int] = set()
-        for part in norm:
-            for v in part:
-                if v in seen:
-                    raise ValueError(f"vertex {v} appears in two parts")
-                seen.add(v)
-        if seen != set(range(n)):
-            raise ValueError("parts do not cover the vertex set exactly")
-        return cls(norm)
-
     def index_vector(self, vertices: Iterable[int]) -> tuple[int, ...]:
         vs = set(vertices)
         return tuple(len(vs.intersection(part)) for part in self.parts)
-
-    def part_of(self, v: int) -> int:
-        for i, part in enumerate(self.parts):
-            if v in part:
-                return i
-        raise ValueError(f"vertex {v} not in partition")
 
     def to_json_obj(self) -> list[list[int]]:
         return [list(p) for p in self.parts]

@@ -72,10 +72,14 @@ def enumerate_shadow_disjoint_bipartitions(f: Hypergraph, s: int) -> list[Bipart
     ]
 
 
+def generators_of(f: Hypergraph, bips: list[Bipartition]) -> list[tuple[int, int]]:
+    """Deduplicated (|A|, f-|A|) vectors of ``bips``, by ascending |A|."""
+    return [(a, f.n - a) for a in sorted({len(bp.a) for bp in bips})]
+
+
 def size_generators(f: Hypergraph, s: int) -> list[tuple[int, int]]:
     """Deduplicated (|A|, f-|A|) vectors over all s-shadow-disjoint bipartitions."""
-    sizes = sorted({len(bp.a) for bp in enumerate_shadow_disjoint_bipartitions(f, s)})
-    return [(a, f.n - a) for a in sizes]
+    return generators_of(f, enumerate_shadow_disjoint_bipartitions(f, s))
 
 
 def lattice_from_generators(gens) -> Lattice:

@@ -10,11 +10,12 @@ ascending vertex order, so every listing is deterministic.  Labelled
 listings (``enumerate_copies``, ``rooted_copies``, ``find_cover``) see every
 embedding; ``copy_images`` adds symmetry-breaking order constraints and sees
 one embedding per copy, so its ``cap`` (and ``find_factor``'s) counts copies.
-The factor solver collapses copies to their vertex images (one witness
-embedding per image) and runs a complete exact-cover search, so "absent"
-results are proofs, not heuristics — unless the copy cap was hit, in which
-case the result is explicitly inconclusive.  That search is iterative, keeps
-the options of each vertex and the live options as ints over option ids, and
+The factor solver collapses copies to their vertex images, each an int host
+bitmask (bit w is host vertex w) keyed to one witness embedding, and runs a
+complete exact-cover search over those masks, so "absent" results are
+proofs, not heuristics — unless the copy cap was hit, in which case the
+result is explicitly inconclusive.  That search is iterative, keeps the
+options of each vertex and the live options as ints over option ids, and
 skips covered sets it has already refuted through a failure memo bounded by
 ``MEMO_LIMIT`` words.
 """
@@ -278,18 +279,22 @@ class FactorSearchResult:
 
 def copy_images(
     f: Hypergraph, h: Hypergraph, cap: int = DEFAULT_CAP
-) -> tuple[dict[frozenset[int], tuple[int, ...]], bool]:
-    """Distinct copy images, each with the first embedding onto it in search
-    order as its witness.
+) -> tuple[dict[int, tuple[int, ...]], bool]:
+    """Distinct copy images, keyed by their host bitmask (bit w is host
+    vertex w), each with the first embedding onto it in search order as its
+    witness; keys are in the order their images were first reached.
 
     One embedding is listed per copy (per Aut(f) class), so ``cap`` counts
     copies; ``truncated`` flags that more than ``cap`` copies exist.
     """
-    images: dict[frozenset[int], tuple[int, ...]] = {}
+    images: dict[int, tuple[int, ...]] = {}
     for count, phi in enumerate(iter_embeddings(f, h, per_copy=True)):
         if count == cap:
             return images, True
-        images.setdefault(frozenset(phi), phi)
+        mask = 0
+        for w in phi:
+            mask |= 1 << w
+        images.setdefault(mask, phi)
     return images, False
 
 
@@ -310,14 +315,16 @@ def _bitset(ids: list[int], size: int) -> int:
 def find_factor(f: Hypergraph, h: Hypergraph, cap: int = DEFAULT_CAP) -> FactorSearchResult:
     """Complete exact-cover search for vertex-disjoint copies covering V(H).
 
-    The options are the copy images in sorted order.  ``at_vertex[v]`` is the
-    int of the options containing v and ``live`` the int of those disjoint
-    from the covered vertices.  The search branches on the uncovered vertex
-    with the fewest live options (ties: smallest id) and tries them in
-    ascending id.  Choosing an option removes the live options it meets; the
-    removed bits go on a trail and come back on backtrack, as in Algorithm X
-    (Knuth, "Dancing Links", 2000).  The search runs on that trail, not on
-    the Python stack, so its depth is bounded only by v(H) / v(F).
+    The options are the host bitmasks of the copy images, ordered by their
+    sorted vertices; each option's vertices are read from its witness
+    embedding.  ``at_vertex[v]`` is the int of the options containing v and
+    ``live`` the int of those disjoint from the covered vertices.  The
+    search branches on the uncovered vertex with the fewest live options
+    (ties: smallest id) and tries them in ascending id.  Choosing an option
+    removes the live options it meets; the removed bits go on a trail and
+    come back on backtrack, as in Algorithm X (Knuth, "Dancing Links",
+    2000).  The search runs on that trail, not on the Python stack, so its
+    depth is bounded only by v(H) / v(F).
 
     Every covered set whose subtree was refuted goes into a failure memo, and
     a repeat is refuted at once (the memo of DXZ, Nishino et al. 2017).  The
@@ -340,18 +347,18 @@ def find_factor(f: Hypergraph, h: Hypergraph, cap: int = DEFAULT_CAP) -> FactorS
         return FactorSearchResult("found", blocks, {"reason": "edgeless-pattern", "nodes": 0, "memo": 0})
 
     images, truncated = copy_images(f, h, cap)
-    image_list = sorted(images, key=sorted)
-    masks = [sum(1 << v for v in img) for img in image_list]
+    masks = sorted(images, key=lambda m: sorted(images[m]))
+    witnesses = [images[m] for m in masks]
     ids: list[list[int]] = [[] for _ in range(h.n)]
-    for idx, img in enumerate(image_list):
-        for v in img:
+    for idx, phi in enumerate(witnesses):
+        for v in phi:
             ids[v].append(idx)
-    at_vertex = [_bitset(vs, len(image_list)) for vs in ids]
+    at_vertex = [_bitset(vs, len(masks)) for vs in ids]
     covered = bytearray(h.n)
 
     def options(live: int) -> int:
         """The live options of the uncovered vertex with the fewest."""
-        best, best_v = len(image_list) + 1, -1
+        best, best_v = len(masks) + 1, -1
         for v in range(h.n):
             if not covered[v]:
                 count = (at_vertex[v] & live).bit_count()
@@ -362,7 +369,7 @@ def find_factor(f: Hypergraph, h: Hypergraph, cap: int = DEFAULT_CAP) -> FactorS
         return at_vertex[best_v] & live
 
     full = (1 << h.n) - 1
-    used, live = 0, (1 << len(image_list)) - 1
+    used, live = 0, (1 << len(masks)) - 1
     memo: set[int] = set()
     room = MEMO_LIMIT // (h.n // 64 + 1)
     trail: list[tuple[int, int, int]] = []  # per choice: option, options its frame has left, live ones it removed
@@ -375,7 +382,7 @@ def find_factor(f: Hypergraph, h: Hypergraph, cap: int = DEFAULT_CAP) -> FactorS
             i = low.bit_length() - 1
             nodes += 1
             gone = 0
-            for v in image_list[i]:
+            for v in witnesses[i]:
                 gone |= at_vertex[v]
                 covered[v] = 1
             gone &= live
@@ -391,14 +398,14 @@ def find_factor(f: Hypergraph, h: Hypergraph, cap: int = DEFAULT_CAP) -> FactorS
             i, cand, gone = trail.pop()
             live |= gone
             used ^= masks[i]
-            for v in image_list[i]:
+            for v in witnesses[i]:
                 covered[v] = 0
         else:
             break
 
-    stats = {"nodes": nodes, "copies": len(image_list), "truncated": truncated, "memo": len(memo)}
+    stats = {"nodes": nodes, "copies": len(masks), "truncated": truncated, "memo": len(memo)}
     if used == full:
-        return FactorSearchResult("found", [images[image_list[i]] for i, _, _ in trail], stats)
+        return FactorSearchResult("found", [witnesses[i] for i, _, _ in trail], stats)
     return FactorSearchResult("inconclusive" if truncated else "absent", None, stats)
 
 
@@ -624,7 +631,8 @@ def count_reachable_sets(h: Hypergraph, f: Hypergraph, u: int, v: int) -> int:
     {v} ∪ W span factor-patterned subgraphs.
 
     A host on v(F) vertices has an F-factor exactly when its vertex set is a
-    copy image, so one listing of the copy images of f in h decides every W.
+    copy image, so one listing of the copy images of f in h decides every W:
+    {v} ∪ W is tested as a lookup of its bitmask among the image keys.
     """
     if h.n > REACHABLE_HOST_LIMIT:
         raise ValueError(f"host too large for exact reachability count (n > {REACHABLE_HOST_LIMIT})")
@@ -635,6 +643,5 @@ def count_reachable_sets(h: Hypergraph, f: Hypergraph, u: int, v: int) -> int:
     images, truncated = copy_images(f, h)
     if truncated:
         raise ValueError(f"more than {DEFAULT_CAP} copies: no exact reachability count")
-    masks = {sum(1 << w for w in img) for img in images}
     bu, bv = 1 << u, 1 << v
-    return sum(1 for m in masks if m & bu and not m & bv and m ^ bu | bv in masks)
+    return sum(1 for m in images if m & bu and not m & bv and m ^ bu | bv in images)

@@ -121,6 +121,20 @@ def test_criterion_3_oracle_equivalence():
 def test_criterion_4_construction_guarantees():
     start = time.perf_counter()
     pattern = k222()
+    checked = 0
+
+    def check_parity(n, seed):
+        nonlocal checked
+        shadow = construct_shadow_disjoint(ConstructionParams(n=n, k=3, seed=seed, s=2))
+        x_side = shadow.partition.parts[0]
+        assert shadow_disjoint_ok(shadow.hypergraph, x_side, 2)
+        images, truncated = copy_images(pattern, shadow.hypergraph)
+        assert not truncated
+        x_mask = sum(1 << v for v in x_side)
+        for mask in images:
+            assert (mask & x_mask).bit_count() % 2 == 0
+        checked += len(images)
+
     for n in (15, 21):
         for seed in range(10):
             built = construct_partite_coloring(ConstructionParams(n=n, k=3, seed=seed))
@@ -128,14 +142,12 @@ def test_criterion_4_construction_guarantees():
             for root in range(pattern.n):
                 res = rooted_copies(pattern, root, built.hypergraph, built.z)
                 assert res.count == 0 and not res.truncated
-
-            shadow = construct_shadow_disjoint(ConstructionParams(n=n, k=3, seed=seed, s=2))
-            x_side = shadow.partition.parts[0]
-            assert shadow_disjoint_ok(shadow.hypergraph, x_side, 2)
-            images, truncated = copy_images(pattern, shadow.hypergraph)
-            assert not truncated
-            for img in images:
-                assert len(img & set(x_side)) % 2 == 0
+            check_parity(n, seed)
+    # Builds at n <= 21 hold no K222 copy; these larger ones hold 1 to 130.
+    for n in (60, 90):
+        for seed in range(5):
+            check_parity(n, seed)
+    assert checked > 0
 
     # |X| odd with 6 | n: parity forbids a perfect tiling, and the solver and
     # the parity argument prove it independently.
@@ -145,14 +157,16 @@ def test_criterion_4_construction_guarantees():
         )
         res = find_factor(pattern, shadow.hypergraph)
         assert res.status == "absent"
-        x_side = set(shadow.partition.parts[0])
+        x_side = shadow.partition.parts[0]
+        x_mask = sum(1 << v for v in x_side)
         images, truncated = copy_images(pattern, shadow.hypergraph)
         assert not truncated
-        assert all(len(img & x_side) % 2 == 0 for img in images)
+        assert all((mask & x_mask).bit_count() % 2 == 0 for mask in images)
         assert len(x_side) % 2 == 1  # even image slices can never sum to odd |X|
     elapsed = time.perf_counter() - start
     assert elapsed < 600
-    print(f"ACCEPTANCE 4 PASS structural guarantees over 10 seeds x n in {{15,21}} ({elapsed:.1f}s)")
+    print(f"ACCEPTANCE 4 PASS structural guarantees over 10 seeds x n in {{15,21}}, "
+          f"{checked} K222 images checked for parity ({elapsed:.1f}s)")
 
 
 def test_criterion_5_inclusion_probability():

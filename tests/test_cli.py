@@ -112,6 +112,20 @@ class TestLatticeCommand:
         assert report["generators"] == [[0, 6], [2, 4], [4, 2], [6, 0]]
         assert report["bipartition_count"] == 8
 
+    def test_lists_bipartitions_once(self, capsys, monkeypatch, k222_file):
+        from factorlab import lattice
+
+        listings = []
+        listing = lattice.enumerate_shadow_disjoint_bipartitions
+
+        def counted(f, s):
+            listings.append(s)
+            return listing(f, s)
+
+        monkeypatch.setattr(lattice, "enumerate_shadow_disjoint_bipartitions", counted)
+        code, _, _ = run(capsys, ["lattice", k222_file, "--s", "2"])
+        assert code == 0 and listings == [2]
+
 
 class TestConstruct:
     def test_lemma51_files_and_sidecar(self, capsys, tmp_path):

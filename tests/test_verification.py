@@ -76,7 +76,8 @@ class TestEmbeddings:
         for _ in range(10):
             host = random_graph(rng, 7)
             images, _ = copy_images(pattern, host)
-            assert set(images) == set(copy_images_oracle(pattern, host))
+            assert set(images) == {sum(1 << w for w in img) for img in copy_images_oracle(pattern, host)}
+            assert all(mask == sum(1 << w for w in phi) for mask, phi in images.items())
 
     def test_validate_embedding_rejects_bad_maps(self):
         h = complete(4, 3)
@@ -159,7 +160,7 @@ class TestSearch:
         for f, h in random_pairs(74, 40):
             first = {}
             for phi in enumerate_copies(f, h).embeddings:
-                first.setdefault(frozenset(phi), phi)
+                first.setdefault(sum(1 << w for w in phi), phi)
             images, truncated = copy_images(f, h)
             assert images == first and list(images) == list(first) and not truncated
 
@@ -231,8 +232,7 @@ def reference_factor(f, h):
     of options tried."""
     images, truncated = copy_images(f, h)
     assert not truncated
-    image_list = sorted(images, key=sorted)
-    masks = [sum(1 << v for v in img) for img in image_list]
+    masks = sorted(images, key=lambda m: sorted(images[m]))
     full = (1 << h.n) - 1
     chosen = []
     nodes = 0
@@ -256,7 +256,7 @@ def reference_factor(f, h):
         return False
 
     found = rec(0)
-    return ([images[image_list[i]] for i in chosen] if found else None), nodes
+    return ([images[masks[i]] for i in chosen] if found else None), nodes
 
 
 def space_barrier(rng, n, a, p):
@@ -378,11 +378,11 @@ class TestParityOnShadowDisjoint:
         # K222 with X = one of its parts is vacuously 2-shadow disjoint and
         # hosts exactly one copy image whose X-intersection is even.
         host = k222()
-        x_side = (0, 1)
+        x_mask = 0b11
         images, _ = copy_images(k222(), host)
         assert images
-        for img in images:
-            assert len(set(x_side) & img) % 2 == 0
+        for mask in images:
+            assert (x_mask & mask).bit_count() % 2 == 0
 
 
 class TestDenseness:
