@@ -1,0 +1,205 @@
+"""Golden-output gate: the SHA-256 of every answer on a seeded corpus.
+
+Each section below lists the answers of one layer on fixed seeded inputs, as
+JSON, and ``seeded_outputs.json`` pins the digest of each section.  A change
+meant to keep every answer passes this gate unchanged; a change meant to
+alter answers regenerates the pins, and says which and why in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_seeded_outputs.py --pin
+
+Timings (``time_s``) are dropped before hashing; everything else a report
+carries, search statistics included, is pinned.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+import sys
+import tempfile
+from itertools import combinations, permutations
+from pathlib import Path
+
+import pytest
+
+from factorlab import cli, deciders, lattice, verification
+from factorlab.corpus import NAMED, cherry, k4_minus, k222, loose_path, single_edge
+from factorlab.hypergraph import Hypergraph
+
+PINS = Path(__file__).with_name("seeded_outputs.json")
+
+
+def _random_graph(rng: random.Random, k: int, n: int, p: float) -> Hypergraph:
+    return Hypergraph(k, n, [e for e in combinations(range(n), k) if rng.random() < p])
+
+
+def corpus() -> list[Hypergraph]:
+    """Seeded 3- and 4-graphs on 4-7 vertices, at three densities each."""
+    rng = random.Random(20211)
+    return [_random_graph(rng, k, n, p)
+            for k in (3, 4) for n in range(4, 8) for p in (0.2, 0.45, 0.7) for _ in range(3)]
+
+
+def host_pairs() -> list[tuple[Hypergraph, Hypergraph]]:
+    """Seeded (pattern, host) pairs with hosts of up to 14 vertices."""
+    rng = random.Random(20212)
+    edge4 = Hypergraph(4, 4, [(0, 1, 2, 3)])
+    tight4 = Hypergraph(4, 5, [(0, 1, 2, 3), (1, 2, 3, 4)])
+    plan = [(single_edge(), 3, n, p) for n, p in ((6, 0.5), (9, 0.25), (12, 0.15), (14, 0.1))]
+    plan += [(f, 3, n, p) for f in (loose_path(), cherry()) for n, p in ((10, 0.2), (12, 0.3))]
+    plan += [(k4_minus(), 3, n, p) for n, p in ((8, 0.5), (12, 0.3))]
+    plan += [(k222(), 3, n, p) for n, p in ((6, 0.8), (12, 0.35))]
+    plan += [(f, 4, n, p) for f in (edge4, tight4) for n, p in ((8, 0.3), (12, 0.05))]
+    return [(f, _random_graph(rng, k, n, p)) for f, k, n, p in plan]
+
+
+def _strip_times(obj):
+    if isinstance(obj, dict):
+        return {key: _strip_times(val) for key, val in obj.items() if key != "time_s"}
+    if isinstance(obj, list):
+        return [_strip_times(val) for val in obj]
+    return obj
+
+
+def _answer(call, *args):
+    """A decider's report without timings, or the error it raised."""
+    try:
+        return _strip_times(call(*args).to_json_obj())
+    except ValueError as exc:  # PreconditionError included
+        return [type(exc).__name__, str(exc)]
+
+
+DECIDERS = [
+    deciders.decide_turan_zero_3,
+    deciders.decide_cover_partition_3,
+    deciders.decide_factor_3,
+    deciders.decide_partition_condition_k,
+    deciders.decide_linkdisjoint_kpartite,
+]
+
+
+def section_deciders() -> list:
+    out = []
+    for f in corpus():
+        out.append([_answer(decide, f) for decide in DECIDERS])
+        out.append([_answer(lattice.decide_trans, f, s) for s in range(2, f.k)])
+    return out
+
+
+def section_link_chain() -> list:
+    """The check on each witness ordering, and on every consistent ordering
+    of the graphs on at most 5 vertices."""
+    out = []
+    for f in corpus():
+        if f.k != 3:
+            continue
+        report = deciders.decide_turan_zero_3(f)
+        if report.verdict:
+            out.append(deciders.check_link_chain_free(f, report.witness["ordering"]))
+        if f.n <= 5:
+            out.append([deciders.check_link_chain_free(f, order) for order in permutations(range(f.n))
+                        if deciders.forced_coloring(f, order) is not None])
+    return out
+
+
+def section_copy_images() -> list:
+    out = []
+    for f, h in host_pairs():
+        for cap in (verification.DEFAULT_CAP, 5):
+            images, truncated = verification.copy_images(f, h, cap)
+            out.append([list(images.items()), truncated])
+    return out
+
+
+def section_factor() -> list:
+    out = []
+    for f, h in host_pairs():
+        for cap in (verification.DEFAULT_CAP, 5):
+            res = verification.find_factor(f, h, cap)
+            out.append([res.status, res.certificate, res.stats])
+    return out
+
+
+def section_cover() -> list:
+    out = []
+    for f, h in host_pairs():
+        rep = verification.find_cover(f, h)
+        out.append([rep.covered, rep.witnesses, rep.verdict])
+    return out
+
+
+def section_rooted() -> list:
+    out = []
+    for f, h in host_pairs():
+        for vstar in range(f.n):
+            for w in (0, h.n - 1):
+                for cap in (verification.DEFAULT_CAP, 3):
+                    res = verification.rooted_copies(f, vstar, h, w, cap)
+                    out.append([res.count, res.truncated])
+    return out
+
+
+def section_reachable() -> list:
+    return [[verification.count_reachable_sets(h, f, u, v) for u, v in ((0, 1), (h.n - 1, 2))]
+            for f, h in host_pairs()]
+
+
+def _run_cli(argv: list[str], path: Path) -> list:
+    """Exit code, stdout without timings and stderr of one in-process run,
+    with the input file named by its base name."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    text = out.getvalue().replace(str(path), path.name)
+    with contextlib.suppress(ValueError):
+        text = json.dumps(_strip_times(json.loads(text)), indent=2)
+    return [code, text, err.getvalue().replace(str(path), path.name)]
+
+
+def section_cli() -> list:
+    """``decide`` for every property and ``lattice`` for every s, on one
+    graph of each size and density of the seeded corpus and the named graphs."""
+    graphs = corpus()[::3] + [build() for build in NAMED.values()]
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pattern.hg"
+        for f in graphs:
+            path.write_text(f.to_text())
+            for prop in cli.DECIDERS:
+                for s in ([None] if prop != "trans" else range(2, f.k)):
+                    extra = [] if s is None else ["--s", str(s)]
+                    out.append(_run_cli(["decide", prop, str(path), *extra], path))
+            for s in range(2, f.k):
+                out.append(_run_cli(["lattice", str(path), "--s", str(s)], path))
+    return out
+
+
+SECTIONS = {
+    "deciders": section_deciders,
+    "link_chain": section_link_chain,
+    "copy_images": section_copy_images,
+    "factor": section_factor,
+    "cover": section_cover,
+    "rooted": section_rooted,
+    "reachable": section_reachable,
+    "cli": section_cli,
+}
+
+
+def digest(name: str) -> str:
+    return hashlib.sha256(json.dumps(SECTIONS[name]()).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(SECTIONS))
+def test_seeded_outputs_unchanged(name):
+    assert digest(name) == json.loads(PINS.read_text())[name]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--pin"]:
+        raise SystemExit("usage: python tests/test_seeded_outputs.py --pin")
+    PINS.write_text(json.dumps({name: digest(name) for name in SECTIONS}, indent=1) + "\n")
+    print(f"pinned {len(SECTIONS)} digests in {PINS.name}")
