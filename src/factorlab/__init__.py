@@ -37,7 +37,6 @@ from .lattice import (
 from .verification import (
     DensenessEstimate,
     count_reachable_sets,
-    enumerate_copies,
     estimate_denseness,
     estimate_S_denseness,
     exact_denseness_small,

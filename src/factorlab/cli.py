@@ -138,7 +138,7 @@ def _construct_obs62(args, params):
         raise ValueError("construct obs62 requires --s")
     built = constructions.construct_shadow_disjoint(params)
     return built.hypergraph, _colouring_params(args, params, args.s), {
-        "z": None, "partition": built.partition.to_json_obj(), "palette_size": built.palette_size}
+        "z": built.z, "partition": built.partition.to_json_obj(), "palette_size": built.palette_size}
 
 
 def _construct_gnp(args, params):

@@ -55,20 +55,16 @@ class ConstructionParams:
 
 
 @dataclass(frozen=True)
-class PartiteConstruction:
+class Construction:
+    """A colouring build.  The partite variant has its special vertex ``z``
+    and parts (V_1, ..., V_{k-1}, {z}); the bipartition variant has
+    ``z = None`` and two parts (X, Y)."""
+
     hypergraph: Hypergraph
-    z: int
+    z: int | None
     partition: Partition
     palette_size: int
-    base_colors: dict  # pair of the complete base graph -> colour index
-
-
-@dataclass(frozen=True)
-class BipartiteConstruction:
-    hypergraph: Hypergraph
-    partition: Partition  # two parts (X, Y)
-    palette_size: int
-    base_colors: dict  # s-set of the complete base s-graph -> colour index
+    base_colors: dict  # s-set of the complete base s-graph (pairs for lemma51) -> colour index
 
 
 def crossing_index_vectors(k: int) -> list[tuple[int, ...]]:
@@ -161,7 +157,7 @@ def _monochromatic_cliques(n: int, k: int, s: int, colours: list[int]) -> Iterat
         yield from extend(t, cand, j)
 
 
-def construct_partite_coloring(params: ConstructionParams) -> PartiteConstruction:
+def construct_partite_coloring(params: ConstructionParams) -> Construction:
     """Keep the k-sets whose pair clique is monochromatic in the colour
     matched to their index vector w.r.t. (V_1, ..., V_{k-1}, {z}).
 
@@ -199,7 +195,7 @@ def construct_partite_coloring(params: ConstructionParams) -> PartiteConstructio
     if not partite_structure_ok(h, z, partition):
         raise RuntimeError("structural guarantee violated by construction output")
     colors = dict(zip(combinations(range(n), 2), colours))
-    return PartiteConstruction(h, z, partition, palette, colors)
+    return Construction(h, z, partition, palette, colors)
 
 
 def partite_structure_ok(h: Hypergraph, z: int, partition: Partition) -> bool:
@@ -214,7 +210,7 @@ def partite_structure_ok(h: Hypergraph, z: int, partition: Partition) -> bool:
     return _constant_on_overlaps(h, 2, [partition.index_vector(e) for e in h.edges])
 
 
-def construct_shadow_disjoint(params: ConstructionParams) -> BipartiteConstruction:
+def construct_shadow_disjoint(params: ConstructionParams) -> Construction:
     """Colour all s-sets with k+1 colours and keep the k-sets whose s-sets are
     monochromatic in colour |e ∩ X|, for a bipartition (X, Y) with both sides
     of size >= n/3."""
@@ -243,7 +239,7 @@ def construct_shadow_disjoint(params: ConstructionParams) -> BipartiteConstructi
     if not shadow_disjoint_ok(h, x_side, s):
         raise RuntimeError("s-shadow disjointness violated by construction output")
     colors = dict(zip(combinations(range(n), s), colours))
-    return BipartiteConstruction(h, partition, palette, colors)
+    return Construction(h, None, partition, palette, colors)
 
 
 def shadow_disjoint_ok(h: Hypergraph, a_side, s: int) -> bool:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .hypergraph import Hypergraph, PartAssignments, UnionFind
 
@@ -227,28 +228,19 @@ def check_link_chain_free(f: Hypergraph, ordering: list[int] | tuple[int, ...]) 
 
     Under any ordering with a consistent forced colouring, there is no vertex
     v with positions i<j<k such that both {v, v_i, v_j} and {v, v_j, v_k} are
-    edges (v distinct from v_j).  Raises on orderings whose forced colouring
-    is inconsistent, where the property is not defined.
+    edges (v distinct from v_j).  Such a chain exists exactly when the third
+    vertices of some pair of ``subset_edges(2)`` lie on both sides of one of
+    the pair's vertices.  Raises on orderings whose forced colouring is
+    inconsistent, where the property is not defined.
     """
     if forced_coloring(f, ordering) is None:
         raise PreconditionError("inconsistent ordering supplied")
-    seq = list(ordering)
-    edge_set = f.edge_set
-    for v in range(f.n):
-        for j, mid in enumerate(seq):
-            if mid == v:
-                continue
-            before = any(
-                frozenset((v, seq[i], mid)) in edge_set for i in range(j) if seq[i] != v
-            )
-            if not before:
-                continue
-            after = any(
-                frozenset((v, mid, seq[kk])) in edge_set
-                for kk in range(j + 1, len(seq))
-                if seq[kk] != v
-            )
-            if after:
+    pos = {v: i for i, v in enumerate(ordering)}
+    for (a, b), members in f.subset_edges(2).items():
+        if len(members) > 1:
+            thirds = [pos[sum(f.edges[i]) - a - b] for i in members]
+            lo, hi = min(thirds), max(thirds)
+            if lo < pos[a] < hi or lo < pos[b] < hi:
                 return False
     return True
 
@@ -476,8 +468,7 @@ def validate_shadow_coloring(
     """Check an (ordering, colouring) pair against the raw definition."""
     if f.k != 3 or sorted(ordering) != list(range(f.n)):
         return False
-    shadow = {tuple(p) for p in f.shadow(2)} if f.edges else set()
-    if set(coloring) != shadow:
+    if set(coloring) != {pair for e in f.edges for pair in combinations(e, 2)}:
         return False
     pos = {v: i for i, v in enumerate(ordering)}
     for e in f.edges:

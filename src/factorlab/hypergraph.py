@@ -6,9 +6,10 @@ the canonical form used for equality and serialization.  Derived data is
 computed lazily and cached under a lock so instances can be shared across
 threads:
 
-* ``shadow(r)``: the r-sets lying in some edge;
 * ``subset_edges(s)``: each s-set lying in some edge, mapped to the ascending
-  indices of the edges containing it, built in one pass over the edges;
+  indices of the edges containing it, built in one pass over the edges.  It is
+  the one incidence index: ``shadow(r)``, the r-sets lying in some edge, is a
+  view of its keys;
 * ``overlap_classes(s)``: the classes of edge indices under the transitive
   closure of "share >= s vertices", read off ``subset_edges(s)``.  Every
   criterion beyond a colouring rests on this relation;
@@ -36,7 +37,7 @@ import threading
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, KeysView, NamedTuple, Sequence
 
 # Largest vertex count the loaders accept: derived data and the deciders
 # allocate O(n) per graph, so a header may not ask for more.
@@ -174,18 +175,12 @@ class Hypergraph:
 
     # -- shadows, links, degrees -------------------------------------------
 
-    def shadow(self, r: int) -> frozenset[tuple[int, ...]]:
-        """All r-subsets of the vertex set contained in at least one edge."""
+    def shadow(self, r: int) -> KeysView[tuple[int, ...]]:
+        """All r-subsets of the vertex set contained in at least one edge:
+        the keys of ``subset_edges(r)``."""
         if not 1 <= r < self.k:
             raise ValueError(f"shadow order r must satisfy 1 <= r < k, got {r}")
-
-        def compute():
-            out: set[tuple[int, ...]] = set()
-            for e in self.edges:
-                out.update(combinations(e, r))
-            return frozenset(out)
-
-        return self._cached(("shadow", r), compute)
+        return self.subset_edges(r).keys()
 
     def link(self, vertices: Iterable[int]) -> frozenset[tuple[int, ...]]:
         """Neighbourhood of a set S: the (k-|S|)-sets completing S to an edge."""

@@ -7,7 +7,7 @@ embedding up to automorphisms of the pattern.  One backtracking search over
 host bitmasks answers every copy question: it fixes pattern vertices in a
 static order and draws each vertex's candidates from one int, scanned in
 ascending vertex order, so every listing is deterministic.  Labelled
-listings (``enumerate_copies``, ``rooted_copies``, ``find_cover``) see every
+listings (``iter_embeddings``, ``rooted_copies``, ``find_cover``) see every
 embedding; ``copy_images`` adds symmetry-breaking order constraints and sees
 one embedding per copy, so its ``cap`` (and ``find_factor``'s) counts copies.
 The factor solver collapses copies to their vertex images, each an int host
@@ -22,7 +22,7 @@ skips covered sets it has already refuted through a failure memo bounded by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import permutations
 from typing import Iterator
 
@@ -41,22 +41,20 @@ def _embedding_order(f: Hypergraph, root: int | None) -> list[int]:
     """Static search order: root first, then vertices attached to the chosen
     prefix by as many edges as possible (ties: higher degree, lower id)."""
     degs = f.embedding_masks().degrees
+    through = f.subset_edges(1)
+    attach = [0] * f.n  # vertex -> edges through it that meet the chosen prefix
+    reached = [False] * len(f.edges)
     chosen: list[int] = []
-    in_chosen = [False] * f.n
-    if root is not None:
-        chosen.append(root)
-        in_chosen[root] = True
-    while len(chosen) < f.n:
-        best_key, best_v = None, -1
-        for v in range(f.n):
-            if in_chosen[v]:
-                continue
-            attach = sum(1 for e in f.edges if v in e and any(in_chosen[u] for u in e))
-            key = (-attach, -degs[v], v)
-            if best_key is None or key < best_key:
-                best_key, best_v = key, v
-        chosen.append(best_v)
-        in_chosen[best_v] = True
+    left = list(range(f.n))
+    while left:
+        v = root if root is not None and not chosen else min(left, key=lambda u: (-attach[u], -degs[u], u))
+        chosen.append(v)
+        left.remove(v)
+        for i in through.get((v,), ()):
+            if not reached[i]:
+                reached[i] = True
+                for u in f.edges[i]:
+                    attach[u] += 1
     return chosen
 
 
@@ -169,6 +167,11 @@ def _search(
     yield from rec(0, 0)
 
 
+def _check_uniformity(f: Hypergraph, h: Hypergraph) -> None:
+    if f.k != h.k:
+        raise ValueError(f"uniformity mismatch: pattern k={f.k}, host k={h.k}")
+
+
 def iter_embeddings(
     f: Hypergraph, h: Hypergraph, pre: dict[int, int] | None = None, *, per_copy: bool = False
 ) -> Iterator[tuple[int, ...]]:
@@ -178,8 +181,7 @@ def iter_embeddings(
     With ``per_copy`` (no ``pre``) only the first embedding of each copy,
     that is of each Aut(f) class, is yielded; the order is unchanged.
     """
-    if f.k != h.k:
-        raise ValueError(f"uniformity mismatch: pattern k={f.k}, host k={h.k}")
+    _check_uniformity(f, h)
     pre = pre or {}
     for u, w in pre.items():
         if not 0 <= u < f.n:
@@ -191,22 +193,6 @@ def iter_embeddings(
     if f.n > h.n:
         return
     yield from _search(f, h, pre, _class_floors(f) if per_copy else None)
-
-
-@dataclass
-class CopyEnumeration:
-    embeddings: list[tuple[int, ...]]
-    truncated: bool
-
-
-def enumerate_copies(f: Hypergraph, h: Hypergraph, cap: int = DEFAULT_CAP) -> CopyEnumeration:
-    """Up to ``cap`` labelled embeddings; ``truncated`` flags a hit cap."""
-    out = []
-    for phi in iter_embeddings(f, h):
-        if len(out) == cap:
-            return CopyEnumeration(out, True)
-        out.append(phi)
-    return CopyEnumeration(out, False)
 
 
 @dataclass
@@ -232,7 +218,7 @@ def rooted_copies(
 
 
 def validate_embedding(f: Hypergraph, h: Hypergraph, phi: tuple[int, ...]) -> bool:
-    if len(phi) != f.n or len(set(phi)) != f.n:
+    if f.k != h.k or len(phi) != f.n or len(set(phi)) != f.n:
         return False
     if any(w < 0 or w >= h.n for w in phi):
         return False
@@ -254,6 +240,7 @@ class CoverReport:
 def find_cover(f: Hypergraph, h: Hypergraph) -> CoverReport:
     """Per-vertex: is the vertex contained in some copy of f?  The aggregate
     verdict is the conjunction."""
+    _check_uniformity(f, h)
     covered = [False] * h.n
     witnesses: list[tuple[int, ...] | None] = [None] * h.n
     for w in range(h.n):
@@ -336,6 +323,7 @@ def find_factor(f: Hypergraph, h: Hypergraph, cap: int = DEFAULT_CAP) -> FactorS
     Divisibility is checked first.  ``cap`` bounds the copies listed by
     :func:`copy_images`; a hit cap downgrades "absent" to "inconclusive".
     """
+    _check_uniformity(f, h)
     if f.n == 0:
         raise ValueError("pattern must have at least one vertex")
     if h.n % f.n != 0:
@@ -438,14 +426,7 @@ class DensenessEstimate:
     family: list[list[int]] | None = None
 
     def to_json_obj(self) -> dict:
-        return {
-            "p": self.p,
-            "samples": self.samples,
-            "worst_deficit": self.worst_deficit,
-            "mode": self.mode,
-            "seed": self.seed,
-            "family": self.family,
-        }
+        return asdict(self)
 
 
 def _deficit(p: float, tuple_family_size: int, edge_tuple_count: int, n_pow_k: int) -> float:
@@ -623,19 +604,15 @@ def exact_denseness_small(h: Hypergraph, p: float) -> DensenessEstimate:
 # reachability counting
 # ---------------------------------------------------------------------------
 
-REACHABLE_HOST_LIMIT = 14
-
-
 def count_reachable_sets(h: Hypergraph, f: Hypergraph, u: int, v: int) -> int:
     """Number of (v(F)-1)-sets W avoiding {u, v} such that both {u} ∪ W and
     {v} ∪ W span factor-patterned subgraphs.
 
     A host on v(F) vertices has an F-factor exactly when its vertex set is a
     copy image, so one listing of the copy images of f in h decides every W:
-    {v} ∪ W is tested as a lookup of its bitmask among the image keys.
+    {v} ∪ W is tested as a lookup of its bitmask among the image keys.  Only
+    the copy cap bounds the host: past ``DEFAULT_CAP`` copies it raises.
     """
-    if h.n > REACHABLE_HOST_LIMIT:
-        raise ValueError(f"host too large for exact reachability count (n > {REACHABLE_HOST_LIMIT})")
     if u == v or not (0 <= u < h.n and 0 <= v < h.n):
         raise ValueError("u and v must be distinct host vertices")
     if f.n == 0:

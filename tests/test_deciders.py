@@ -19,6 +19,7 @@ from factorlab import (
     validate_partition_witness,
     validate_shadow_coloring,
 )
+from factorlab import deciders
 from factorlab.corpus import cherry, k4, k4_minus, k222, loose_path, single_edge
 from factorlab.deciders import blocked_vertices, coloring_from_witness
 from factorlab.oracles import (
@@ -399,6 +400,32 @@ class TestCompatibleEnumeration:
         assert checked > 1000
 
 
+def link_chain_free_reference(f, ordering):
+    """The cubic scan: no vertex v and position j with edges {v, v_i, v_j}
+    and {v, v_j, v_k} for some i < j < k, every triple probed as a set."""
+    seq = list(ordering)
+    for v in range(f.n):
+        for j, mid in enumerate(seq):
+            if mid == v:
+                continue
+            before = any(frozenset((v, seq[i], mid)) in f.edge_set for i in range(j) if seq[i] != v)
+            after = any(frozenset((v, mid, seq[i])) in f.edge_set for i in range(j + 1, len(seq)) if seq[i] != v)
+            if before and after:
+                return False
+    return True
+
+
+def random_orderings(seed, graphs):
+    """Seeded 3-graphs on 3-8 vertices, sparse enough to have consistent
+    orderings, each with a few random orderings."""
+    rng = np.random.default_rng(seed)
+    for _ in range(graphs):
+        n = int(rng.integers(3, 9))
+        f = next(random_3graphs(rng, 1, n, p=float(rng.uniform(0.05, 0.4))))
+        for _ in range(10):
+            yield f, [int(v) for v in rng.permutation(n)]
+
+
 class TestLinkChainFree:
     def test_single_edge(self):
         assert check_link_chain_free(single_edge(), [0, 1, 2])
@@ -419,3 +446,21 @@ class TestLinkChainFree:
                     assert check_link_chain_free(f, list(perm))
                     checked += 1
         assert checked > 100
+
+    def test_matches_cubic_scan_on_consistent_orderings(self):
+        checked = 0
+        for f, ordering in random_orderings(37, 1500):
+            if forced_coloring(f, ordering) is not None:
+                assert check_link_chain_free(f, ordering) == link_chain_free_reference(f, ordering)
+                checked += 1
+        assert checked >= 5000
+
+    def test_pair_rule_matches_cubic_scan_on_any_ordering(self, monkeypatch):
+        # With the precondition lifted, chains occur; the rule on the pairs of
+        # subset_edges(2) must find exactly the chains the scan finds.
+        monkeypatch.setattr(deciders, "forced_coloring", lambda f, ordering: {})
+        outcomes = []
+        for f, ordering in random_orderings(38, 300):
+            outcomes.append(check_link_chain_free(f, ordering))
+            assert outcomes[-1] == link_chain_free_reference(f, ordering)
+        assert 100 < sum(outcomes) < len(outcomes) - 100

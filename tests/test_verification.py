@@ -8,7 +8,6 @@ import pytest
 from factorlab import (
     Hypergraph,
     count_reachable_sets,
-    enumerate_copies,
     estimate_denseness,
     estimate_S_denseness,
     exact_denseness_small,
@@ -32,14 +31,16 @@ def random_graph(rng, n, p=0.4):
 
 class TestEmbeddings:
     def test_edge_into_k4(self):
-        result = enumerate_copies(single_edge(), complete(4, 3))
-        assert len(result.embeddings) == 24 and not result.truncated
-        assert len({frozenset(phi) for phi in result.embeddings}) == 4
+        embeddings = list(iter_embeddings(single_edge(), complete(4, 3)))
+        assert len(embeddings) == 24
+        assert len({frozenset(phi) for phi in embeddings}) == 4
+        images, truncated = copy_images(single_edge(), complete(4, 3))
+        assert len(images) == 4 and not truncated
 
     def test_k222_self_embeddings_are_automorphisms(self):
         from itertools import permutations
 
-        result = enumerate_copies(k222(), k222())
+        embeddings = list(iter_embeddings(k222(), k222()))
         # oracle: count edge-preserving bijections directly
         h = k222()
         autos = sum(
@@ -47,27 +48,32 @@ class TestEmbeddings:
             for phi in permutations(range(6))
         )
         assert autos == 48
-        assert len(result.embeddings) == autos
+        assert len(embeddings) == autos
 
     def test_no_copies_in_edgeless_host(self):
-        assert enumerate_copies(single_edge(), Hypergraph(3, 5, [])).embeddings == []
+        assert list(iter_embeddings(single_edge(), Hypergraph(3, 5, []))) == []
 
     def test_cap_flags_truncation(self):
-        result = enumerate_copies(single_edge(), complete(6, 3), cap=10)
-        assert result.truncated and len(result.embeddings) == 10
+        images, truncated = copy_images(single_edge(), complete(6, 3), cap=10)
+        assert truncated and len(images) == 10
+        res = rooted_copies(single_edge(), 1, complete(6, 3), 5, cap=10)
+        assert res.truncated and res.count == 10
 
     def test_cap_beyond_index_range(self):
         # Caps at and above the count, up to past sys.maxsize, are not hit.
-        for cap in (24, 10**23):
-            result = enumerate_copies(single_edge(), complete(4, 3), cap=cap)
-            assert not result.truncated and len(result.embeddings) == 24
+        for cap in (4, 10**23):
+            images, truncated = copy_images(single_edge(), complete(4, 3), cap=cap)
+            assert not truncated and len(images) == 4
+        for cap in (6, 10**23):
+            res = rooted_copies(single_edge(), 2, complete(4, 3), 3, cap=cap)
+            assert not res.truncated and res.count == 6
 
     def test_every_embedding_validates(self):
         rng = np.random.default_rng(61)
         pattern = Hypergraph(3, 4, [(0, 1, 2), (1, 2, 3)])
         for _ in range(10):
             host = random_graph(rng, 7)
-            for phi in enumerate_copies(pattern, host).embeddings:
+            for phi in iter_embeddings(pattern, host):
                 assert validate_embedding(pattern, host, phi)
 
     def test_matches_injection_oracle(self):
@@ -159,7 +165,7 @@ class TestSearch:
     def test_witness_is_first_labelled_embedding_of_its_image(self):
         for f, h in random_pairs(74, 40):
             first = {}
-            for phi in enumerate_copies(f, h).embeddings:
+            for phi in iter_embeddings(f, h):
                 first.setdefault(sum(1 << w for w in phi), phi)
             images, truncated = copy_images(f, h)
             assert images == first and list(images) == list(first) and not truncated
@@ -476,6 +482,44 @@ class TestReachability:
             )
             assert count_reachable_sets(h, f, u, v) == expected
 
-    def test_size_guard(self):
-        with pytest.raises(ValueError):
-            count_reachable_sets(Hypergraph(3, 15, []), single_edge(), 0, 1)
+    def test_hosts_past_14_vertices_match_factor_oracle(self):
+        # Only the copy cap bounds the host; the oracle decides each W over
+        # induced subgraphs.
+        rng = np.random.default_rng(76)
+        cherry = Hypergraph(3, 4, [(0, 1, 2), (0, 1, 3)])
+        counts = []
+        for f, n, p in [(single_edge(), 20, 0.25), (cherry, 16, 0.2), (loose_path(), 15, 0.15)]:
+            h = random_graph(rng, n, p)
+            expected = sum(
+                all(factor_oracle(f, h.induced((x,) + ws)[0]) for x in (0, 1))
+                for ws in combinations(range(2, h.n), f.n - 1)
+            )
+            counts.append(count_reachable_sets(h, f, 0, 1))
+            assert counts[-1] == expected
+        assert all(counts)
+
+    def test_more_copies_than_the_cap_refused(self, monkeypatch):
+        # K6^(3) holds 20 copies of an edge; a cap of 19 leaves no exact count.
+        listing = verification.copy_images
+        monkeypatch.setattr(verification, "copy_images", lambda f, h: listing(f, h, 19))
+        with pytest.raises(ValueError, match="copies"):
+            count_reachable_sets(complete(6, 3), single_edge(), 0, 1)
+
+
+class TestUniformityMismatch:
+    """A pattern and a host of different uniformity get an error, not an answer."""
+
+    def test_factor_refused(self):
+        for f, h in [(Hypergraph(4, 2, []), Hypergraph(3, 4, [(0, 1, 2)])),
+                     (Hypergraph(4, 4, [(0, 1, 2, 3)]), Hypergraph(3, 5, [(0, 1, 2)]))]:
+            with pytest.raises(ValueError, match="uniformity mismatch"):
+                find_factor(f, h)
+
+    def test_cover_refused(self):
+        with pytest.raises(ValueError, match="uniformity mismatch"):
+            find_cover(Hypergraph(4, 4, [(0, 1, 2, 3)]), Hypergraph(3, 0, []))
+
+    def test_validators_reject(self):
+        f, h = Hypergraph(4, 2, []), Hypergraph(3, 4, [(0, 1, 2)])
+        assert not validate_embedding(f, h, (0, 1))
+        assert not validate_factor_certificate(f, h, [(0, 1), (2, 3)])
