@@ -147,6 +147,25 @@ def section_reachable() -> list:
             for f, h in host_pairs()]
 
 
+def section_denseness() -> list:
+    """Exhaustive reports of seeded 3-graphs on 0-12 vertices at p on both
+    sides of their density, and sampled reports of the plain estimator and of
+    two directed families."""
+    rng = random.Random(20213)
+    out = []
+    for n in range(13):
+        for density in ((0.3, 0.7) if n < 10 else (0.3,)):
+            h = _random_graph(rng, 3, n, density)
+            out.append([verification.exact_denseness_small(h, p).to_json_obj() for p in (0.01, 0.1, 0.5, 0.9)])
+    for n in (4, 8, 12):
+        h = _random_graph(rng, 3, n, 0.4)
+        for p in (0.1, 0.5, 0.9):
+            out.append(verification.estimate_denseness(h, p, 30, seed=n).to_json_obj())
+            for family in ([[1], [2], [3]], [[1, 2], [3]]):
+                out.append(verification.estimate_S_denseness(h, p, family, 30, seed=n).to_json_obj())
+    return out
+
+
 def _run_cli(argv: list[str], path: Path) -> list:
     """Exit code, stdout without timings and stderr of one in-process run,
     with the input file named by its base name."""
@@ -185,6 +204,7 @@ SECTIONS = {
     "cover": section_cover,
     "rooted": section_rooted,
     "reachable": section_reachable,
+    "denseness": section_denseness,
     "cli": section_cli,
 }
 
