@@ -400,6 +400,8 @@ def find_factor(f: Hypergraph, h: Hypergraph, cap: int = DEFAULT_CAP) -> FactorS
 def validate_factor_certificate(
     f: Hypergraph, h: Hypergraph, copies: list[tuple[int, ...]]
 ) -> bool:
+    if f.k != h.k:
+        return False
     seen: set[int] = set()
     for phi in copies:
         if not validate_embedding(f, h, phi):
@@ -568,12 +570,59 @@ def estimate_S_denseness(
 EXHAUSTIVE_LIMIT = 12
 
 
+def _row_bounds(flat: np.ndarray, subsets: np.ndarray, sizes: np.ndarray, p: float) -> np.ndarray:
+    """(2^n, n+1) table: entry [X, b] bounds from above the pair deficit of X
+    with any set of b vertices, taken either way round.
+
+    The pair counts of X with a b-set Y are, per vertex v, sums over Y of
+    column v of X's (n, n) count matrix, so each is at least the sum L_b(v)
+    of that column's b smallest entries.  Thresholds are the larger of
+    (p·|X|)·b and (p·b)·|X| in floating point, so one table bounds the pair
+    as the scan computes it with X first or with Y first.
+    """
+    n = subsets.shape[1]
+    b = np.arange(n + 1, dtype=np.float64)
+    bounds = np.empty((len(subsets), n + 1))
+    for start in range(0, len(subsets), 256):  # a few hundred KB per block
+        block = slice(start, start + 256)
+        columns = (subsets[block] @ flat).reshape(-1, n, n)
+        columns.sort(axis=1)
+        least = np.zeros((len(columns), n + 1, n))
+        np.cumsum(columns, axis=1, out=least[:, 1:])
+        a = sizes[block][:, None]
+        terms = np.maximum(p * a * b, p * b * a)[:, :, None] - least
+        np.maximum(terms, 0.0, out=terms)
+        bounds[block] = terms.sum(axis=2)
+    return bounds
+
+
 def exact_denseness_small(h: Hypergraph, p: float) -> DensenessEstimate:
     """Exact worst deficit over all subset tuples, for 3-graphs with n <= 12.
 
-    Scans all (X_1, X_2) pairs up to swap symmetry; the optimal X_3 for a
-    fixed pair keeps exactly the vertices with a positive marginal deficit,
-    which removes the third exponential factor.
+    For a pair (X_1, X_2) the optimal X_3 keeps exactly the vertices v whose
+    pair count c(v) is below p|X_1||X_2|, so the pair's deficit is
+    sum_v max(0, p|X_1||X_2| - c(v)); each unordered pair is scanned once,
+    with X_1 the lower bitmask.  Most pairs are never scanned:
+
+    * Column-minimum bound.  With |X_1| = a, c(v) for any b-set X_2 is at
+      least the sum of the b smallest entries of column v of X_1's (n, n)
+      count matrix, so replacing c(v) by that sum bounds every X_2 of size b
+      at once.  The comparison and the clipping are monotone in floating
+      point and the n terms are summed the same way, so the bound is never
+      below the scanned value.  The bound of X_2 with |X_1| bounds the same
+      pair (see :func:`_row_bounds`).
+    * Best-first rows.  X_1 rows are visited in stable descending order of
+      their largest bound, and the scan stops at the first row whose bound
+      is at most the running worst.  Within a row only the X_2 whose two
+      bounds both exceed it are scanned, in one matmul.  A skipped pair's
+      deficit is at most the worst at the time, and the worst only grows, so
+      skipping never changes the maximum, which is bit-identical to the full
+      scan.  Sums are screened in any order first, with a relative slack of
+      1e-12 (far above the n·2^-53 either order can lose), and only rows that
+      can beat the worst are summed again in the scan's own order.
+
+    Memory is O(2^n · n): the subsets and the bound table, and one block of
+    count matrices at a time.
     """
     if h.k != 3:
         raise ValueError("exhaustive mode is implemented for 3-graphs only")
@@ -582,21 +631,32 @@ def exact_denseness_small(h: Hypergraph, p: float) -> DensenessEstimate:
     n = h.n
     if n == 0:
         return DensenessEstimate(p, 1, 0.0, "exhaustive")
-    tensor = _edge_tensor(h).astype(np.float64)
+    flat = _edge_tensor(h).astype(np.float64).reshape(n, n * n)
     count = 1 << n
     subsets = ((np.arange(count)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.float64)
     sizes = subsets.sum(axis=1)
-    partial = np.tensordot(subsets, tensor, axes=([1], [0]))  # (2^n, n, n)
+    size_index = sizes.astype(np.intp)
+    bounds = _row_bounds(flat, subsets, sizes, p)
+    by_size = bounds.T.copy()  # each row reads one size's bounds contiguously
+    row_best = bounds.max(axis=1)
+    ones = np.ones(n)
     worst = 0.0
-    for i in range(count):
-        rows = subsets[i:]
-        pair_counts = rows @ partial[i]  # (count - i, n)
-        thresholds = p * sizes[i] * sizes[i:]
+    for i in np.argsort(-row_best, kind="stable"):
+        if row_best[i] <= worst:
+            break
+        alive = (bounds[i] > worst)[size_index[i:]] & (by_size[size_index[i], i:] > worst)
+        keep = i + np.flatnonzero(alive)
+        if keep.size == 0:
+            continue
+        pair_counts = np.take(subsets, keep, axis=0) @ (subsets[i] @ flat).reshape(n, n)
+        thresholds = p * sizes[i] * sizes[keep]
         terms = thresholds[:, None] - pair_counts
         np.maximum(terms, 0.0, out=terms)
-        best = float(terms.sum(axis=1).max())
-        if best > worst:
-            worst = best
+        close = terms @ ones > worst * (1 - 1e-12)
+        if close.any():
+            best = float(terms[close].sum(axis=1).max())
+            if best > worst:
+                worst = best
     return DensenessEstimate(p, count**3, worst / n**3, "exhaustive")
 
 

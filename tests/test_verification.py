@@ -523,3 +523,5 @@ class TestUniformityMismatch:
         f, h = Hypergraph(4, 2, []), Hypergraph(3, 4, [(0, 1, 2)])
         assert not validate_embedding(f, h, (0, 1))
         assert not validate_factor_certificate(f, h, [(0, 1), (2, 3)])
+        # The empty certificate covers the empty host: only the uniformity differs.
+        assert not validate_factor_certificate(Hypergraph(4, 4, [(0, 1, 2, 3)]), Hypergraph(3, 0, []), [])
