@@ -23,7 +23,8 @@ EXIT_USAGE = 2
 
 # The turan-zero decider and the copy searches recurse once per pattern
 # vertex, so a larger pattern would exhaust the interpreter's recursion limit
-# (1000 frames by default).
+# (1000 frames by default).  It bounds time only loosely: trans, lattice,
+# verify factor and verify rooted on a 256-vertex one-edge pattern run past 20 s.
 PATTERN_VERTEX_LIMIT = 256
 
 

@@ -226,22 +226,15 @@ def build_compatible_enumeration(
 def check_link_chain_free(f: Hypergraph, ordering: list[int] | tuple[int, ...]) -> bool:
     """No vertex has two edges chaining through a shared middle vertex.
 
-    Under any ordering with a consistent forced colouring, there is no vertex
-    v with positions i<j<k such that both {v, v_i, v_j} and {v, v_j, v_k} are
-    edges (v distinct from v_j).  Such a chain exists exactly when the third
-    vertices of some pair of ``subset_edges(2)`` lie on both sides of one of
-    the pair's vertices.  Raises on orderings whose forced colouring is
-    inconsistent, where the property is not defined.
+    A chain is a vertex v and positions i<j<k with edges {v, v_i, v_j} and
+    {v, v_j, v_k}.  Then v_j lies between v_i and v_k, the third vertices of
+    the pair {v, v_j}, so they fall in two of the regions before, between and
+    after the pair; a pair's forced colour is fixed by that region, so the
+    pair gets two colours.  Every ordering with a consistent forced colouring
+    is therefore chain-free; the others raise, as the property is undefined.
     """
     if forced_coloring(f, ordering) is None:
         raise PreconditionError("inconsistent ordering supplied")
-    pos = {v: i for i, v in enumerate(ordering)}
-    for (a, b), members in f.subset_edges(2).items():
-        if len(members) > 1:
-            thirds = [pos[sum(f.edges[i]) - a - b] for i in members]
-            lo, hi = min(thirds), max(thirds)
-            if lo < pos[a] < hi or lo < pos[b] < hi:
-                return False
     return True
 
 
@@ -283,8 +276,6 @@ def decide_cover_partition_3(f: Hypergraph) -> DecisionReport:
 
 def decide_factor_3(f: Hypergraph) -> DecisionReport:
     """Both the orderable-colouring condition and the cover-partition condition."""
-    if f.k != 3:
-        raise PreconditionError(f"applicable to 3-graphs only, got k={f.k}")
     first = decide_turan_zero_3(f)
     second = decide_cover_partition_3(f)
     verdict = first.verdict and second.verdict

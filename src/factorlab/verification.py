@@ -205,10 +205,6 @@ def rooted_copies(
     f: Hypergraph, vstar: int, h: Hypergraph, w: int, cap: int = DEFAULT_CAP
 ) -> RootedCount:
     """Number (capped) of labelled embeddings sending ``vstar`` to ``w``."""
-    if not 0 <= vstar < f.n:
-        raise ValueError(f"pattern vertex {vstar} out of range")
-    if not 0 <= w < h.n:
-        raise ValueError(f"host vertex {w} out of range")
     count = 0
     for _ in iter_embeddings(f, h, {vstar: w}):
         if count == cap:
@@ -443,8 +439,6 @@ def _edges_array(h: Hypergraph) -> np.ndarray:
 
 def _ordered_tuple_count(edges_arr: np.ndarray, masks: list[np.ndarray]) -> int:
     """Ordered tuples drawn from the masked sets whose underlying set is an edge."""
-    if edges_arr.shape[0] == 0:
-        return 0
     k = edges_arr.shape[1]
     total = 0
     for perm in permutations(range(k)):

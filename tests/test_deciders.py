@@ -19,9 +19,9 @@ from factorlab import (
     validate_partition_witness,
     validate_shadow_coloring,
 )
-from factorlab import deciders
+from factorlab.deciders import BLUE, GREEN, RED
 from factorlab.corpus import cherry, k4, k4_minus, k222, loose_path, single_edge
-from factorlab.deciders import blocked_vertices, coloring_from_witness
+from factorlab.deciders import _two_sides, blocked_vertices, coloring_from_witness
 from factorlab.oracles import (
     cover_partition_oracle,
     partition_condition_oracle,
@@ -314,6 +314,20 @@ class TestPartitionConditionK:
             outcomes.add((f.k, report.verdict))
         assert outcomes == {(3, False), (3, True), (4, False), (4, True)}
 
+    def test_odd_cycle_of_classes_refused(self):
+        # Vertex 0 is unblocked, but the classes {2, 3}, {4, 5} and {6, 1}
+        # form a triangle under its link, which no 2-colouring splits.
+        f = Hypergraph(3, 13, [(0, 1, 2), (0, 3, 4), (0, 5, 6), (7, 8, 2), (7, 8, 3),
+                               (9, 10, 4), (9, 10, 5), (11, 12, 6), (11, 12, 1)])
+        assert 0 not in blocked_vertices(f)
+        class_of = [0, 1, 2, 2, 4, 4, 1, 7, 8, 9, 10, 11, 12]
+        assert _two_sides(f, 0, class_of, f.subset_edges(1)) == (None, 1)
+        parts = [[0, 1, 2, 3, 4, 5, 6, 9, 10, 11, 12], [8]]
+        assert partition_condition_oracle(f) == (7, parts)
+        assert cover_partition_oracle(f) == (7, *parts)
+        assert decide_partition_condition_k(f).witness == {"vstar": 7, "parts": parts}
+        assert decide_cover_partition_3(f).witness == {"vstar": 7, "X": parts[0], "Y": parts[1]}
+
     def test_cover_partition_is_partition_condition_at_k3(self):
         # decide_cover_partition_3 answers through the partition condition;
         # the two definitions agree, witness and all, by brute force alone.
@@ -455,12 +469,108 @@ class TestLinkChainFree:
                 checked += 1
         assert checked >= 5000
 
-    def test_pair_rule_matches_cubic_scan_on_any_ordering(self, monkeypatch):
-        # With the precondition lifted, chains occur; the rule on the pairs of
-        # subset_edges(2) must find exactly the chains the scan finds.
-        monkeypatch.setattr(deciders, "forced_coloring", lambda f, ordering: {})
-        outcomes = []
+    def test_every_chain_makes_the_ordering_inconsistent(self):
+        # The argument in check_link_chain_free's docstring: a chain forces
+        # one pair two colours, so the precondition already rules it out.
+        chains = 0
         for f, ordering in random_orderings(38, 300):
-            outcomes.append(check_link_chain_free(f, ordering))
-            assert outcomes[-1] == link_chain_free_reference(f, ordering)
-        assert 100 < sum(outcomes) < len(outcomes) - 100
+            if not link_chain_free_reference(f, ordering):
+                chains += 1
+                assert forced_coloring(f, ordering) is None
+        assert chains >= 1000
+
+
+def positive_witnesses(decide, graphs):
+    """The witness of each graph the decider accepts."""
+    for f in graphs:
+        report = decide(f)
+        if report.verdict:
+            yield f, report.witness
+
+
+def moved(parts, u, to):
+    """``parts`` with vertex u moved into part ``to``."""
+    return [[v for v in part if v != u] + ([u] if i == to else []) for i, part in enumerate(parts)]
+
+
+class TestValidatorsReject:
+    """Each decider's witness, corrupted one way at a time, is rejected."""
+
+    def test_shadow_coloring(self):
+        rng = np.random.default_rng(41)
+        checked = 0
+        for f, w in positive_witnesses(decide_turan_zero_3, random_3graphs(rng, 40, 6, p=0.15)):
+            ordering, coloring = w["ordering"], coloring_from_witness(w)
+            assert validate_shadow_coloring(f, ordering, coloring)
+            corrupt = [(ordering[:-1], coloring), (ordering[:-1] + ordering[:1], coloring)]
+            for pair, col in coloring.items():
+                for other in {RED, BLUE, GREEN} - {col}:
+                    corrupt.append((ordering, {**coloring, pair: other}))
+                corrupt.append((ordering, {q: c for q, c in coloring.items() if q != pair}))
+            missing = next((q for q in combinations(range(f.n), 2) if q not in coloring), None)
+            if missing is not None:
+                corrupt.append((ordering, {**coloring, missing: RED}))
+            for bad_ordering, bad_coloring in corrupt:
+                assert not validate_shadow_coloring(f, bad_ordering, bad_coloring)
+            checked += len(corrupt)
+        assert checked > 200
+
+    def test_cover_witness(self):
+        rng = np.random.default_rng(43)
+        graphs = [cherry(), *random_3graphs(rng, 60, 7, p=0.15)]
+        checked = intersecting = 0
+        for f, w in positive_witnesses(decide_cover_partition_3, graphs):
+            vstar, sides = w["vstar"], [w["X"], w["Y"]]
+            assert validate_cover_witness(f, vstar, *sides)
+            corrupt = [[sides[0] + [vstar], sides[1]], [sides[0], sides[1] + [vstar]]]
+            for u in sides[0] + sides[1]:
+                corrupt.append([sides[0] + [u], sides[1] + [u]])
+                corrupt.append([[v for v in side if v != u] for side in sides])
+            for e in f.edges:
+                if vstar in e:
+                    a, b = (u for u in e if u != vstar)
+                    corrupt.append(moved(sides, b, 0 if a in sides[0] else 1))
+            for pair, members in f.subset_edges(2).items():
+                if len(members) > 1:
+                    # Third vertices of one pair share a side; moving one
+                    # makes a cross pair with intersecting links.
+                    u = next(v for v in f.edges[members[0]] if v not in pair)
+                    corrupt.append(moved(sides, u, 1 if u in sides[0] else 0))
+                    intersecting += 1
+            for x_side, y_side in corrupt:
+                assert not validate_cover_witness(f, vstar, x_side, y_side)
+            checked += len(corrupt)
+        assert checked > 100 and intersecting > 5
+        assert not validate_cover_witness(Hypergraph(4, 4, [(0, 1, 2, 3)]), 0, [1], [2, 3])
+
+    def test_partition_witness(self):
+        rng = np.random.default_rng(47)
+        graphs = [cherry(), *random_3graphs(rng, 40, 7, p=0.15),
+                  *random_kgraphs(rng, 40, 7, 4, p=0.06)]
+        checked = 0
+        seen_k = set()
+        for f, w in positive_witnesses(decide_partition_condition_k, graphs):
+            vstar, parts = w["vstar"], w["parts"]
+            assert validate_partition_witness(f, vstar, parts)
+            corrupt = [parts[:-1], parts + [[]], [parts[0] + [vstar], *parts[1:]]]
+            for i, part in enumerate(parts):
+                for u in part:
+                    dropped = [[v for v in q if v != u] for q in parts]
+                    corrupt.append(dropped)
+                    corrupt.extend(parts[:j] + [parts[j] + [u]] + parts[j + 1:]
+                                   for j in range(len(parts)) if j != i)
+            part_of = {v: i for i, part in enumerate(parts) for v in part}
+            for rest in f.link((vstar,)):
+                # Two vertices of one edge through vstar in one part.
+                corrupt.append(moved(parts, rest[1], part_of[rest[0]]))
+            for i, e in enumerate(f.edges):
+                for e2 in f.edges[i + 1:]:
+                    if len(set(e) & set(e2)) >= 2:
+                        # Moving a vertex of e alone changes e's index vector only.
+                        u = next(v for v in e if v not in e2)
+                        corrupt.append(moved(parts, u, (part_of[u] + 1) % len(parts)))
+            for bad in corrupt:
+                assert not validate_partition_witness(f, vstar, bad)
+            checked += len(corrupt)
+            seen_k.add(f.k)
+        assert checked > 200 and seen_k == {3, 4}

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from factorlab import cli, deciders, lattice, verification
+from factorlab import cli, constructions, deciders, lattice, verification
 from factorlab.corpus import NAMED, cherry, k4_minus, k222, loose_path, single_edge
 from factorlab.hypergraph import Hypergraph
 
@@ -166,16 +166,17 @@ def section_denseness() -> list:
     return out
 
 
-def _run_cli(argv: list[str], path: Path) -> list:
+def _run_cli(argv: list[str], tmp: str) -> list:
     """Exit code, stdout without timings and stderr of one in-process run,
-    with the input file named by its base name."""
+    with each input file under ``tmp`` named by its base name."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    text = out.getvalue().replace(str(path), path.name)
+    prefix = str(Path(tmp)) + "/"
+    text = out.getvalue().replace(prefix, "")
     with contextlib.suppress(ValueError):
         text = json.dumps(_strip_times(json.loads(text)), indent=2)
-    return [code, text, err.getvalue().replace(str(path), path.name)]
+    return [code, text, err.getvalue().replace(prefix, "")]
 
 
 def section_cli() -> list:
@@ -190,9 +191,66 @@ def section_cli() -> list:
             for prop in cli.DECIDERS:
                 for s in ([None] if prop != "trans" else range(2, f.k)):
                     extra = [] if s is None else ["--s", str(s)]
-                    out.append(_run_cli(["decide", prop, str(path), *extra], path))
+                    out.append(_run_cli(["decide", prop, str(path), *extra], tmp))
             for s in range(2, f.k):
-                out.append(_run_cli(["lattice", str(path), "--s", str(s)], path))
+                out.append(_run_cli(["lattice", str(path), "--s", str(s)], tmp))
+    return out
+
+
+def section_constructions() -> list:
+    """Seeded lemma51 and obs62 builds, with default and explicit part sizes,
+    and binomial builds: edges, z, partition, palette size and base colours."""
+    out = []
+    plans = [(constructions.construct_partite_coloring, k, None, n, sizes)
+             for k, n, sizes in ((3, 10, None), (3, 10, (4, 5, 1)), (4, 12, None), (4, 12, (3, 4, 4, 1)))]
+    plans += [(constructions.construct_shadow_disjoint, k, s, n, sizes)
+              for k, s, n, sizes in ((3, 2, 10, None), (3, 2, 10, (4, 6)), (4, 2, 12, None),
+                                     (4, 2, 12, (5, 7)), (4, 3, 12, None), (4, 3, 12, (7, 5)))]
+    for build, k, s, n, sizes in plans:
+        for seed in (0, 7):
+            built = build(constructions.ConstructionParams(n=n, k=k, seed=seed, s=s, part_sizes=sizes))
+            out.append([built.hypergraph.to_json_obj(), built.z, built.partition.to_json_obj(),
+                        built.palette_size, [[list(t), c] for t, c in built.base_colors.items()]])
+    for k, n, p in ((3, 9, 0.3), (4, 9, 0.2), (3, 12, 0.05)):
+        out.append(constructions.random_uniform_hypergraph(n, k, p, seed=n).to_json_obj())
+    return out
+
+
+def section_cli_commands() -> list:
+    """``verify cover|factor|rooted|denseness`` and ``construct`` runs on
+    seeded (pattern, host) pairs, with the usage errors that exit 2."""
+    pairs = host_pairs()
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        pattern, host, other = (str(Path(tmp) / name) for name in ("F.hg", "H.hg", "other.hg"))
+        for f, h in (pairs[0], pairs[4], pairs[8], pairs[12]):
+            Path(pattern).write_text(f.to_text())
+            Path(host).write_text(h.to_text())
+            pair = ["--F", pattern, "--H", host]
+            for argv in (["cover", *pair], ["cover", *pair, "--expect", "true"],
+                         ["factor", *pair], ["factor", *pair, "--cap", "5", "--expect", "found"],
+                         ["rooted", *pair, "--w", "z"], ["rooted", *pair, "--w", "0", "--vstar", "0"],
+                         ["rooted", *pair, "--w", "1", "--cap", "2", "--expect", "2"],
+                         ["denseness", "--H", host, "--p", "0.3", "--samples", "20", "--seed", "3"],
+                         ["denseness", "--H", host, "--p", "0.3", "--samples", "20",
+                          "--family", "[[1, 2], [3]]"],
+                         ["rooted", *pair, "--w", "0", "--vstar", str(f.n)],
+                         ["rooted", *pair, "--w", str(h.n)], ["rooted", *pair, "--w", "-1"],
+                         ["cover", *pair, "--expect", "yes"], ["factor", *pair, "--expect", "true"],
+                         ["rooted", *pair, "--w", "0", "--expect", "-1"]):
+                out.append(_run_cli(["verify", *argv], tmp))
+        Path(other).write_text(pairs[0][1].to_text())  # a 3-graph host for the 4-graph pattern
+        out.append(_run_cli(["verify", "factor", "--F", pattern, "--H", other], tmp))
+        out.append(_run_cli(["verify", "rooted", "--F", pattern, "--H", other, "--w", "0"], tmp))
+        Path(host).write_text(_random_graph(random.Random(20214), 3, 6, 0.4).to_text())
+        out.append(_run_cli(["verify", "denseness", "--H", host, "--p", "0.2", "--mode", "exhaustive"], tmp))
+        for argv in (["obs62", "--n", "10", "--s", "2", "--part-sizes", "4,6"],
+                     ["obs62", "--n", "10", "--k", "4", "--s", "3", "--part-sizes", "5,5"],
+                     ["obs62", "--n", "10", "--s", "2", "--part-sizes", "2,8"],
+                     ["obs62", "--n", "10", "--s", "2", "--part-sizes", "4,x"],
+                     ["lemma51", "--n", "9", "--part-sizes", "3,5,1"],
+                     ["gnp", "--n", "8", "--p", "0.25"]):
+            out.append(_run_cli(["construct", *argv, "--seed", "5"], tmp))
     return out
 
 
@@ -206,6 +264,8 @@ SECTIONS = {
     "reachable": section_reachable,
     "denseness": section_denseness,
     "cli": section_cli,
+    "constructions": section_constructions,
+    "cli_commands": section_cli_commands,
 }
 
 

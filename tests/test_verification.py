@@ -209,6 +209,18 @@ class TestRootedCopies:
             res = rooted_copies(single_edge(), 0, complete(4, 3), 0, cap=cap)
             assert res.count == 6 and not res.truncated
 
+    @pytest.mark.parametrize("vstar, w, message", [(3, 0, "pattern vertex 3 out of range"),
+                                                   (-1, 0, "pattern vertex -1 out of range"),
+                                                   (0, 4, "host vertex 4 out of range"),
+                                                   (0, -1, "host vertex -1 out of range")])
+    def test_out_of_range_root_refused(self, vstar, w, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rooted_copies(single_edge(), vstar, complete(4, 3), w)
+
+    def test_uniformity_mismatch_reported_before_range(self):
+        with pytest.raises(ValueError, match="uniformity mismatch"):
+            rooted_copies(single_edge(), 5, complete(6, 4), 9)
+
 
 class TestCover:
     def test_complete_host_fully_covered(self):
@@ -376,6 +388,8 @@ class TestFactor:
     def test_certificate_validator_rejects_overlap(self):
         h = complete(6, 3)
         assert not validate_factor_certificate(single_edge(), h, [(0, 1, 2), (2, 3, 4)])
+        assert not validate_factor_certificate(single_edge(), h, [(0, 1, 2), (2, 1, 0)])
+        assert not validate_factor_certificate(single_edge(), h, [(0, 1, 2), (3, 3, 4)])
         assert not validate_factor_certificate(single_edge(), h, [(0, 1, 2)])
 
 
@@ -395,6 +409,16 @@ class TestDenseness:
     def test_edgeless_worst_deficit_is_p(self):
         est = exact_denseness_small(Hypergraph(3, 7, []), 0.42)
         assert est.worst_deficit == pytest.approx(0.42, abs=1e-12)
+
+    def test_sampled_edgeless_deficit_is_p_times_volume(self):
+        n, p, seed = 6, 0.42, 3
+        est = estimate_denseness(Hypergraph(3, n, []), p, 20, seed=seed)
+        volumes = []
+        for i in range(20):
+            rng = np.random.default_rng([seed, i])
+            volumes.append(np.prod([int((rng.random(n) < 0.5).sum()) for _ in range(3)]))
+        assert est.worst_deficit == pytest.approx(p * max(volumes) / n**3, abs=1e-12)
+        assert est.worst_deficit > 0
 
     def test_complete_graph_deficit_is_injectivity_loss(self):
         n = 9
