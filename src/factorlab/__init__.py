@@ -23,7 +23,7 @@ from .deciders import (
     validate_partition_witness,
     validate_shadow_coloring,
 )
-from .hypergraph import DensenessParams, FormatError, Hypergraph, Partition, load_hypergraph
+from .hypergraph import FormatError, Hypergraph, Partition, load_hypergraph
 from .lattice import (
     Bipartition,
     Lattice,

@@ -3,7 +3,9 @@
 Machine-readable JSON goes to stdout (or ``--out``), a one-line human summary
 to stderr.  Exit codes: 0 the command ran and decided/verified, 1 an
 ``--expect`` value was not met, 2 usage or input errors.  Every JSON payload
-embeds the parameters and seeds needed to replay the run.
+embeds the parameters and seeds needed to replay the run.  Each property,
+variant and task has its own parser holding only the flags it reads, so a
+flag it would ignore exits 2.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import constructions, corpus, deciders, lattice, verification
-from .hypergraph import DensenessParams, FormatError, Hypergraph, load_hypergraph
+from .hypergraph import FormatError, Hypergraph, load_hypergraph
 
 EXIT_OK = 0
 EXIT_EXPECT = 1
@@ -68,28 +70,24 @@ def _envelope(command: str, params: dict, report: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _decide_trans(f: Hypergraph, s: int | None):
-    if s is None:
-        raise ValueError("decide trans requires --s")
-    return lattice.decide_trans(f, s)
-
-
-# Property -> decider(f, s).  Names are looked up at call time, so wrappers
-# patched onto the modules after import are still called.
+# Property -> decider(f, s); only trans reads the shadow order s.  Names are
+# looked up at call time, so wrappers patched onto the modules after import
+# are still called.
 DECIDERS = {
     "turan-zero": lambda f, s: deciders.decide_turan_zero_3(f),
     "kpartite-link": lambda f, s: deciders.decide_linkdisjoint_kpartite(f),
     "cover-partition": lambda f, s: deciders.decide_cover_partition_3(f),
     "factor3": lambda f, s: deciders.decide_factor_3(f),
     "partition-k": lambda f, s: deciders.decide_partition_condition_k(f),
-    "trans": _decide_trans,
+    "trans": lambda f, s: lattice.decide_trans(f, s),
 }
 
 
 def cmd_decide(args) -> int:
     f = _load_pattern(args.file)
-    report = DECIDERS[args.property](f, args.s)
-    params = {"property": args.property, "file": args.file, "s": args.s, "seed": None}
+    s = getattr(args, "s", None)
+    report = DECIDERS[args.property](f, s)
+    params = {"property": args.property, "file": args.file, "s": s, "seed": None}
     _emit(args, _envelope("decide", params, report.to_json_obj()),
           f"{args.property}: verdict={report.verdict}")
     if args.expect is not None and report.verdict != (args.expect == "true"):
@@ -123,48 +121,33 @@ def _parse_part_sizes(raw: str | None) -> tuple[int, ...] | None:
         raise ValueError(f"--part-sizes must be comma-separated integers, got {raw!r}") from exc
 
 
-def _colouring_params(args, params, s) -> dict:
-    return {"n": args.n, "k": args.k, "s": s,
-            "part_sizes": list(params.part_sizes) if params.part_sizes else None}
-
-
-def _construct_lemma51(args, params):
-    built = constructions.construct_partite_coloring(params)
-    return built.hypergraph, _colouring_params(args, params, None), {
+def _colouring(build, args, s: int | None):
+    params = constructions.ConstructionParams(
+        n=args.n, k=args.k, seed=args.seed, s=s, part_sizes=_parse_part_sizes(args.part_sizes))
+    built = build(params)
+    recorded = {"n": args.n, "k": args.k, "s": s,
+                "part_sizes": list(params.part_sizes) if params.part_sizes else None}
+    return built.hypergraph, recorded, {
         "z": built.z, "partition": built.partition.to_json_obj(), "palette_size": built.palette_size}
 
 
-def _construct_obs62(args, params):
-    if args.s is None:
-        raise ValueError("construct obs62 requires --s")
-    built = constructions.construct_shadow_disjoint(params)
-    return built.hypergraph, _colouring_params(args, params, args.s), {
-        "z": built.z, "partition": built.partition.to_json_obj(), "palette_size": built.palette_size}
-
-
-def _construct_gnp(args, params):
-    if args.p is None:
-        raise ValueError("construct gnp requires --p")
+def _construct_gnp(args):
     h = constructions.random_uniform_hypergraph(args.n, args.k, args.p, args.seed)
     return h, {"n": args.n, "k": args.k, "p": args.p}, {"z": None, "partition": None, "palette_size": None}
 
 
-# Variant -> builder(args, params) returning (hypergraph, recorded params,
-# the z / partition / palette_size fields of the sidecar).
+# Variant -> builder(args) returning (hypergraph, recorded params, the z /
+# partition / palette_size fields of the sidecar).
 CONSTRUCTIONS = {
-    "lemma51": _construct_lemma51,
-    "obs62": _construct_obs62,
+    "lemma51": lambda args: _colouring(constructions.construct_partite_coloring, args, None),
+    "obs62": lambda args: _colouring(constructions.construct_shadow_disjoint, args, args.s),
     "gnp": _construct_gnp,
 }
 
 
 def cmd_construct(args) -> int:
     _check_seed(args.seed)
-    params = constructions.ConstructionParams(
-        n=args.n, k=args.k, seed=args.seed, s=args.s,
-        part_sizes=_parse_part_sizes(args.part_sizes),
-    )
-    h, recorded, fields = CONSTRUCTIONS[args.variant](args, params)
+    h, recorded, fields = CONSTRUCTIONS[args.variant](args)
     sidecar = {"variant": args.variant, "params": recorded, "seed": args.seed, **fields}
 
     if args.out:
@@ -211,16 +194,16 @@ def cmd_verify(args) -> int:
     params: dict = {"task": args.task, "seed": getattr(args, "seed", None)}
     mismatch = False
 
-    if args.task in ("cover", "factor", "rooted"):
-        if not args.pattern or not args.host:
-            raise ValueError(f"verify {args.task} requires --F and --H")
+    if args.task != "denseness":
         f, h = _load_pattern(args.pattern), _load(args.host)
         if f.k != h.k:
             raise ValueError(f"uniformity mismatch: F has k={f.k}, H has k={h.k}")
-        if args.cap < 1:
-            raise ValueError(f"--cap must be at least 1, got {args.cap}")
+        params.update({"F": args.pattern, "H": args.host})
+        if args.task != "cover":  # cover lists every copy and takes no cap
+            if args.cap < 1:
+                raise ValueError(f"--cap must be at least 1, got {args.cap}")
+            params["cap"] = args.cap
         expect = _parse_expect(args.task, args.expect)
-        params.update({"F": args.pattern, "H": args.host, "cap": args.cap})
 
     if args.task == "cover":
         rep = verification.find_cover(f, h)
@@ -242,8 +225,6 @@ def cmd_verify(args) -> int:
         summary = f"factor: {res.status}"
         mismatch = expect is not None and res.status != expect
     elif args.task == "rooted":
-        if args.w is None:
-            raise ValueError("verify rooted requires --w")
         w = _resolve_w(args.w, h)
         if args.vstar is not None and not 0 <= args.vstar < f.n:
             raise ValueError(f"--vstar must be a pattern vertex in [0, {f.n}), got {args.vstar}")
@@ -259,21 +240,14 @@ def cmd_verify(args) -> int:
         report = {"w": w, "counts": counts, "total": total, "truncated": truncated}
         summary = f"rooted: total={total} at w={w}"
         mismatch = expect is not None and total != expect
-    elif args.task == "denseness":
-        if not args.host:
-            raise ValueError("verify denseness requires --H")
-        if args.expect is not None:
-            raise ValueError("--expect is not supported by verify denseness")
+    else:  # denseness
         if args.mode == "exhaustive" and args.family is not None:
             raise ValueError("--family is not supported with --mode exhaustive")
         h = _load(args.host)
-        if args.p is None or not 0 < args.p < 1:
+        if not 0 < args.p < 1:
             raise ValueError(f"verify denseness requires --p in (0, 1), got {args.p}")
-        if args.mu is not None:
-            # validates the definitional (p, mu) ranges; recorded for replay
-            DensenessParams(p=args.p, mu=args.mu)
-        params.update({"H": args.host, "p": args.p, "mu": args.mu,
-                       "samples": args.samples, "mode": args.mode, "family": args.family})
+        params.update({"H": args.host, "p": args.p, "samples": args.samples,
+                       "mode": args.mode, "family": args.family})
         if args.mode == "sampled":
             _check_seed(args.seed)
         if args.mode == "exhaustive":
@@ -288,8 +262,6 @@ def cmd_verify(args) -> int:
             est = verification.estimate_denseness(h, args.p, args.samples, args.seed)
         report = est.to_json_obj()
         summary = f"denseness: worst_deficit={est.worst_deficit:.6g} ({est.mode})"
-    else:  # pragma: no cover
-        raise ValueError(f"unknown task {args.task}")
 
     _emit(args, _envelope("verify", params, report), summary)
     return EXIT_EXPECT if mismatch else EXIT_OK
@@ -315,8 +287,13 @@ def cmd_corpus(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors print one line and exit 2.
 
-    ``add_subparsers`` builds the subcommand parsers of the same class.
+    ``add_subparsers`` builds the subcommand parsers of the same class.  No
+    parser reads a prefix of a flag as the flag, so a flag of another variant
+    (``--s`` where ``--seed`` is meant) is refused, not taken for a local one.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         self.exit(EXIT_USAGE, f"error: {message}\n")
@@ -330,52 +307,61 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, func):
         p.add_argument("--out", help="write the JSON report to this path instead of stdout")
+        p.set_defaults(func=func)
 
-    p_decide = sub.add_parser("decide", help="decide a membership property of a pattern graph")
-    p_decide.add_argument("property", choices=list(DECIDERS))
-    p_decide.add_argument("file")
-    p_decide.add_argument("--s", type=int, help="shadow order for trans")
-    p_decide.add_argument("--expect", choices=["true", "false"])
-    common(p_decide)
-    p_decide.set_defaults(func=cmd_decide)
+    def variants(command, dest, names, func, summary):
+        """One parser per property, variant or task of ``command``."""
+        group = sub.add_parser(command, help=summary).add_subparsers(dest=dest, required=True)
+        parsers = {name: group.add_parser(name) for name in names}
+        for p in parsers.values():
+            common(p, func)
+        return parsers
+
+    decide = variants("decide", "property", DECIDERS, cmd_decide,
+                      "decide a membership property of a pattern graph")
+    for p in decide.values():
+        p.add_argument("file")
+        p.add_argument("--expect", choices=["true", "false"])
+    decide["trans"].add_argument("--s", type=int, required=True, help="shadow order")
 
     p_lat = sub.add_parser("lattice", help="emit shadow-disjoint bipartition generators and basis")
     p_lat.add_argument("file")
     p_lat.add_argument("--s", type=int, required=True)
-    common(p_lat)
-    p_lat.set_defaults(func=cmd_lattice)
+    common(p_lat, cmd_lattice)
 
-    p_con = sub.add_parser("construct", help="build a seeded instance")
-    p_con.add_argument("variant", choices=list(CONSTRUCTIONS))
-    p_con.add_argument("--n", type=int, required=True)
-    p_con.add_argument("--k", type=int, default=3)
-    p_con.add_argument("--s", type=int)
-    p_con.add_argument("--p", type=float)
-    p_con.add_argument("--seed", type=int, required=True)
-    p_con.add_argument("--part-sizes", help="comma-separated explicit part sizes")
-    common(p_con)
-    p_con.set_defaults(func=cmd_construct)
+    construct = variants("construct", "variant", CONSTRUCTIONS, cmd_construct, "build a seeded instance")
+    for name, p in construct.items():
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--k", type=int, default=3)
+        p.add_argument("--seed", type=int, required=True)
+        if name != "gnp":
+            p.add_argument("--part-sizes", help="comma-separated explicit part sizes")
+    construct["obs62"].add_argument("--s", type=int, required=True, help="order of the coloured sets")
+    construct["gnp"].add_argument("--p", type=float, required=True, help="edge probability")
 
-    p_ver = sub.add_parser("verify", help="run a ground-truth verification task")
-    p_ver.add_argument("task", choices=["cover", "factor", "denseness", "rooted"])
-    p_ver.add_argument("--F", dest="pattern", help="pattern hypergraph file")
-    p_ver.add_argument("--H", dest="host", help="host hypergraph file")
-    p_ver.add_argument("--w", help="host vertex for rooted counts; 'z' means the last vertex")
-    p_ver.add_argument("--vstar", type=int, help="restrict rooted counts to one pattern root")
-    p_ver.add_argument("--p", type=float, help="target density for denseness")
-    p_ver.add_argument("--mu", type=float, help="recorded slack (informational)")
-    p_ver.add_argument("--samples", type=int, default=1000)
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--cap", type=int, default=verification.DEFAULT_CAP,
-                       help="factor: most copies (one per Aut(F) class) listed before the answer "
-                       "is inconclusive; rooted: most labelled embeddings counted per root")
-    p_ver.add_argument("--mode", choices=["sampled", "exhaustive"], default="sampled")
-    p_ver.add_argument("--family", help="JSON list of index subsets for directed denseness")
-    p_ver.add_argument("--expect", help="expected outcome; mismatch exits 1")
-    common(p_ver)
-    p_ver.set_defaults(func=cmd_verify)
+    verify = variants("verify", "task", ["cover", "factor", "rooted", "denseness"], cmd_verify,
+                      "run a ground-truth verification task")
+    for task in ("cover", "factor", "rooted"):
+        verify[task].add_argument("--F", dest="pattern", required=True, help="pattern hypergraph file")
+        verify[task].add_argument("--H", dest="host", required=True, help="host hypergraph file")
+        verify[task].add_argument("--expect", help="expected outcome; mismatch exits 1")
+    verify["factor"].add_argument("--cap", type=int, default=verification.DEFAULT_CAP,
+                                  help="most copies (one per Aut(F) class) listed before the answer "
+                                  "is inconclusive")
+    rooted = verify["rooted"]
+    rooted.add_argument("--w", required=True, help="host vertex; 'z' means the last vertex")
+    rooted.add_argument("--vstar", type=int, help="restrict the counts to one pattern root")
+    rooted.add_argument("--cap", type=int, default=verification.DEFAULT_CAP,
+                        help="most labelled embeddings counted per root")
+    dense = verify["denseness"]
+    dense.add_argument("--H", dest="host", required=True, help="host hypergraph file")
+    dense.add_argument("--p", type=float, required=True, help="target density")
+    dense.add_argument("--samples", type=int, default=1000)
+    dense.add_argument("--seed", type=int, default=0)
+    dense.add_argument("--mode", choices=["sampled", "exhaustive"], default="sampled")
+    dense.add_argument("--family", help="JSON list of index subsets for directed denseness")
 
     p_cor = sub.add_parser("corpus", help="emit a named built-in graph ('list' to enumerate)")
     p_cor.add_argument("name")

@@ -211,9 +211,7 @@ def build_compatible_enumeration(
         raise PreconditionError("not a valid cover-partition witness for this graph")
     base = decide_turan_zero_3(f)
     if not base.verdict:
-        raise PreconditionError(
-            "graph admits no consistent ordering; contradicts the witness precondition"
-        )
+        raise PreconditionError("graph admits no consistent ordering")
     tau = base.witness["ordering"]
     pos = {v: i for i, v in enumerate(tau)}
     candidate = [vstar] + sorted(x_side, key=pos.__getitem__) + sorted(y_side, key=pos.__getitem__)

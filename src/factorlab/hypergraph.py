@@ -55,23 +55,6 @@ class FormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class DensenessParams:
-    """Definitional parameters of the quantified denseness property.
-
-    The target density and slack both live strictly inside (0, 1).
-    """
-
-    p: float
-    mu: float
-
-    def __post_init__(self):
-        if not 0 < self.p < 1:
-            raise ValueError(f"target density must lie in (0, 1), got {self.p}")
-        if not 0 < self.mu < 1:
-            raise ValueError(f"slack must lie in (0, 1), got {self.mu}")
-
-
-@dataclass(frozen=True)
 class Partition:
     """Ordered partition of ``range(n)`` into (possibly empty) parts."""
 

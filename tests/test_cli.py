@@ -1,9 +1,12 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from factorlab import load_hypergraph, validate_factor_certificate
-from factorlab.cli import PATTERN_VERTEX_LIMIT, main
+from factorlab.cli import PATTERN_VERTEX_LIMIT, build_parser, main
 from factorlab.constructions import partite_structure_ok
 from factorlab.corpus import by_name, k222
 from factorlab.hypergraph import MAX_VERTICES, Partition
@@ -38,6 +41,15 @@ def run(capsys, argv):
     return code, out.out, out.err
 
 
+def parser_rejects(capsys, argv, message):
+    """argparse exits 2 with a one-line error starting with ``message``."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert out.err.startswith(f"error: {message}") and len(out.err.splitlines()) == 1
+
+
 class TestDecide:
     def test_factor3_k222(self, capsys, k222_file):
         code, out, err = run(capsys, ["decide", "factor3", k222_file])
@@ -52,8 +64,7 @@ class TestDecide:
         assert code == 0 and json.loads(out)["report"]["verdict"] is True
 
     def test_trans_requires_s(self, capsys, k222_file):
-        code, _, err = run(capsys, ["decide", "trans", k222_file])
-        assert code == 2 and "requires --s" in err
+        parser_rejects(capsys, ["decide", "trans", k222_file], "the following arguments are required: --s")
 
     def test_trans_with_s(self, capsys, k222_file):
         code, out, _ = run(capsys, ["decide", "trans", "--s", "2", k222_file])
@@ -155,8 +166,8 @@ class TestConstruct:
         assert code == 2 and "part sizes" in err
 
     def test_obs62_requires_s(self, capsys):
-        code, _, _ = run(capsys, ["construct", "obs62", "--n", "12", "--k", "3", "--seed", "1"])
-        assert code == 2
+        parser_rejects(capsys, ["construct", "obs62", "--n", "12", "--k", "3", "--seed", "1"],
+                       "the following arguments are required: --s")
 
 
 class TestVerify:
@@ -177,7 +188,7 @@ class TestVerify:
         ("factor", "inconclusive", 1), ("rooted", "60", 0), ("rooted", "59", 1),
     ])
     def test_expect_outcomes(self, capsys, edge_file, k6_file, task, expect, code):
-        argv = ["verify", task, "--F", edge_file, "--H", k6_file, "--w", "0", "--expect", expect]
+        argv = ["verify", task, "--F", edge_file, "--H", k6_file, *rooted_at(task, "0"), "--expect", expect]
         assert run(capsys, argv)[0] == code
 
     def test_cover(self, capsys, edge_file, tmp_path):
@@ -248,6 +259,11 @@ class TestVerify:
         assert code == code2 == 0 and exact >= sampled - 1e-9
 
 
+def rooted_at(task, w):
+    """The ``--w`` flag where the task reads it: only ``verify rooted`` does."""
+    return ["--w", w] if task == "rooted" else []
+
+
 def run_rejected(capsys, argv, fragment):
     """Exit 2 with a one-line error naming ``fragment``, never a traceback."""
     code, out, err = run(capsys, argv)
@@ -260,22 +276,26 @@ class TestRejectedFlags:
     """Each bad flag value exits 2 with a one-line error, never a traceback."""
 
     @pytest.mark.parametrize("argv, message", [
-        (["decide", "turan-zero", "x.hg", "--s", "abc"], "argument --s: invalid int value: 'abc'"),
+        (["decide", "trans", "x.hg", "--s", "abc"], "argument --s: invalid int value: 'abc'"),
         (["verify", "factor", "--cap", "1.5"], "argument --cap: invalid int value: '1.5'"),
-        (["verify", "factor", "--mode", "fast"], "argument --mode: invalid choice"),
+        (["verify", "denseness", "--mode", "fast"], "argument --mode: invalid choice"),
         (["decide", "turan-zero"], "the following arguments are required: file"),
         (["corpus", "list", "--bogus"], "unrecognized arguments: --bogus"),
     ])
     def test_argparse_errors(self, capsys, argv, message):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        out = capsys.readouterr()
-        assert exc.value.code == 2 and out.out == ""
-        assert out.err.startswith(f"error: {message}") and len(out.err.splitlines()) == 1
+        parser_rejects(capsys, argv, message)
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "gnp", "--n", "6", "--p", "0.5", "--seed", "1", "--s", "2"],
+        ["construct", "lemma51", "--n", "9", "--seed", "1", "--p", "3,5,1"],
+    ], ids=["s-is-not-seed", "p-is-not-part-sizes"])
+    def test_flag_prefix_of_a_local_flag(self, capsys, argv):
+        # --s of obs62 prefixes --seed, --p of gnp prefixes --part-sizes
+        parser_rejects(capsys, argv, "unrecognized arguments")
 
     def test_rooted_without_w(self, capsys, k222_file):
-        run_rejected(capsys, ["verify", "rooted", "--F", k222_file, "--H", k222_file],
-                     "requires --w")
+        parser_rejects(capsys, ["verify", "rooted", "--F", k222_file, "--H", k222_file],
+                       "the following arguments are required: --w")
 
     def test_rooted_w_not_a_vertex(self, capsys, k222_file):
         run_rejected(capsys, ["verify", "rooted", "--F", k222_file, "--H", k222_file, "--w", "abc"],
@@ -287,7 +307,7 @@ class TestRejectedFlags:
         pytest.param("rooted", "9" * 5000, id="rooted-past-digit-limit"),
     ])
     def test_verify_expect_outside_outcomes(self, capsys, edge_file, k6_file, task, expect):
-        run_rejected(capsys, ["verify", task, "--F", edge_file, "--H", k6_file, "--w", "0",
+        run_rejected(capsys, ["verify", task, "--F", edge_file, "--H", k6_file, *rooted_at(task, "0"),
                               "--expect", expect], "--expect")
 
     @pytest.mark.parametrize("flag, argv", [
@@ -304,8 +324,8 @@ class TestRejectedFlags:
                               "--samples", "2", "--family", family], "--family")
 
     def test_denseness_refuses_expect(self, capsys, k222_file):
-        run_rejected(capsys, ["verify", "denseness", "--H", k222_file, "--p", "0.5",
-                              "--samples", "2", "--expect", "0"], "--expect")
+        parser_rejects(capsys, ["verify", "denseness", "--H", k222_file, "--p", "0.5",
+                                "--samples", "2", "--expect", "0"], "unrecognized arguments: --expect 0")
 
     def test_denseness_exhaustive_refuses_family(self, capsys, k222_file):
         run_rejected(capsys, ["verify", "denseness", "--H", k222_file, "--p", "0.5",
@@ -322,12 +342,13 @@ class TestRejectedFlags:
         run_rejected(capsys, ["verify", "denseness", "--H", k222_file, "--p", p], "(0, 1)")
 
     def test_denseness_without_p(self, capsys, k222_file):
-        run_rejected(capsys, ["verify", "denseness", "--H", k222_file], "requires --p")
+        parser_rejects(capsys, ["verify", "denseness", "--H", k222_file],
+                       "the following arguments are required: --p")
 
     @pytest.mark.parametrize("task", ["factor", "rooted"])
     @pytest.mark.parametrize("cap", ["-1", "0"])
     def test_cap_below_one(self, capsys, edge_file, k6_file, task, cap):
-        argv = ["verify", task, "--F", edge_file, "--H", k6_file, "--w", "0", "--cap", cap]
+        argv = ["verify", task, "--F", edge_file, "--H", k6_file, *rooted_at(task, "0"), "--cap", cap]
         run_rejected(capsys, argv, "--cap")
 
     @pytest.mark.parametrize("argv", [
@@ -365,15 +386,16 @@ class TestSizeBounds:
     @pytest.mark.parametrize("prop", ["turan-zero", "kpartite-link", "cover-partition",
                                       "factor3", "partition-k", "trans"])
     def test_decide_refuses_big_pattern(self, capsys, big_pattern, prop):
-        run_rejected(capsys, ["decide", prop, big_pattern, "--s", "2"], "refused")
+        shadow = ["--s", "2"] if prop == "trans" else []
+        run_rejected(capsys, ["decide", prop, big_pattern, *shadow], "refused")
 
     def test_lattice_refuses_big_pattern(self, capsys, big_pattern):
         run_rejected(capsys, ["lattice", big_pattern, "--s", "2"], "refused")
 
     @pytest.mark.parametrize("task", ["cover", "factor", "rooted"])
     def test_verify_refuses_big_pattern(self, capsys, big_pattern, k6_file, task):
-        run_rejected(capsys, ["verify", task, "--F", big_pattern, "--H", k6_file, "--w", "0"],
-                          "refused")
+        run_rejected(capsys, ["verify", task, "--F", big_pattern, "--H", k6_file, *rooted_at(task, "0")],
+                     "refused")
 
     def test_pattern_at_the_limit_is_answered(self, capsys, tmp_path):
         path = tmp_path / "limit.hg"
@@ -433,3 +455,30 @@ class TestCorpus:
     def test_unknown_name(self, capsys):
         code, _, err = run(capsys, ["corpus", "nope"])
         assert code == 2 and "unknown corpus graph" in err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list[str]:
+    """The ``factorlab`` lines of README's CLI code block and the inline
+    ``factorlab ...`` examples of its CLI section."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("factorlab ")]
+    return lines + re.findall(r"`(factorlab [^`]+)`", section)
+
+
+def test_readme_commands_parse():
+    """Every README example parses with the per-variant parsers; none is run,
+    so no file is opened."""
+    commands = readme_commands()
+    assert len(commands) >= 15 and any("--expect" in c for c in commands)
+    parser = build_parser()
+    for command in commands:
+        argv = shlex.split(command, comments=True)
+        try:
+            args = parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {command}")
+        assert callable(args.func), command

@@ -2,12 +2,15 @@
 through ``cli.main`` exit 0, 1 or 2 without an uncaught exception, and an exit
 2 prints one line to stderr.
 
-Most flag values are drawn of the type argparse converts them to (an int for
-an int flag, one of the choices for a choice flag), so that most argvs reach
-the command; the rest are values argparse refuses itself (a non-number for an
-int or float flag, an unknown choice), whose usage error must be one line as
-well.  Sizes (``--n``, ``--samples``, ``--cap``) stay small to keep each call
-short.
+Each property, variant and task draws only the flags its parser holds, and
+always its required ones, so that most argvs reach the command.  Most flag
+values are drawn of the type argparse converts them to (an int for an int
+flag, one of the choices for a choice flag); the rest are values argparse
+refuses itself (a non-number for an int or float flag, an unknown choice),
+whose usage error must be one line as well.  One argv in 8 also gets a flag
+of another variant, drawn with well-typed values only, and must exit 2 with
+one line naming that flag.  Sizes (``--n``, ``--samples``, ``--cap``) stay
+small to keep each call short.
 """
 
 import contextlib
@@ -42,53 +45,75 @@ floats = st.floats(min_value=-0.5, max_value=1.5) | st.sampled_from([math.nan, m
 not_numbers = st.sampled_from(["abc", "", "1.5", "0x1", "1e3"])
 words = st.sampled_from(["z", "abc", "", "-1", "0", "3", "true", "false", "maybe",
                          "found", "absent", "inconclusive", "2,2,2", "[[0],[1],[2]]", "[[", "[]"])
+files = PATHS.map(lambda name: "@" + name)
 
-
-def or_refused(values=small_ints, refused=not_numbers):
-    """``values`` 7 times in 8, else a value argparse may refuse to convert."""
-    return st.one_of(*[values] * 7, refused)
-
-
-def choices(values):
-    return or_refused(st.sampled_from(values), st.sampled_from(["nope", ""]))
+# (command, variant) -> {flag: (values, values argparse refuses or None,
+# required)}: the flags each parser holds, ``--out`` aside.  Lattice and
+# corpus have no variants.
+EXPECT_BOOL = (st.sampled_from(["true", "false"]), st.sampled_from(["nope", ""]), False)
+PAIR = {"--F": (files, None, True), "--H": (files, None, True), "--expect": (words, None, False)}
+CAP = {"--cap": (st.integers(min_value=-1, max_value=50), not_numbers, False)}
+CONSTRUCT = {"--n": (st.integers(min_value=-1, max_value=14), not_numbers, True),
+             "--seed": (small_ints, not_numbers, True),
+             "--k": (st.integers(min_value=1, max_value=5), not_numbers, False)}
+VARIANTS = {
+    **{("decide", prop): {"--expect": EXPECT_BOOL} for prop in DECIDERS if prop != "trans"},
+    ("decide", "trans"): {"--s": (small_ints, not_numbers, True), "--expect": EXPECT_BOOL},
+    ("lattice", None): {"--s": (small_ints, not_numbers, True)},
+    ("construct", "lemma51"): {**CONSTRUCT, "--part-sizes": (words, None, False)},
+    ("construct", "obs62"): {**CONSTRUCT, "--s": (small_ints, not_numbers, True),
+                             "--part-sizes": (words, None, False)},
+    ("construct", "gnp"): {**CONSTRUCT, "--p": (floats, not_numbers, True)},
+    ("verify", "cover"): PAIR,
+    ("verify", "factor"): {**PAIR, **CAP},
+    ("verify", "rooted"): {**PAIR, **CAP, "--w": (words | small_ints.map(str), None, True),
+                           "--vstar": (small_ints, not_numbers, False)},
+    ("verify", "denseness"): {"--H": (files, None, True), "--p": (floats, None, True),
+                              "--samples": (st.integers(min_value=-1, max_value=20), not_numbers, False),
+                              "--seed": (small_ints, not_numbers, False),
+                              "--mode": (st.sampled_from(["sampled", "exhaustive"]),
+                                         st.sampled_from(["nope", ""]), False),
+                              "--family": (words, None, False)},
+    ("corpus", None): {},
+}
+ALL_FLAGS = {flag: spec for flags in VARIANTS.values() for flag, spec in flags.items()}
+assert set(CONSTRUCTIONS) | set(DECIDERS) <= {variant for _, variant in VARIANTS}
 
 
 @st.composite
 def argvs(draw):
-    def flag(name, values):
-        # Each flag is left out 3 times in 4, so that most commands get past
-        # their checks.  "--p=-1e-09", since argparse reads a bare "-1e-09" as
-        # an option.
-        return [f"{name}={draw(values)}"] if draw(st.integers(0, 3)) == 3 else []
+    """An argv, and the flag of another variant it carries (None if none)."""
+    key = draw(st.sampled_from(sorted(VARIANTS, key=str)))
+    command, variant = key
+    foreign = draw(st.integers(0, 7)) == 7
 
-    command = draw(st.sampled_from(["decide", "lattice", "construct", "verify", "corpus"]))
-    if command == "decide":
-        argv = ["decide", draw(choices(sorted(DECIDERS))), "@" + draw(PATHS)]
-        argv += flag("--s", or_refused()) + flag("--expect", choices(["true", "false"]))
-    elif command == "lattice":
-        argv = ["lattice", "@" + draw(PATHS), f"--s={draw(or_refused())}"]
-    elif command == "construct":
-        argv = ["construct", draw(choices(sorted(CONSTRUCTIONS))),
-                f"--n={draw(or_refused(st.integers(min_value=-1, max_value=14)))}",
-                f"--seed={draw(or_refused())}"]
-        argv += [f"--s={draw(or_refused())}", f"--p={draw(or_refused(floats))}"]
-        argv += flag("--k", or_refused(st.integers(min_value=1, max_value=5))) + flag("--part-sizes", words)
-    elif command == "verify":
-        task = draw(choices(["cover", "factor", "denseness", "rooted"]))
-        argv = ["verify", task, "--F=@" + draw(PATHS), "--H=@" + draw(PATHS)]
-        if task == "rooted":
-            argv.append(f"--w={draw(words | small_ints.map(str))}")
-        if task == "denseness":
-            argv.append(f"--p={draw(floats)}")
-        argv += flag("--vstar", or_refused())
-        argv += flag("--mu", or_refused(floats)) + flag("--seed", or_refused())
-        argv += flag("--samples", or_refused(st.integers(min_value=-1, max_value=20)))
-        argv += flag("--cap", or_refused(st.integers(min_value=-1, max_value=50)))
-        argv += flag("--mode", choices(["sampled", "exhaustive"]))
-        argv += flag("--family", words) + flag("--expect", words)
-    else:
-        argv = ["corpus", draw(st.sampled_from(["list", "nope", *sorted(NAMED)]))]
-    return argv + flag("--out", st.sampled_from(["@out", "@dir"]))
+    def value(values, refused):
+        # A refused value 1 time in 8, never next to a foreign flag, so that
+        # the flag is what argparse reports.
+        if foreign or refused is None or draw(st.integers(0, 7)):
+            return draw(values)
+        return draw(refused)
+
+    argv = [command]
+    if variant is not None:
+        argv.append(variant if foreign or draw(st.integers(0, 7)) else draw(st.sampled_from(["nope", ""])))
+    if command in ("decide", "lattice"):
+        argv.append(draw(files))
+    elif command == "corpus":
+        argv.append(draw(st.sampled_from(["list", "nope", *sorted(NAMED)])))
+    for name, (values, refused, required) in VARIANTS[key].items():
+        # Each optional flag is left out 3 times in 4, so that most commands
+        # get past their checks.  "--p=-1e-09", since argparse reads a bare
+        # "-1e-09" as an option.
+        if required or draw(st.integers(0, 3)) == 3:
+            argv.append(f"{name}={value(values, refused)}")
+    if draw(st.integers(0, 3)) == 3:
+        argv.append(f"--out={draw(st.sampled_from(['@out', '@dir']))}")
+    flag = None
+    if foreign:
+        flag = draw(st.sampled_from(sorted(set(ALL_FLAGS) - set(VARIANTS[key]))))
+        argv.append(f"{flag}={draw(ALL_FLAGS[flag][0])}")
+    return argv, flag
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +129,8 @@ def paths(tmp_path_factory):
 
 @FUZZ
 @given(argvs())
-def test_random_commands_exit_cleanly(paths, argv):
+def test_random_commands_exit_cleanly(paths, drawn):
+    argv, foreign = drawn
     argv = [re.sub(r"@(\w+)$", lambda m: paths[m.group(1)], tok) for tok in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -115,3 +141,5 @@ def test_random_commands_exit_cleanly(paths, argv):
     assert code in (0, 1, 2), argv
     if code == 2:
         assert len(err.getvalue().strip().splitlines()) == 1, (argv, err.getvalue())
+    if foreign is not None:
+        assert code == 2 and f"unrecognized arguments: {foreign}=" in err.getvalue(), (argv, err.getvalue())

@@ -413,6 +413,16 @@ class TestCompatibleEnumeration:
                             checked += 1
         assert checked > 1000
 
+    def test_valid_witness_without_a_consistent_ordering_refused(self):
+        # A valid cover witness does not make the shadow orderable: this graph
+        # has one, and turan-zero is False.
+        f = Hypergraph(3, 6, [(0, 1, 3), (1, 2, 5), (1, 4, 5), (2, 3, 4), (2, 4, 5)])
+        assert validate_cover_witness(f, 0, [1, 2, 4], [3, 5])
+        assert not decide_turan_zero_3(f).verdict
+        with pytest.raises(PreconditionError) as exc:
+            build_compatible_enumeration(f, 0, [1, 2, 4], [3, 5])
+        assert str(exc.value) == "graph admits no consistent ordering"
+
 
 def link_chain_free_reference(f, ordering):
     """The cubic scan: no vertex v and position j with edges {v, v_i, v_j}

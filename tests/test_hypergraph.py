@@ -4,7 +4,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from factorlab import DensenessParams, FormatError, Hypergraph, load_hypergraph
+from factorlab import FormatError, Hypergraph, load_hypergraph
 from factorlab.corpus import complete, k4, k222, single_edge
 from factorlab.verification import _edges_array, _ordered_tuple_count
 
@@ -85,6 +85,20 @@ class TestLoading:
         ],
     )
     def test_json_numbers_must_be_plain_ints(self, obj, fragment):
+        with pytest.raises(FormatError) as err:
+            load_hypergraph(json.dumps(obj))
+        assert fragment in str(err.value)
+
+    @pytest.mark.parametrize(
+        "obj, fragment",
+        [
+            ({"k": 3, "n": 3, "edges": {"0": [0, 1, 2]}}, '"edges" must be a list of edges'),
+            ({"k": 3, "n": 3, "edges": "0 1 2"}, '"edges" must be a list of edges'),
+            ({"k": 3, "n": 3, "edges": [7]}, "an edge must be a list of vertex ids, got 7"),
+            ({"k": 3, "n": 3, "edges": [{"a": 0}]}, 'an edge must be a list of vertex ids, got {"a": 0}'),
+        ],
+    )
+    def test_json_edges_must_be_lists(self, obj, fragment):
         with pytest.raises(FormatError) as err:
             load_hypergraph(json.dumps(obj))
         assert fragment in str(err.value)
@@ -314,15 +328,20 @@ class TestStructure:
         perm = [5, 4, 3, 2, 1, 0]
         assert h.relabel(perm).relabel(perm) == h
 
-    def test_denseness_params_ranges(self):
-        DensenessParams(p=0.5, mu=0.01)
-        for bad in (
-            dict(p=0.0, mu=0.1),
-            dict(p=1.0, mu=0.1),
-            dict(p=0.5, mu=0.0),
-        ):
-            with pytest.raises(ValueError):
-                DensenessParams(**bad)
+    @pytest.mark.parametrize("k, n, fragment", [(1, 3, "k must be >= 2"), (3, -1, "must be >= 0")])
+    def test_constructor_refuses_k_and_n(self, k, n, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            Hypergraph(k, n, [])
+
+    @pytest.mark.parametrize("vertices", [[0, 6], [-1, 2]])
+    def test_induced_refuses_outside_vertices(self, vertices):
+        with pytest.raises(ValueError, match="outside"):
+            k222().induced(vertices)
+
+    @pytest.mark.parametrize("perm", [[0, 1, 2, 3, 4], [0, 0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 6]])
+    def test_relabel_refuses_non_permutations(self, perm):
+        with pytest.raises(ValueError, match="not a permutation"):
+            k222().relabel(perm)
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):

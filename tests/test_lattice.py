@@ -258,3 +258,17 @@ class TestDecideTrans:
     def test_s_guard(self):
         with pytest.raises(PreconditionError):
             decide_trans(single_edge(), 1)
+
+    def test_empty_graph(self):
+        # One bipartition, both sides empty: the generators sum to 0.
+        report = decide_trans(Hypergraph(3, 0, []), 2)
+        assert report.verdict is False and report.witness is None
+        assert report.stats["generators"] == [[0, 0]] and report.stats["basis"] == []
+        assert report.stats["first-coordinate-difference-gcd"] == 0
+
+    def test_zero_sum_route_agrees_with_echelon(self):
+        box = [(x, y) for x in range(-5, 6) for y in range(-5, 6)]
+        for gens in ([(0, 0)], [(2, -2)], [(2, -2), (3, -3)], [(0, 0), (-4, 4), (6, -6)]):
+            lat = lattice_from_generators(gens)
+            for vector in box:
+                assert shared_sum_contains(gens, vector) == (lattice_combination(lat, vector) is not None)

@@ -8,7 +8,6 @@ PUBLIC = [
     "ConstructionParams",
     "DecisionReport",
     "DensenessEstimate",
-    "DensenessParams",
     "FormatError",
     "Hypergraph",
     "Lattice",

@@ -530,6 +530,42 @@ class TestReachability:
             count_reachable_sets(complete(6, 3), single_edge(), 0, 1)
 
 
+class TestEdgeCases:
+    """Empty patterns and hosts, patterns larger than the host, and the
+    refusals of the counting and sampling entry points."""
+
+    def test_factor_of_the_empty_host(self):
+        res = find_factor(single_edge(), Hypergraph(3, 0, []))
+        assert (res.status, res.certificate, res.stats) == ("found", [], {"nodes": 0, "memo": 0})
+
+    def test_pattern_larger_than_host(self):
+        f, h = Hypergraph(3, 4, [(0, 1, 2)]), single_edge()
+        assert list(iter_embeddings(f, h)) == [] and list(iter_embeddings(f, h, per_copy=True)) == []
+        assert copy_images(f, h) == ({}, False)
+
+    def test_empty_pattern_has_one_embedding(self):
+        empty = Hypergraph(3, 0, [])
+        for h in (empty, single_edge()):
+            assert list(iter_embeddings(empty, h)) == [()]
+
+    @pytest.mark.parametrize("f, u, v", [
+        (single_edge(), 1, 1), (single_edge(), 0, 5), (single_edge(), -1, 0), (Hypergraph(3, 0, []), 0, 1),
+    ], ids=["u-is-v", "v-out-of-range", "u-negative", "empty-pattern"])
+    def test_reachability_refusals(self, f, u, v):
+        with pytest.raises(ValueError, match="distinct host vertices|at least one vertex"):
+            count_reachable_sets(complete(5, 3), f, u, v)
+
+    def test_estimators_refuse_zero_samples(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            estimate_denseness(complete(4, 3), 0.5, 0, seed=1)
+        with pytest.raises(ValueError, match="at least one sample"):
+            estimate_S_denseness(complete(4, 3), 0.5, [[1], [2], [3]], 0, seed=1)
+
+    def test_directed_denseness_refuses_the_empty_host(self):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            estimate_S_denseness(Hypergraph(3, 0, []), 0.5, [[1], [2], [3]], 5, seed=1)
+
+
 class TestUniformityMismatch:
     """A pattern and a host of different uniformity get an error, not an answer."""
 
