@@ -5,13 +5,13 @@ to stderr.  Exit codes: 0 the command ran and decided/verified, 1 an
 ``--expect`` value was not met, 2 usage or input errors.  Every JSON payload
 embeds the parameters and seeds needed to replay the run.  Each property,
 variant and task has its own parser holding only the flags it reads, so a
-flag it would ignore exits 2.
+flag it would ignore exits 2; each flag's value is checked by its ``type``
+there, and command bodies check only what needs a loaded file.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 from pathlib import Path
@@ -36,10 +36,34 @@ def _workers(args) -> int:
     return 1
 
 
-def _check_seed(seed: int) -> None:
-    # numpy's own error for a negative seed names neither the flag nor the value.
-    if seed < 0:
-        raise ValueError(f"--seed must be non-negative, got {seed}")
+def _flag_type(name: str, convert, valid=None, wanted: str = ""):
+    """An argparse ``type`` that converts a flag's text and refuses a value
+    ``valid`` rejects, so the parser that declares the flag checks it.
+
+    A text ``convert`` cannot read gets argparse's own "invalid <name> value"
+    line, a rejected value "must be <wanted>"; both exit 2 with one line.
+    """
+
+    def parse(raw: str):
+        try:
+            value = convert(raw)
+        except RecursionError:  # JSON nested past the interpreter's limit
+            raise argparse.ArgumentTypeError(f"invalid {name} value: nested too deeply") from None
+        if valid is not None and not valid(value):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {raw}")
+        return value
+
+    parse.__name__ = name
+    return parse
+
+
+# Seeds and rooted counts; numpy's own error for a negative seed names
+# neither the flag nor the value.
+_NON_NEGATIVE = _flag_type("int", int, lambda v: v >= 0, "non-negative")
+_POSITIVE = _flag_type("int", int, lambda v: v >= 1, "at least 1")
+_PROBABILITY = _flag_type("float", float, lambda v: 0 < v < 1, "in (0, 1)")
+_PART_SIZES = _flag_type("comma-separated int", lambda raw: tuple(int(tok) for tok in raw.split(",")))
+_JSON = _flag_type("JSON", json.loads)
 
 
 def _load(path: str) -> Hypergraph:
@@ -112,18 +136,9 @@ def cmd_lattice(args) -> int:
     return EXIT_OK
 
 
-def _parse_part_sizes(raw: str | None) -> tuple[int, ...] | None:
-    if raw is None:
-        return None
-    try:
-        return tuple(int(tok) for tok in raw.split(","))
-    except ValueError as exc:
-        raise ValueError(f"--part-sizes must be comma-separated integers, got {raw!r}") from exc
-
-
 def _colouring(build, args, s: int | None):
     params = constructions.ConstructionParams(
-        n=args.n, k=args.k, seed=args.seed, s=s, part_sizes=_parse_part_sizes(args.part_sizes))
+        n=args.n, k=args.k, seed=args.seed, s=s, part_sizes=args.part_sizes)
     built = build(params)
     recorded = {"n": args.n, "k": args.k, "s": s,
                 "part_sizes": list(params.part_sizes) if params.part_sizes else None}
@@ -146,7 +161,6 @@ CONSTRUCTIONS = {
 
 
 def cmd_construct(args) -> int:
-    _check_seed(args.seed)
     h, recorded, fields = CONSTRUCTIONS[args.variant](args)
     sidecar = {"variant": args.variant, "params": recorded, "seed": args.seed, **fields}
 
@@ -175,35 +189,31 @@ def _resolve_w(token: str, h: Hypergraph) -> int:
     return w
 
 
-# Task -> the outcomes --expect may name; verify rooted expects a count.
-EXPECT_OUTCOMES = {"cover": ("true", "false"), "factor": ("found", "absent", "inconclusive")}
-
-
-def _parse_expect(task: str, raw: str | None) -> str | int | None:
-    """The ``--expect`` value of ``verify cover|factor|rooted``, checked before any search."""
-    if raw is None or raw in EXPECT_OUTCOMES.get(task, ()):
-        return raw
-    if task == "rooted" and raw.isascii() and raw.isdigit():
-        with contextlib.suppress(ValueError):  # past the interpreter's digit limit
-            return int(raw)
-    wanted = "a non-negative count" if task == "rooted" else "one of " + ", ".join(EXPECT_OUTCOMES[task])
-    raise ValueError(f"--expect for verify {task} must be {wanted}, got {raw!r}")
-
-
 def cmd_verify(args) -> int:
     params: dict = {"task": args.task, "seed": getattr(args, "seed", None)}
     mismatch = False
 
-    if args.task != "denseness":
-        f, h = _load_pattern(args.pattern), _load(args.host)
-        if f.k != h.k:
-            raise ValueError(f"uniformity mismatch: F has k={f.k}, H has k={h.k}")
-        params.update({"F": args.pattern, "H": args.host})
-        if args.task != "cover":  # cover lists every copy and takes no cap
-            if args.cap < 1:
-                raise ValueError(f"--cap must be at least 1, got {args.cap}")
-            params["cap"] = args.cap
-        expect = _parse_expect(args.task, args.expect)
+    if args.task.endswith("denseness"):
+        h = _load(args.host)
+        params.update({"H": args.host, "p": args.p})
+        if args.task == "exhaustive-denseness":
+            est = verification.exact_denseness_small(h, args.p)
+        else:
+            params.update({"samples": args.samples, "family": args.family})
+            if args.family is None:
+                est = verification.estimate_denseness(h, args.p, args.samples, args.seed)
+            else:
+                est = verification.estimate_S_denseness(h, args.p, args.family, args.samples, args.seed)
+        _emit(args, _envelope("verify", params, est.to_json_obj()),
+              f"denseness: worst_deficit={est.worst_deficit:.6g} ({est.mode})")
+        return EXIT_OK
+
+    f, h = _load_pattern(args.pattern), _load(args.host)
+    if f.k != h.k:
+        raise ValueError(f"uniformity mismatch: F has k={f.k}, H has k={h.k}")
+    params.update({"F": args.pattern, "H": args.host})
+    if args.task != "cover":  # cover lists every copy and takes no cap
+        params["cap"] = args.cap
 
     if args.task == "cover":
         rep = verification.find_cover(f, h)
@@ -214,7 +224,7 @@ def cmd_verify(args) -> int:
             "witnesses": [list(phi) if phi else None for phi in rep.witnesses],
         }
         summary = f"cover: verdict={rep.verdict}"
-        mismatch = expect is not None and rep.verdict != (expect == "true")
+        mismatch = args.expect is not None and rep.verdict != (args.expect == "true")
     elif args.task == "factor":
         res = verification.find_factor(f, h, cap=args.cap)
         report = {
@@ -223,8 +233,8 @@ def cmd_verify(args) -> int:
             "stats": res.stats,
         }
         summary = f"factor: {res.status}"
-        mismatch = expect is not None and res.status != expect
-    elif args.task == "rooted":
+        mismatch = args.expect is not None and res.status != args.expect
+    else:  # rooted
         w = _resolve_w(args.w, h)
         if args.vstar is not None and not 0 <= args.vstar < f.n:
             raise ValueError(f"--vstar must be a pattern vertex in [0, {f.n}), got {args.vstar}")
@@ -239,29 +249,7 @@ def cmd_verify(args) -> int:
         total = sum(counts.values())
         report = {"w": w, "counts": counts, "total": total, "truncated": truncated}
         summary = f"rooted: total={total} at w={w}"
-        mismatch = expect is not None and total != expect
-    else:  # denseness
-        if args.mode == "exhaustive" and args.family is not None:
-            raise ValueError("--family is not supported with --mode exhaustive")
-        h = _load(args.host)
-        if not 0 < args.p < 1:
-            raise ValueError(f"verify denseness requires --p in (0, 1), got {args.p}")
-        params.update({"H": args.host, "p": args.p, "samples": args.samples,
-                       "mode": args.mode, "family": args.family})
-        if args.mode == "sampled":
-            _check_seed(args.seed)
-        if args.mode == "exhaustive":
-            est = verification.exact_denseness_small(h, args.p)
-        elif args.family is not None:
-            try:
-                family = json.loads(args.family)
-            except (ValueError, RecursionError) as exc:  # bad JSON, huge ints, deep nesting
-                raise ValueError(f"--family is not JSON: {exc}") from exc
-            est = verification.estimate_S_denseness(h, args.p, family, args.samples, args.seed)
-        else:
-            est = verification.estimate_denseness(h, args.p, args.samples, args.seed)
-        report = est.to_json_obj()
-        summary = f"denseness: worst_deficit={est.worst_deficit:.6g} ({est.mode})"
+        mismatch = args.expect is not None and total != args.expect
 
     _emit(args, _envelope("verify", params, report), summary)
     return EXIT_EXPECT if mismatch else EXIT_OK
@@ -335,33 +323,35 @@ def build_parser() -> argparse.ArgumentParser:
     for name, p in construct.items():
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--k", type=int, default=3)
-        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--seed", type=_NON_NEGATIVE, required=True)
         if name != "gnp":
-            p.add_argument("--part-sizes", help="comma-separated explicit part sizes")
+            p.add_argument("--part-sizes", type=_PART_SIZES, help="comma-separated explicit part sizes")
     construct["obs62"].add_argument("--s", type=int, required=True, help="order of the coloured sets")
     construct["gnp"].add_argument("--p", type=float, required=True, help="edge probability")
 
-    verify = variants("verify", "task", ["cover", "factor", "rooted", "denseness"], cmd_verify,
-                      "run a ground-truth verification task")
+    verify = variants("verify", "task", ["cover", "factor", "rooted", "denseness", "exhaustive-denseness"],
+                      cmd_verify, "run a ground-truth verification task")
     for task in ("cover", "factor", "rooted"):
         verify[task].add_argument("--F", dest="pattern", required=True, help="pattern hypergraph file")
         verify[task].add_argument("--H", dest="host", required=True, help="host hypergraph file")
-        verify[task].add_argument("--expect", help="expected outcome; mismatch exits 1")
-    verify["factor"].add_argument("--cap", type=int, default=verification.DEFAULT_CAP,
+    for task, outcomes in (("cover", ["true", "false"]), ("factor", ["found", "absent", "inconclusive"])):
+        verify[task].add_argument("--expect", choices=outcomes, help="expected outcome; mismatch exits 1")
+    verify["factor"].add_argument("--cap", type=_POSITIVE, default=verification.DEFAULT_CAP,
                                   help="most copies (one per Aut(F) class) listed before the answer "
                                   "is inconclusive")
     rooted = verify["rooted"]
     rooted.add_argument("--w", required=True, help="host vertex; 'z' means the last vertex")
     rooted.add_argument("--vstar", type=int, help="restrict the counts to one pattern root")
-    rooted.add_argument("--cap", type=int, default=verification.DEFAULT_CAP,
+    rooted.add_argument("--cap", type=_POSITIVE, default=verification.DEFAULT_CAP,
                         help="most labelled embeddings counted per root")
+    rooted.add_argument("--expect", type=_NON_NEGATIVE, help="expected total count; mismatch exits 1")
+    for task in ("denseness", "exhaustive-denseness"):
+        verify[task].add_argument("--H", dest="host", required=True, help="host hypergraph file")
+        verify[task].add_argument("--p", type=_PROBABILITY, required=True, help="target density in (0, 1)")
     dense = verify["denseness"]
-    dense.add_argument("--H", dest="host", required=True, help="host hypergraph file")
-    dense.add_argument("--p", type=float, required=True, help="target density")
-    dense.add_argument("--samples", type=int, default=1000)
-    dense.add_argument("--seed", type=int, default=0)
-    dense.add_argument("--mode", choices=["sampled", "exhaustive"], default="sampled")
-    dense.add_argument("--family", help="JSON list of index subsets for directed denseness")
+    dense.add_argument("--samples", type=_POSITIVE, default=1000)
+    dense.add_argument("--seed", type=_NON_NEGATIVE, default=0)
+    dense.add_argument("--family", type=_JSON, help="JSON list of index subsets for directed denseness")
 
     p_cor = sub.add_parser("corpus", help="emit a named built-in graph ('list' to enumerate)")
     p_cor.add_argument("name")

@@ -3,8 +3,9 @@
 A :class:`Hypergraph` is immutable after construction: edges are stored as
 lexicographically sorted tuples of strictly increasing vertex ids, which is
 the canonical form used for equality and serialization.  Derived data is
-computed lazily and cached under a lock so instances can be shared across
-threads:
+computed lazily and cached.  Instances can be shared across threads without a
+lock: a value is stored whole, after it is computed, so a reader sees it
+complete or not at all, and a race at worst computes an equal value twice:
 
 * ``subset_edges(s)``: each s-set lying in some edge, mapped to the ascending
   indices of the edges containing it, built in one pass over the edges.  It is
@@ -33,14 +34,14 @@ intersection sizes, one per part.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import IO, Iterable, Iterator, KeysView, NamedTuple, Sequence
 
-# Largest vertex count the loaders accept: derived data and the deciders
-# allocate O(n) per graph, so a header may not ask for more.
+# Largest vertex count, and uniformity, the loaders accept: derived data and
+# the deciders allocate O(n) and O(k) per graph, so a header may not ask for
+# more.
 MAX_VERTICES = 10**6
 
 
@@ -123,8 +124,6 @@ class Hypergraph:
         self.n = n
         self.edges: tuple[tuple[int, ...], ...] = tuple(canon)
         self._cache: dict = {}
-        # Reentrant, so a compute function may read other cached values.
-        self._lock = threading.RLock()
 
     # -- identity ----------------------------------------------------------
 
@@ -143,14 +142,10 @@ class Hypergraph:
         return f"Hypergraph(k={self.k}, n={self.n}, m={len(self.edges)})"
 
     def _cached(self, key, compute):
-        # Double-checked so concurrent readers never observe partial values.
         cache = self._cache
-        if key in cache:
-            return cache[key]
-        with self._lock:
-            if key not in cache:
-                cache[key] = compute()
-            return cache[key]
+        if key not in cache:
+            cache[key] = compute()
+        return cache[key]
 
     @property
     def edge_set(self) -> frozenset[frozenset[int]]:
@@ -296,8 +291,9 @@ class PartAssignments:
     part is refused to v when it holds a vertex set in ``conflicts[v]`` (the
     bitmask of the vertices that must take another part than v), or when,
     with ``s`` given, an edge of an ``overlap_classes(s)`` class of two or
-    more edges has its last free vertex at v and an index vector (one
-    base-(k+1) digit per part) other than the one its class recorded.  Both
+    more edges has its last free vertex at v and an index vector other than
+    the one its class recorded.  The sorted parts of an edge's vertices give
+    its index vector and are compared in its place.  Both
     checks read only placed vertices, so every valid assignment is yielded,
     in lexicographic order, and nothing else.  Each is ``part_of`` (vertex ->
     part), one list reused throughout; ``nodes`` counts the part choices
@@ -323,10 +319,8 @@ class PartAssignments:
             for ei in cls:
                 e = f.edges[ei]
                 closing[next(u for u in reversed(e) if part_of[u] < 0)].append((e, ci))
-        # Counts are at most k, so base k + 1 keeps an index vector exact as one int.
-        weight = [(f.k + 1) ** p for p in range(max([parts, *(p + 1 for p in fixed.values())]))]
         members = [0] * parts  # bitmask of the free vertices placed in each part
-        vector: list[int | None] = [None] * len(classes)
+        vector: list[list[int] | None] = [None] * len(classes)
         recorded: list[list[int]] = [[] for _ in free]  # class ids recorded at each depth
         nodes = self.nodes
         depth = 0
@@ -350,7 +344,7 @@ class PartAssignments:
                     continue
                 part_of[v] = p
                 for e, ci in closing[v]:
-                    vec = sum(weight[part_of[u]] for u in e)
+                    vec = sorted([part_of[u] for u in e])
                     if vector[ci] is None:
                         vector[ci] = vec
                         rec.append(ci)
@@ -394,8 +388,9 @@ def _parse_text(text: str) -> Hypergraph:
         raise FormatError(f"uniformity k must be >= 2, got {k}", head_no)
     if n < 0 or m < 0:
         raise FormatError("n and m must be non-negative", head_no)
-    if n > MAX_VERTICES:
-        raise FormatError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}", head_no)
+    for what, value in (("vertex count", n), ("uniformity", k)):
+        if value > MAX_VERTICES:
+            raise FormatError(f"{what} {value} exceeds the limit of {MAX_VERTICES}", head_no)
     body = data_lines[1:]
     if len(body) != m:
         raise FormatError(f"expected {m} edge lines, found {len(body)}")
@@ -429,11 +424,11 @@ def _parse_json(text: str) -> Hypergraph:
     if not isinstance(obj, dict) or not {"k", "n", "edges"}.issubset(obj):
         raise FormatError('JSON hypergraph must have keys "k", "n", "edges"')
     # JSON numbers may be floats and true/false are not counts: only plain ints pass.
-    for key in ("k", "n"):
+    for key, what in (("k", "uniformity"), ("n", "vertex count")):
         if type(obj[key]) is not int:
             raise FormatError(f'"{key}" must be an integer, got {json.dumps(obj[key])}')
-    if obj["n"] > MAX_VERTICES:
-        raise FormatError(f"vertex count {obj['n']} exceeds the limit of {MAX_VERTICES}")
+        if obj[key] > MAX_VERTICES:
+            raise FormatError(f"{what} {obj[key]} exceeds the limit of {MAX_VERTICES}")
     if not isinstance(obj["edges"], list):
         raise FormatError('"edges" must be a list of edges')
     for e in obj["edges"]:

@@ -449,6 +449,13 @@ def _ordered_tuple_count(edges_arr: np.ndarray, masks: list[np.ndarray]) -> int:
     return total
 
 
+# Largest uniformity sampled denseness accepts: each sample sums over all k!
+# orderings of its k subsets: on a one-edge host, about 15 ms per sample at
+# k = 6 and 0.9 s at k = 8 (2-vCPU Xeon, Python 3.11).
+# The singleton family of estimate_S_denseness gives the same deficit.
+_SAMPLED_K_LIMIT = 6
+
+
 def estimate_denseness(
     h: Hypergraph, p: float, sample_count: int, seed: int, workers: int = 1
 ) -> DensenessEstimate:
@@ -466,6 +473,9 @@ def estimate_denseness(
         raise ValueError("need at least one sample")
     if h.n == 0:
         raise ValueError("sampled denseness needs a host with at least one vertex")
+    if h.k > _SAMPLED_K_LIMIT:
+        raise ValueError(f"sampled denseness sums k! orderings per sample; k={h.k} is above "
+                         f"{_SAMPLED_K_LIMIT} (the family [[1], ..., [k]] gives the same deficit)")
     edges_arr = _edges_array(h)
     n_pow_k = h.n**h.k
 

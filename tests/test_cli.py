@@ -1,6 +1,8 @@
+import argparse
 import json
 import re
 import shlex
+import signal
 from pathlib import Path
 
 import pytest
@@ -39,6 +41,20 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def within(seconds, fn, *args):
+    """fn(*args), raising TimeoutError instead of hanging once ``seconds`` pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def parser_rejects(capsys, argv, message):
@@ -240,15 +256,25 @@ class TestVerify:
         assert payload["report"]["seed"] == 9
         assert payload["params"]["samples"] == 50
 
+    def test_exhaustive_denseness_echoes_only_what_it_reads(self, capsys, tmp_path):
+        from factorlab.constructions import random_uniform_hypergraph
+        from factorlab.verification import exact_denseness_small
+
+        h = random_uniform_hypergraph(7, 3, 0.5, 4)
+        host = tmp_path / "host.hg"
+        host.write_text(h.to_text())
+        code, out, _ = run(capsys, ["verify", "exhaustive-denseness", "--H", str(host), "--p", "0.3"])
+        payload = json.loads(out)
+        assert code == 0 and payload["seed"] is None
+        assert payload["params"] == {"task": "exhaustive-denseness", "seed": None, "H": str(host), "p": 0.3}
+        assert payload["report"] == exact_denseness_small(h, 0.3).to_json_obj()
+
     def test_denseness_exhaustive_and_family_agree(self, capsys, tmp_path):
         host = tmp_path / "host.hg"
         from factorlab.constructions import random_uniform_hypergraph
 
         host.write_text(random_uniform_hypergraph(8, 3, 0.5, 4).to_text())
-        code, out, _ = run(
-            capsys,
-            ["verify", "denseness", "--H", str(host), "--p", "0.5", "--mode", "exhaustive"],
-        )
+        code, out, _ = run(capsys, ["verify", "exhaustive-denseness", "--H", str(host), "--p", "0.5"])
         exact = json.loads(out)["report"]["worst_deficit"]
         code2, out2, _ = run(
             capsys,
@@ -265,8 +291,13 @@ def rooted_at(task, w):
 
 
 def run_rejected(capsys, argv, fragment):
-    """Exit 2 with a one-line error naming ``fragment``, never a traceback."""
-    code, out, err = run(capsys, argv)
+    """Exit 2 with a one-line error naming ``fragment``, never a traceback,
+    whether the flag's parser or the command refuses it."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert fragment in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
@@ -278,7 +309,8 @@ class TestRejectedFlags:
     @pytest.mark.parametrize("argv, message", [
         (["decide", "trans", "x.hg", "--s", "abc"], "argument --s: invalid int value: 'abc'"),
         (["verify", "factor", "--cap", "1.5"], "argument --cap: invalid int value: '1.5'"),
-        (["verify", "denseness", "--mode", "fast"], "argument --mode: invalid choice"),
+        (["verify", "denseness", "--H", "x.hg", "--p", "0.5", "--mode", "exhaustive"],
+         "unrecognized arguments: --mode exhaustive"),
         (["decide", "turan-zero"], "the following arguments are required: file"),
         (["corpus", "list", "--bogus"], "unrecognized arguments: --bogus"),
     ])
@@ -327,9 +359,14 @@ class TestRejectedFlags:
         parser_rejects(capsys, ["verify", "denseness", "--H", k222_file, "--p", "0.5",
                                 "--samples", "2", "--expect", "0"], "unrecognized arguments: --expect 0")
 
+    @pytest.mark.parametrize("argv", [["--samples", "5"], ["--seed", "9"], ["--mode", "exhaustive"]])
+    def test_exhaustive_denseness_refuses_sampling_flags(self, capsys, k222_file, argv):
+        parser_rejects(capsys, ["verify", "exhaustive-denseness", "--H", k222_file, "--p", "0.5", *argv],
+                       f"unrecognized arguments: {' '.join(argv)}")
+
     def test_denseness_exhaustive_refuses_family(self, capsys, k222_file):
-        run_rejected(capsys, ["verify", "denseness", "--H", k222_file, "--p", "0.5",
-                              "--mode", "exhaustive", "--family", "[[1],[2],[3]]"], "--family")
+        parser_rejects(capsys, ["verify", "exhaustive-denseness", "--H", k222_file, "--p", "0.5",
+                                "--family", "[[1],[2],[3]]"], "unrecognized arguments: --family")
 
     def test_denseness_on_empty_host(self, capsys, tmp_path):
         empty = tmp_path / "empty.hg"
@@ -344,6 +381,11 @@ class TestRejectedFlags:
     def test_denseness_without_p(self, capsys, k222_file):
         parser_rejects(capsys, ["verify", "denseness", "--H", k222_file],
                        "the following arguments are required: --p")
+
+    def test_denseness_samples_below_one(self, capsys):
+        # refused before the host file is opened
+        run_rejected(capsys, ["verify", "denseness", "--H", "missing.hg", "--p", "0.5", "--samples", "0"],
+                     "argument --samples: must be at least 1, got 0")
 
     @pytest.mark.parametrize("task", ["factor", "rooted"])
     @pytest.mark.parametrize("cap", ["-1", "0"])
@@ -361,7 +403,7 @@ class TestRejectedFlags:
     def test_negative_seed(self, capsys, k222_file, argv):
         if argv[0] == "verify":
             argv = argv + ["--H", k222_file]
-        run_rejected(capsys, argv + ["--seed", "-3"], "--seed must be non-negative, got -3")
+        run_rejected(capsys, argv + ["--seed", "-3"], "argument --seed: must be non-negative, got -3")
 
 
 class TestSizeBounds:
@@ -430,6 +472,29 @@ class TestSizeBounds:
         run_rejected(capsys, ["verify", "denseness", "--H", k222_file, "--p", "0.5",
                               "--samples", "2", "--family", family], "family")
 
+    def test_sampled_denseness_refuses_uniformity_above_six(self, capsys, tmp_path):
+        # 12! orderings per sample: refused before the first draw
+        host = tmp_path / "k12.hg"
+        host.write_text("12 12 0\n")
+        run_rejected(capsys, ["verify", "denseness", "--H", str(host), "--p", "0.5"], "k=12")
+
+    @pytest.mark.parametrize("text", [
+        f"{MAX_VERTICES + 1} 1 0\n",
+        json.dumps({"k": MAX_VERTICES + 1, "n": 1, "edges": []}),
+    ], ids=["text", "json"])
+    def test_uniformity_over_loader_limit(self, capsys, tmp_path, text):
+        path = tmp_path / "wide.hg"
+        path.write_text(text)
+        run_rejected(capsys, ["decide", "partition-k", str(path)], "uniformity")
+
+    @pytest.mark.parametrize("prop", ["partition-k", "kpartite-link"])
+    def test_wide_edgeless_pattern_is_answered(self, capsys, tmp_path, prop):
+        # no part-assignment table grows with k (a k^2 one took 11 s here)
+        path = tmp_path / "wide.hg"
+        path.write_text("12000 1 0\n")
+        code, out, _ = within(1.0, run, capsys, ["decide", prop, str(path)])
+        assert code == 0 and json.loads(out)["report"]["verdict"] is True
+
     def test_directed_denseness_over_dense_array_limit(self, capsys, tmp_path):
         host = tmp_path / "empty.hg"
         host.write_text("3 3000 0\n")
@@ -469,9 +534,30 @@ def readme_commands() -> list[str]:
     return lines + re.findall(r"`(factorlab [^`]+)`", section)
 
 
+def readme_flag_table() -> dict[str, set[tuple[str, bool]]]:
+    """README's per-variant flag table: command -> {(flag, required)}, with
+    bold marking the required flags."""
+    rows = re.findall(r"^\| `([^`]+)`( \(other properties\))? \| (.+) \|$",
+                      README.read_text(encoding="utf-8"), re.M)
+    return {command + other: {(cell.strip("*`"), cell.startswith("**")) for cell in flags.split(", ")}
+            for command, other, flags in rows}
+
+
+def sub_parsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def parser_flags(parser: argparse.ArgumentParser) -> set[tuple[str, bool]]:
+    """(flag or positional, required) of each argument but ``--help`` and ``--out``."""
+    return {(a.option_strings[0] if a.option_strings else a.dest, a.required)
+            for a in parser._actions if a.dest not in ("help", "out")}
+
+
 def test_readme_commands_parse():
     """Every README example parses with the per-variant parsers; none is run,
-    so no file is opened."""
+    so no file is opened.  Each row of the flag table holds exactly the flags
+    of its parsers, required ones in bold."""
     commands = readme_commands()
     assert len(commands) >= 15 and any("--expect" in c for c in commands)
     parser = build_parser()
@@ -482,3 +568,13 @@ def test_readme_commands_parse():
         except SystemExit:
             pytest.fail(f"README example does not parse: {command}")
         assert callable(args.func), command
+
+    table = readme_flag_table()
+    commands = sub_parsers(parser)
+    leaves = {"lattice": commands["lattice"]}
+    for command in ("decide", "construct", "verify"):
+        leaves.update({f"{command} {name}": p for name, p in sub_parsers(commands[command]).items()})
+    for name, p in leaves.items():
+        row = name if name in table else name.split()[0] + " (other properties)"
+        assert table.get(row) == parser_flags(p), name
+    assert set(table) <= set(leaves) | {"decide (other properties)"}

@@ -4,10 +4,11 @@ through ``cli.main`` exit 0, 1 or 2 without an uncaught exception, and an exit
 
 Each property, variant and task draws only the flags its parser holds, and
 always its required ones, so that most argvs reach the command.  Most flag
-values are drawn of the type argparse converts them to (an int for an int
-flag, one of the choices for a choice flag); the rest are values argparse
-refuses itself (a non-number for an int or float flag, an unknown choice),
-whose usage error must be one line as well.  One argv in 8 also gets a flag
+values are drawn from those the flag's parser accepts (an int for an int
+flag, a non-negative one for a seed, one of the choices for a choice flag);
+the rest are values the parser refuses (a non-number for an int or float
+flag, a negative seed, a cap or sample count below 1, an unknown choice, text that is not
+JSON), whose usage error must be one line as well.  One argv in 8 also gets a flag
 of another variant, drawn with well-typed values only, and must exit 2 with
 one line naming that flag.  Sizes (``--n``, ``--samples``, ``--cap``) stay
 small to keep each call short.
@@ -46,34 +47,43 @@ not_numbers = st.sampled_from(["abc", "", "1.5", "0x1", "1e3"])
 words = st.sampled_from(["z", "abc", "", "-1", "0", "3", "true", "false", "maybe",
                          "found", "absent", "inconclusive", "2,2,2", "[[0],[1],[2]]", "[[", "[]"])
 files = PATHS.map(lambda name: "@" + name)
+seeds = (st.integers(min_value=0, max_value=8), not_numbers | st.integers(-2, -1).map(str))
+unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+outside_unit = st.sampled_from(["-0.5", "0", "1", "1.5", "nan", "inf", "abc"])
 
 # (command, variant) -> {flag: (values, values argparse refuses or None,
 # required)}: the flags each parser holds, ``--out`` aside.  Lattice and
 # corpus have no variants.
 EXPECT_BOOL = (st.sampled_from(["true", "false"]), st.sampled_from(["nope", ""]), False)
-PAIR = {"--F": (files, None, True), "--H": (files, None, True), "--expect": (words, None, False)}
-CAP = {"--cap": (st.integers(min_value=-1, max_value=50), not_numbers, False)}
+PAIR = {"--F": (files, None, True), "--H": (files, None, True)}
+CAP = {"--cap": (st.integers(min_value=1, max_value=50), not_numbers | st.sampled_from(["0", "-1"]), False)}
 CONSTRUCT = {"--n": (st.integers(min_value=-1, max_value=14), not_numbers, True),
-             "--seed": (small_ints, not_numbers, True),
+             "--seed": (*seeds, True),
              "--k": (st.integers(min_value=1, max_value=5), not_numbers, False)}
+PART_SIZES = (st.sampled_from(["2,2,2", "3", "0", "-1", "4,5,1", "4,6"]),
+              st.sampled_from(["abc", "", "z", "2,,2", "[[0],[1],[2]]"]), False)
+DENSENESS = {"--H": (files, None, True), "--p": (unit, outside_unit, True)}
 VARIANTS = {
     **{("decide", prop): {"--expect": EXPECT_BOOL} for prop in DECIDERS if prop != "trans"},
     ("decide", "trans"): {"--s": (small_ints, not_numbers, True), "--expect": EXPECT_BOOL},
     ("lattice", None): {"--s": (small_ints, not_numbers, True)},
-    ("construct", "lemma51"): {**CONSTRUCT, "--part-sizes": (words, None, False)},
-    ("construct", "obs62"): {**CONSTRUCT, "--s": (small_ints, not_numbers, True),
-                             "--part-sizes": (words, None, False)},
+    ("construct", "lemma51"): {**CONSTRUCT, "--part-sizes": PART_SIZES},
+    ("construct", "obs62"): {**CONSTRUCT, "--s": (small_ints, not_numbers, True), "--part-sizes": PART_SIZES},
     ("construct", "gnp"): {**CONSTRUCT, "--p": (floats, not_numbers, True)},
-    ("verify", "cover"): PAIR,
-    ("verify", "factor"): {**PAIR, **CAP},
+    ("verify", "cover"): {**PAIR, "--expect": EXPECT_BOOL},
+    ("verify", "factor"): {**PAIR, **CAP, "--expect": (st.sampled_from(["found", "absent", "inconclusive"]),
+                                                       st.sampled_from(["true", "fnd", ""]), False)},
     ("verify", "rooted"): {**PAIR, **CAP, "--w": (words | small_ints.map(str), None, True),
-                           "--vstar": (small_ints, not_numbers, False)},
-    ("verify", "denseness"): {"--H": (files, None, True), "--p": (floats, None, True),
-                              "--samples": (st.integers(min_value=-1, max_value=20), not_numbers, False),
-                              "--seed": (small_ints, not_numbers, False),
-                              "--mode": (st.sampled_from(["sampled", "exhaustive"]),
-                                         st.sampled_from(["nope", ""]), False),
-                              "--family": (words, None, False)},
+                           "--vstar": (small_ints, not_numbers, False),
+                           "--expect": (st.integers(min_value=0, max_value=60), not_numbers | st.just("-1"), False)},
+    ("verify", "denseness"): {**DENSENESS,
+                              "--samples": (st.integers(min_value=1, max_value=20),
+                                            not_numbers | st.sampled_from(["0", "-1"]), False),
+                              "--seed": (*seeds, False),
+                              "--family": (st.sampled_from(["[[1],[2],[3]]", "[[1, 2], [3]]", "[]", "[[0]]",
+                                                            "0", "true", "[1]"]),
+                                           st.sampled_from(["[[", "abc", "", "2,2,2"]), False)},
+    ("verify", "exhaustive-denseness"): DENSENESS,
     ("corpus", None): {},
 }
 ALL_FLAGS = {flag: spec for flags in VARIANTS.values() for flag, spec in flags.items()}

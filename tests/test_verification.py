@@ -440,6 +440,15 @@ class TestDenseness:
         with pytest.raises(ValueError):
             exact_denseness_small(Hypergraph(4, 8, [(0, 1, 2, 3)]), 0.5)
 
+    def test_sampled_refuses_uniformity_above_six_before_drawing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        for h in (Hypergraph(7, 7, [tuple(range(7))]), Hypergraph(12, 12, [])):
+            with pytest.raises(ValueError, match="k!"):
+                estimate_denseness(h, 0.5, 1000, seed=0)
+
     def test_singleton_family_matches_plain_estimator_bitwise(self):
         h = random_uniform_hypergraph(10, 3, 0.5, 11)
         plain = estimate_denseness(h, 0.37, 50, seed=5)
