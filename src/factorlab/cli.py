@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import constructions, corpus, deciders, lattice, verification
-from .hypergraph import FormatError, Hypergraph, load_hypergraph
+from .hypergraph import Hypergraph, load_hypergraph
 
 EXIT_OK = 0
 EXIT_EXPECT = 1
@@ -212,7 +212,7 @@ def cmd_verify(args) -> int:
     if f.k != h.k:
         raise ValueError(f"uniformity mismatch: F has k={f.k}, H has k={h.k}")
     params.update({"F": args.pattern, "H": args.host})
-    if args.task != "cover":  # cover lists every copy and takes no cap
+    if args.task != "cover":  # cover takes no cap: it stops at the first copy through each vertex
         params["cap"] = args.cap
 
     if args.task == "cover":
@@ -366,7 +366,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, deciders.PreconditionError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # FormatError and PreconditionError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

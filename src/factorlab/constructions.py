@@ -13,10 +13,12 @@ are re-checked after every build, at every n:
 
 Neither builder scans all k-sets.  Both read one listing of the k-sets
 whose s-sets (pairs for the partite variant) all carry one colour j, and
-keep those whose index vector (or |e ∩ X|) matches j.  The listing grows
-cliques in increasing vertex order; the candidates for the next vertex are
-one int, the AND of the colour-j masks of the clique's (s-1)-subsets, so
-the work follows the monochromatic partial cliques, not the C(n, k) k-sets.
+keep those whose index vector (or |e ∩ X|) matches j; the partite palette is
+keyed by the sorted tuple of a k-set's parts, which gives its index vector.
+The listing grows cliques in increasing vertex order; the candidates for the
+next vertex are one int, the AND of the colour-j masks of the clique's
+(s-1)-subsets, so the work follows the monochromatic partial cliques, not
+the C(n, k) k-sets.
 
 All randomness comes from numpy's PCG64 stream seeded with the given 64-bit
 seed; colours are drawn by index in lexicographic base-edge order, so equal
@@ -29,7 +31,7 @@ anything is drawn.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations, combinations_with_replacement
 from math import ceil
 from typing import Iterator
 
@@ -67,23 +69,6 @@ class Construction:
     base_colors: dict  # s-set of the complete base s-graph (pairs for lemma51) -> colour index
 
 
-def crossing_index_vectors(k: int) -> list[tuple[int, ...]]:
-    """Non-negative k-vectors with coordinate sum k and last digit 0, in
-    lexicographic order.  There are C(2k-2, k) of them."""
-    out: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...], left: int) -> None:
-        if len(prefix) == k - 1:
-            if left == 0:
-                out.append(prefix + (0,))
-            return
-        for c in range(left + 1):
-            extend(prefix + (c,), left - c)
-
-    extend((), k)
-    return out
-
-
 def default_partite_sizes(n: int, k: int) -> tuple[int, ...]:
     """(n_1, ..., n_{k-1}, 1) as equal as possible with every n_i >= ceil(n/k)."""
     if n < k:
@@ -96,14 +81,6 @@ def default_partite_sizes(n: int, k: int) -> tuple[int, ...]:
             f"default part sizes {sizes} cannot all reach the required minimum {floor_req}"
         )
     return sizes + (1,)
-
-
-def _blocks(sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
-    parts, start = [], 0
-    for size in sizes:
-        parts.append(tuple(range(start, start + size)))
-        start += size
-    return parts
 
 
 def _bounded_comb(n: int, r: int, what: str) -> int:
@@ -161,9 +138,11 @@ def construct_partite_coloring(params: ConstructionParams) -> Construction:
     """Keep the k-sets whose pair clique is monochromatic in the colour
     matched to their index vector w.r.t. (V_1, ..., V_{k-1}, {z}).
 
-    The palette has C(2k-2, k) + 1 colours: one per crossing index vector
-    (last digit 0) plus one for the all-ones vector, the only admissible
-    vector through the special vertex z (placed last).
+    The palette is keyed by a k-set's sorted tuple of parts: colour 0 is
+    (0, 1, ..., k-1), the all-ones vector, the only admissible one through
+    the special vertex z (placed last); colours 1..C(2k-2, k) are the
+    k-multisets of parts 0..k-2 in reverse lexicographic order, which is the
+    lexicographic order of their (crossing) index vectors.
     """
     n, k = params.n, params.k
     if k < 3:
@@ -175,20 +154,18 @@ def construct_partite_coloring(params: ConstructionParams) -> Construction:
         raise ValueError(f"part sizes must be (n_1..n_{k-1}, 1), got {sizes}")
     if sum(sizes) != n or min(sizes) < 1:
         raise ValueError(f"part sizes {sizes} do not form a partition of {n} vertices")
-    parts = _blocks(sizes)
-    partition = Partition(tuple(parts))
+    partition = Partition(tuple(tuple(range(end - size, end)) for size, end in zip(sizes, accumulate(sizes))))
     z = n - 1
 
-    vectors = [(1,) * k] + crossing_index_vectors(k)  # colour j belongs to vectors[j]
-    palette = len(vectors)  # == comb(2k-2, k) + 1
+    crossing = reversed(list(combinations_with_replacement(range(k - 1), k)))
+    color_of_parts = {parts: j for j, parts in enumerate([tuple(range(k)), *crossing])}
+    palette = len(color_of_parts)  # == comb(2k-2, k) + 1
 
     rng = np.random.default_rng(params.seed)
     colours = rng.integers(0, palette, size=draws).tolist()
     # The parts are consecutive blocks and e ascends, so the parts of e's
-    # vertices, in order, spell out e's index vector.
-    part_of = [i for i, part in enumerate(parts) for _ in part]
-    color_of_parts = {tuple(i for i, c in enumerate(vec) for _ in range(c)): j
-                      for j, vec in enumerate(vectors)}
+    # vertices, in order, are its sorted part tuple.
+    part_of = [i for i, size in enumerate(sizes) for _ in range(size)]
     edges = [e for e, j in _monochromatic_cliques(n, k, 2, colours)
              if color_of_parts.get(tuple(map(part_of.__getitem__, e))) == j]
     h = Hypergraph(k, n, edges)

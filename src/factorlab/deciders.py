@@ -330,15 +330,10 @@ def decide_linkdisjoint_kpartite(f: Hypergraph) -> DecisionReport:
     if partition is None:
         raise PreconditionError("input is not k-partite; this criterion does not apply")
     blocked = blocked_vertices(f)
-    nodes = 0
-    for vstar in range(f.n):
-        nodes += 1
-        if vstar not in blocked:
-            stats = {"nodes": nodes, "time_s": time.perf_counter() - t0}
-            witness = {"vstar": vstar, "partition": partition.to_json_obj()}
-            return DecisionReport("kpartite-link", True, witness, _base_flags(f), stats)
-    stats = {"nodes": nodes, "time_s": time.perf_counter() - t0}
-    return DecisionReport("kpartite-link", False, None, _base_flags(f), stats)
+    vstar = next((v for v in range(f.n) if v not in blocked), None)
+    stats = {"nodes": f.n if vstar is None else vstar + 1, "time_s": time.perf_counter() - t0}
+    witness = None if vstar is None else {"vstar": vstar, "partition": partition.to_json_obj()}
+    return DecisionReport("kpartite-link", witness is not None, witness, _base_flags(f), stats)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ complete or not at all, and a race at worst computes an equal value twice:
 not cached, since each set S asked about would add an entry.
 
 :class:`PartAssignments`, the one search placing vertices in parts, serves the
-partition condition, the shadow-disjoint bipartitions and ``is_k_partite``.
+partition condition, the shadow-disjoint bipartitions and ``is_k_partite``;
+it checks each overlap class against one leading edge, so it keeps no undo trail.
 
 Vertex subsets handed to operations may be any iterable of ints; results use
 sorted tuples.  Partitions are ordered lists of disjoint parts covering
@@ -291,13 +292,15 @@ class PartAssignments:
     part is refused to v when it holds a vertex set in ``conflicts[v]`` (the
     bitmask of the vertices that must take another part than v), or when,
     with ``s`` given, an edge of an ``overlap_classes(s)`` class of two or
-    more edges has its last free vertex at v and an index vector other than
-    the one its class recorded.  The sorted parts of an edge's vertices give
-    its index vector and are compared in its place.  Both
-    checks read only placed vertices, so every valid assignment is yielded,
-    in lexicographic order, and nothing else.  Each is ``part_of`` (vertex ->
-    part), one list reused throughout; ``nodes`` counts the part choices
-    tried.  Every class edge needs a free vertex.
+    more edges has its last free vertex at v and another index vector than
+    its class's leading edge, the one whose last free vertex comes first
+    (ties to the lower edge index).  An edge's sorted parts give its index
+    vector and are compared in its place; the leading edge stores its own
+    whenever its last free vertex is placed, so backtracking undoes nothing
+    but parts.  Both checks read only placed vertices, so every valid
+    assignment is yielded, in lexicographic order, and nothing else.  Each
+    is ``part_of`` (vertex -> part), one list reused throughout; ``nodes``
+    counts the part choices tried.  Every class edge needs a free vertex.
     """
 
     def __init__(self, f: Hypergraph, parts: int, conflicts: Sequence[int],
@@ -313,15 +316,15 @@ class PartAssignments:
             part_of[v] = p
         free = [v for v in range(f.n) if part_of[v] < 0]
         classes = [] if self.s is None else [m for m in f.overlap_classes(self.s) if len(m) > 1]
-        # closing[v]: (edge, class id) for each class edge whose last free vertex is v
-        closing: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(f.n)]
+        # closing[v]: (edge, class id, leads) for each class edge whose last
+        # free vertex is v, a class's leading edge first
+        closing: list[list[tuple[tuple[int, ...], int, bool]]] = [[] for _ in range(f.n)]
         for ci, cls in enumerate(classes):
-            for ei in cls:
-                e = f.edges[ei]
-                closing[next(u for u in reversed(e) if part_of[u] < 0)].append((e, ci))
+            last = sorted((next(u for u in reversed(f.edges[ei]) if part_of[u] < 0), ei) for ei in cls)
+            for u, ei in last:
+                closing[u].append((f.edges[ei], ci, (u, ei) == last[0]))
         members = [0] * parts  # bitmask of the free vertices placed in each part
-        vector: list[list[int] | None] = [None] * len(classes)
-        recorded: list[list[int]] = [[] for _ in free]  # class ids recorded at each depth
+        vector: list[list[int]] = [[] for _ in classes]  # sorted parts of each leading edge
         nodes = self.nodes
         depth = 0
         while depth >= 0:
@@ -331,27 +334,19 @@ class PartAssignments:
                 depth -= 1
                 continue
             v = free[depth]
-            rec = recorded[depth]
             p = part_of[v]
             if p >= 0:  # back from a deeper level: withdraw v before its next part
                 members[p] ^= 1 << v
-                for ci in rec:
-                    vector[ci] = None
-                rec.clear()
             for p in range(p + 1, parts):
                 nodes += 1
                 if members[p] & conflicts[v]:
                     continue
                 part_of[v] = p
-                for e, ci in closing[v]:
+                for e, ci, leads in closing[v]:
                     vec = sorted([part_of[u] for u in e])
-                    if vector[ci] is None:
+                    if leads:
                         vector[ci] = vec
-                        rec.append(ci)
                     elif vector[ci] != vec:
-                        for cj in rec:
-                            vector[cj] = None
-                        rec.clear()
                         break
                 else:
                     members[p] |= 1 << v

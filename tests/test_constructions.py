@@ -1,5 +1,6 @@
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from factorlab.constructions import (
     ConstructionParams,
     construct_partite_coloring,
     construct_shadow_disjoint,
-    crossing_index_vectors,
     default_partite_sizes,
     partite_structure_ok,
     random_uniform_hypergraph,
@@ -18,9 +18,17 @@ from factorlab.constructions import (
 from factorlab.corpus import complete
 
 
+def crossing_index_vectors(k):
+    """Non-negative k-vectors with coordinate sum k and last digit 0, in
+    lexicographic order: a filter of all of {0..k}^(k-1), independent of the
+    builder's palette."""
+    return [v + (0,) for v in product(range(k + 1), repeat=k - 1) if sum(v) == k]
+
+
 def _partite_reference(built, n, k):
     """The plain per-k-set filter: keep e when every pair of e has the colour
-    matched to e's index vector."""
+    matched to e's index vector: 0 for the all-ones vector, then 1, 2, ...
+    for the crossing vectors in lexicographic order."""
     color_of_vector = {(1,) * k: 0}
     for j, vec in enumerate(crossing_index_vectors(k), start=1):
         color_of_vector[vec] = j
@@ -40,6 +48,20 @@ class TestIndexVectors:
         assert vecs == sorted(vecs)
         for v in vecs:
             assert len(v) == k and v[-1] == 0 and sum(v) == k and min(v) >= 0
+        built = construct_partite_coloring(ConstructionParams(n=k * (k - 1) + 1, k=k, seed=k))
+        assert built.palette_size == len(vecs) + 1
+
+    @pytest.mark.parametrize("k, colours", [(3, range(5)), (4, range(16)), (5, (0, 1, 2, 28, 56))])
+    def test_each_colour_keeps_the_k_sets_of_its_index_vector(self, k, colours, monkeypatch):
+        # Seeded colourings keep no edge at k >= 4 on small hosts, so every
+        # pair gets colour j instead; parts of k vertices realise every vector.
+        n = k * (k - 1) + 1
+        sizes = (k,) * (k - 1) + (1,)
+        for j in colours:
+            monkeypatch.setattr(np.random, "default_rng",
+                                lambda seed: SimpleNamespace(integers=lambda lo, hi, size: np.full(size, j)))
+            built = construct_partite_coloring(ConstructionParams(n=n, k=k, seed=0, part_sizes=sizes))
+            assert built.hypergraph.edges and built.hypergraph.edges == tuple(_partite_reference(built, n, k))
 
     def test_k3_palette(self):
         built = construct_partite_coloring(ConstructionParams(n=9, k=3, seed=0))
@@ -67,6 +89,10 @@ class TestPartSizes:
 
 
 class TestPartiteColoring:
+    def test_k_below_3_refused(self):
+        with pytest.raises(ValueError, match="requires k >= 3"):
+            construct_partite_coloring(ConstructionParams(n=6, k=2, seed=0))
+
     def test_deterministic_per_seed(self):
         params = ConstructionParams(n=20, k=3, seed=1)
         assert construct_partite_coloring(params).hypergraph == construct_partite_coloring(params).hypergraph
@@ -129,6 +155,11 @@ class TestShadowDisjoint:
     def test_s_guard(self):
         with pytest.raises(ValueError):
             construct_shadow_disjoint(ConstructionParams(n=12, k=3, seed=1, s=3))
+
+    @pytest.mark.parametrize("sizes", [(4, 4, 4), (12,), (6, 5), (6, 7)])
+    def test_sizes_must_be_two_summing_to_n(self, sizes):
+        with pytest.raises(ValueError, match="summing to 12"):
+            construct_shadow_disjoint(ConstructionParams(n=12, k=3, seed=1, s=2, part_sizes=sizes))
 
     def test_edge_set_rederives_from_base_colors(self):
         cases = [(12, 3, 2, None), (16, 3, 2, (7, 9)), (12, 4, 2, None), (13, 4, 3, (5, 8)),

@@ -8,6 +8,8 @@ import pytest
 from factorlab import (
     Hypergraph,
     Partition,
+    decide_factor_3,
+    decide_linkdisjoint_kpartite,
     decide_partition_condition_k,
     decide_turan_zero_3,
     enumerate_shadow_disjoint_bipartitions,
@@ -157,3 +159,56 @@ class TestDisjointUnionFactor:
         res = find_factor(base, host)
         assert res.status == "found" and len(res.certificate) == 2
         assert validate_factor_certificate(base, host, res.certificate)
+
+
+def seeded_partite(rng, k, sizes, count):
+    """``count`` graphs with an edge, on ``sizes[i % len(sizes)]`` vertices:
+    the vertices dealt round-robin, in a random order, to k parts as equal as
+    possible, and each crossing k-set kept with a probability drawn from
+    {0.3, 0.6, 0.9}."""
+    graphs = []
+    while len(graphs) < count:
+        n = sizes[len(graphs) % len(sizes)]
+        part = [0] * n
+        for i, v in enumerate(rng.permutation(n)):
+            part[int(v)] = i % k
+        p = float(rng.choice([0.3, 0.6, 0.9]))
+        edges = [e for e in combinations(range(n), k)
+                 if len({part[v] for v in e}) == k and rng.random() < p]
+        if edges:
+            graphs.append(Hypergraph(k, n, edges))
+    return graphs
+
+
+class TestCharacterisationsAgree:
+    """On k-partite inputs the paper's link-disjointness criterion
+    (kpartite-link), its 3-graph criterion (factor3) and the partition
+    condition (partition-k) answer one question, each by its own code path.
+    For k-partite F an unblocked vertex is a partition-k vstar (move the
+    rest of its part into another part), so both name the same vstar."""
+
+    @staticmethod
+    def verdicts(f):
+        link, partition = decide_linkdisjoint_kpartite(f), decide_partition_condition_k(f)
+        if link.verdict:
+            assert partition.witness["vstar"] == link.witness["vstar"]
+        return {link.verdict, partition.verdict} | ({decide_factor_3(f).verdict} if f.k == 3 else set())
+
+    def test_every_labelled_3_partite_3_graph_on_3_to_5_vertices(self):
+        checked = 0
+        for n in (3, 4, 5):
+            triples = list(combinations(range(n), 3))
+            for bits in range(1, 1 << len(triples)):
+                f = Hypergraph(3, n, [t for i, t in enumerate(triples) if bits >> i & 1])
+                if f.is_k_partite() is not None:
+                    assert len(self.verdicts(f)) == 1
+                    checked += 1
+        assert checked == 151
+
+    @pytest.mark.parametrize("k, sizes, count", [(3, (6, 7), 500), (4, (4, 5, 6, 7, 8), 400)])
+    def test_seeded_k_partite_graphs(self, k, sizes, count):
+        answers = []
+        for f in seeded_partite(np.random.default_rng(2021 + k), k, sizes, count):
+            (verdict,) = self.verdicts(f)
+            answers.append(verdict)
+        assert True in answers and False in answers

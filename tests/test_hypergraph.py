@@ -321,6 +321,12 @@ class TestStructure:
         assert h.is_k_partite() is not None
         assert sub.is_k_partite() is not None
 
+    def test_hash_and_repr_follow_the_canonical_edges(self):
+        a = Hypergraph(3, 5, [(2, 3, 4), (0, 1, 2)])
+        b = Hypergraph(3, 5, [(1, 0, 2), (4, 2, 3)])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert repr(a) == "Hypergraph(k=3, n=5, m=2)"
+
     def test_induced_and_relabel(self):
         h = k222()
         sub, remap = h.induced([0, 2, 4])

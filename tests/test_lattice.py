@@ -219,6 +219,12 @@ class TestLattice2:
                 assert got == shared_sum_contains(gens, target)
                 assert got == (bounded_combination_oracle(gens, target) is not None)
 
+    @pytest.mark.parametrize("gens, message", [([], "empty generator set"),
+                                               ([(1, 2), (2, 2)], "do not share a coordinate sum")])
+    def test_shared_sum_refusals(self, gens, message):
+        with pytest.raises(ValueError, match=message):
+            shared_sum_contains(gens, (1, -1))
+
     def test_combination_reevaluates_exactly(self):
         rng = np.random.default_rng(302)
         for _ in range(50):

@@ -1,6 +1,6 @@
 import random
 import threading
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -319,6 +319,12 @@ class TestFactor:
         res = find_factor(single_edge(), complete(5, 3))
         assert res.status == "absent" and res.stats["reason"] == "divisibility"
 
+    def test_empty_host_is_factored_by_no_copies(self):
+        empty = Hypergraph(3, 0, [])
+        assert factor_oracle(single_edge(), empty)
+        res = find_factor(single_edge(), empty)
+        assert res.status == "found" and res.certificate == []
+
     def test_matching_exists_iff_divisible(self):
         for n in range(3, 13):
             res = find_factor(single_edge(), complete(n, 3))
@@ -473,6 +479,25 @@ class TestDenseness:
         est = estimate_S_denseness(h, 0.5, [], 3, seed=0)
         predicted = (0.5 * 8**3 - 6 * len(h.edges)) / 8**3
         assert est.worst_deficit == pytest.approx(predicted, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_shared_positions_family_matches_brute_force(self, n):
+        # The family {12, 13, 23} of Reiher-Rodl-Schacht: its three tables meet
+        # pairwise on one axis.  Draw them from the same (seed, i) streams, in
+        # canonical family order, and count over V^3 directly.
+        family = [[1, 2], [1, 3], [2, 3]]
+        for seed, p in ((n, 0.3), (n + 10, 0.6)):
+            h = random_uniform_hypergraph(n, 3, 0.6, seed)
+            edges = set(h.edges)
+            deficits = []
+            for i in range(12):
+                rng = np.random.default_rng([seed, i])
+                t12, t13, t23 = ((rng.random(n * n) < 0.5).reshape(n, n).tolist() for _ in family)
+                allowed = [x for x in product(range(n), repeat=3)
+                           if t12[x[0]][x[1]] and t13[x[0]][x[2]] and t23[x[1]][x[2]]]
+                count = sum(tuple(sorted(x)) in edges for x in allowed)
+                deficits.append((p * len(allowed) - count) / n**3)
+            assert estimate_S_denseness(h, p, family, 12, seed=seed).worst_deficit == max(deficits)
 
     def test_oversized_family_member_rejected(self):
         with pytest.raises(ValueError):
