@@ -63,7 +63,8 @@ _NON_NEGATIVE = _flag_type("int", int, lambda v: v >= 0, "non-negative")
 _POSITIVE = _flag_type("int", int, lambda v: v >= 1, "at least 1")
 _PROBABILITY = _flag_type("float", float, lambda v: 0 < v < 1, "in (0, 1)")
 _PART_SIZES = _flag_type("comma-separated int", lambda raw: tuple(int(tok) for tok in raw.split(",")))
-_JSON = _flag_type("JSON", json.loads)
+# A list only: JSON null would read as "no family" and run the uniform estimator.
+_FAMILY = _flag_type("JSON", json.loads, lambda v: isinstance(v, list), "a JSON list")
 
 
 def _load(path: str) -> Hypergraph:
@@ -351,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     dense = verify["denseness"]
     dense.add_argument("--samples", type=_POSITIVE, default=1000)
     dense.add_argument("--seed", type=_NON_NEGATIVE, default=0)
-    dense.add_argument("--family", type=_JSON, help="JSON list of index subsets for directed denseness")
+    dense.add_argument("--family", type=_FAMILY, help="JSON list of index subsets for directed denseness")
 
     p_cor = sub.add_parser("corpus", help="emit a named built-in graph ('list' to enumerate)")
     p_cor.add_argument("name")

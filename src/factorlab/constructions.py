@@ -25,7 +25,9 @@ seed; colours are drawn by index in lexicographic base-edge order, so equal
 parameters yield bit-identical hypergraphs on every platform.  A build that
 would draw more than ``MAX_DRAWS`` numbers (C(n, s) colours, C(n, k) coin
 flips for the binomial model) is refused with ``ValueError`` before
-anything is drawn.
+anything is drawn.  numpy is imported inside the three builders, just before
+the draw, because it is most of the package's import time and no other CLI
+command needs it.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations, combinations_with_replacement
 from math import ceil
 from typing import Iterator
-
-import numpy as np
 
 from .hypergraph import Hypergraph, Partition
 
@@ -161,6 +161,8 @@ def construct_partite_coloring(params: ConstructionParams) -> Construction:
     color_of_parts = {parts: j for j, parts in enumerate([tuple(range(k)), *crossing])}
     palette = len(color_of_parts)  # == comb(2k-2, k) + 1
 
+    import numpy as np
+
     rng = np.random.default_rng(params.seed)
     colours = rng.integers(0, palette, size=draws).tolist()
     # The parts are consecutive blocks and e ascends, so the parts of e's
@@ -209,6 +211,9 @@ def construct_shadow_disjoint(params: ConstructionParams) -> Construction:
     partition = Partition((x_side, y_side))
 
     palette = k + 1
+
+    import numpy as np
+
     rng = np.random.default_rng(params.seed)
     colours = rng.integers(0, palette, size=draws).tolist()
     edges = [e for e, j in _monochromatic_cliques(n, k, s, colours) if sum(1 for v in e if v < n1) == j]
@@ -236,6 +241,8 @@ def random_uniform_hypergraph(n: int, k: int, p: float, seed: int) -> Hypergraph
     if not 0 <= p <= 1:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
     draws = _bounded_comb(n, k, "gnp coin flips")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     flips = rng.random(draws)
     edges = [e for e, u in zip(combinations(range(n), k), flips) if u < p]

@@ -17,18 +17,21 @@ proofs, not heuristics — unless the copy cap was hit, in which case the
 result is explicitly inconclusive.  That search is iterative, keeps the
 options of each vertex and the live options as ints over option ids, and
 skips covered sets it has already refuted through a failure memo bounded by
-``MEMO_LIMIT`` words.
+``MEMO_LIMIT`` words.  numpy is imported only inside the denseness
+functions and their array helpers, so the copy, cover and factor searches
+never pay its import time.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from itertools import permutations
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .hypergraph import Hypergraph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_CAP = 10**6
 
@@ -432,6 +435,8 @@ def _deficit(p: float, tuple_family_size: int, edge_tuple_count: int, n_pow_k: i
 
 
 def _edges_array(h: Hypergraph) -> np.ndarray:
+    import numpy as np
+
     if not h.edges:
         return np.empty((0, h.k), dtype=np.int64)
     return np.array(h.edges, dtype=np.int64)
@@ -439,6 +444,8 @@ def _edges_array(h: Hypergraph) -> np.ndarray:
 
 def _ordered_tuple_count(edges_arr: np.ndarray, masks: list[np.ndarray]) -> int:
     """Ordered tuples drawn from the masked sets whose underlying set is an edge."""
+    import numpy as np
+
     k = edges_arr.shape[1]
     total = 0
     for perm in permutations(range(k)):
@@ -476,6 +483,8 @@ def estimate_denseness(
     if h.k > _SAMPLED_K_LIMIT:
         raise ValueError(f"sampled denseness sums k! orderings per sample; k={h.k} is above "
                          f"{_SAMPLED_K_LIMIT} (the family [[1], ..., [k]] gives the same deficit)")
+    import numpy as np
+
     edges_arr = _edges_array(h)
     n_pow_k = h.n**h.k
 
@@ -499,6 +508,8 @@ DENSE_CELL_LIMIT = 10**7
 
 
 def _edge_tensor(h: Hypergraph) -> np.ndarray:
+    import numpy as np
+
     if h.n**h.k > DENSE_CELL_LIMIT:
         raise ValueError(
             f"a dense n^k array for n={h.n}, k={h.k} has {h.n**h.k} cells; "
@@ -551,6 +562,8 @@ def estimate_S_denseness(
     for s in fam:
         if any(i < 1 or i > h.k for i in s):
             raise ValueError(f"family member {s} is not a subset of 1..{h.k}")
+    import numpy as np
+
     edge_tensor = _edge_tensor(h)
     n_pow_k = h.n**h.k
 
@@ -584,6 +597,8 @@ def _row_bounds(flat: np.ndarray, subsets: np.ndarray, sizes: np.ndarray, p: flo
     (p·|X|)·b and (p·b)·|X| in floating point, so one table bounds the pair
     as the scan computes it with X first or with Y first.
     """
+    import numpy as np
+
     n = subsets.shape[1]
     b = np.arange(n + 1, dtype=np.float64)
     bounds = np.empty((len(subsets), n + 1))
@@ -635,6 +650,8 @@ def exact_denseness_small(h: Hypergraph, p: float) -> DensenessEstimate:
     n = h.n
     if n == 0:
         return DensenessEstimate(p, 1, 0.0, "exhaustive")
+    import numpy as np
+
     flat = _edge_tensor(h).astype(np.float64).reshape(n, n * n)
     count = 1 << n
     subsets = ((np.arange(count)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.float64)

@@ -1,12 +1,16 @@
 import argparse
 import json
+import os
 import re
 import shlex
 import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import factorlab
 from factorlab import load_hypergraph, validate_factor_certificate
 from factorlab.cli import PATTERN_VERTEX_LIMIT, build_parser, main
 from factorlab.constructions import partite_structure_ok
@@ -467,7 +471,8 @@ class TestSizeBounds:
     def test_construct_over_draw_limit(self, capsys, argv):
         run_rejected(capsys, argv, "exceeds the limit")
 
-    @pytest.mark.parametrize("family", ['[1]', '[["a"]]', '{"x":1}', '[[]]', '[[true]]', '"12"', '[[1.0]]', '[1'])
+    @pytest.mark.parametrize("family", ['[1]', '[["a"]]', '{"x":1}', '[[]]', '[[true]]', '"12"', '[[1.0]]', '[1',
+                                        'null'])
     def test_denseness_refuses_malformed_family(self, capsys, k222_file, family):
         run_rejected(capsys, ["verify", "denseness", "--H", k222_file, "--p", "0.5",
                               "--samples", "2", "--family", family], "family")
@@ -520,6 +525,103 @@ class TestCorpus:
     def test_unknown_name(self, capsys):
         code, _, err = run(capsys, ["corpus", "nope"])
         assert code == 2 and "unknown corpus graph" in err
+
+
+# Run in a fresh interpreter: import the package, block numpy (importing a
+# module that sys.modules maps to None raises ImportError), run each
+# numpy-free argv through cli.main, then unblock it and run the argvs that
+# draw or estimate.
+NUMPY_GATE = """
+import contextlib, io, json, sys
+
+import factorlab, factorlab.cli
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = factorlab.cli.main(argv)
+    return [code, out.getvalue(), err.getvalue()]
+
+
+free, drawing = json.loads(sys.argv[1])
+imported = "numpy" in sys.modules
+sys.modules["numpy"] = None
+try:
+    import numpy
+    blocked = False
+except ImportError:
+    blocked = True
+free = [run(argv) for argv in free]
+del sys.modules["numpy"]
+drawing = [run(argv) for argv in drawing]
+print(json.dumps({"imported": imported, "blocked": blocked, "free": free,
+                  "drawing": drawing, "loaded": "numpy" in sys.modules}))
+"""
+
+
+def untimed(text: str):
+    """A JSON stdout without its ``time_s`` fields; any other text as is."""
+    def strip(obj):
+        if isinstance(obj, dict):
+            return {key: strip(val) for key, val in obj.items() if key != "time_s"}
+        return [strip(val) for val in obj] if isinstance(obj, list) else obj
+
+    try:
+        return strip(json.loads(text))
+    except ValueError:
+        return text
+
+
+class TestNumpyOnlyWhereUsed:
+    """Only the seeded builders and the denseness estimators import numpy;
+    every other command runs, with the same output, when it cannot."""
+
+    @pytest.fixture(scope="class")
+    def gate(self, tmp_path_factory):
+        from factorlab.corpus import complete
+
+        root = tmp_path_factory.mktemp("numpy-gate")
+        texts = {"k222": k222().to_text(), "edge": by_name("single-edge").to_text(),
+                 "k6": complete(6, 3).to_text(), "malformed": "3 4 2\n0 1 2\n"}
+        path = {}
+        for name, text in texts.items():
+            path[name] = str(root / f"{name}.hg")
+            Path(path[name]).write_text(text)
+        pair = ["--F", path["edge"], "--H", path["k6"]]
+        free = [["decide", prop, path["k222"], *(["--s", "2"] if prop == "trans" else [])]
+                for prop in ("turan-zero", "kpartite-link", "cover-partition", "factor3", "partition-k", "trans")]
+        free += [["lattice", path["k222"], "--s", "2"], ["corpus", "list"], ["corpus", "k222"],
+                 ["verify", "factor", *pair], ["verify", "cover", *pair], ["verify", "rooted", *pair, "--w", "0"],
+                 ["decide", "factor3", path["malformed"]]]
+        drawing = [["construct", "gnp", "--n", "6", "--p", "0.5", "--seed", "3"],
+                   ["verify", "denseness", "--H", path["k222"], "--p", "0.5", "--samples", "5", "--seed", "1"]]
+        src = str(Path(factorlab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", NUMPY_GATE, json.dumps([free, drawing])],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return free, json.loads(done.stdout)
+
+    def test_numpy_free_commands_match_the_unblocked_run(self, capsys, gate):
+        free, result = gate
+        assert not result["imported"] and result["blocked"]
+        assert len(free) == len(result["free"]) == 13
+        for argv, (code, out, _) in zip(free, result["free"]):
+            expected = run(capsys, argv)
+            assert (code, untimed(out)) == (expected[0], untimed(expected[1])), argv
+        code, out, err = result["free"][-1]
+        assert code == 2 and out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_builders_and_estimators_load_numpy(self, gate):
+        _, result = gate
+        assert result["loaded"]
+        (gnp_code, gnp, _), (dense_code, dense, _) = result["drawing"]
+        assert gnp_code == dense_code == 0
+        assert json.loads(gnp)["hypergraph"]["edges"] == [
+            [0, 1, 2], [0, 1, 3], [0, 2, 3], [0, 2, 4], [0, 2, 5], [0, 3, 4], [0, 4, 5], [1, 2, 3], [1, 2, 5],
+            [2, 3, 4], [3, 4, 5]]
+        assert json.loads(dense)["report"]["worst_deficit"] == 0.06018518518518518
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

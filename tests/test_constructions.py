@@ -40,6 +40,21 @@ def _partite_reference(built, n, k):
     return expected
 
 
+def mostly_rainbow(monkeypatch):
+    """Seeded colourings keep almost no edge at k >= 4 on small hosts, so give
+    each base pair colour 0 (the all-ones index vector) with probability 0.9
+    and a uniform colour from the seeded stream otherwise: a rainbow k-set
+    then survives with probability 0.9^C(k, 2)."""
+    real = np.random.default_rng
+
+    def rng(seed):
+        gen = real(seed)
+        return SimpleNamespace(integers=lambda lo, hi, size: np.where(
+            gen.random(size) < 0.9, 0, gen.integers(lo, hi, size)))
+
+    monkeypatch.setattr(np.random, "default_rng", rng)
+
+
 class TestIndexVectors:
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_count_and_shape(self, k):
@@ -118,19 +133,25 @@ class TestPartiteColoring:
         through_z = [e for e in built.hypergraph.edges if built.z in e]
         assert len(through_z) <= 1
 
-    def test_k4(self):
+    def test_k4(self, monkeypatch):
+        mostly_rainbow(monkeypatch)
         built = construct_partite_coloring(ConstructionParams(n=12, k=4, seed=2))
         assert built.palette_size == comb(6, 4) + 1
+        assert built.hypergraph.edges and any(built.z in e for e in built.hypergraph.edges)
         assert partite_structure_ok(built.hypergraph, built.z, built.partition)
 
-    def test_edge_set_rederives_from_base_colors(self):
+    def test_edge_set_rederives_from_base_colors(self, monkeypatch):
         cases = [(14, 3, None), (20, 3, (12, 7, 1)), (13, 4, None), (15, 4, (2, 6, 6, 1)),
                  (13, 5, None), (14, 5, (4, 1, 3, 5, 1))]
         for n, k, sizes in cases:
-            for seed in (6, 7, 8):
-                built = construct_partite_coloring(ConstructionParams(n=n, k=k, seed=seed, part_sizes=sizes))
-                assert list(built.base_colors) == list(combinations(range(n), 2))
-                assert built.hypergraph.edges == tuple(_partite_reference(built, n, k))
+            with monkeypatch.context() as patch:
+                if k >= 4:  # the k = 3 cases keep edges under the seeded stream itself
+                    mostly_rainbow(patch)
+                for seed in (6, 7, 8):
+                    built = construct_partite_coloring(ConstructionParams(n=n, k=k, seed=seed, part_sizes=sizes))
+                    assert list(built.base_colors) == list(combinations(range(n), 2))
+                    assert built.hypergraph.edges == tuple(_partite_reference(built, n, k))
+                    assert built.hypergraph.edges
 
 
 class TestShadowDisjoint:
