@@ -45,6 +45,7 @@ from .verification import (
     rooted_copies,
     validate_embedding,
     validate_factor_certificate,
+    validate_refutation,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -231,6 +231,7 @@ def cmd_verify(args) -> int:
         report = {
             "status": res.status,
             "certificate": [list(phi) for phi in res.certificate] if res.certificate else None,
+            "refutation": res.refutation,
             "stats": res.stats,
         }
         summary = f"factor: {res.status}"

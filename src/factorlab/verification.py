@@ -11,15 +11,20 @@ listings (``iter_embeddings``, ``rooted_copies``, ``find_cover``) see every
 embedding; ``copy_images`` adds symmetry-breaking order constraints and sees
 one embedding per copy, so its ``cap`` (and ``find_factor``'s) counts copies.
 The factor solver collapses copies to their vertex images, each an int host
-bitmask (bit w is host vertex w) keyed to one witness embedding, and runs a
-complete exact-cover search over those masks, so "absent" results are
-proofs, not heuristics — unless the copy cap was hit, in which case the
-result is explicitly inconclusive.  That search is iterative, keeps the
-options of each vertex and the live options as ints over option ids, and
-skips covered sets it has already refuted through a failure memo bounded by
-``MEMO_LIMIT`` words.  numpy is imported only inside the denseness
-functions and their array helpers, so the copy, cover and factor searches
-never pay its import time.
+bitmask (bit w is host vertex w) keyed to one witness embedding.  It first
+tries to refute a factor with a certificate: divisibility, a parity vector
+that every image meets evenly (a lattice barrier mod 2), or a small vertex
+set that every image meets (a space barrier).  Such an "absent" carries the
+certificate in ``refutation``, and :func:`validate_refutation` re-checks it
+against copy images listed by a plain search of its own.  Every other
+answer comes from a complete exact-cover search over the image masks, so
+its "absent" is a proof through that search, not a heuristic — unless the
+copy cap was hit, in which case the result is explicitly inconclusive.
+That search is iterative, keeps the options of each vertex and the live
+options as ints over option ids, and skips covered sets it has already
+refuted through a failure memo bounded by ``MEMO_LIMIT`` words.  numpy is
+imported only inside the denseness functions and their array helpers, so
+the copy, cover and factor searches never pay its import time.
 """
 
 from __future__ import annotations
@@ -261,6 +266,7 @@ class FactorSearchResult:
     status: str  # "found" | "absent" | "inconclusive"
     certificate: list[tuple[int, ...]] | None
     stats: dict = field(default_factory=dict)
+    refutation: dict | None = None  # an "absent" answer's checkable reason, if it has one
 
 
 def copy_images(
@@ -289,6 +295,17 @@ def copy_images(
 # inserting and never drops a mask, so it only ever skips refuted subtrees.
 MEMO_LIMIT = 10**6
 
+# Most options the exact cover may try after a truncated copy listing.  Such
+# a search can only end "found" or "inconclusive", so past this many it stops
+# as "inconclusive" with ``stats["node_limit_hit"]`` set.  K222 into a
+# G(30, 0.8) host (305,786 images listed at the copy cap) tries about 20,000
+# options a second (2-vCPU Xeon, Python 3.11).
+TRUNCATED_NODE_LIMIT = 10**5
+
+# Most nodes the search for a space certificate may visit before it leaves
+# the question to the exact cover.
+SPACE_NODE_LIMIT = 10**4
+
 
 def _bitset(ids: list[int], size: int) -> int:
     """The int with bits ``ids`` set, built in one pass over a byte buffer."""
@@ -298,14 +315,102 @@ def _bitset(ids: list[int], size: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-def find_factor(f: Hypergraph, h: Hypergraph, cap: int = DEFAULT_CAP) -> FactorSearchResult:
-    """Complete exact-cover search for vertex-disjoint copies covering V(H).
+def _parity_refutation(masks: list[int], n: int) -> list[int] | None:
+    """A 0/1 vector w of odd weight that meets every mask in an even number
+    of vertices, or None when the all-ones vector lies in the GF(2) span of
+    the masks.
 
-    The options are the host bitmasks of the copy images, ordered by their
-    sorted vertices; each option's vertices are read from its witness
-    embedding.  ``at_vertex[v]`` is the int of the options containing v and
-    ``live`` the int of those disjoint from the covered vertices.  The
-    search branches on the uncovered vertex with the fewest live options
+    The masks go into an xor basis keyed by top bit, which stops once its
+    rank is n.  Reducing the all-ones vector by it leaves a residual on the
+    non-pivot columns; when that is nonzero, with c its lowest bit, w is the
+    null vector that is 1 at c and 0 at every other non-pivot column.  Its
+    pivot bits follow in ascending order, each making its basis row meet w
+    evenly, and its weight has the parity of the residual's bit c.
+    """
+    basis: dict[int, int] = {}
+    for m in masks:
+        while m:
+            top = m.bit_length() - 1
+            if top not in basis:
+                basis[top] = m
+                break
+            m ^= basis[top]
+        if len(basis) == n:
+            return None
+    pivots = sorted(basis)
+    residual = (1 << n) - 1
+    for p in reversed(pivots):
+        if residual >> p & 1:
+            residual ^= basis[p]
+    if not residual:
+        return None
+    w = residual & -residual
+    for p in pivots:
+        if (basis[p] & w).bit_count() & 1:
+            w |= 1 << p
+    return [w >> v & 1 for v in range(n)]
+
+
+def _space_refutation(masks: list[int], at_vertex: list[int], size: int) -> list[int] | None:
+    """A host vertex set of at most ``size`` vertices meeting every mask, or
+    None when there is none or ``SPACE_NODE_LIMIT`` nodes found none.
+
+    Depth first: a node branches on the vertices of its lowest unhit mask, in
+    ascending order, and is cut when the ``left`` vertices that hit the most
+    unhit masks together hit fewer than all of them.
+    """
+    stack: list[tuple[tuple[int, ...], int]] = [((), (1 << len(masks)) - 1)]
+    for _ in range(SPACE_NODE_LIMIT):
+        if not stack:
+            return None
+        chosen, unhit = stack.pop()
+        if not unhit:
+            return sorted(chosen)
+        left = size - len(chosen)
+        if not left:
+            continue
+        counts = sorted(((at & unhit).bit_count() for at in at_vertex), reverse=True)
+        if sum(counts[:left]) < unhit.bit_count():
+            continue
+        first = masks[(unhit & -unhit).bit_length() - 1]
+        for w in reversed([w for w in range(first.bit_length()) if first >> w & 1]):
+            stack.append((chosen + (w,), unhit & ~at_vertex[w]))
+    return None
+
+
+def _image_refutation(masks: list[int], at_vertex: list[int], n: int, size: int) -> dict | None:
+    """A lattice or else a space certificate that no ``size``-vertex images
+    among ``masks`` partition the n host vertices, or None."""
+    w = _parity_refutation(masks, n)
+    if w is not None:
+        return {"kind": "lattice", "q": 2, "w": w}
+    side = _space_refutation(masks, at_vertex, (n - 1) // size)
+    return None if side is None else {"kind": "space", "A": side}
+
+
+def _options(
+    f: Hypergraph, h: Hypergraph, cap: int
+) -> tuple[list[int], list[tuple[int, ...]], list[int], bool]:
+    """The exact-cover options: the copy-image masks ordered by their sorted
+    vertices, their witness embeddings, ``at_vertex[v]`` (the int of the
+    options containing host vertex v) and whether the listing was truncated."""
+    images, truncated = copy_images(f, h, cap)
+    masks = sorted(images, key=lambda m: sorted(images[m]))
+    witnesses = [images[m] for m in masks]
+    ids: list[list[int]] = [[] for _ in range(h.n)]
+    for idx, phi in enumerate(witnesses):
+        for v in phi:
+            ids[v].append(idx)
+    return masks, witnesses, [_bitset(vs, len(masks)) for vs in ids], truncated
+
+
+def _exact_cover(
+    n: int, masks: list[int], witnesses: list[tuple[int, ...]], at_vertex: list[int], truncated: bool
+) -> FactorSearchResult:
+    """Complete exact-cover search of the n host vertices by the options.
+
+    ``live`` is the int of the options disjoint from the covered vertices.
+    The search branches on the uncovered vertex with the fewest live options
     (ties: smallest id) and tries them in ascending id.  Choosing an option
     removes the live options it meets; the removed bits go on a trail and
     come back on backtrack, as in Algorithm X (Knuth, "Dancing Links",
@@ -319,34 +424,15 @@ def find_factor(f: Hypergraph, h: Hypergraph, cap: int = DEFAULT_CAP) -> FactorS
     those of the search without it; ``stats["nodes"]`` (options tried) is
     smaller, and ``stats["memo"]`` is the number of masks stored.
 
-    Divisibility is checked first.  ``cap`` bounds the copies listed by
-    :func:`copy_images`; a hit cap downgrades "absent" to "inconclusive".
+    After a truncated listing "absent" becomes "inconclusive", and the
+    search stops at ``TRUNCATED_NODE_LIMIT`` options tried.
     """
-    _check_uniformity(f, h)
-    if f.n == 0:
-        raise ValueError("pattern must have at least one vertex")
-    if h.n % f.n != 0:
-        return FactorSearchResult("absent", None, {"reason": "divisibility", "nodes": 0, "memo": 0})
-    if h.n == 0:
-        return FactorSearchResult("found", [], {"nodes": 0, "memo": 0})
-    if not f.edges:
-        blocks = [tuple(range(i, i + f.n)) for i in range(0, h.n, f.n)]
-        return FactorSearchResult("found", blocks, {"reason": "edgeless-pattern", "nodes": 0, "memo": 0})
-
-    images, truncated = copy_images(f, h, cap)
-    masks = sorted(images, key=lambda m: sorted(images[m]))
-    witnesses = [images[m] for m in masks]
-    ids: list[list[int]] = [[] for _ in range(h.n)]
-    for idx, phi in enumerate(witnesses):
-        for v in phi:
-            ids[v].append(idx)
-    at_vertex = [_bitset(vs, len(masks)) for vs in ids]
-    covered = bytearray(h.n)
+    covered = bytearray(n)
 
     def options(live: int) -> int:
         """The live options of the uncovered vertex with the fewest."""
         best, best_v = len(masks) + 1, -1
-        for v in range(h.n):
+        for v in range(n):
             if not covered[v]:
                 count = (at_vertex[v] & live).bit_count()
                 if count < best:
@@ -355,15 +441,20 @@ def find_factor(f: Hypergraph, h: Hypergraph, cap: int = DEFAULT_CAP) -> FactorS
                         return 0
         return at_vertex[best_v] & live
 
-    full = (1 << h.n) - 1
+    full = (1 << n) - 1
+    limit = TRUNCATED_NODE_LIMIT if truncated else -1
     used, live = 0, (1 << len(masks)) - 1
     memo: set[int] = set()
-    room = MEMO_LIMIT // (h.n // 64 + 1)
+    room = MEMO_LIMIT // (n // 64 + 1)
     trail: list[tuple[int, int, int]] = []  # per choice: option, options its frame has left, live ones it removed
     nodes = 0
+    limit_hit = False
     cand = options(live)
     while True:
         if cand:
+            if nodes == limit:
+                limit_hit = True
+                break
             low = cand & -cand
             cand ^= low
             i = low.bit_length() - 1
@@ -390,10 +481,114 @@ def find_factor(f: Hypergraph, h: Hypergraph, cap: int = DEFAULT_CAP) -> FactorS
         else:
             break
 
-    stats = {"nodes": nodes, "copies": len(masks), "truncated": truncated, "memo": len(memo)}
+    stats = {"nodes": nodes, "copies": len(masks), "truncated": truncated, "memo": len(memo),
+             "node_limit_hit": limit_hit}
     if used == full:
         return FactorSearchResult("found", [witnesses[i] for i, _, _ in trail], stats)
     return FactorSearchResult("inconclusive" if truncated else "absent", None, stats)
+
+
+def find_factor(f: Hypergraph, h: Hypergraph, cap: int = DEFAULT_CAP) -> FactorSearchResult:
+    """Complete search for vertex-disjoint copies of f covering V(H).
+
+    The options are the host bitmasks of the copy images, ordered by their
+    sorted vertices; each option's vertices are read from its witness
+    embedding.  Before the exact cover (:func:`_exact_cover`), three
+    refutations may answer "absent" with a certificate in ``refutation``
+    that :func:`validate_refutation` checks without this search:
+
+    * ``{"kind": "divisibility"}``: v(F) does not divide v(H).
+    * ``{"kind": "lattice", "q": 2, "w": [...]}``: a 0/1 vector of odd
+      weight that every copy image meets evenly, so no disjoint images sum
+      to the all-ones vector (a divisibility barrier).
+    * ``{"kind": "space", "A": [...]}``: host vertices meeting every copy
+      image with v(F)·|A| < v(H), so fewer than v(H)/v(F) copies can be
+      disjoint (a space barrier).  Its search stops at
+      ``SPACE_NODE_LIMIT`` nodes.
+
+    Both image refutations are tried only when the copy listing is complete,
+    since a sub-family proves nothing.  Whatever they leave goes to the
+    exact cover, whose "absent" is a proof only through that search and
+    carries no ``refutation``; a refuted answer has ``stats["nodes"]`` 0.
+    ``cap`` bounds the copies listed by :func:`copy_images`; a hit cap
+    downgrades "absent" to "inconclusive".
+    """
+    _check_uniformity(f, h)
+    if f.n == 0:
+        raise ValueError("pattern must have at least one vertex")
+    if h.n % f.n != 0:
+        return FactorSearchResult("absent", None, {"nodes": 0, "memo": 0}, {"kind": "divisibility"})
+    if h.n == 0:
+        return FactorSearchResult("found", [], {"nodes": 0, "memo": 0})
+    if not f.edges:
+        blocks = [tuple(range(i, i + f.n)) for i in range(0, h.n, f.n)]
+        return FactorSearchResult("found", blocks, {"reason": "edgeless-pattern", "nodes": 0, "memo": 0})
+
+    masks, witnesses, at_vertex, truncated = _options(f, h, cap)
+    refutation = None if truncated else _image_refutation(masks, at_vertex, h.n, f.n)
+    if refutation is not None:
+        stats = {"nodes": 0, "copies": len(masks), "truncated": False, "memo": 0,
+                 "node_limit_hit": False}
+        return FactorSearchResult("absent", None, stats, refutation)
+    return _exact_cover(h.n, masks, witnesses, at_vertex, truncated)
+
+
+def _plain_images(f: Hypergraph, h: Hypergraph) -> set[int]:
+    """Host bitmasks of the copy images of f, by a plain search: pattern
+    vertices in order of first appearance in the sorted edge list (isolated
+    ones last), each pattern edge checked against h once its last vertex is
+    placed."""
+    order = list(dict.fromkeys([v for e in sorted(f.edges) for v in e] + list(range(f.n))))
+    closing: list[list[tuple[int, ...]]] = [[] for _ in order]
+    rank = {v: i for i, v in enumerate(order)}
+    for e in f.edges:
+        closing[max(rank[v] for v in e)].append(e)
+    phi = [0] * f.n
+    images: set[int] = set()
+
+    def place(i: int, used: int) -> None:
+        if i == len(order):
+            images.add(used)
+            return
+        for w in range(h.n):
+            if not used >> w & 1:
+                phi[order[i]] = w
+                if all(frozenset(phi[v] for v in e) in h.edge_set for e in closing[i]):
+                    place(i + 1, used | 1 << w)
+
+    place(0, 0)
+    return images
+
+
+def validate_refutation(f: Hypergraph, h: Hypergraph, cert) -> bool:
+    """Does ``cert`` prove that h has no f-factor?  The copy images are
+    listed by :func:`_plain_images`, not by the search of :func:`find_factor`."""
+    if f.k != h.k or f.n == 0 or not isinstance(cert, dict):
+        return False
+    kind = cert.get("kind")
+    if kind == "divisibility":
+        return cert == {"kind": kind} and h.n % f.n != 0
+    if kind == "space":
+        side = cert.get("A")
+        if cert.keys() != {"kind", "A"} or not isinstance(side, list):
+            return False
+        if not all(type(v) is int and 0 <= v < h.n for v in side) or len(set(side)) != len(side):
+            return False
+        if f.n * len(side) >= h.n:
+            return False
+        hit = sum(1 << v for v in side)
+        return all(img & hit for img in _plain_images(f, h))
+    if kind == "lattice":
+        q, w = cert.get("q"), cert.get("w")
+        if cert.keys() != {"kind", "q", "w"} or type(q) is not int or q != 2:
+            return False
+        if not isinstance(w, list) or len(w) != h.n or not all(type(x) is int and x in (0, 1) for x in w):
+            return False
+        if sum(w) % 2 != 1:
+            return False
+        odd = sum(1 << v for v, x in enumerate(w) if x)
+        return all((img & odd).bit_count() % 2 == 0 for img in _plain_images(f, h))
+    return False
 
 
 def validate_factor_certificate(

@@ -6,12 +6,13 @@ import shlex
 import signal
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 import factorlab
-from factorlab import load_hypergraph, validate_factor_certificate
+from factorlab import Hypergraph, load_hypergraph, validate_factor_certificate, validate_refutation
 from factorlab.cli import PATTERN_VERTEX_LIMIT, build_parser, main
 from factorlab.constructions import partite_structure_ok
 from factorlab.corpus import by_name, k222
@@ -202,6 +203,31 @@ class TestVerify:
             capsys, ["verify", "factor", "--F", edge_file, "--H", k6_file, "--expect", "absent"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("n, edges, kind", [
+        # every edge meets {0, 1, 2} in 0 or 2 vertices
+        (6, [(0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5)], "lattice"),
+        # every edge meets {0, 1}, and 3 * 2 < 9
+        (9, [e for e in combinations(range(9), 3) if e[0] < 2], "space"),
+        # 1 and 2 each lie in one edge, and the two meet: absent through the exact cover
+        (6, [(0, 1, 4), (0, 3, 4), (0, 3, 5), (2, 3, 4)], None),
+    ])
+    def test_factor_refutation(self, capsys, edge_file, tmp_path, n, edges, kind):
+        host = tmp_path / "host.hg"
+        host.write_text(Hypergraph(3, n, edges).to_text())
+        argv = ["verify", "factor", "--F", edge_file, "--H", str(host), "--expect", "absent"]
+        code, out, _ = run(capsys, argv)
+        report = json.loads(out)["report"]
+        assert code == 0 and report["certificate"] is None
+        if kind is None:
+            assert report["refutation"] is None and report["stats"]["nodes"] > 0
+        else:
+            assert report["refutation"]["kind"] == kind and report["stats"]["nodes"] == 0
+            assert validate_refutation(by_name("single-edge"), Hypergraph(3, n, edges), report["refutation"])
+
+    def test_found_factor_has_no_refutation(self, capsys, edge_file, k6_file):
+        report = json.loads(run(capsys, ["verify", "factor", "--F", edge_file, "--H", k6_file])[1])["report"]
+        assert report["status"] == "found" and report["refutation"] is None
 
     @pytest.mark.parametrize("task, expect, code", [
         ("cover", "true", 0), ("cover", "false", 1), ("factor", "found", 0),

@@ -46,6 +46,7 @@ PUBLIC = [
     "validate_embedding",
     "validate_factor_certificate",
     "validate_partition_witness",
+    "validate_refutation",
     "validate_shadow_coloring",
     "verification",
 ]

@@ -119,7 +119,7 @@ def section_factor() -> list:
     for f, h in host_pairs():
         for cap in (verification.DEFAULT_CAP, 5):
             res = verification.find_factor(f, h, cap)
-            out.append([res.status, res.certificate, res.stats])
+            out.append([res.status, res.certificate, res.stats, res.refutation])
     return out
 
 

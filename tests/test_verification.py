@@ -16,9 +16,10 @@ from factorlab import (
     rooted_copies,
     validate_embedding,
     validate_factor_certificate,
+    validate_refutation,
 )
 from factorlab import verification
-from factorlab.constructions import random_uniform_hypergraph
+from factorlab.constructions import ConstructionParams, construct_shadow_disjoint, random_uniform_hypergraph
 from factorlab.corpus import complete, k222, loose_path, single_edge
 from factorlab.oracles import copy_images_oracle, factor_oracle
 from factorlab.verification import DENSE_CELL_LIMIT, copy_images, iter_embeddings
@@ -277,6 +278,11 @@ def reference_factor(f, h):
     return ([images[masks[i]] for i in chosen] if found else None), nodes
 
 
+def exact_cover(f, h, cap=verification.DEFAULT_CAP):
+    """find_factor's exact cover alone, with no refutation tried before it."""
+    return verification._exact_cover(h.n, *verification._options(f, h, cap))
+
+
 def space_barrier(rng, n, a, p):
     """Every edge meets a set of ``a`` vertices."""
     side = set(rng.sample(range(n), a))
@@ -317,7 +323,7 @@ class TestFactor:
 
     def test_divisibility_short_circuit(self):
         res = find_factor(single_edge(), complete(5, 3))
-        assert res.status == "absent" and res.stats["reason"] == "divisibility"
+        assert res.status == "absent" and res.refutation == {"kind": "divisibility"}
 
     def test_empty_host_is_factored_by_no_copies(self):
         empty = Hypergraph(3, 0, [])
@@ -350,7 +356,7 @@ class TestFactor:
     def test_certificate_and_nodes_pinned_to_plain_search(self):
         statuses, saved = set(), 0
         for f, h in pin_cases():
-            res = find_factor(f, h)
+            res = exact_cover(f, h)
             certificate, nodes = reference_factor(f, h)
             assert res.status == ("found" if certificate else "absent")
             assert res.certificate == certificate
@@ -367,7 +373,7 @@ class TestFactor:
             assert certificate is None
             for limit in (0, 1, 7, 100, verification.MEMO_LIMIT):
                 monkeypatch.setattr(verification, "MEMO_LIMIT", limit)
-                res = find_factor(f, h)
+                res = exact_cover(f, h)
                 assert res.status == "absent" and res.certificate is None
                 assert res.stats["memo"] * (h.n // 64 + 1) <= limit
                 assert res.stats["nodes"] <= nodes
@@ -397,6 +403,189 @@ class TestFactor:
         assert not validate_factor_certificate(single_edge(), h, [(0, 1, 2), (2, 1, 0)])
         assert not validate_factor_certificate(single_edge(), h, [(0, 1, 2), (3, 3, 4)])
         assert not validate_factor_certificate(single_edge(), h, [(0, 1, 2)])
+
+
+def oracle_images(f, h):
+    return [sum(1 << v for v in img) for img in copy_images_oracle(f, h)]
+
+
+def oracle_refutes(f, h, images, cert):
+    """Does a well-formed space or lattice certificate hold on ``images``,
+    the copy images of f in h as bitmasks?"""
+    if cert["kind"] == "space":
+        hit = sum(1 << v for v in cert["A"])
+        return f.n * len(set(cert["A"])) < h.n and all(img & hit for img in images)
+    odd = sum(1 << v for v, x in enumerate(cert["w"]) if x)
+    return odd.bit_count() % 2 == 1 and all((img & odd).bit_count() % 2 == 0 for img in images)
+
+
+def corruptions(cert, n):
+    """Well-formed certificates one change away from ``cert``: for a space
+    certificate, A less one vertex and A grown to every host vertex (past
+    n / v(F)); for a lattice certificate, w with one entry flipped, with two
+    flipped, and the zero vector."""
+    if cert["kind"] == "space":
+        side = cert["A"]
+        out = [{"kind": "space", "A": side[:i] + side[i + 1:]} for i in range(len(side))]
+        return out + [{"kind": "space", "A": side + [v for v in range(n) if v not in side]}]
+    w = cert["w"]
+    out = [{"kind": "lattice", "q": 2, "w": w[:i] + [1 - w[i]] + w[i + 1:]} for i in range(n)]
+    flip2 = [1 - x if i < 2 else x for i, x in enumerate(w)]
+    return out + [{"kind": "lattice", "q": 2, "w": flip2}, {"kind": "lattice", "q": 2, "w": [0] * n}]
+
+
+def malformed(cert, n):
+    """Certificates of the wrong kind or shape, which must all be refused."""
+    if cert["kind"] == "space":
+        side = cert["A"]
+        return [{"kind": "lattice", "A": side}, {"kind": "lattice", "q": 2, "w": side},
+                {"kind": "divisibility"}, {"kind": "space", "A": side, "q": 2},
+                {"kind": "space", "A": side + side[:1]}, {"kind": "space", "A": [n]},
+                {"kind": "space", "A": tuple(side)}, {"kind": "space", "A": [True] * len(side)}]
+    w = cert["w"]
+    return [{"kind": "space", "q": 2, "w": w}, {"kind": "space", "A": w}, {"kind": "divisibility"},
+            {"kind": "lattice", "q": 3, "w": w}, {"kind": "lattice", "q": 2.0, "w": w},
+            {"kind": "lattice", "w": w}, {"kind": "lattice", "q": 2, "w": w[:-1]},
+            {"kind": "lattice", "q": 2, "w": [x + 2 for x in w]},
+            {"kind": "lattice", "q": 2, "w": [bool(x) for x in w]}, {"kind": "parity", "q": 2, "w": w}]
+
+
+def barrier_hosts():
+    """Space and parity barriers for the single edge at several sizes,
+    densities and seeds, and loose-path space barriers."""
+    rng = random.Random(17)
+    for n, a in ((9, 2), (12, 3), (15, 4), (18, 5)):
+        for p in (1.0, 0.6, 0.3):
+            yield single_edge(), space_barrier(rng, n, a, p)
+    for n, a in ((9, 3), (12, 5), (15, 7), (18, 9)):
+        for p in (1.0, 0.6, 0.3):
+            yield single_edge(), parity_barrier(rng, n, a, p)
+    for _ in range(3):
+        yield loose_path(), space_barrier(rng, 10, 1, 1.0)
+        yield loose_path(), space_barrier(rng, 15, 2, 0.5)
+
+
+def proofs_barrier_hosts(seed):
+    """The barrier hosts of one pass of the ``proofs`` benchmark workload at
+    ``seed``, rebuilt with the same draws: space and parity barriers for the
+    edge, loose-path space barriers and parity-absent obs62 hosts for K222."""
+    rng = random.Random(seed)
+    patterns = {"edge": single_edge(), "loose": loose_path()}
+    for kind, name, n, a, p, copies in (
+        ("space", "edge", 15, 4, 1.0, 1), ("parity", "edge", 15, 7, 1.0, 1),
+        ("space", "edge", 12, 3, 1.0, 4), ("parity", "edge", 12, 5, 1.0, 4),
+        ("space", "edge", 18, 5, 0.3, 2), ("parity", "edge", 18, 9, 0.3, 2),
+        ("space", "edge", 15, 4, 0.5, 2), ("parity", "edge", 15, 7, 0.5, 2),
+        ("space", "loose", 10, 1, 1.0, 16),
+    ):
+        make = space_barrier if kind == "space" else parity_barrier
+        for _ in range(copies):
+            yield patterns[name], make(rng, n, a, p)
+    for n, x in ((30, 11), (30, 11), (24, 9), (24, 9)):
+        params = ConstructionParams(n=n, k=3, s=2, seed=rng.randrange(2**32), part_sizes=(x, n - x))
+        yield k222(), construct_shadow_disjoint(params).hypergraph
+
+
+class TestRefutation:
+    def test_validator_agrees_with_oracle_on_pin_cases(self):
+        """Fixed, found and corrupted certificates on every pin case but K222
+        into 12 vertices, where the oracle tries 665,280 injections a host."""
+        rejected = accepted = 0
+        for f, h in pin_cases():
+            if f.n == 6 and h.n == 12:
+                continue
+            res, images = find_factor(f, h), oracle_images(f, h)
+            candidates = [{"kind": "space", "A": list(range((h.n - 1) // f.n))},
+                          {"kind": "lattice", "q": 2, "w": [1] + [0] * (h.n - 1)}]
+            if res.refutation is not None:
+                candidates.append(res.refutation)
+            for cert in candidates:
+                for c in [cert] + corruptions(cert, h.n):
+                    ok = validate_refutation(f, h, c)
+                    assert ok == oracle_refutes(f, h, images, c), c
+                    accepted, rejected = accepted + ok, rejected + (not ok)
+                assert not any(validate_refutation(f, h, c) for c in malformed(cert, h.n))
+        assert accepted and rejected
+
+    def test_barrier_families_refuted(self):
+        """Every barrier host gets a certificate that validates, and every
+        one-way corruption of it is refused."""
+        kinds = set()
+        for f, h in barrier_hosts():
+            res = find_factor(f, h)
+            assert res.status == "absent" and validate_refutation(f, h, res.refutation)
+            kinds.add(res.refutation["kind"])
+            bad = corruptions(res.refutation, h.n) + malformed(res.refutation, h.n)
+            assert not any(validate_refutation(f, h, c) for c in bad)
+        assert kinds == {"space", "lattice"}
+
+    def test_divisibility_certificate(self):
+        edge = single_edge()
+        assert validate_refutation(edge, complete(5, 3), {"kind": "divisibility"})
+        assert not validate_refutation(edge, complete(6, 3), {"kind": "divisibility"})
+        assert not validate_refutation(edge, complete(5, 3), {"kind": "divisibility", "q": 2})
+        assert not validate_refutation(edge, Hypergraph(4, 5, []), {"kind": "divisibility"})
+        assert not validate_refutation(edge, complete(5, 3), "divisibility")
+
+    def test_refuted_hosts_have_no_factor(self):
+        rng = np.random.default_rng(65)
+        cases = list(pin_cases()) + [(f, h) for f, h in barrier_hosts() if h.n <= 12]
+        cases += [(single_edge(), random_graph(rng, 9, 0.15)) for _ in range(20)]
+        cases += [(loose_path(), random_graph(rng, 10, 0.1)) for _ in range(10)]
+        refuted = 0
+        for f, h in cases:
+            res = find_factor(f, h)
+            if res.refutation is not None:
+                refuted += 1
+                assert res.status == "absent" and res.stats["nodes"] == 0
+                assert validate_refutation(f, h, res.refutation)
+                assert not factor_oracle(f, h)
+        assert refuted > 20
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_proofs_workload_barriers_refuted(self, seed):
+        hosts = list(proofs_barrier_hosts(seed))
+        assert len(hosts) == 38
+        for f, h in hosts:
+            res = find_factor(f, h)
+            assert res.status == "absent" and res.stats["nodes"] == 0
+            assert validate_refutation(f, h, res.refutation)
+
+    def test_status_and_certificate_match_exact_cover(self):
+        rng = np.random.default_rng(66)
+        cases = list(pin_cases()) + list(barrier_hosts())
+        cases += [(single_edge(), random_graph(rng, 9, 0.2)) for _ in range(20)]
+        for f, h in cases:
+            res, cover = find_factor(f, h), exact_cover(f, h)
+            assert (res.status, res.certificate) == (cover.status, cover.certificate)
+            if res.refutation is None:
+                assert res.stats == cover.stats
+
+    def test_space_search_stops_at_node_limit(self, monkeypatch):
+        f, h = single_edge(), space_barrier(random.Random(4), 15, 4, 1.0)
+        assert find_factor(f, h).refutation["kind"] == "space"
+        monkeypatch.setattr(verification, "SPACE_NODE_LIMIT", 1)
+        res = find_factor(f, h)
+        assert res.status == "absent" and res.refutation is None and res.stats["nodes"] > 0
+
+    def test_truncated_listing_is_not_refuted(self):
+        f, h = single_edge(), parity_barrier(random.Random(5), 12, 5, 1.0)
+        assert find_factor(f, h).refutation["kind"] == "lattice"
+        res = find_factor(f, h, cap=10)
+        assert res.status == "inconclusive" and res.refutation is None and res.stats["truncated"]
+
+    def test_truncated_search_stops_at_node_limit(self, monkeypatch):
+        f, h = single_edge(), complete(12, 3)
+        res = find_factor(f, h, cap=30)
+        assert res.stats["truncated"] and not res.stats["node_limit_hit"] and res.stats["nodes"] > 1
+        for limit in range(res.stats["nodes"]):
+            monkeypatch.setattr(verification, "TRUNCATED_NODE_LIMIT", limit)
+            res = find_factor(f, h, cap=30)
+            assert res.status == "inconclusive" and res.certificate is None
+            assert res.stats["nodes"] == limit and res.stats["node_limit_hit"]
+            # a complete listing is searched to the end whatever the limit
+            res = find_factor(f, h)
+            assert res.status == "found" and not res.stats["node_limit_hit"]
 
 
 class TestParityOnShadowDisjoint:
