@@ -25,7 +25,6 @@ from .deciders import (
 )
 from .hypergraph import FormatError, Hypergraph, Partition, load_hypergraph
 from .lattice import (
-    Bipartition,
     Lattice,
     decide_trans,
     enumerate_shadow_disjoint_bipartitions,

@@ -33,7 +33,7 @@ command needs it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import ceil
 from typing import Iterator
 
@@ -154,7 +154,8 @@ def construct_partite_coloring(params: ConstructionParams) -> Construction:
         raise ValueError(f"part sizes must be (n_1..n_{k-1}, 1), got {sizes}")
     if sum(sizes) != n or min(sizes) < 1:
         raise ValueError(f"part sizes {sizes} do not form a partition of {n} vertices")
-    partition = Partition(tuple(tuple(range(end - size, end)) for size, end in zip(sizes, accumulate(sizes))))
+    part_of = [i for i, size in enumerate(sizes) for _ in range(size)]
+    partition = Partition.from_assignment(part_of, k)
     z = n - 1
 
     crossing = reversed(list(combinations_with_replacement(range(k - 1), k)))
@@ -167,7 +168,6 @@ def construct_partite_coloring(params: ConstructionParams) -> Construction:
     colours = rng.integers(0, palette, size=draws).tolist()
     # The parts are consecutive blocks and e ascends, so the parts of e's
     # vertices, in order, are its sorted part tuple.
-    part_of = [i for i, size in enumerate(sizes) for _ in range(size)]
     edges = [e for e, j in _monochromatic_cliques(n, k, 2, colours)
              if color_of_parts.get(tuple(map(part_of.__getitem__, e))) == j]
     h = Hypergraph(k, n, edges)

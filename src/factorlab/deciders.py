@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
 
-from .hypergraph import Hypergraph, PartAssignments, UnionFind
+from .hypergraph import Hypergraph, PartAssignments, Partition, UnionFind, is_vertex_list
 
 RED, BLUE, GREEN = "red", "blue", "green"
 
@@ -395,8 +394,7 @@ def decide_partition_condition_k(f: Hypergraph) -> DecisionReport:
             nodes += search.nodes
         if part_of is not None:
             stats = {"nodes": nodes, "time_s": time.perf_counter() - t0}
-            parts = [[v for v in range(n) if part_of[v] == p] for p in range(k - 1)]
-            witness = {"vstar": vstar, "parts": parts}
+            witness = {"vstar": vstar, "parts": Partition.from_assignment(part_of, k).to_json_obj()[:-1]}
             return DecisionReport("partition-k", True, witness, flags, stats)
     stats = {"nodes": nodes, "time_s": time.perf_counter() - t0}
     return DecisionReport("partition-k", False, None, flags, stats)
@@ -449,21 +447,12 @@ def _two_sides(f: Hypergraph, vstar: int, class_of: list[int],
 def validate_shadow_coloring(
     f: Hypergraph, ordering: list[int] | tuple[int, ...], coloring: PairColoring
 ) -> bool:
-    """Check an (ordering, colouring) pair against the raw definition."""
-    if f.k != 3 or sorted(ordering) != list(range(f.n)):
+    """Is ``coloring`` the consistent colouring :func:`forced_coloring` gives
+    ``ordering``?  The search of :func:`decide_turan_zero_3` colours pairs on
+    its own trail and never calls it."""
+    if f.k != 3 or not is_vertex_list(ordering) or sorted(ordering) != list(range(f.n)):
         return False
-    if set(coloring) != {pair for e in f.edges for pair in combinations(e, 2)}:
-        return False
-    pos = {v: i for i, v in enumerate(ordering)}
-    for e in f.edges:
-        a, b, c = sorted(e, key=pos.__getitem__)
-        if coloring.get(_pair(a, b)) != RED:
-            return False
-        if coloring.get(_pair(a, c)) != BLUE:
-            return False
-        if coloring.get(_pair(b, c)) != GREEN:
-            return False
-    return True
+    return isinstance(coloring, dict) and forced_coloring(f, ordering) == coloring
 
 
 def coloring_from_witness(witness: dict) -> PairColoring:
@@ -472,7 +461,7 @@ def coloring_from_witness(witness: dict) -> PairColoring:
 
 def validate_cover_witness(f, vstar, x_side, y_side) -> bool:
     """Check a (vstar, X, Y) triple against the raw cover-partition condition."""
-    if f.k != 3:
+    if f.k != 3 or type(vstar) is not int or not (is_vertex_list(x_side) and is_vertex_list(y_side)):
         return False
     xs, ys = set(x_side), set(y_side)
     if xs & ys or vstar in xs or vstar in ys:
@@ -501,7 +490,9 @@ def validate_cover_witness(f, vstar, x_side, y_side) -> bool:
 
 def validate_partition_witness(f, vstar, parts) -> bool:
     """Check a (vstar, X_1..X_{k-1}) witness against the raw partition condition."""
-    if f.k < 3 or len(parts) != f.k - 1:
+    if f.k < 3 or type(vstar) is not int or not isinstance(parts, (list, tuple)):
+        return False
+    if len(parts) != f.k - 1 or not all(map(is_vertex_list, parts)):
         return False
     sets = [set(p) for p in parts]
     union: set[int] = set()

@@ -27,9 +27,9 @@ partition condition, the shadow-disjoint bipartitions and ``is_k_partite``;
 it checks each overlap class against one leading edge, so it keeps no undo trail.
 
 Vertex subsets handed to operations may be any iterable of ints; results use
-sorted tuples.  Partitions are ordered lists of disjoint parts covering
-``range(n)``; the index vector of a set S w.r.t. a partition is the tuple of
-intersection sizes, one per part.
+sorted tuples.  A :class:`Partition` (ordered disjoint parts covering
+``range(n)``) is read off a part assignment by ``from_assignment`` alone; the
+index vector of a set S w.r.t. it is the tuple of intersection sizes, one per part.
 """
 
 from __future__ import annotations
@@ -58,9 +58,14 @@ class FormatError(ValueError):
 
 @dataclass(frozen=True)
 class Partition:
-    """Ordered partition of ``range(n)`` into (possibly empty) parts."""
+    """Ordered partition of ``range(n)`` into (possibly empty) ascending parts."""
 
     parts: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def from_assignment(cls, part_of: Sequence[int], count: int) -> "Partition":
+        """Parts ``0..count-1`` of ``part_of`` (vertex -> part), the one reader of an assignment."""
+        return cls(tuple([tuple([v for v, p in enumerate(part_of) if p == c]) for c in range(count)]))
 
     def index_vector(self, vertices: Iterable[int]) -> tuple[int, ...]:
         vs = set(vertices)
@@ -68,6 +73,11 @@ class Partition:
 
     def to_json_obj(self) -> list[list[int]]:
         return [list(p) for p in self.parts]
+
+
+def is_vertex_list(ids) -> bool:
+    """Is ``ids`` a list or tuple of plain ints (no JSON floats or booleans)?"""
+    return isinstance(ids, (list, tuple)) and all(type(v) is int for v in ids)
 
 
 class UnionFind:
@@ -252,10 +262,7 @@ class Hypergraph:
         it; empty parts are allowed so subgraphs of k-partite graphs validate.
         """
         part_of = next(iter(PartAssignments(self, self.k, self.neighbour_masks())), None)
-        if part_of is None:
-            return None
-        return Partition(tuple(tuple(v for v in range(self.n) if part_of[v] == c)
-                               for c in range(self.k)))
+        return None if part_of is None else Partition.from_assignment(part_of, self.k)
 
     def induced(self, vertices: Iterable[int]) -> tuple["Hypergraph", dict[int, int]]:
         """Induced subgraph on the given vertices, relabelled to 0..m-1."""
@@ -299,8 +306,9 @@ class PartAssignments:
     whenever its last free vertex is placed, so backtracking undoes nothing
     but parts.  Both checks read only placed vertices, so every valid
     assignment is yielded, in lexicographic order, and nothing else.  Each
-    is ``part_of`` (vertex -> part), one list reused throughout; ``nodes``
-    counts the part choices tried.  Every class edge needs a free vertex.
+    is ``part_of`` (vertex -> part), one list reused throughout, which
+    :meth:`Partition.from_assignment` reads into parts; ``nodes`` counts the
+    part choices tried.  Every class edge needs a free vertex.
     """
 
     def __init__(self, f: Hypergraph, parts: int, conflicts: Sequence[int],

@@ -5,8 +5,8 @@ A bipartition {A, B} of the vertex set is s-shadow disjoint when any two
 edges whose index vectors w.r.t. {A, B} differ meet in fewer than s vertices.
 The size vectors (|A|, |B|) of all such bipartitions generate a lattice in
 Z^2; membership of (1, -1) is the decided property.  The bipartitions are
-listed by the part-assignment search shared with the deciders,
-:class:`factorlab.hypergraph.PartAssignments`.
+two-part partitions with A as part 0, listed by the part-assignment search
+shared with the deciders, :class:`factorlab.hypergraph.PartAssignments`.
 
 Membership is computed twice on every decision — once through an integer
 echelon form over Z^d, which also gives the witness combination, and once
@@ -21,15 +21,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .deciders import DecisionReport, PreconditionError, _base_flags
-from .hypergraph import Hypergraph, PartAssignments
-
-
-@dataclass(frozen=True)
-class Bipartition:
-    """Ordered bipartition (A, B); either side may be empty."""
-
-    a: tuple[int, ...]
-    b: tuple[int, ...]
+from .hypergraph import Hypergraph, PartAssignments, Partition
 
 
 @dataclass(frozen=True)
@@ -56,25 +48,22 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def enumerate_shadow_disjoint_bipartitions(f: Hypergraph, s: int) -> list[Bipartition]:
-    """All bipartitions {A, B} such that edges with different index vectors
-    meet in fewer than s vertices, in lexicographic order with A first.
+def enumerate_shadow_disjoint_bipartitions(f: Hypergraph, s: int) -> list[Partition]:
+    """All bipartitions (A, B), as two-part :class:`Partition` objects, such
+    that edges with different index vectors meet in fewer than s vertices, in
+    lexicographic order with A first.
 
     These are the answers of :class:`PartAssignments` with two parts, part 0
     being A: each class of ``overlap_classes(s)`` keeps one index vector.
     """
     if not 2 <= s <= f.k - 1:
         raise ValueError(f"shadow order must satisfy 2 <= s <= k-1, got s={s}")
-    return [
-        Bipartition(tuple(v for v in range(f.n) if part_of[v] == 0),
-                    tuple(v for v in range(f.n) if part_of[v] == 1))
-        for part_of in PartAssignments(f, 2, [0] * f.n, s=s)
-    ]
+    return [Partition.from_assignment(part_of, 2) for part_of in PartAssignments(f, 2, [0] * f.n, s=s)]
 
 
-def generators_of(f: Hypergraph, bips: list[Bipartition]) -> list[tuple[int, int]]:
+def generators_of(f: Hypergraph, bips: list[Partition]) -> list[tuple[int, int]]:
     """Deduplicated (|A|, f-|A|) vectors of ``bips``, by ascending |A|."""
-    return [(a, f.n - a) for a in sorted({len(bp.a) for bp in bips})]
+    return [(a, f.n - a) for a in sorted({len(p.parts[0]) for p in bips})]
 
 
 def size_generators(f: Hypergraph, s: int) -> list[tuple[int, int]]:

@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, field
 from itertools import permutations
 from typing import TYPE_CHECKING, Iterator
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, is_vertex_list
 
 if TYPE_CHECKING:
     import numpy as np
@@ -222,7 +222,7 @@ def rooted_copies(
 
 
 def validate_embedding(f: Hypergraph, h: Hypergraph, phi: tuple[int, ...]) -> bool:
-    if f.k != h.k or len(phi) != f.n or len(set(phi)) != f.n:
+    if f.k != h.k or not is_vertex_list(phi) or len(phi) != f.n or len(set(phi)) != f.n:
         return False
     if any(w < 0 or w >= h.n for w in phi):
         return False
@@ -594,7 +594,7 @@ def validate_refutation(f: Hypergraph, h: Hypergraph, cert) -> bool:
 def validate_factor_certificate(
     f: Hypergraph, h: Hypergraph, copies: list[tuple[int, ...]]
 ) -> bool:
-    if f.k != h.k:
+    if f.k != h.k or not isinstance(copies, (list, tuple)):
         return False
     seen: set[int] = set()
     for phi in copies:

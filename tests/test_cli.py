@@ -682,6 +682,12 @@ def parser_flags(parser: argparse.ArgumentParser) -> set[tuple[str, bool]]:
             for a in parser._actions if a.dest not in ("help", "out")}
 
 
+def test_readme_library_sketch_runs():
+    """README's python block runs as written; its asserts are the check."""
+    block = README.read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, str(README), "exec"), {})
+
+
 def test_readme_commands_parse():
     """Every README example parses with the per-variant parsers; none is run,
     so no file is opened.  Each row of the flag table holds exactly the flags

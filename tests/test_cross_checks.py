@@ -88,7 +88,7 @@ class TestK4PartitionCondition:
         for _ in range(20):
             f = random_uniform(rng, 6, 4, 0.3)
             for s in (2, 3):
-                got = {frozenset(bp.a) for bp in enumerate_shadow_disjoint_bipartitions(f, s)}
+                got = {frozenset(bp.parts[0]) for bp in enumerate_shadow_disjoint_bipartitions(f, s)}
                 want = set()
                 for bits in range(64):
                     a = frozenset(v for v in range(6) if bits >> v & 1)

@@ -27,6 +27,7 @@ from factorlab.oracles import (
     partition_condition_oracle,
     turan_zero_oracle,
 )
+from factorlab.verification import validate_embedding, validate_factor_certificate
 
 TWO_EDGES = Hypergraph(3, 6, [(0, 1, 2), (3, 4, 5)])
 
@@ -584,3 +585,26 @@ class TestValidatorsReject:
             checked += len(corrupt)
             seen_k.add(f.k)
         assert checked > 200 and seen_k == {3, 4}
+
+
+@pytest.mark.parametrize("check", [
+    pytest.param(lambda: validate_shadow_coloring(
+        single_edge(), [0, 1, 2], [[0, 1, RED], [0, 2, BLUE], [1, 2, GREEN]]), id="coloring-as-json-list"),
+    pytest.param(lambda: validate_shadow_coloring(
+        single_edge(), [True, 0, 2], {(0, 1): RED, (1, 2): BLUE, (0, 2): GREEN}), id="ordering-with-true"),
+    pytest.param(lambda: validate_shadow_coloring(single_edge(), None, {}), id="ordering-none"),
+    pytest.param(lambda: validate_embedding(single_edge(), single_edge(), ["0", 1, 2]), id="embedding-str"),
+    pytest.param(lambda: validate_embedding(single_edge(), single_edge(), None), id="embedding-none"),
+    pytest.param(lambda: validate_factor_certificate(single_edge(), single_edge(), None), id="factor-none"),
+    pytest.param(lambda: validate_cover_witness(single_edge(), 0.0, [1], [2]), id="cover-float-vstar"),
+    pytest.param(lambda: validate_cover_witness(single_edge(), 0, [True], [2]), id="cover-true-side"),
+    pytest.param(lambda: validate_cover_witness(single_edge(), 0, None, [2]), id="cover-none-side"),
+    pytest.param(lambda: validate_partition_witness(single_edge(), True, [[0], [2]]), id="partition-true-vstar"),
+    pytest.param(lambda: validate_partition_witness(single_edge(), 0, None), id="partition-none"),
+    pytest.param(lambda: validate_partition_witness(single_edge(), 0, [[1.0], [2]]), id="partition-float-part"),
+])
+def test_malformed_witness_refused(check):
+    """Vertex ids are plain ints inside lists or tuples, as in
+    ``validate_refutation``: anything else gives False, never an exception
+    and never a bool read as vertex 1."""
+    assert check() is False

@@ -51,9 +51,9 @@ class TestBipartitions:
 
     def test_k222_parts_stay_monochromatic(self):
         bips = enumerate_shadow_disjoint_bipartitions(k222(), 2)
-        assert sorted({len(bp.a) for bp in bips}) == [0, 2, 4, 6]
+        assert sorted({len(bp.parts[0]) for bp in bips}) == [0, 2, 4, 6]
         for bp in bips:
-            a = set(bp.a)
+            a = set(bp.parts[0])
             for part in ({0, 1}, {2, 3}, {4, 5}):
                 assert part <= a or not (part & a)
 
@@ -61,7 +61,7 @@ class TestBipartitions:
         bips = enumerate_shadow_disjoint_bipartitions(TWO_SHARED, 2)
         assert len(bips) == len(brute_force_bipartitions(TWO_SHARED, 2)) == 8
         for bp in bips:
-            assert (2 in bp.a) == (3 in bp.a)
+            assert (2 in bp.parts[0]) == (3 in bp.parts[0])
 
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(202)
@@ -69,7 +69,7 @@ class TestBipartitions:
         for _ in range(30):
             mask = rng.random(len(triples)) < 0.3
             f = Hypergraph(3, 6, [t for t, m in zip(triples, mask) if m])
-            got = {frozenset(bp.a) for bp in enumerate_shadow_disjoint_bipartitions(f, 2)}
+            got = {frozenset(bp.parts[0]) for bp in enumerate_shadow_disjoint_bipartitions(f, 2)}
             assert got == set(brute_force_bipartitions(f, 2))
 
     def test_listing_order_is_the_plain_filter_order(self):
@@ -83,7 +83,7 @@ class TestBipartitions:
                 for s in range(2, k):
                     want = [(tuple(sorted(a)), tuple(v for v in range(n) if v not in a))
                             for a in brute_force_bipartitions(f, s)]
-                    got = [(bp.a, bp.b) for bp in enumerate_shadow_disjoint_bipartitions(f, s)]
+                    got = [(bp.parts[0], bp.parts[1]) for bp in enumerate_shadow_disjoint_bipartitions(f, s)]
                     assert got == want
 
     def test_complement_symmetry(self):
@@ -92,7 +92,7 @@ class TestBipartitions:
         for _ in range(10):
             mask = rng.random(len(triples)) < 0.3
             f = Hypergraph(3, 6, [t for t, m in zip(triples, mask) if m])
-            sides = {(bp.a, bp.b) for bp in enumerate_shadow_disjoint_bipartitions(f, 2)}
+            sides = {(bp.parts[0], bp.parts[1]) for bp in enumerate_shadow_disjoint_bipartitions(f, 2)}
             assert all((b, a) in sides for a, b in sides)
 
     def test_monotone_in_s(self):

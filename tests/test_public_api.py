@@ -4,7 +4,6 @@ edit of this list."""
 import factorlab
 
 PUBLIC = [
-    "Bipartition",
     "ConstructionParams",
     "DecisionReport",
     "DensenessEstimate",

@@ -282,6 +282,18 @@ def test_seeded_outputs_unchanged(name):
     assert digest(name) == json.loads(PINS.read_text())[name]
 
 
+def test_searches_read_nothing_their_validators_read(monkeypatch):
+    """Every decider of the ``deciders`` section answers as pinned with
+    ``forced_coloring`` and ``Hypergraph.link`` made to raise: the validators
+    read them, so a search that read them would check itself."""
+    def refuse(*args):
+        raise AssertionError("a search read what its validator reads")
+
+    monkeypatch.setattr(deciders, "forced_coloring", refuse)
+    monkeypatch.setattr(Hypergraph, "link", refuse)
+    assert digest("deciders") == json.loads(PINS.read_text())["deciders"]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--pin"]:
         raise SystemExit("usage: python tests/test_seeded_outputs.py --pin")
