@@ -30,10 +30,11 @@ the copy, cover and factor searches never pay its import time.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import reduce
 from itertools import permutations
 from typing import TYPE_CHECKING, Iterator
 
-from .hypergraph import Hypergraph, is_vertex_list
+from .hypergraph import Hypergraph, UnionFind, is_vertex_list
 
 if TYPE_CHECKING:
     import numpy as np
@@ -637,25 +638,110 @@ def _edges_array(h: Hypergraph) -> np.ndarray:
     return np.array(h.edges, dtype=np.int64)
 
 
-def _ordered_tuple_count(edges_arr: np.ndarray, masks: list[np.ndarray]) -> int:
-    """Ordered tuples drawn from the masked sets whose underlying set is an edge."""
+# Largest uniformity sampled denseness accepts: each batch sums over all k!
+# orderings of the edge columns.  On a one-edge k-graph on k vertices that
+# takes about 0.03 ms per sample at k = 4, 0.07 ms at k = 5 and 0.3 ms at
+# k = 6 (640 samples, 2-vCPU Xeon, Python 3.11); k = 7 would add a factor 7
+# and has not been measured.  The singleton family of estimate_S_denseness
+# gives the same deficit.
+_SAMPLED_K_LIMIT = 6
+
+# Most cells n^k of a host that directed-family sampling accepts (ten
+# million): a sample's joint tables hold up to n^k cells, and its draws take
+# 8 bytes per cell while it is drawn.  A sampling batch of B samples holds B
+# times the cells of one sample, and that too stays within this limit.
+DENSE_CELL_LIMIT = 10**7
+
+# Most samples drawn and counted together.
+_SAMPLE_BATCH = 64
+
+
+def _edge_tuple_counts(edges: np.ndarray, tables: list, n: int, width: int) -> np.ndarray:
+    """Per sample, the ordered tuples (x_1, ..., x_k) of distinct vertices
+    that every joint table allows and whose vertices form an edge.
+
+    ``tables`` holds pairs (axes, table): ``table`` has one row per cell
+    of V^axes in lexicographic order and one column per sample.  Each
+    ordering of the edge columns puts one edge vertex at each position; the
+    tables' rows at the edges' cells are gathered, ANDed and added to an
+    int16 tally, which is summed once.  A tally cell gains at most k! <= 7!:
+    a host with an edge has n >= k, and the estimators refuse k > 6 or
+    n^k > ``DENSE_CELL_LIMIT``.
+    """
     import numpy as np
 
-    k = edges_arr.shape[1]
-    total = 0
-    for perm in permutations(range(k)):
-        sel = np.ones(edges_arr.shape[0], dtype=bool)
-        for pos, col in enumerate(perm):
-            sel &= masks[pos][edges_arr[:, col]]
-        total += int(sel.sum())
-    return total
+    m, k = edges.shape
+    tally = np.zeros((m, width), dtype=np.int16)
+    hit = np.empty((m, width), dtype=bool)
+    rows = np.empty((m, width), dtype=bool)
+    for perm in permutations(edges.T) if m else ():  # perm[pos - 1]: the vertices at position pos
+        for t, (axes, table) in enumerate(tables):
+            cell = perm[axes[0] - 1]
+            for pos in axes[1:]:
+                cell = cell * n + perm[pos - 1]
+            np.take(table, cell, axis=0, out=rows if t else hit)
+            if t:
+                hit &= rows
+        tally += hit if tables else 1
+    return tally.sum(axis=0)
 
 
-# Largest uniformity sampled denseness accepts: each sample sums over all k!
-# orderings of its k subsets: on a one-edge host, about 15 ms per sample at
-# k = 6 and 0.9 s at k = 8 (2-vCPU Xeon, Python 3.11).
-# The singleton family of estimate_S_denseness gives the same deficit.
-_SAMPLED_K_LIMIT = 6
+def _sampled_worst(h: Hypergraph, p: float, fam, sample_count: int, seed: int) -> float:
+    """Worst deficit over samples 0..sample_count-1 of the canonical family
+    ``fam``.
+
+    Sample i draws the members' tables in family order, from one stream
+    seeded by (seed, i); a cell is allowed when its draw is below 1/2.  Up to
+    ``_SAMPLE_BATCH`` samples are drawn into one boolean array, a row per
+    sample, with B times the cells one sample holds (its draws, its joint
+    tables and a tally cell per edge) within ``DENSE_CELL_LIMIT`` unless one
+    sample alone holds more.  Members that share positions are ANDed into
+    one joint table over the union of their positions.  A sample's
+    allowed-tuple count is the product, in Python ints, of its joint tables'
+    counts and n per free position; the edge count reads each joint table
+    transposed to (cells, B).  Each deficit goes through :func:`_deficit`
+    with the same ints as one sample at a time would give it.
+    """
+    import numpy as np
+
+    n, k = h.n, h.k
+    tables_of, cells = {}, 0
+    for s in fam:
+        tables_of[s] = slice(cells, cells + n ** len(s))
+        cells += n ** len(s)
+    shared = UnionFind(k + 1)
+    for s in fam:
+        for pos in s[1:]:
+            shared.union(s[0], pos)
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for s in fam:
+        groups.setdefault(shared.find(s[0]), []).append(s)
+    joints = [(sorted({pos for s in members for pos in s}), members) for members in groups.values()]
+    free = n ** (k - sum(len(axes) for axes, _ in joints))
+    edges = _edges_array(h)
+    held = cells + sum(n ** len(axes) for axes, _ in joints) + len(edges)
+    width = max(1, min(_SAMPLE_BATCH, DENSE_CELL_LIMIT // max(1, held)))
+    n_pow_k = n**k
+    draws = np.empty(cells)
+    drawn = np.empty((width, cells), dtype=bool)
+    worst = float("-inf")
+    for start in range(0, sample_count, width):
+        batch = range(start, min(start + width, sample_count))
+        for row, i in enumerate(batch):
+            np.random.default_rng([seed, i]).random(out=draws)
+            np.less(draws, 0.5, out=drawn[row])
+        samples = drawn[:len(batch)]
+        allowed = [free] * len(batch)
+        tables = []
+        for axes, members in joints:
+            joint = reduce(np.logical_and, [
+                samples[:, tables_of[s]].reshape([len(batch)] + [n if pos in s else 1 for pos in axes])
+                for s in members]).reshape(len(batch), -1)
+            allowed = [a * int(np.count_nonzero(row)) for a, row in zip(allowed, joint)]
+            tables.append((axes, np.ascontiguousarray(joint.T)))
+        counts = _edge_tuple_counts(edges, tables, n, len(batch)).tolist()
+        worst = max(worst, *(_deficit(p, a, c, n_pow_k) for a, c in zip(allowed, counts)))
+    return worst
 
 
 def estimate_denseness(
@@ -664,12 +750,12 @@ def estimate_denseness(
     """Worst deficit p·|X_1|···|X_k| - e(X_1..X_k), normalized by n^k, over
     uniformly sampled subset tuples.
 
-    Sample i draws its subsets from an independent stream seeded by
-    (seed, i).  Samples run one after another on the calling thread and only
-    the running maximum is kept, so memory does not grow with
-    ``sample_count``.  ``workers`` is accepted and ignored.  A sampled report
-    is a lower bound on the slack a denseness verdict would need, never a
-    verdict itself.
+    Sample i draws its subsets from an independent stream seeded by (seed, i).
+    Samples are drawn and counted in batches of up to 64 on the calling
+    thread, and only the worst deficit so far is kept, so memory is bounded by
+    the batch, not by ``sample_count``.  ``workers`` is accepted and ignored.
+    A sampled report is a lower bound on the slack a denseness verdict would
+    need, never a verdict itself.
     """
     if sample_count < 1:
         raise ValueError("need at least one sample")
@@ -678,37 +764,14 @@ def estimate_denseness(
     if h.k > _SAMPLED_K_LIMIT:
         raise ValueError(f"sampled denseness sums k! orderings per sample; k={h.k} is above "
                          f"{_SAMPLED_K_LIMIT} (the family [[1], ..., [k]] gives the same deficit)")
-    import numpy as np
-
-    edges_arr = _edges_array(h)
-    n_pow_k = h.n**h.k
-
-    def one(i: int) -> float:
-        rng = np.random.default_rng([seed, i])
-        masks = [rng.random(h.n) < 0.5 for _ in range(h.k)]
-        sizes = 1
-        for m in masks:
-            sizes *= int(m.sum())
-        count = _ordered_tuple_count(edges_arr, masks)
-        return _deficit(p, sizes, count, n_pow_k)
-
-    worst = max(one(i) for i in range(sample_count))
+    singletons = tuple((pos,) for pos in range(1, h.k + 1))
+    worst = _sampled_worst(h, p, singletons, sample_count, seed)
     return DensenessEstimate(p, sample_count, worst, "sampled", seed)
-
-
-# Most cells of one dense n^k array (the edge tensor and each sample's
-# allowed tuples, ten million cells, about 10 MB as booleans; the largest
-# family draw holds as many 8-byte floats).
-DENSE_CELL_LIMIT = 10**7
 
 
 def _edge_tensor(h: Hypergraph) -> np.ndarray:
     import numpy as np
 
-    if h.n**h.k > DENSE_CELL_LIMIT:
-        raise ValueError(
-            f"a dense n^k array for n={h.n}, k={h.k} has {h.n**h.k} cells; "
-            f"more than {DENSE_CELL_LIMIT} are refused")
     tensor = np.zeros((h.n,) * h.k, dtype=bool)
     for e in h.edges:
         for perm in permutations(e):
@@ -744,10 +807,12 @@ def estimate_S_denseness(
     Each G_S is a uniform subset of V^S (elements drawn in lexicographic
     order), sharing the sample streams of :func:`estimate_denseness`; with the
     singleton family {{1},...,{k}} the two estimators agree bit for bit under
-    equal seeds.  As there, samples run on the calling thread, keeping only
-    the running maximum, and ``workers`` is accepted and ignored.  Each
-    sample holds dense n^k arrays, so hosts with more than
-    ``DENSE_CELL_LIMIT`` cells are refused with ``ValueError``.
+    equal seeds.  As there, samples are drawn and counted in batches of up to
+    64 on the calling thread, keeping only the worst deficit so far, and
+    ``workers`` is accepted and ignored.  A sample holds its tables (n^|S|
+    cells each) and, for members that share positions, one joint table of up
+    to n^k cells, so hosts with more than ``DENSE_CELL_LIMIT`` cells are
+    refused with ``ValueError``.
     """
     if sample_count < 1:
         raise ValueError("need at least one sample")
@@ -757,25 +822,11 @@ def estimate_S_denseness(
     for s in fam:
         if any(i < 1 or i > h.k for i in s):
             raise ValueError(f"family member {s} is not a subset of 1..{h.k}")
-    import numpy as np
-
-    edge_tensor = _edge_tensor(h)
-    n_pow_k = h.n**h.k
-
-    def one(i: int) -> float:
-        rng = np.random.default_rng([seed, i])
-        allowed = np.ones((h.n,) * h.k, dtype=bool)
-        for s in fam:
-            draw = rng.random(h.n ** len(s)) < 0.5
-            shape = [1] * h.k
-            for pos in s:
-                shape[pos - 1] = h.n
-            allowed &= draw.reshape(shape)
-        kk = int(allowed.sum())
-        count = int((allowed & edge_tensor).sum())
-        return _deficit(p, kk, count, n_pow_k)
-
-    worst = max(one(i) for i in range(sample_count))
+    if h.n**h.k > DENSE_CELL_LIMIT:
+        raise ValueError(
+            f"a dense n^k array for n={h.n}, k={h.k} has {h.n**h.k} cells; "
+            f"more than {DENSE_CELL_LIMIT} are refused")
+    worst = _sampled_worst(h, p, fam, sample_count, seed)
     return DensenessEstimate(p, sample_count, worst, "sampled", seed, [list(s) for s in fam])
 
 

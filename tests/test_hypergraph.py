@@ -6,7 +6,7 @@ import pytest
 
 from factorlab import FormatError, Hypergraph, load_hypergraph
 from factorlab.corpus import complete, k4, k222, single_edge
-from factorlab.verification import _edges_array, _ordered_tuple_count
+from factorlab.verification import _edge_tuple_counts, _edges_array
 
 K222_TEXT = "3 6 8\n" + "\n".join(
     " ".join(map(str, sorted((a, b, c)))) for a, b, c in product((0, 1), (2, 3), (4, 5))
@@ -249,14 +249,15 @@ class TestOverlaps:
 
 
 def tuple_count(h, sets):
-    """Ordered-tuple count through the denseness estimator's counter, with
-    one boolean vertex mask per vertex set."""
-    masks = []
-    for x in sets:
-        mask = np.zeros(h.n, dtype=bool)
+    """Ordered-tuple count through the denseness estimators' counter: one
+    single-sample joint table per position, the vertex set's mask."""
+    tables = []
+    for pos, x in enumerate(sets, 1):
+        mask = np.zeros((h.n, 1), dtype=bool)
         mask[list(x)] = True
-        masks.append(mask)
-    return _ordered_tuple_count(_edges_array(h), masks)
+        tables.append(([pos], mask))
+    (count,) = _edge_tuple_counts(_edges_array(h), tables, h.n, 1)
+    return count
 
 
 class TestTupleCounting:

@@ -1,6 +1,6 @@
 import random
 import threading
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from factorlab import verification
 from factorlab.constructions import ConstructionParams, construct_shadow_disjoint, random_uniform_hypergraph
 from factorlab.corpus import complete, k222, loose_path, single_edge
 from factorlab.oracles import copy_images_oracle, factor_oracle
-from factorlab.verification import DENSE_CELL_LIMIT, copy_images, iter_embeddings
+from factorlab.verification import DENSE_CELL_LIMIT, canonical_family, copy_images, iter_embeddings
 
 
 def random_graph(rng, n, p=0.4):
@@ -703,6 +703,99 @@ class TestDenseness:
         with pytest.raises(ValueError, match="cells"):
             estimate_S_denseness(Hypergraph(3, n, []), 0.5, [[1], [2], [3]], 1, seed=0)
 
+
+
+def reference_sample_deficits(h, p, family, count, seed):
+    """Deficits of samples 0..count-1, one sample at a time: the plain loop
+    the batched estimators replaced.  ``family=None`` draws k vertex masks
+    and counts edges over all k! orderings of the masks; a family draws its
+    tables in canonical order and counts against the dense n^k edge tensor."""
+    n, k = h.n, h.k
+    edges = np.array(h.edges, dtype=np.int64).reshape(-1, k)
+    tensor = np.zeros((n,) * k, dtype=bool)
+    for e in h.edges:
+        for order in permutations(e):
+            tensor[order] = True
+    deficits = []
+    for i in range(count):
+        rng = np.random.default_rng([seed, i])
+        if family is None:
+            masks = [rng.random(n) < 0.5 for _ in range(k)]
+            allowed = 1
+            for mask in masks:
+                allowed *= int(mask.sum())
+            hits = 0
+            for order in permutations(range(k)):
+                sel = np.ones(len(edges), dtype=bool)
+                for pos, col in enumerate(order):
+                    sel &= masks[pos][edges[:, col]]
+                hits += int(sel.sum())
+        else:
+            table = np.ones((n,) * k, dtype=bool)
+            for s in canonical_family(family):
+                table &= (rng.random(n ** len(s)) < 0.5).reshape([n if pos in s else 1 for pos in range(1, k + 1)])
+            allowed, hits = int(table.sum()), int((table & tensor).sum())
+        deficits.append((p * allowed - hits) / n**k)
+    return deficits
+
+
+def sweep_families(k):
+    """The directed families of the bit-identity sweep that fit uniformity k."""
+    families = [None, [[pos] for pos in range(1, k + 1)], [[1, 2], [3]], [list(range(1, k + 1))],
+                [[1, 2], [1, 3], [2, 3]], [], [[1], [1], [2, k], [k, 2]]]
+    return [f for f in families if f is None or all(pos <= k for s in f for pos in s)]
+
+
+class TestBatchedSampling:
+    """Samples are drawn and counted in batches of up to 64; every report is
+    bit-identical to the plain per-sample loop above."""
+
+    COUNTS = (1, 63, 64, 65, 130)
+
+    @staticmethod
+    def estimate(h, p, family, count, seed):
+        if family is None:
+            return estimate_denseness(h, p, count, seed)
+        return estimate_S_denseness(h, p, family, count, seed)
+
+    @pytest.mark.parametrize("k, n", [(2, 12), (3, 9), (4, 7), (5, 7), (6, 7)])
+    def test_matches_the_per_sample_loop(self, k, n):
+        h = random_uniform_hypergraph(n, k, 0.5, 40 + k)
+        assert h.edges
+        for family in sweep_families(k):
+            deficits = reference_sample_deficits(h, 0.43, family, max(self.COUNTS), k)
+            for count in self.COUNTS:
+                est = self.estimate(h, 0.43, family, count, k)
+                assert type(est.worst_deficit) is float
+                assert est.worst_deficit == max(deficits[:count]), (family, count)
+
+    @pytest.mark.parametrize("h", [Hypergraph(3, 8, []), Hypergraph(3, 1, []), Hypergraph(2, 1, [])],
+                             ids=["edgeless", "one-vertex-3", "one-vertex-2"])
+    def test_edgeless_and_one_vertex_hosts(self, h):
+        for family in sweep_families(h.k):
+            deficits = reference_sample_deficits(h, 0.3, family, 65, 5)
+            for count in (1, 65):
+                assert self.estimate(h, 0.3, family, count, 5).worst_deficit == max(deficits[:count])
+
+    def test_batch_of_one_gives_the_same_deficits(self, monkeypatch):
+        # With DENSE_CELL_LIMIT at n^3, every batch holds one sample: a
+        # sample's draws alone fill the limit for the full-position families,
+        # and the uniform estimator gets no room at all.
+        h = random_uniform_hypergraph(5, 3, 0.5, 8)
+        runs = [(None, 1), ([[1, 2, 3]], 5**3), ([[1], [1, 2, 3]], 5**3)]
+        wide = [self.estimate(h, 0.5, family, 70, 2).worst_deficit for family, _ in runs]
+        widths = []
+        counter = verification._edge_tuple_counts
+
+        def spy(edges, tables, n, width):
+            widths.append(width)
+            return counter(edges, tables, n, width)
+
+        monkeypatch.setattr(verification, "_edge_tuple_counts", spy)
+        for (family, limit), deficit in zip(runs, wide):
+            monkeypatch.setattr(verification, "DENSE_CELL_LIMIT", limit)
+            assert self.estimate(h, 0.5, family, 70, 2).worst_deficit == deficit
+        assert widths == [1] * (70 * len(runs))
 
 class TestReachability:
     def test_complete_host(self):
