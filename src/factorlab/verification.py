@@ -20,11 +20,10 @@ against copy images listed by a plain search of its own.  Every other
 answer comes from a complete exact-cover search over the image masks, so
 its "absent" is a proof through that search, not a heuristic — unless the
 copy cap was hit, in which case the result is explicitly inconclusive.
-That search is iterative, keeps the options of each vertex and the live
-options as ints over option ids, and skips covered sets it has already
-refuted through a failure memo bounded by ``MEMO_LIMIT`` words.  numpy is
-imported only inside the denseness functions and their array helpers, so
-the copy, cover and factor searches never pay its import time.
+That search is iterative and keeps the options of each vertex and the live
+options as ints over option ids.  numpy is imported only inside the
+denseness functions and their array helpers, so the copy, cover and factor
+searches never pay its import time.
 """
 
 from __future__ import annotations
@@ -237,29 +236,33 @@ def validate_embedding(f: Hypergraph, h: Hypergraph, phi: tuple[int, ...]) -> bo
 
 @dataclass
 class CoverReport:
-    covered: list[bool]
-    witnesses: list[tuple[int, ...] | None]
-    verdict: bool
+    witnesses: list[tuple[int, ...] | None]  # per host vertex: a copy through it, or None
+
+    @property
+    def covered(self) -> list[bool]:
+        return [phi is not None for phi in self.witnesses]
+
+    @property
+    def verdict(self) -> bool:
+        return None not in self.witnesses
 
 
 def find_cover(f: Hypergraph, h: Hypergraph) -> CoverReport:
     """Per-vertex: is the vertex contained in some copy of f?  The aggregate
     verdict is the conjunction."""
     _check_uniformity(f, h)
-    covered = [False] * h.n
     witnesses: list[tuple[int, ...] | None] = [None] * h.n
     for w in range(h.n):
-        if covered[w]:
+        if witnesses[w] is not None:
             continue
         for u in range(f.n):
             phi = next(iter_embeddings(f, h, {u: w}), None)
             if phi is not None:
                 for target in phi:
-                    if not covered[target]:
-                        covered[target] = True
+                    if witnesses[target] is None:
                         witnesses[target] = phi
                 break
-    return CoverReport(covered, witnesses, all(covered) if h.n else True)
+    return CoverReport(witnesses)
 
 
 @dataclass
@@ -290,11 +293,6 @@ def copy_images(
         images.setdefault(mask, phi)
     return images, False
 
-
-# Most words the failure memo of one find_factor search may hold, a stored
-# mask of an n-vertex host counting n // 64 + 1 words.  A full memo stops
-# inserting and never drops a mask, so it only ever skips refuted subtrees.
-MEMO_LIMIT = 10**6
 
 # Most options the exact cover may try after a truncated copy listing.  Such
 # a search can only end "found" or "inconclusive", so past this many it stops
@@ -406,9 +404,11 @@ def _options(
 
 
 def _exact_cover(
-    n: int, masks: list[int], witnesses: list[tuple[int, ...]], at_vertex: list[int], truncated: bool
-) -> FactorSearchResult:
-    """Complete exact-cover search of the n host vertices by the options.
+    n: int, witnesses: list[tuple[int, ...]], at_vertex: list[int], truncated: bool
+) -> tuple[list[tuple[int, ...]] | None, int, bool]:
+    """Complete exact-cover search of the n host vertices by the options:
+    the certificate (None when there is none), the options tried, and
+    whether the search stopped at ``TRUNCATED_NODE_LIMIT``.
 
     ``live`` is the int of the options disjoint from the covered vertices.
     The search branches on the uncovered vertex with the fewest live options
@@ -418,21 +418,14 @@ def _exact_cover(
     2000).  The search runs on that trail, not on the Python stack, so its
     depth is bounded only by v(H) / v(F).
 
-    Every covered set whose subtree was refuted goes into a failure memo, and
-    a repeat is refuted at once (the memo of DXZ, Nishino et al. 2017).  The
-    memo holds at most ``MEMO_LIMIT`` words; when full it stops inserting.
-    It only skips subtrees already refuted, so the status and certificate are
-    those of the search without it; ``stats["nodes"]`` (options tried) is
-    smaller, and ``stats["memo"]`` is the number of masks stored.
-
-    After a truncated listing "absent" becomes "inconclusive", and the
-    search stops at ``TRUNCATED_NODE_LIMIT`` options tried.
+    After a truncated listing the search stops at ``TRUNCATED_NODE_LIMIT``
+    options tried.
     """
     covered = bytearray(n)
 
     def options(live: int) -> int:
         """The live options of the uncovered vertex with the fewest."""
-        best, best_v = len(masks) + 1, -1
+        best, best_v = len(witnesses) + 1, -1
         for v in range(n):
             if not covered[v]:
                 count = (at_vertex[v] & live).bit_count()
@@ -442,20 +435,15 @@ def _exact_cover(
                         return 0
         return at_vertex[best_v] & live
 
-    full = (1 << n) - 1
     limit = TRUNCATED_NODE_LIMIT if truncated else -1
-    used, live = 0, (1 << len(masks)) - 1
-    memo: set[int] = set()
-    room = MEMO_LIMIT // (n // 64 + 1)
+    uncovered, live = n, (1 << len(witnesses)) - 1
     trail: list[tuple[int, int, int]] = []  # per choice: option, options its frame has left, live ones it removed
     nodes = 0
-    limit_hit = False
     cand = options(live)
     while True:
         if cand:
             if nodes == limit:
-                limit_hit = True
-                break
+                return None, nodes, True
             low = cand & -cand
             cand ^= low
             i = low.bit_length() - 1
@@ -466,27 +454,19 @@ def _exact_cover(
                 covered[v] = 1
             gone &= live
             live ^= gone
-            used |= masks[i]
+            uncovered -= len(witnesses[i])
             trail.append((i, cand, gone))
-            if used == full:
-                break
-            cand = 0 if used in memo else options(live)
+            if not uncovered:
+                return [witnesses[i] for i, _, _ in trail], nodes, False
+            cand = options(live)
         elif trail:
-            if len(memo) < room:
-                memo.add(used)
             i, cand, gone = trail.pop()
             live |= gone
-            used ^= masks[i]
+            uncovered += len(witnesses[i])
             for v in witnesses[i]:
                 covered[v] = 0
         else:
-            break
-
-    stats = {"nodes": nodes, "copies": len(masks), "truncated": truncated, "memo": len(memo),
-             "node_limit_hit": limit_hit}
-    if used == full:
-        return FactorSearchResult("found", [witnesses[i] for i, _, _ in trail], stats)
-    return FactorSearchResult("inconclusive" if truncated else "absent", None, stats)
+            return None, nodes, False
 
 
 def find_factor(f: Hypergraph, h: Hypergraph, cap: int = DEFAULT_CAP) -> FactorSearchResult:
@@ -513,25 +493,34 @@ def find_factor(f: Hypergraph, h: Hypergraph, cap: int = DEFAULT_CAP) -> FactorS
     carries no ``refutation``; a refuted answer has ``stats["nodes"]`` 0.
     ``cap`` bounds the copies listed by :func:`copy_images`; a hit cap
     downgrades "absent" to "inconclusive".
+
+    Every answer's ``stats`` holds ``nodes`` (exact-cover options tried),
+    ``copies`` (copy images listed, None when no listing ran),
+    ``truncated`` (the listing hit ``cap``) and ``node_limit_hit``; the
+    edgeless-pattern answer adds its ``reason``.
     """
     _check_uniformity(f, h)
     if f.n == 0:
         raise ValueError("pattern must have at least one vertex")
+    stats: dict = {"nodes": 0, "copies": None, "truncated": False, "node_limit_hit": False}
     if h.n % f.n != 0:
-        return FactorSearchResult("absent", None, {"nodes": 0, "memo": 0}, {"kind": "divisibility"})
+        return FactorSearchResult("absent", None, stats, {"kind": "divisibility"})
     if h.n == 0:
-        return FactorSearchResult("found", [], {"nodes": 0, "memo": 0})
+        return FactorSearchResult("found", [], stats)
     if not f.edges:
+        stats["reason"] = "edgeless-pattern"
         blocks = [tuple(range(i, i + f.n)) for i in range(0, h.n, f.n)]
-        return FactorSearchResult("found", blocks, {"reason": "edgeless-pattern", "nodes": 0, "memo": 0})
+        return FactorSearchResult("found", blocks, stats)
 
     masks, witnesses, at_vertex, truncated = _options(f, h, cap)
+    stats.update(copies=len(masks), truncated=truncated)
     refutation = None if truncated else _image_refutation(masks, at_vertex, h.n, f.n)
     if refutation is not None:
-        stats = {"nodes": 0, "copies": len(masks), "truncated": False, "memo": 0,
-                 "node_limit_hit": False}
         return FactorSearchResult("absent", None, stats, refutation)
-    return _exact_cover(h.n, masks, witnesses, at_vertex, truncated)
+    certificate, stats["nodes"], stats["node_limit_hit"] = _exact_cover(h.n, witnesses, at_vertex, truncated)
+    if certificate is not None:
+        return FactorSearchResult("found", certificate, stats)
+    return FactorSearchResult("inconclusive" if truncated else "absent", None, stats)
 
 
 def _plain_images(f: Hypergraph, h: Hypergraph) -> set[int]:
@@ -822,10 +811,12 @@ def estimate_S_denseness(
     for s in fam:
         if any(i < 1 or i > h.k for i in s):
             raise ValueError(f"family member {s} is not a subset of 1..{h.k}")
-    if h.n**h.k > DENSE_CELL_LIMIT:
-        raise ValueError(
-            f"a dense n^k array for n={h.n}, k={h.k} has {h.n**h.k} cells; "
-            f"more than {DENSE_CELL_LIMIT} are refused")
+    cells = 1
+    for _ in range(h.k):  # n^k counted up, so a huge k never builds a huge int
+        cells *= h.n
+        if cells > DENSE_CELL_LIMIT:
+            raise ValueError(f"a dense n^k array for n={h.n}, k={h.k} has more than "
+                             f"{DENSE_CELL_LIMIT} cells, the limit")
     worst = _sampled_worst(h, p, fam, sample_count, seed)
     return DensenessEstimate(p, sample_count, worst, "sampled", seed, [list(s) for s in fam])
 

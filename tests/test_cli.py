@@ -17,6 +17,7 @@ from factorlab.cli import PATTERN_VERTEX_LIMIT, build_parser, main
 from factorlab.constructions import partite_structure_ok
 from factorlab.corpus import by_name, k222
 from factorlab.hypergraph import MAX_VERTICES, Partition
+from factorlab.verification import DENSE_CELL_LIMIT
 
 
 @pytest.fixture
@@ -531,6 +532,16 @@ class TestSizeBounds:
         host.write_text("3 3000 0\n")
         run_rejected(capsys, ["verify", "denseness", "--H", str(host), "--p", "0.5", "--samples", "1",
                               "--family", "[[1],[2],[3]]"], "cells")
+
+    def test_directed_denseness_refuses_huge_n_and_k_at_once(self, capsys, tmp_path):
+        # n^k is counted up to the limit, never built: 10^6^(10^6) took 8.5 s
+        # and overflowed the int-to-string conversion of the message
+        host = tmp_path / "huge.hg"
+        host.write_text(f"{MAX_VERTICES} {MAX_VERTICES} 0\n")
+        argv = ["verify", "denseness", "--H", str(host), "--p", "0.5", "--family", "[[1]]"]
+        code, out, err = within(1.0, run, capsys, argv)
+        assert code == 2 and out == "" and len(err.strip().splitlines()) == 1
+        assert f"n={MAX_VERTICES}, k={MAX_VERTICES}" in err and str(DENSE_CELL_LIMIT) in err and "cells" in err
 
 
 class TestCorpus:

@@ -22,7 +22,7 @@ from factorlab import verification
 from factorlab.constructions import ConstructionParams, construct_shadow_disjoint, random_uniform_hypergraph
 from factorlab.corpus import complete, k222, loose_path, single_edge
 from factorlab.oracles import copy_images_oracle, factor_oracle
-from factorlab.verification import DENSE_CELL_LIMIT, canonical_family, copy_images, iter_embeddings
+from factorlab.verification import DEFAULT_CAP, DENSE_CELL_LIMIT, canonical_family, copy_images, iter_embeddings
 
 
 def random_graph(rng, n, p=0.4):
@@ -247,7 +247,7 @@ class TestCover:
 def reference_factor(f, h):
     """Plain recursive exact cover over the sorted copy images: the uncovered
     vertex with the fewest options (ties: smallest id), options in ascending
-    id, no memo.  Returns the certificate (None when absent) and the number
+    id.  Returns the certificate (None when absent) and the number
     of options tried."""
     images, truncated = copy_images(f, h)
     assert not truncated
@@ -279,8 +279,11 @@ def reference_factor(f, h):
 
 
 def exact_cover(f, h, cap=verification.DEFAULT_CAP):
-    """find_factor's exact cover alone, with no refutation tried before it."""
-    return verification._exact_cover(h.n, *verification._options(f, h, cap))
+    """find_factor's exact cover alone, with no refutation tried before it:
+    the certificate (None when absent), the options tried and whether the
+    node limit was hit."""
+    _, witnesses, at_vertex, truncated = verification._options(f, h, cap)
+    return verification._exact_cover(h.n, witnesses, at_vertex, truncated)
 
 
 def space_barrier(rng, n, a, p):
@@ -354,32 +357,41 @@ class TestFactor:
             assert statuses == {"found", "absent"}
 
     def test_certificate_and_nodes_pinned_to_plain_search(self):
-        statuses, saved = set(), 0
+        found = set()
         for f, h in pin_cases():
-            res = exact_cover(f, h)
-            certificate, nodes = reference_factor(f, h)
-            assert res.status == ("found" if certificate else "absent")
-            assert res.certificate == certificate
-            assert res.stats["nodes"] <= nodes
-            statuses.add(res.status)
-            saved += nodes - res.stats["nodes"]
-        assert statuses == {"found", "absent"} and saved > 0
+            certificate, nodes, limit_hit = exact_cover(f, h)
+            assert (certificate, nodes) == reference_factor(f, h) and not limit_hit
+            found.add(certificate is not None)
+        assert found == {True, False}
 
-    def test_memo_bound(self, monkeypatch):
-        rng = random.Random(3)
-        for f, h in [(single_edge(), space_barrier(rng, 12, 3, 1.0)),
-                     (single_edge(), parity_barrier(rng, 12, 5, 1.0))]:
-            certificate, nodes = reference_factor(f, h)
-            assert certificate is None
-            for limit in (0, 1, 7, 100, verification.MEMO_LIMIT):
-                monkeypatch.setattr(verification, "MEMO_LIMIT", limit)
-                res = exact_cover(f, h)
-                assert res.status == "absent" and res.certificate is None
-                assert res.stats["memo"] * (h.n // 64 + 1) <= limit
-                assert res.stats["nodes"] <= nodes
-                if limit == 0:
-                    assert res.stats["nodes"] == nodes and res.stats["memo"] == 0
-            assert res.stats["nodes"] < nodes
+    def test_one_stats_schema_on_every_return_path(self, monkeypatch):
+        keys = {"nodes", "copies", "truncated", "node_limit_hit"}
+        barrier = Hypergraph(3, 9, list(combinations(range(4), 3)) + list(combinations(range(4, 9), 3)))
+        cases = [  # (pattern, host, cap, status, refutation kind, copies listed)
+            (single_edge(), complete(5, 3), DEFAULT_CAP, "absent", "divisibility", False),
+            (single_edge(), Hypergraph(3, 0, []), DEFAULT_CAP, "found", None, False),
+            (Hypergraph(3, 3, []), complete(6, 3), DEFAULT_CAP, "found", None, False),
+            (single_edge(), parity_barrier(random.Random(5), 12, 5, 1.0), DEFAULT_CAP, "absent", "lattice", True),
+            (single_edge(), space_barrier(random.Random(4), 15, 4, 1.0), DEFAULT_CAP, "absent", "space", True),
+            (single_edge(), complete(6, 3), DEFAULT_CAP, "found", None, True),
+            (single_edge(), barrier, DEFAULT_CAP, "absent", None, True),
+            (single_edge(), complete(12, 3), 30, "inconclusive", None, True),
+        ]
+        monkeypatch.setattr(verification, "TRUNCATED_NODE_LIMIT", 2)
+        for f, h, cap, status, kind, listed in cases:
+            res = find_factor(f, h, cap)
+            assert res.status == status
+            assert (res.refutation or {}).get("kind") == kind
+            extra = {"reason"} if not f.edges else set()
+            assert set(res.stats) == keys | extra
+            assert (res.stats["copies"] is not None) == listed
+            assert res.stats["truncated"] == res.stats["node_limit_hit"] == (cap < DEFAULT_CAP)
+            if kind is not None or not listed:
+                assert res.stats["nodes"] == 0
+            elif status == "inconclusive":
+                assert res.stats["nodes"] == 2
+            else:
+                assert res.stats["nodes"] > 0
 
     def test_k222_factors_itself(self):
         res = find_factor(k222(), k222())
@@ -556,10 +568,10 @@ class TestRefutation:
         cases = list(pin_cases()) + list(barrier_hosts())
         cases += [(single_edge(), random_graph(rng, 9, 0.2)) for _ in range(20)]
         for f, h in cases:
-            res, cover = find_factor(f, h), exact_cover(f, h)
-            assert (res.status, res.certificate) == (cover.status, cover.certificate)
+            res, (certificate, nodes, limit_hit) = find_factor(f, h), exact_cover(f, h)
+            assert (res.status, res.certificate) == ("absent" if certificate is None else "found", certificate)
             if res.refutation is None:
-                assert res.stats == cover.stats
+                assert (res.stats["nodes"], res.stats["node_limit_hit"]) == (nodes, limit_hit)
 
     def test_space_search_stops_at_node_limit(self, monkeypatch):
         f, h = single_edge(), space_barrier(random.Random(4), 15, 4, 1.0)
@@ -852,7 +864,8 @@ class TestEdgeCases:
 
     def test_factor_of_the_empty_host(self):
         res = find_factor(single_edge(), Hypergraph(3, 0, []))
-        assert (res.status, res.certificate, res.stats) == ("found", [], {"nodes": 0, "memo": 0})
+        assert (res.status, res.certificate, res.stats) == ("found", [], {
+            "nodes": 0, "copies": None, "truncated": False, "node_limit_hit": False})
 
     def test_pattern_larger_than_host(self):
         f, h = Hypergraph(3, 4, [(0, 1, 2)]), single_edge()
