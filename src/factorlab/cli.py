@@ -23,10 +23,11 @@ EXIT_OK = 0
 EXIT_EXPECT = 1
 EXIT_USAGE = 2
 
-# The turan-zero decider and the copy searches recurse once per pattern
-# vertex, so a larger pattern would exhaust the interpreter's recursion limit
-# (1000 frames by default).  It bounds time only loosely: trans, lattice,
-# verify factor and verify rooted on a 256-vertex one-edge pattern run past 20 s.
+# The turan-zero decider recurses once per pattern vertex, so a larger
+# pattern would exhaust the interpreter's recursion limit (1000 frames by
+# default).  It bounds time only loosely: trans and lattice on a 256-vertex
+# one-edge pattern run past 20 s, and verify factor on it against itself takes
+# about 10 s (2-vCPU Xeon, Python 3.11), most of it finding the pattern's orbits.
 PATTERN_VERTEX_LIMIT = 256
 
 

@@ -16,8 +16,8 @@ complete or not at all, and a race at worst computes an equal value twice:
   criterion beyond a colouring rests on this relation;
 * ``embedding_masks()``: vertex bitmasks for copy searches (which vertices
   complete a (k-1)-set to an edge, which share an edge with a vertex, which
-  have at least a given degree); the neighbour masks alone, uncached, are
-  ``neighbour_masks()``.
+  have at least a given degree), built in one pass over the edges' bitmasks;
+  the neighbour masks alone, uncached, are ``neighbour_masks()``.
 
 ``link(S)``, the (k-|S|)-sets completing S to an edge, is a plain scan and is
 not cached, since each set S asked about would add an entry.
@@ -227,28 +227,28 @@ class Hypergraph:
         return tuple(mask ^ (1 << v) if mask else 0 for v, mask in enumerate(out))
 
     def embedding_masks(self) -> EmbeddingMasks:
-        """Completion masks read off ``subset_edges``, with ``neighbour_masks()``
-        and the degrees."""
+        """Completion masks, neighbour masks and degrees, built in one pass
+        over the edges' bitmasks."""
 
         def compute():
-            bits = [sum(1 << v for v in e) for e in self.edges]
-            completion = {}
-            for sub, members in self.subset_edges(self.k - 1).items():
-                key = sum(1 << v for v in sub)
-                mask = 0
-                for i in members:
-                    mask |= bits[i]
-                completion[key] = mask ^ key
+            completion: dict[int, int] = {}
+            neighbours = [0] * self.n
             degrees = [0] * self.n
             for e in self.edges:
+                bits = 0
                 for v in e:
+                    bits |= 1 << v
+                for v in e:
+                    key = bits ^ 1 << v
+                    completion[key] = completion.get(key, 0) | 1 << v
+                    neighbours[v] |= key
                     degrees[v] += 1
             at_least = [0] * (max(degrees, default=0) + 1)
             for w, d in enumerate(degrees):
                 at_least[d] |= 1 << w
             for d in range(len(at_least) - 2, -1, -1):
                 at_least[d] |= at_least[d + 1]
-            return EmbeddingMasks(completion, self.neighbour_masks(), tuple(degrees), tuple(at_least))
+            return EmbeddingMasks(completion, tuple(neighbours), tuple(degrees), tuple(at_least))
 
         return self._cached("embedding_masks", compute)
 

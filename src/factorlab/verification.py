@@ -6,10 +6,13 @@ vertices such that every pattern edge maps onto a host edge; a copy is an
 embedding up to automorphisms of the pattern.  One backtracking search over
 host bitmasks answers every copy question: it fixes pattern vertices in a
 static order and draws each vertex's candidates from one int, scanned in
-ascending vertex order, so every listing is deterministic.  Labelled
-listings (``iter_embeddings``, ``rooted_copies``, ``find_cover``) see every
-embedding; ``copy_images`` adds symmetry-breaking order constraints and sees
-one embedding per copy, so its ``cap`` (and ``find_factor``'s) counts copies.
+ascending vertex order, so every listing is deterministic.  The search is
+iterative, one loop over an explicit stack, and is prepared once per
+(pattern, host, root) as a list of steps; ``find_cover`` reuses each root's
+steps for every host vertex.  Labelled listings (``iter_embeddings``,
+``rooted_copies``, ``find_cover``) see every embedding; ``copy_images`` adds
+symmetry-breaking order constraints and sees one embedding per copy, so its
+``cap`` (and ``find_factor``'s) counts copies.
 The factor solver collapses copies to their vertex images, each an int host
 bitmask (bit w is host vertex w) keyed to one witness embedding.  It first
 tries to refute a factor with a certificate: divisibility, a parity vector
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from functools import reduce
+from heapq import heapify, heappop, heappush
 from itertools import permutations
 from typing import TYPE_CHECKING, Iterator
 
@@ -47,22 +51,35 @@ DEFAULT_CAP = 10**6
 
 def _embedding_order(f: Hypergraph, root: int | None) -> list[int]:
     """Static search order: root first, then vertices attached to the chosen
-    prefix by as many edges as possible (ties: higher degree, lower id)."""
+    prefix by as many edges as possible (ties: higher degree, lower id).
+
+    The next vertex is popped from a heap keyed (-attach, -degree, id); a
+    vertex gains an entry each time its attach count grows, and entries of
+    chosen vertices or of older counts are skipped."""
     degs = f.embedding_masks().degrees
     through = f.subset_edges(1)
     attach = [0] * f.n  # vertex -> edges through it that meet the chosen prefix
     reached = [False] * len(f.edges)
     chosen: list[int] = []
-    left = list(range(f.n))
-    while left:
-        v = root if root is not None and not chosen else min(left, key=lambda u: (-attach[u], -degs[u], u))
+    placed = [False] * f.n
+    heap = [(0, -d, u) for u, d in enumerate(degs)]
+    heapify(heap)
+    while len(chosen) < f.n:
+        if root is not None and not chosen:
+            v = root
+        else:
+            count, _, v = heappop(heap)
+            while placed[v] or -count != attach[v]:
+                count, _, v = heappop(heap)
         chosen.append(v)
-        left.remove(v)
+        placed[v] = True
         for i in through.get((v,), ()):
             if not reached[i]:
                 reached[i] = True
                 for u in f.edges[i]:
                     attach[u] += 1
+                    if not placed[u]:
+                        heappush(heap, (-attach[u], -degs[u], u))
     return chosen
 
 
@@ -86,16 +103,22 @@ def _plan(f: Hypergraph, root: int | None) -> _Plan:
         steps = []
         for i, u in enumerate(order):
             in_ready = {v for rest in ready[i] for v in rest}
-            earlier = tuple(v for v in order[:i] if masks.neighbours[u] >> v & 1 and v not in in_ready)
-            steps.append((u, tuple(ready[i]), earlier, masks.degrees[u]))
+            around = masks.neighbours[u]
+            earlier = sorted((v for v in range(around.bit_length()) if around >> v & 1
+                              and rank[v] < i and v not in in_ready), key=rank.__getitem__)
+            steps.append((u, tuple(ready[i]), tuple(earlier), masks.degrees[u]))
         return tuple(steps)
 
     return f._cached(("embedding_plan", root), compute)
 
 
-def _class_floors(f: Hypergraph) -> tuple[tuple[int, ...], ...]:
-    """Symmetry-breaking constraints for the root-less plan: for each step,
-    the earlier vertices whose images its image must exceed.
+# Per step of the root-less plan: the earlier vertices whose images its image
+# must exceed, and how many later steps must take images above its own.
+_Floors = tuple[tuple[tuple[int, ...], int], ...]
+
+
+def _class_floors(f: Hypergraph) -> _Floors:
+    """Symmetry-breaking constraints for the root-less plan.
 
     Along the search order o_0, o_1, ..., the image of o_j must be smaller
     than the image of every other vertex of its orbit under the automorphisms
@@ -103,76 +126,132 @@ def _class_floors(f: Hypergraph) -> tuple[tuple[int, ...], ...]:
     Aut(F) class meets all of them: the one whose images, read in search
     order, are lexicographically smallest, which is the first of its class
     the search reaches.  Orbits are found with the same search, embedding f
-    into f with vertices pinned.
+    into f with vertices pinned.  A step's ``need`` counts the later steps
+    whose floors reach it, directly or through other floors: each of them
+    takes its own host vertex above the step's image.
     """
 
-    def compute() -> tuple[tuple[int, ...], ...]:
+    def compute() -> _Floors:
         order = [step[0] for step in _plan(f, None)]
+        rank = {v: i for i, v in enumerate(order)}
         degs = f.embedding_masks().degrees
         floors: list[list[int]] = [[] for _ in order]
         for j, a in enumerate(order):
             fixed = {b: b for b in order[:j]}
             for i in range(j + 1, len(order)):
                 v = order[i]
-                if degs[v] == degs[a] and next(_search(f, f, {**fixed, a: v}), None) is not None:
-                    floors[i].append(a)
-        return tuple(map(tuple, floors))
+                if degs[v] == degs[a]:
+                    pins = {**fixed, a: v}
+                    if next(_walk(f, _steps(f, f, min(pins), pins)), None) is not None:
+                        floors[i].append(a)
+        need = [0] * len(order)
+        reach: list[set[int]] = []  # per step: the earlier steps its image must exceed
+        for below in floors:
+            exceeded = set()
+            for a in below:
+                exceeded |= reach[rank[a]]
+                exceeded.add(rank[a])
+            reach.append(exceeded)
+            for i in exceeded:
+                need[i] += 1
+        return tuple(zip(map(tuple, floors), need))
 
     return f._cached("class_floors", compute)
 
 
-def _search(
-    f: Hypergraph, h: Hypergraph, pre: dict[int, int], floors: tuple[tuple[int, ...], ...] | None = None
-) -> Iterator[tuple[int, ...]]:
-    """Embeddings of f into h in search order; host vertices ascending at each step.
+# A prepared search step: (vertex, start mask, ready keys, earlier
+# neighbours, floor vertices, need).
+_Step = tuple[int, int, tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...], int]
 
-    A step's candidates are one int: the degree mask, AND the completion mask
-    of each edge the step closes, AND the neighbour mask of each earlier
-    neighbour's image, less the used vertices and the images pinned by
-    ``pre`` for other vertices (and, with ``floors``, less the vertices up to
-    the largest image of the step's floor vertices).
+
+def _steps(
+    f: Hypergraph, h: Hypergraph, root: int | None, pre: dict[int, int] | None = None,
+    floors: _Floors | None = None,
+) -> list[_Step]:
+    """The steps of a search for f in h along ``_plan(f, root)``.
+
+    A step's start mask is the host's mask of vertices of at least its
+    vertex's degree, narrowed to its image when ``pre`` pins it and less the
+    images ``pre`` pins for other vertices; floors and needs come from
+    ``floors`` (see :func:`_class_floors`), and are empty and 0 without it.
     """
-    if f.n == 0:
-        yield ()
-        return
-    masks = h.embedding_masks()
-    completion, neighbours, at_least = masks.completion, masks.neighbours, masks.at_least
+    at_least = h.embedding_masks().at_least
+    pre = pre or {}
     pinned = 0
     for w in pre.values():
         pinned |= 1 << w
     steps = []
-    for i, (u, ready, earlier, degree) in enumerate(_plan(f, min(pre) if pre else None)):
+    for i, (u, ready, earlier, degree) in enumerate(_plan(f, root)):
         start = at_least[degree] if degree < len(at_least) else 0
         start &= (1 << pre[u]) if u in pre else ~pinned
-        steps.append((u, start, ready, earlier, floors[i] if floors else ()))
-    last = len(steps) - 1
-    image = [0] * f.n
-    bit = [0] * f.n
+        below, need = floors[i] if floors else ((), 0)
+        steps.append((u, start, ready, earlier, below, need))
+    return steps
 
-    def rec(i: int, used: int) -> Iterator[tuple[int, ...]]:
-        u, cand, ready, earlier, below = steps[i]
-        cand &= ~used
-        for rest in ready:
-            key = 0
-            for v in rest:
-                key |= bit[v]
-            cand &= completion.get(key, 0)
-        for v in earlier:
-            cand &= neighbours[image[v]]
-        if below:
-            floor = max(image[v] for v in below) + 1
-            cand = cand >> floor << floor
-        while cand:
+
+def _walk(h: Hypergraph, steps: list[_Step]) -> Iterator[tuple[int, ...]]:
+    """Embeddings into h along ``steps``, one step per pattern vertex; host
+    vertices ascending at each step.
+
+    A step's candidates are one int: its start mask, AND the completion mask
+    of each edge the step closes, AND the neighbour mask of each earlier
+    neighbour's image, less the used vertices (and, with floors, less the
+    vertices up to the largest image of the step's floor vertices).  A
+    candidate is cut when fewer unused host vertices lie above it than the
+    step's ``need``; later candidates are larger, so the step is done.
+
+    The search is one loop over an explicit stack (``left[i]``: the untried
+    candidates of step i), like the exact cover's trail, so its depth is not
+    bounded by the interpreter's recursion limit and each embedding resumes
+    this one frame.
+    """
+    if not steps:
+        yield ()
+        return
+    masks = h.embedding_masks()
+    completion, neighbours = masks.completion, masks.neighbours
+    everything = (1 << h.n) - 1
+    last = len(steps) - 1
+    image = [0] * len(steps)
+    bit = [0] * len(steps)
+    left = [0] * len(steps)
+    i = used = 0
+    u, cand, _, _, _, need = steps[0]  # the first step closes no edge and has no floor
+    while True:
+        if cand:
             low = cand & -cand
             cand ^= low
-            image[u] = low.bit_length() - 1
+            w = low.bit_length() - 1
+            if need and ((everything ^ used) >> w + 1).bit_count() < need:
+                cand = 0
+                continue
+            image[u] = w
             bit[u] = low
             if i == last:
                 yield tuple(image)
-            else:
-                yield from rec(i + 1, used | low)
-
-    yield from rec(0, 0)
+                continue
+            left[i] = cand
+            used |= low
+            i += 1
+            u, cand, ready, earlier, below, need = steps[i]
+            cand &= ~used
+            for rest in ready:
+                key = 0
+                for v in rest:
+                    key |= bit[v]
+                cand &= completion.get(key, 0)
+            for v in earlier:
+                cand &= neighbours[image[v]]
+            if below:
+                floor = max([image[v] for v in below]) + 1
+                cand = cand >> floor << floor
+        elif i:
+            i -= 1
+            u, need = steps[i][0], steps[i][5]
+            used ^= bit[u]
+            cand = left[i]
+        else:
+            return
 
 
 def _check_uniformity(f: Hypergraph, h: Hypergraph) -> None:
@@ -200,7 +279,8 @@ def iter_embeddings(
         raise ValueError("per_copy listing takes no pinned vertices")
     if f.n > h.n:
         return
-    yield from _search(f, h, pre, _class_floors(f) if per_copy else None)
+    floors = _class_floors(f) if per_copy else None
+    yield from _walk(h, _steps(f, h, min(pre) if pre else None, pre, floors))
 
 
 @dataclass
@@ -249,14 +329,31 @@ class CoverReport:
 
 def find_cover(f: Hypergraph, h: Hypergraph) -> CoverReport:
     """Per-vertex: is the vertex contained in some copy of f?  The aggregate
-    verdict is the conjunction."""
+    verdict is the conjunction.
+
+    Host vertex w's witness is the first embedding, over pattern roots u in
+    ascending order, that sends u to w (as ``iter_embeddings(f, h, {u: w})``
+    would list it), unless an earlier witness already covers w.  The steps
+    rooted at u are prepared once; each w only narrows the root's start mask
+    to w, since every later step already avoids the used w.
+    """
     _check_uniformity(f, h)
     witnesses: list[tuple[int, ...] | None] = [None] * h.n
+    if f.n > h.n:
+        return CoverReport(witnesses)
+    rooted: list[tuple[list[_Step], _Step]] = []  # per root u: its steps and its own first step
     for w in range(h.n):
         if witnesses[w] is not None:
             continue
         for u in range(f.n):
-            phi = next(iter_embeddings(f, h, {u: w}), None)
+            if u == len(rooted):
+                steps = _steps(f, h, u)
+                rooted.append((steps, steps[0]))
+            steps, first = rooted[u]
+            if not first[1] >> w & 1:
+                continue  # w has a lower degree than u
+            steps[0] = (u, 1 << w) + first[2:]
+            phi = next(_walk(h, steps), None)
             if phi is not None:
                 for target in phi:
                     if witnesses[target] is None:

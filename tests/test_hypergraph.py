@@ -241,6 +241,22 @@ class TestOverlaps:
         assert h.subset_edges(2) is h.subset_edges(2)
         assert h.overlap_classes(2) is h.overlap_classes(2)
 
+    def test_embedding_masks_match_plain_rebuild(self):
+        graphs = list(seeded_graphs()) + [Hypergraph(3, 0, []), Hypergraph(3, 6, [(0, 2, 4)]),
+                                          Hypergraph(4, 9, [(1, 2, 3, 5), (2, 3, 5, 8)])]
+        for h in graphs:
+            completion = {}
+            for sub, members in h.subset_edges(h.k - 1).items():
+                completion[sum(1 << v for v in sub)] = sum(1 << v for i in members for v in h.edges[i]
+                                                           if v not in sub)
+            degrees = tuple(sum(v in e for e in h.edges) for v in range(h.n))
+            at_least = tuple(sum(1 << v for v in range(h.n) if degrees[v] >= d)
+                             for d in range(max(degrees, default=0) + 1))
+            masks = h.embedding_masks()
+            assert masks.completion == completion
+            assert masks.neighbours == h.neighbour_masks()
+            assert masks.degrees == degrees and masks.at_least == at_least
+
     @pytest.mark.parametrize("s", [0, 3])
     def test_order_out_of_range(self, s):
         for method in ("subset_edges", "overlap_classes", "min_s_degree"):

@@ -1,4 +1,5 @@
 import random
+import signal
 import threading
 from itertools import combinations, permutations, product
 
@@ -19,8 +20,13 @@ from factorlab import (
     validate_refutation,
 )
 from factorlab import verification
-from factorlab.constructions import ConstructionParams, construct_shadow_disjoint, random_uniform_hypergraph
-from factorlab.corpus import complete, k222, loose_path, single_edge
+from factorlab.constructions import (
+    ConstructionParams,
+    construct_partite_coloring,
+    construct_shadow_disjoint,
+    random_uniform_hypergraph,
+)
+from factorlab.corpus import cherry, complete, k222, k4_minus, loose_path, single_edge
 from factorlab.oracles import copy_images_oracle, factor_oracle
 from factorlab.verification import DEFAULT_CAP, DENSE_CELL_LIMIT, canonical_family, copy_images, iter_embeddings
 
@@ -28,6 +34,20 @@ from factorlab.verification import DEFAULT_CAP, DENSE_CELL_LIMIT, canonical_fami
 def random_graph(rng, n, p=0.4):
     edges = [e for e in combinations(range(n), 3) if rng.random() < p]
     return Hypergraph(3, n, edges)
+
+
+def within(seconds, fn, *args):
+    """fn(*args), raising TimeoutError instead of hanging once ``seconds`` pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestEmbeddings:
@@ -242,6 +262,75 @@ class TestCover:
         for host in hosts:
             if find_factor(single_edge(), host).status == "found":
                 assert find_cover(single_edge(), host).verdict
+
+    def test_matches_pinned_listing_loop(self):
+        # hosts: lemma51 builds, gnp graphs and 4-graphs, an edgeless host
+        # and hosts smaller than some patterns
+        # (most leave some vertex uncovered)
+        hosts3 = [construct_partite_coloring(ConstructionParams(n=n, k=3, seed=seed)).hypergraph
+                  for n in (24, 30) for seed in (1, 2)]
+        hosts3 += [random_uniform_hypergraph(n, 3, p, seed) for n, p, seed in
+                   ((12, 0.06, 1), (10, 0.15, 2), (8, 0.3, 3), (9, 0.7, 4))]
+        hosts3 += [Hypergraph(3, 7, []), Hypergraph(3, 4, [(0, 1, 2)])]
+        hosts4 = [random_uniform_hypergraph(n, 4, p, seed) for n, p, seed in
+                  ((5, 0.8, 5), (9, 0.06, 6), (8, 0.25, 7))] + [Hypergraph(4, 6, [])]
+        patterns3 = [single_edge(), cherry(), loose_path(), k4_minus(), k222(), Hypergraph(3, 4, [(0, 1, 2)])]
+        patterns4 = [complete(4, 4), Hypergraph(4, 5, [(0, 1, 2, 3), (0, 1, 2, 4)]),
+                     Hypergraph(4, 7, [(0, 1, 2, 3), (3, 4, 5, 6)])]
+        for patterns, hosts in ((patterns3, hosts3), (patterns4, hosts4)):
+            for f in patterns:
+                for h in hosts:
+                    assert find_cover(f, h).witnesses == reference_cover(f, h), (f, h)
+
+
+def reference_cover(f, h):
+    """Per uncovered host vertex w, the first embedding of the first pattern
+    root u pinned to w, listed by ``iter_embeddings``."""
+    witnesses = [None] * h.n
+    for w in range(h.n):
+        if witnesses[w] is not None:
+            continue
+        for u in range(f.n):
+            phi = next(iter_embeddings(f, h, {u: w}), None)
+            if phi is not None:
+                for target in phi:
+                    if witnesses[target] is None:
+                        witnesses[target] = phi
+                break
+    return witnesses
+
+
+class TestIsolatedVertices:
+    """Patterns with many isolated vertices: the copy search is a loop, not
+    a recursion, and the per-copy order constraints are cut early."""
+
+    def test_first_embedding_deeper_than_the_recursion_limit(self):
+        f = Hypergraph(3, 1500, [(0, 1, 2)])
+        assert within(1, lambda: next(iter_embeddings(f, f))) == tuple(range(1500))
+        assert within(1, rooted_copies, f, 0, f, 0, 1) == verification.RootedCount(1, True)
+
+    def test_per_copy_listing_of_isolated_vertices(self):
+        f = Hypergraph(3, 24, [(0, 1, 2)])
+        res = within(1, find_factor, f, f)
+        assert res.status == "found" and res.certificate == [tuple(range(24))]
+        assert res.stats["copies"] == 1 and res.stats["nodes"] == 1
+        # three disjoint edges on 26 vertices: a copy is an edge with 21 of
+        # the other 23 vertices, and every 24-set holds an edge
+        h = Hypergraph(3, 26, [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
+        copies = within(1, lambda: list(iter_embeddings(f, h, per_copy=True)))
+        assert len(copies) == 3 * 253 and len({frozenset(phi) for phi in copies}) == 325
+
+    def test_pruned_listing_matches_labelled_firsts(self):
+        # the cut only drops subtrees without a leaf: one embedding per copy,
+        # in labelled order, on patterns with isolated vertices
+        for n_f, n_h, edges in ((5, 6, [(0, 1, 2)]), (6, 7, [(0, 1, 2), (1, 2, 3)]), (6, 8, [(0, 1, 2)])):
+            f = Hypergraph(3, n_f, edges)
+            for h in (complete(n_h, 3), random_uniform_hypergraph(n_h, 3, 0.5, n_h)):
+                firsts = {}
+                for phi in iter_embeddings(f, h):
+                    copy = frozenset(phi), frozenset(frozenset(phi[v] for v in e) for e in f.edges)
+                    firsts.setdefault(copy, phi)
+                assert list(iter_embeddings(f, h, per_copy=True)) == list(firsts.values())
 
 
 def reference_factor(f, h):
