@@ -26,8 +26,7 @@ EXIT_USAGE = 2
 # The turan-zero decider recurses once per pattern vertex, so a larger
 # pattern would exhaust the interpreter's recursion limit (1000 frames by
 # default).  It bounds time only loosely: trans and lattice on a 256-vertex
-# one-edge pattern run past 20 s, and verify factor on it against itself takes
-# about 10 s (2-vCPU Xeon, Python 3.11), most of it finding the pattern's orbits.
+# one-edge pattern run past 20 s (2-vCPU Xeon, Python 3.11).
 PATTERN_VERTEX_LIMIT = 256
 
 

@@ -1,41 +1,39 @@
 """Randomized hypergraph constructions with seeded, portable determinism.
 
-Both colouring-based builders follow the same recipe: colour a complete base
-graph (pairs, or s-sets) uniformly at random, then keep exactly the k-sets
-whose base clique is monochromatic in the one colour matched to the k-set's
-index vector.  The colour/index correspondence makes two structural
-guarantees hold deterministically, not just with high probability, and both
-are re-checked after every build, at every n:
+Both colouring builders follow one recipe: colour every s-set of ``range(n)``
+(pairs for the partite variant) uniformly from a palette, then keep each
+k-set whose s-sets all carry the colour its label picks: the colour keyed by
+its sorted part tuple (its index vector) in the partite variant, |e ∩ X| in
+the bipartition variant.  The colour/label correspondence makes two
+structural guarantees hold deterministically, not just with high
+probability, and both are re-checked after every build, at every n:
 
 * partite variant: the special vertex's link crosses the parts, and any two
   edges sharing >= 2 vertices have equal index vectors;
 * bipartition variant: the bipartition is s-shadow disjoint.
 
-Neither builder scans all k-sets.  Both read one listing of the k-sets
-whose s-sets (pairs for the partite variant) all carry one colour j, and
-keep those whose index vector (or |e ∩ X|) matches j; the partite palette is
-keyed by the sorted tuple of a k-set's parts, which gives its index vector.
-The listing grows cliques in increasing vertex order; the candidates for the
-next vertex are one int, the AND of the colour-j masks of the clique's
-(s-1)-subsets, so the work follows the monochromatic partial cliques, not
-the C(n, k) k-sets.
+The recipe never scans all k-sets.  It lists the k-sets whose s-sets all
+carry one colour j, growing cliques in increasing vertex order, where the
+candidates for the next vertex are one int, the AND of the colour-j masks of
+the clique's (s-1)-subsets; so the work follows the monochromatic partial
+cliques, not the C(n, k) k-sets.
 
-All randomness comes from numpy's PCG64 stream seeded with the given 64-bit
-seed; colours are drawn by index in lexicographic base-edge order, so equal
-parameters yield bit-identical hypergraphs on every platform.  A build that
-would draw more than ``MAX_DRAWS`` numbers (C(n, s) colours, C(n, k) coin
-flips for the binomial model) is refused with ``ValueError`` before
-anything is drawn.  numpy is imported inside the three builders, just before
-the draw, because it is most of the package's import time and no other CLI
-command needs it.
+Every seeded build, the binomial model's too, draws one number per r-set
+(colour per s-set, coin flip per k-set) in lexicographic order from numpy's
+PCG64 stream seeded with the given 64-bit seed, so equal parameters yield
+bit-identical hypergraphs on every platform.  A build that would draw more
+than ``MAX_DRAWS`` numbers is refused with ``ValueError`` before anything is
+drawn.  numpy is imported at the draw, because it is most of the package's
+import time and no other CLI command needs it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
-from math import ceil
-from typing import Iterator
+from functools import partial
+from itertools import accumulate, combinations, combinations_with_replacement
+from typing import Callable, Iterator
 
 from .hypergraph import Hypergraph, Partition
 
@@ -75,7 +73,7 @@ def default_partite_sizes(n: int, k: int) -> tuple[int, ...]:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
     base, extra = divmod(n - 1, k - 1)
     sizes = tuple(base + (1 if i < extra else 0) for i in range(k - 1))
-    floor_req = ceil(n / k)
+    floor_req = -(-n // k)
     if min(sizes) < floor_req:
         raise ValueError(
             f"default part sizes {sizes} cannot all reach the required minimum {floor_req}"
@@ -97,6 +95,16 @@ def _bounded_comb(n: int, r: int, what: str) -> int:
         if count > MAX_DRAWS:
             raise ValueError(f"{what}: C({n}, {r}) exceeds the limit of {MAX_DRAWS}")
     return count
+
+
+def _seeded_draw(n: int, r: int, seed: int, what: str, draw: Callable) -> list:
+    """``draw(rng, count)`` as a list, one value per r-set of ``range(n)`` in
+    lexicographic order, ``rng`` being PCG64 seeded with ``seed``; refused,
+    naming ``what``, before numpy is imported once C(n, r) passes MAX_DRAWS."""
+    count = _bounded_comb(n, r, what)
+    import numpy as np
+
+    return draw(np.random.default_rng(seed), count).tolist()
 
 
 def _monochromatic_cliques(n: int, k: int, s: int, colours: list[int]) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -134,6 +142,16 @@ def _monochromatic_cliques(n: int, k: int, s: int, colours: list[int]) -> Iterat
         yield from extend(t, cand, j)
 
 
+def _colouring(name: str, n: int, k: int, s: int, palette: int, seed: int, label: Callable) -> tuple[list, dict]:
+    """The kept k-sets, ascending, and the base colour of every s-set: each
+    s-set gets a colour drawn uniformly from ``range(palette)``, and a k-set
+    e is kept when all its s-sets have colour ``label(e)``."""
+    colours = _seeded_draw(n, s, seed, f"{name} colour draws",
+                           lambda rng, count: rng.integers(0, palette, size=count))
+    edges = [e for e, j in _monochromatic_cliques(n, k, s, colours) if label(e) == j]
+    return edges, dict(zip(combinations(range(n), s), colours))
+
+
 def construct_partite_coloring(params: ConstructionParams) -> Construction:
     """Keep the k-sets whose pair clique is monochromatic in the colour
     matched to their index vector w.r.t. (V_1, ..., V_{k-1}, {z}).
@@ -147,33 +165,28 @@ def construct_partite_coloring(params: ConstructionParams) -> Construction:
     n, k = params.n, params.k
     if k < 3:
         raise ValueError(f"requires k >= 3, got k={k}")
-    draws = _bounded_comb(n, 2, "lemma51 colour draws")
     _bounded_comb(2 * k - 2, k, "lemma51 palette")
     sizes = params.part_sizes or default_partite_sizes(n, k)
     if len(sizes) != k or sizes[-1] != 1:
         raise ValueError(f"part sizes must be (n_1..n_{k-1}, 1), got {sizes}")
     if sum(sizes) != n or min(sizes) < 1:
         raise ValueError(f"part sizes {sizes} do not form a partition of {n} vertices")
-    part_of = [i for i, size in enumerate(sizes) for _ in range(size)]
-    partition = Partition.from_assignment(part_of, k)
-    z = n - 1
 
     crossing = reversed(list(combinations_with_replacement(range(k - 1), k)))
     color_of_parts = {parts: j for j, parts in enumerate([tuple(range(k)), *crossing])}
     palette = len(color_of_parts)  # == comb(2k-2, k) + 1
-
-    import numpy as np
-
-    rng = np.random.default_rng(params.seed)
-    colours = rng.integers(0, palette, size=draws).tolist()
-    # The parts are consecutive blocks and e ascends, so the parts of e's
+    # The parts are consecutive blocks ending at ``ends``, so a vertex's part
+    # is the number of ends at or below it; e ascends, so the parts of its
     # vertices, in order, are its sorted part tuple.
-    edges = [e for e, j in _monochromatic_cliques(n, k, 2, colours)
-             if color_of_parts.get(tuple(map(part_of.__getitem__, e))) == j]
+    ends = list(accumulate(sizes))
+    part_of = partial(bisect_right, ends)
+    edges, colors = _colouring("lemma51", n, k, 2, palette, params.seed,
+                               lambda e: color_of_parts.get(tuple(map(part_of, e))))
     h = Hypergraph(k, n, edges)
+    z = n - 1
+    partition = Partition(tuple(tuple(range(end - size, end)) for size, end in zip(sizes, ends)))
     if not partite_structure_ok(h, z, partition):
         raise RuntimeError("structural guarantee violated by construction output")
-    colors = dict(zip(combinations(range(n), 2), colours))
     return Construction(h, z, partition, palette, colors)
 
 
@@ -196,7 +209,6 @@ def construct_shadow_disjoint(params: ConstructionParams) -> Construction:
     n, k, s = params.n, params.k, params.s
     if s is None or not 2 <= s <= k - 1:
         raise ValueError(f"requires 2 <= s <= k-1, got s={s}")
-    draws = _bounded_comb(n, s, "obs62 colour draws")
     if params.part_sizes is not None:
         if len(params.part_sizes) != 2 or sum(params.part_sizes) != n:
             raise ValueError(f"bipartition sizes must be (n_1, n_2) summing to {n}")
@@ -206,22 +218,14 @@ def construct_shadow_disjoint(params: ConstructionParams) -> Construction:
         n2 = n - n1
     if 3 * n1 < n or 3 * n2 < n:
         raise ValueError(f"both sides must have at least n/3 vertices, got ({n1}, {n2})")
-    x_side = tuple(range(n1))
-    y_side = tuple(range(n1, n))
-    partition = Partition((x_side, y_side))
 
-    palette = k + 1
-
-    import numpy as np
-
-    rng = np.random.default_rng(params.seed)
-    colours = rng.integers(0, palette, size=draws).tolist()
-    edges = [e for e, j in _monochromatic_cliques(n, k, s, colours) if sum(1 for v in e if v < n1) == j]
+    edges, colors = _colouring("obs62", n, k, s, k + 1, params.seed,
+                               lambda e: sum(1 for v in e if v < n1))
     h = Hypergraph(k, n, edges)
+    x_side = tuple(range(n1))
     if not shadow_disjoint_ok(h, x_side, s):
         raise RuntimeError("s-shadow disjointness violated by construction output")
-    colors = dict(zip(combinations(range(n), s), colours))
-    return Construction(h, None, partition, palette, colors)
+    return Construction(h, None, Partition((x_side, tuple(range(n1, n)))), k + 1, colors)
 
 
 def shadow_disjoint_ok(h: Hypergraph, a_side, s: int) -> bool:
@@ -240,10 +244,5 @@ def random_uniform_hypergraph(n: int, k: int, p: float, seed: int) -> Hypergraph
     """Each k-set is an edge independently with probability p (binomial model)."""
     if not 0 <= p <= 1:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
-    draws = _bounded_comb(n, k, "gnp coin flips")
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    flips = rng.random(draws)
-    edges = [e for e, u in zip(combinations(range(n), k), flips) if u < p]
-    return Hypergraph(k, n, edges)
+    flips = _seeded_draw(n, k, seed, "gnp coin flips", lambda rng, count: rng.random(count))
+    return Hypergraph(k, n, [e for e, u in zip(combinations(range(n), k), flips) if u < p])

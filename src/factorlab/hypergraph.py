@@ -16,8 +16,7 @@ complete or not at all, and a race at worst computes an equal value twice:
   criterion beyond a colouring rests on this relation;
 * ``embedding_masks()``: vertex bitmasks for copy searches (which vertices
   complete a (k-1)-set to an edge, which share an edge with a vertex, which
-  have at least a given degree), built in one pass over the edges' bitmasks;
-  the neighbour masks alone, uncached, are ``neighbour_masks()``.
+  have at least a given degree), built in one pass over the edges' bitmasks.
 
 ``link(S)``, the (k-|S|)-sets completing S to an edge, is a plain scan and is
 not cached, since each set S asked about would add an entry.
@@ -217,15 +216,6 @@ class Hypergraph:
 
         return self._cached(("overlap_classes", s), compute)
 
-    def neighbour_masks(self) -> tuple[int, ...]:
-        """Vertex -> bitmask of the other vertices sharing an edge with it."""
-        out = [0] * self.n
-        for e in self.edges:
-            bits = sum(1 << v for v in e)
-            for v in e:
-                out[v] |= bits
-        return tuple(mask ^ (1 << v) if mask else 0 for v, mask in enumerate(out))
-
     def embedding_masks(self) -> EmbeddingMasks:
         """Completion masks, neighbour masks and degrees, built in one pass
         over the edges' bitmasks."""
@@ -261,7 +251,7 @@ class Hypergraph:
         vertex must take another part than every vertex sharing an edge with
         it; empty parts are allowed so subgraphs of k-partite graphs validate.
         """
-        part_of = next(iter(PartAssignments(self, self.k, self.neighbour_masks())), None)
+        part_of = next(iter(PartAssignments(self, self.k, self.embedding_masks().neighbours)), None)
         return None if part_of is None else Partition.from_assignment(part_of, self.k)
 
     def induced(self, vertices: Iterable[int]) -> tuple["Hypergraph", dict[int, int]]:

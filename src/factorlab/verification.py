@@ -140,10 +140,15 @@ def _class_floors(f: Hypergraph) -> _Floors:
             fixed = {b: b for b in order[:j]}
             for i in range(j + 1, len(order)):
                 v = order[i]
-                if degs[v] == degs[a]:
+                if degs[v] != degs[a]:
+                    continue
+                # Swapping two isolated vertices fixes every other vertex, so
+                # only a vertex on an edge needs a pinned search.
+                if degs[a]:
                     pins = {**fixed, a: v}
-                    if next(_walk(f, _steps(f, f, min(pins), pins)), None) is not None:
-                        floors[i].append(a)
+                    if next(_walk(f, _steps(f, f, min(pins), pins)), None) is None:
+                        continue
+                floors[i].append(a)
         need = [0] * len(order)
         reach: list[set[int]] = []  # per step: the earlier steps its image must exceed
         for below in floors:

@@ -479,6 +479,14 @@ class TestSizeBounds:
             code, out, err = run(capsys, argv)
             assert code == 0 and "Traceback" not in err
 
+    def test_factor_of_pattern_at_the_limit_against_itself(self, capsys, tmp_path):
+        # 253 isolated vertices share one orbit, found without a pinned search
+        path = tmp_path / "limit.hg"
+        path.write_text(f"3 {PATTERN_VERTEX_LIMIT} 1\n0 1 2\n")
+        argv = ["verify", "factor", "--F", str(path), "--H", str(path), "--expect", "found"]
+        code, out, err = within(1.0, run, capsys, argv)
+        assert code == 0 and json.loads(out)["report"]["certificate"] == [list(range(PATTERN_VERTEX_LIMIT))]
+
     def test_factor_search_deeper_than_the_recursion_limit(self, capsys, tmp_path, edge_file):
         # a perfect matching on 3300 vertices: the search goes 1100 choices deep
         path = tmp_path / "matching.hg"

@@ -242,6 +242,47 @@ class TestDrawLimit:
         with pytest.raises(ValueError, match="exceeds the limit"):
             random_uniform_hypergraph(10**18, 10**9, 0.5, 1)
 
+    @pytest.mark.parametrize("build, args", [
+        (construct_partite_coloring, (ConstructionParams(n=448, k=3, seed=1),)),
+        (construct_partite_coloring, (ConstructionParams(n=10**12, k=3, seed=1),)),
+        (construct_partite_coloring, (ConstructionParams(n=10**400, k=3, seed=1),)),  # n / k overflows a float
+        (construct_partite_coloring, (ConstructionParams(n=40, k=11, seed=1),)),
+        (construct_shadow_disjoint, (ConstructionParams(n=448, k=3, seed=1, s=2),)),
+        (construct_shadow_disjoint, (ConstructionParams(n=86, k=4, seed=1, s=3),)),
+        (construct_shadow_disjoint, (ConstructionParams(n=10**9, k=10**6, seed=1, s=10**5),)),
+        (random_uniform_hypergraph, (448, 2, 0.0, 1)),
+        (random_uniform_hypergraph, (10**18, 10**9, 0.5, 1)),
+    ])
+    def test_refused_before_drawing(self, build, args, monkeypatch):
+        def refuse(seed):
+            raise AssertionError("drew before the refusal")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            build(*args)
+
+
+class TestDrawContract:
+    """Every seeded build draws one number per r-set, in lexicographic order,
+    from ``default_rng(seed)``."""
+
+    @pytest.mark.parametrize("n, k, s, sizes", [(15, 3, None, None), (20, 3, None, (12, 7, 1)), (13, 5, None, None),
+                                                (12, 3, 2, None), (16, 3, 2, (7, 9)), (13, 4, 3, (5, 8))])
+    def test_base_colors_are_the_seeded_stream(self, n, k, s, sizes):
+        r, palette = (2, comb(2 * k - 2, k) + 1) if s is None else (s, k + 1)
+        build = construct_partite_coloring if s is None else construct_shadow_disjoint
+        for seed in range(3):
+            built = build(ConstructionParams(n=n, k=k, seed=seed, s=s, part_sizes=sizes))
+            colours = np.random.default_rng(seed).integers(0, palette, size=comb(n, r)).tolist()
+            assert list(built.base_colors.items()) == list(zip(combinations(range(n), r), colours))
+
+    @pytest.mark.parametrize("n, k, p", [(10, 3, 0.3), (12, 4, 0.5), (30, 2, 0.1)])
+    def test_gnp_edges_are_the_plain_filter(self, n, k, p):
+        for seed in range(3):
+            flips = np.random.default_rng(seed).random(comb(n, k))
+            expected = [e for e, u in zip(combinations(range(n), k), flips) if u < p]
+            assert random_uniform_hypergraph(n, k, p, seed).edges == tuple(expected)
+
 
 class TestRandomUniform:
     def test_extreme_probabilities(self):

@@ -249,12 +249,14 @@ class TestOverlaps:
             for sub, members in h.subset_edges(h.k - 1).items():
                 completion[sum(1 << v for v in sub)] = sum(1 << v for i in members for v in h.edges[i]
                                                            if v not in sub)
+            neighbours = tuple(sum(1 << w for w in {w for e in h.edges if v in e for w in e} - {v})
+                               for v in range(h.n))
             degrees = tuple(sum(v in e for e in h.edges) for v in range(h.n))
             at_least = tuple(sum(1 << v for v in range(h.n) if degrees[v] >= d)
                              for d in range(max(degrees, default=0) + 1))
             masks = h.embedding_masks()
             assert masks.completion == completion
-            assert masks.neighbours == h.neighbour_masks()
+            assert masks.neighbours == neighbours
             assert masks.degrees == degrees and masks.at_least == at_least
 
     @pytest.mark.parametrize("s", [0, 3])

@@ -26,7 +26,7 @@ from factorlab.constructions import (
     construct_shadow_disjoint,
     random_uniform_hypergraph,
 )
-from factorlab.corpus import cherry, complete, k222, k4_minus, loose_path, single_edge
+from factorlab.corpus import NAMED, cherry, complete, k222, k4_minus, loose_path, single_edge
 from factorlab.oracles import copy_images_oracle, factor_oracle
 from factorlab.verification import DEFAULT_CAP, DENSE_CELL_LIMIT, canonical_family, copy_images, iter_embeddings
 
@@ -331,6 +331,33 @@ class TestIsolatedVertices:
                     copy = frozenset(phi), frozenset(frozenset(phi[v] for v in e) for e in f.edges)
                     firsts.setdefault(copy, phi)
                 assert list(iter_embeddings(f, h, per_copy=True)) == list(firsts.values())
+
+    def test_isolated_orbits_found_without_a_search(self):
+        # 253 isolated vertices in one orbit, found without a pinned search per pair
+        f = Hypergraph(3, 256, [(0, 1, 2)])
+        res = within(1, find_factor, f, f)
+        assert res.status == "found" and res.certificate == [tuple(range(256))]
+
+    def test_class_floors_match_pairwise_search(self):
+        # reference: one pinned search for every equal-degree pair, isolated
+        # vertices included
+        rng = random.Random(24)
+        patterns = [make() for make in NAMED.values()]
+        for _ in range(150):
+            k = rng.choice((2, 3, 4))
+            n = rng.randint(k, 9)
+            patterns.append(Hypergraph(k, n, [e for e in combinations(range(n), k) if rng.random() < 0.15]))
+        for f in patterns:
+            order = [step[0] for step in verification._plan(f, None)]
+            degs = f.embedding_masks().degrees
+            expected = [[] for _ in order]
+            for j, a in enumerate(order):
+                fixed = {b: b for b in order[:j]}
+                for i in range(j + 1, len(order)):
+                    pins = {**fixed, a: order[i]}
+                    if degs[order[i]] == degs[a] and next(iter_embeddings(f, f, pins), None) is not None:
+                        expected[i].append(a)
+            assert [list(below) for below, _ in verification._class_floors(f)] == expected
 
 
 def reference_factor(f, h):
