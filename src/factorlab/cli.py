@@ -7,6 +7,11 @@ embeds the parameters and seeds needed to replay the run.  Each property,
 variant and task has its own parser holding only the flags it reads, so a
 flag it would ignore exits 2; each flag's value is checked by its ``type``
 there, and command bodies check only what needs a loaded file.
+
+Each command imports the library modules it uses in its own body, after it
+has read its input files, so a process loads only those modules (and none
+when an input is refused); a wrapper patched onto a module's attribute is
+still the function a command calls.
 """
 
 from __future__ import annotations
@@ -16,8 +21,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import constructions, corpus, deciders, lattice, verification
-from .hypergraph import Hypergraph, load_hypergraph
+from .hypergraph import DEFAULT_CAP, Hypergraph, load_hypergraph
 
 EXIT_OK = 0
 EXIT_EXPECT = 1
@@ -95,23 +99,26 @@ def _envelope(command: str, params: dict, report: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-# Property -> decider(f, s); only trans reads the shadow order s.  Names are
-# looked up at call time, so wrappers patched onto the modules after import
-# are still called.
+# Property -> (home module, decider name); only trans reads the shadow order
+# s.  The decider is looked up on its module at call time, so a wrapper
+# patched onto the module after import is still called.
 DECIDERS = {
-    "turan-zero": lambda f, s: deciders.decide_turan_zero_3(f),
-    "kpartite-link": lambda f, s: deciders.decide_linkdisjoint_kpartite(f),
-    "cover-partition": lambda f, s: deciders.decide_cover_partition_3(f),
-    "factor3": lambda f, s: deciders.decide_factor_3(f),
-    "partition-k": lambda f, s: deciders.decide_partition_condition_k(f),
-    "trans": lambda f, s: lattice.decide_trans(f, s),
+    "turan-zero": ("deciders", "decide_turan_zero_3"),
+    "kpartite-link": ("deciders", "decide_linkdisjoint_kpartite"),
+    "cover-partition": ("deciders", "decide_cover_partition_3"),
+    "factor3": ("deciders", "decide_factor_3"),
+    "partition-k": ("deciders", "decide_partition_condition_k"),
+    "trans": ("lattice", "decide_trans"),
 }
 
 
 def cmd_decide(args) -> int:
     f = _load_pattern(args.file)
     s = getattr(args, "s", None)
-    report = DECIDERS[args.property](f, s)
+    home, name = DECIDERS[args.property]
+    # ``__import__`` rather than importlib, so ``python -X importtime`` lists it.
+    decide = getattr(__import__(f"{__package__}.{home}", fromlist=[name]), name)
+    report = decide(f) if s is None else decide(f, s)
     params = {"property": args.property, "file": args.file, "s": s, "seed": None}
     _emit(args, _envelope("decide", params, report.to_json_obj()),
           f"{args.property}: verdict={report.verdict}")
@@ -122,6 +129,8 @@ def cmd_decide(args) -> int:
 
 def cmd_lattice(args) -> int:
     f = _load_pattern(args.file)
+    from . import lattice
+
     bips = lattice.enumerate_shadow_disjoint_bipartitions(f, args.s)
     gens = lattice.generators_of(f, bips)
     lat = lattice.lattice_from_generators(gens)
@@ -137,7 +146,7 @@ def cmd_lattice(args) -> int:
     return EXIT_OK
 
 
-def _colouring(build, args, s: int | None):
+def _colouring(constructions, build, args, s: int | None):
     params = constructions.ConstructionParams(
         n=args.n, k=args.k, seed=args.seed, s=s, part_sizes=args.part_sizes)
     built = build(params)
@@ -147,22 +156,25 @@ def _colouring(build, args, s: int | None):
         "z": built.z, "partition": built.partition.to_json_obj(), "palette_size": built.palette_size}
 
 
-def _construct_gnp(args):
+def _construct_gnp(constructions, args):
     h = constructions.random_uniform_hypergraph(args.n, args.k, args.p, args.seed)
     return h, {"n": args.n, "k": args.k, "p": args.p}, {"z": None, "partition": None, "palette_size": None}
 
 
-# Variant -> builder(args) returning (hypergraph, recorded params, the z /
-# partition / palette_size fields of the sidecar).
+# Variant -> builder(constructions module, args) returning (hypergraph,
+# recorded params, the z / partition / palette_size fields of the sidecar).
+# Builders are looked up on the module at call time, as in DECIDERS.
 CONSTRUCTIONS = {
-    "lemma51": lambda args: _colouring(constructions.construct_partite_coloring, args, None),
-    "obs62": lambda args: _colouring(constructions.construct_shadow_disjoint, args, args.s),
+    "lemma51": lambda c, args: _colouring(c, c.construct_partite_coloring, args, None),
+    "obs62": lambda c, args: _colouring(c, c.construct_shadow_disjoint, args, args.s),
     "gnp": _construct_gnp,
 }
 
 
 def cmd_construct(args) -> int:
-    h, recorded, fields = CONSTRUCTIONS[args.variant](args)
+    from . import constructions
+
+    h, recorded, fields = CONSTRUCTIONS[args.variant](constructions, args)
     sidecar = {"variant": args.variant, "params": recorded, "seed": args.seed, **fields}
 
     if args.out:
@@ -196,6 +208,8 @@ def cmd_verify(args) -> int:
 
     if args.task.endswith("denseness"):
         h = _load(args.host)
+        from . import verification
+
         params.update({"H": args.host, "p": args.p})
         if args.task == "exhaustive-denseness":
             est = verification.exact_denseness_small(h, args.p)
@@ -212,6 +226,8 @@ def cmd_verify(args) -> int:
     f, h = _load_pattern(args.pattern), _load(args.host)
     if f.k != h.k:
         raise ValueError(f"uniformity mismatch: F has k={f.k}, H has k={h.k}")
+    from . import verification
+
     params.update({"F": args.pattern, "H": args.host})
     if args.task != "cover":  # cover takes no cap: it stops at the first copy through each vertex
         params["cap"] = args.cap
@@ -258,6 +274,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    from . import corpus
+
     if args.name == "list":
         print(json.dumps(sorted(corpus.NAMED)))
         return EXIT_OK
@@ -338,13 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
         verify[task].add_argument("--H", dest="host", required=True, help="host hypergraph file")
     for task, outcomes in (("cover", ["true", "false"]), ("factor", ["found", "absent", "inconclusive"])):
         verify[task].add_argument("--expect", choices=outcomes, help="expected outcome; mismatch exits 1")
-    verify["factor"].add_argument("--cap", type=_POSITIVE, default=verification.DEFAULT_CAP,
+    verify["factor"].add_argument("--cap", type=_POSITIVE, default=DEFAULT_CAP,
                                   help="most copies (one per Aut(F) class) listed before the answer "
                                   "is inconclusive")
     rooted = verify["rooted"]
     rooted.add_argument("--w", required=True, help="host vertex; 'z' means the last vertex")
     rooted.add_argument("--vstar", type=int, help="restrict the counts to one pattern root")
-    rooted.add_argument("--cap", type=_POSITIVE, default=verification.DEFAULT_CAP,
+    rooted.add_argument("--cap", type=_POSITIVE, default=DEFAULT_CAP,
                         help="most labelled embeddings counted per root")
     rooted.add_argument("--expect", type=_NON_NEGATIVE, help="expected total count; mismatch exits 1")
     for task in ("denseness", "exhaustive-denseness"):

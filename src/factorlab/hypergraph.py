@@ -44,6 +44,12 @@ from typing import IO, Iterable, Iterator, KeysView, NamedTuple, Sequence
 # more.
 MAX_VERTICES = 10**6
 
+# Most copies a copy search lists (one per Aut(F) class) or labelled
+# embeddings it counts per root before its answer is truncated or
+# inconclusive.  It lives here, in the module every command loads, so the
+# command line's ``--cap`` default reads it without loading the searches.
+DEFAULT_CAP = 10**6
+
 
 class FormatError(ValueError):
     """Malformed hypergraph input; carries a 1-based line number when known."""

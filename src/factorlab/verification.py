@@ -37,12 +37,10 @@ from heapq import heapify, heappop, heappush
 from itertools import permutations
 from typing import TYPE_CHECKING, Iterator
 
-from .hypergraph import Hypergraph, UnionFind, is_vertex_list
+from .hypergraph import DEFAULT_CAP, Hypergraph, UnionFind, is_vertex_list
 
 if TYPE_CHECKING:
     import numpy as np
-
-DEFAULT_CAP = 10**6
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from factorlab.cli import PATTERN_VERTEX_LIMIT, build_parser, main
 from factorlab.constructions import partite_structure_ok
 from factorlab.corpus import by_name, k222
 from factorlab.hypergraph import MAX_VERTICES, Partition
-from factorlab.verification import DENSE_CELL_LIMIT
+from factorlab.verification import DEFAULT_CAP, DENSE_CELL_LIMIT
 
 
 @pytest.fixture
@@ -193,6 +193,11 @@ class TestConstruct:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("task, extra", [("factor", []), ("rooted", ["--w", "0"])])
+    def test_cap_default_is_the_searches_default(self, task, extra):
+        args = build_parser().parse_args(["verify", task, "--F", "f.hg", "--H", "h.hg", *extra])
+        assert args.cap == DEFAULT_CAP
+
     def test_factor_certificate(self, capsys, edge_file, k6_file):
         code, out, _ = run(capsys, ["verify", "factor", "--F", edge_file, "--H", k6_file])
         report = json.loads(out)["report"]
@@ -667,6 +672,68 @@ class TestNumpyOnlyWhereUsed:
             [0, 1, 2], [0, 1, 3], [0, 2, 3], [0, 2, 4], [0, 2, 5], [0, 3, 4], [0, 4, 5], [1, 2, 3], [1, 2, 5],
             [2, 3, 4], [3, 4, 5]]
         assert json.loads(dense)["report"]["worst_deficit"] == 0.06018518518518518
+
+
+# Run one argv through cli.main in a fresh interpreter; print its exit code
+# and the sorted factorlab modules it left in sys.modules.
+MODULE_GATE = """
+import contextlib, io, json, sys
+
+import factorlab.cli
+
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = factorlab.cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(name for name in sys.modules if name.startswith("factorlab"))]))
+"""
+
+LOADER = ["factorlab", "factorlab.cli", "factorlab.hypergraph"]
+DECIDE = sorted([*LOADER, "factorlab.deciders"])
+TRANS = sorted([*DECIDE, "factorlab.lattice"])
+VERIFY = sorted([*LOADER, "factorlab.verification"])
+CORPUS = sorted([*LOADER, "factorlab.corpus"])
+CONSTRUCT = sorted([*LOADER, "factorlab.constructions"])
+# (argv with {name} for the gate's files, exit code, factorlab modules loaded)
+MODULE_CASES = [
+    *[(["decide", prop, "{k222}"], 0, DECIDE)
+      for prop in ("turan-zero", "kpartite-link", "cover-partition", "factor3", "partition-k")],
+    (["decide", "trans", "{k222}", "--s", "2"], 0, TRANS),
+    (["lattice", "{k222}", "--s", "2"], 0, TRANS),
+    (["corpus", "list"], 0, CORPUS),
+    (["corpus", "k222"], 0, CORPUS),
+    (["verify", "factor", "--F", "{edge}", "--H", "{k6}"], 0, VERIFY),
+    (["verify", "cover", "--F", "{edge}", "--H", "{k6}"], 0, VERIFY),
+    (["verify", "rooted", "--F", "{edge}", "--H", "{k6}", "--w", "0"], 0, VERIFY),
+    (["decide", "factor3", "{malformed}"], 2, LOADER),
+    (["construct", "gnp", "--n", "6", "--p", "0.5", "--seed", "3"], 0, CONSTRUCT),
+    (["verify", "denseness", "--H", "{k222}", "--p", "0.5", "--samples", "5", "--seed", "1"], 0, VERIFY),
+]
+
+
+class TestModulesOnlyWhereUsed:
+    """Each command of the numpy gate loads only the library modules it
+    uses, and a refused input loads none but the loader's."""
+
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        from factorlab.corpus import complete
+
+        root = tmp_path_factory.mktemp("module-gate")
+        texts = {"k222": k222().to_text(), "edge": by_name("single-edge").to_text(),
+                 "k6": complete(6, 3).to_text(), "malformed": "3 4 2\n0 1 2\n"}
+        for name, text in texts.items():
+            (root / f"{name}.hg").write_text(text)
+        return {name: str(root / f"{name}.hg") for name in texts}
+
+    @pytest.mark.parametrize("argv, code, modules", MODULE_CASES,
+                             ids=[" ".join(argv) for argv, _, _ in MODULE_CASES])
+    def test_command_loads_its_modules(self, paths, argv, code, modules):
+        argv = [tok.format(**paths) for tok in argv]
+        src = str(Path(factorlab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", MODULE_GATE, json.dumps(argv)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [code, modules]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
