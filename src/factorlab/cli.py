@@ -30,7 +30,8 @@ EXIT_USAGE = 2
 # The turan-zero decider recurses once per pattern vertex, so a larger
 # pattern would exhaust the interpreter's recursion limit (1000 frames by
 # default).  It bounds time only loosely: trans and lattice on a 256-vertex
-# one-edge pattern run past 20 s (2-vCPU Xeon, Python 3.11).
+# one-edge pattern still walk all 2^256 bipartitions, in exponential time,
+# though in flat memory, since they count bipartitions by size and hold none.
 PATTERN_VERTEX_LIMIT = 256
 
 
@@ -83,12 +84,16 @@ def _load_pattern(path: str) -> Hypergraph:
     return f
 
 
-def _emit(args, payload: dict, summary: str) -> None:
-    text = json.dumps(payload, indent=2)
+def _write(args, text: str) -> None:
+    """``text`` and a newline to ``--out`` when given, else to stdout."""
     if getattr(args, "out", None):
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
+
+
+def _emit(args, payload: dict, summary: str) -> None:
+    _write(args, json.dumps(payload, indent=2))
     print(summary, file=sys.stderr)
 
 
@@ -131,14 +136,14 @@ def cmd_lattice(args) -> int:
     f = _load_pattern(args.file)
     from . import lattice
 
-    bips = lattice.enumerate_shadow_disjoint_bipartitions(f, args.s)
-    gens = lattice.generators_of(f, bips)
+    sizes = lattice.bipartition_sizes(f, args.s)
+    gens = [(a, f.n - a) for a in sizes]
     lat = lattice.lattice_from_generators(gens)
     report = {
         "s": args.s,
         "generators": [list(g) for g in gens],
         "basis": [list(b) for b in lat.basis],
-        "bipartition_count": len(bips),
+        "bipartition_count": sum(sizes.values()),
     }
     params = {"file": args.file, "s": args.s, "seed": None}
     _emit(args, _envelope("lattice", params, report),
@@ -277,7 +282,7 @@ def cmd_corpus(args) -> int:
     from . import corpus
 
     if args.name == "list":
-        print(json.dumps(sorted(corpus.NAMED)))
+        _write(args, json.dumps(sorted(corpus.NAMED)))
         return EXIT_OK
     h = corpus.by_name(args.name)
     if args.out:

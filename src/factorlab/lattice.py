@@ -5,8 +5,10 @@ A bipartition {A, B} of the vertex set is s-shadow disjoint when any two
 edges whose index vectors w.r.t. {A, B} differ meet in fewer than s vertices.
 The size vectors (|A|, |B|) of all such bipartitions generate a lattice in
 Z^2; membership of (1, -1) is the decided property.  The bipartitions are
-two-part partitions with A as part 0, listed by the part-assignment search
-shared with the deciders, :class:`factorlab.hypergraph.PartAssignments`.
+the two-part assignments, A as part 0, of the part-assignment search shared
+with the deciders, :class:`factorlab.hypergraph.PartAssignments`.  The
+answers read only their sizes, so one walk counts the bipartitions by |A|
+and holds none of them; the listing is kept for callers that want the sides.
 
 Membership is computed twice on every decision — once through an integer
 echelon form over Z^d, which also gives the witness combination, and once
@@ -48,6 +50,11 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
+def _check_shadow_order(f: Hypergraph, s: int) -> None:
+    if not 2 <= s <= f.k - 1:
+        raise PreconditionError(f"shadow order must satisfy 2 <= s <= k-1, got s={s}")
+
+
 def enumerate_shadow_disjoint_bipartitions(f: Hypergraph, s: int) -> list[Partition]:
     """All bipartitions (A, B), as two-part :class:`Partition` objects, such
     that edges with different index vectors meet in fewer than s vertices, in
@@ -56,19 +63,23 @@ def enumerate_shadow_disjoint_bipartitions(f: Hypergraph, s: int) -> list[Partit
     These are the answers of :class:`PartAssignments` with two parts, part 0
     being A: each class of ``overlap_classes(s)`` keeps one index vector.
     """
-    if not 2 <= s <= f.k - 1:
-        raise ValueError(f"shadow order must satisfy 2 <= s <= k-1, got s={s}")
+    _check_shadow_order(f, s)
     return [Partition.from_assignment(part_of, 2) for part_of in PartAssignments(f, 2, [0] * f.n, s=s)]
 
 
-def generators_of(f: Hypergraph, bips: list[Partition]) -> list[tuple[int, int]]:
-    """Deduplicated (|A|, f-|A|) vectors of ``bips``, by ascending |A|."""
-    return [(a, f.n - a) for a in sorted({len(p.parts[0]) for p in bips})]
+def bipartition_sizes(f: Hypergraph, s: int) -> dict[int, int]:
+    """|A| -> number of s-shadow-disjoint bipartitions (A, B), by ascending
+    |A|, from one walk that reads each assignment in place and keeps none."""
+    _check_shadow_order(f, s)
+    counts = [0] * (f.n + 1)
+    for part_of in PartAssignments(f, 2, [0] * f.n, s=s):
+        counts[part_of.count(0)] += 1
+    return {a: c for a, c in enumerate(counts) if c}
 
 
 def size_generators(f: Hypergraph, s: int) -> list[tuple[int, int]]:
     """Deduplicated (|A|, f-|A|) vectors over all s-shadow-disjoint bipartitions."""
-    return generators_of(f, enumerate_shadow_disjoint_bipartitions(f, s))
+    return [(a, f.n - a) for a in bipartition_sizes(f, s)]
 
 
 def lattice_from_generators(gens) -> Lattice:
@@ -186,8 +197,6 @@ def decide_trans(f: Hypergraph, s: int) -> DecisionReport:
     refusal reports the gcd of first-coordinate differences, which is not 1
     exactly when the vector is missing.
     """
-    if not 2 <= s <= f.k - 1:
-        raise PreconditionError(f"shadow order must satisfy 2 <= s <= k-1, got s={s}")
     t0 = time.perf_counter()
     gens = size_generators(f, s)
     lat = lattice_from_generators(gens)

@@ -146,18 +146,21 @@ class TestLatticeCommand:
         assert report["bipartition_count"] == 8
 
     def test_lists_bipartitions_once(self, capsys, monkeypatch, k222_file):
+        """``lattice`` and ``decide trans`` each walk the bipartitions once."""
         from factorlab import lattice
 
-        listings = []
-        listing = lattice.enumerate_shadow_disjoint_bipartitions
+        walks = []
 
-        def counted(f, s):
-            listings.append(s)
-            return listing(f, s)
+        class Counted(lattice.PartAssignments):
+            def __iter__(self):
+                walks.append(self.s)
+                return super().__iter__()
 
-        monkeypatch.setattr(lattice, "enumerate_shadow_disjoint_bipartitions", counted)
+        monkeypatch.setattr(lattice, "PartAssignments", Counted)
         code, _, _ = run(capsys, ["lattice", k222_file, "--s", "2"])
-        assert code == 0 and listings == [2]
+        assert code == 0 and walks == [2]
+        code, _, _ = run(capsys, ["decide", "trans", k222_file, "--s", "2"])
+        assert code == 0 and walks == [2, 2]
 
 
 class TestConstruct:
@@ -576,114 +579,27 @@ class TestCorpus:
         code, _, err = run(capsys, ["corpus", "nope"])
         assert code == 2 and "unknown corpus graph" in err
 
-
-# Run in a fresh interpreter: import the package, block numpy (importing a
-# module that sys.modules maps to None raises ImportError), run each
-# numpy-free argv through cli.main, then unblock it and run the argvs that
-# draw or estimate.
-NUMPY_GATE = """
-import contextlib, io, json, sys
-
-import factorlab, factorlab.cli
+    def test_list_to_file(self, capsys, tmp_path):
+        target = tmp_path / "names.json"
+        code, listed, _ = run(capsys, ["corpus", "list"])
+        code_out, out, _ = run(capsys, ["corpus", "list", "--out", str(target)])
+        assert code == code_out == 0 and out == ""
+        assert target.read_text() == listed
 
 
-def run(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = factorlab.cli.main(argv)
-    return [code, out.getvalue(), err.getvalue()]
-
-
-free, drawing = json.loads(sys.argv[1])
-imported = "numpy" in sys.modules
-sys.modules["numpy"] = None
-try:
-    import numpy
-    blocked = False
-except ImportError:
-    blocked = True
-free = [run(argv) for argv in free]
-del sys.modules["numpy"]
-drawing = [run(argv) for argv in drawing]
-print(json.dumps({"imported": imported, "blocked": blocked, "free": free,
-                  "drawing": drawing, "loaded": "numpy" in sys.modules}))
-"""
-
-
-def untimed(text: str):
-    """A JSON stdout without its ``time_s`` fields; any other text as is."""
-    def strip(obj):
-        if isinstance(obj, dict):
-            return {key: strip(val) for key, val in obj.items() if key != "time_s"}
-        return [strip(val) for val in obj] if isinstance(obj, list) else obj
-
-    try:
-        return strip(json.loads(text))
-    except ValueError:
-        return text
-
-
-class TestNumpyOnlyWhereUsed:
-    """Only the seeded builders and the denseness estimators import numpy;
-    every other command runs, with the same output, when it cannot."""
-
-    @pytest.fixture(scope="class")
-    def gate(self, tmp_path_factory):
-        from factorlab.corpus import complete
-
-        root = tmp_path_factory.mktemp("numpy-gate")
-        texts = {"k222": k222().to_text(), "edge": by_name("single-edge").to_text(),
-                 "k6": complete(6, 3).to_text(), "malformed": "3 4 2\n0 1 2\n"}
-        path = {}
-        for name, text in texts.items():
-            path[name] = str(root / f"{name}.hg")
-            Path(path[name]).write_text(text)
-        pair = ["--F", path["edge"], "--H", path["k6"]]
-        free = [["decide", prop, path["k222"], *(["--s", "2"] if prop == "trans" else [])]
-                for prop in ("turan-zero", "kpartite-link", "cover-partition", "factor3", "partition-k", "trans")]
-        free += [["lattice", path["k222"], "--s", "2"], ["corpus", "list"], ["corpus", "k222"],
-                 ["verify", "factor", *pair], ["verify", "cover", *pair], ["verify", "rooted", *pair, "--w", "0"],
-                 ["decide", "factor3", path["malformed"]]]
-        drawing = [["construct", "gnp", "--n", "6", "--p", "0.5", "--seed", "3"],
-                   ["verify", "denseness", "--H", path["k222"], "--p", "0.5", "--samples", "5", "--seed", "1"]]
-        src = str(Path(factorlab.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", NUMPY_GATE, json.dumps([free, drawing])],
-                              capture_output=True, text=True, env=env, timeout=60)
-        assert done.returncode == 0, done.stderr
-        return free, json.loads(done.stdout)
-
-    def test_numpy_free_commands_match_the_unblocked_run(self, capsys, gate):
-        free, result = gate
-        assert not result["imported"] and result["blocked"]
-        assert len(free) == len(result["free"]) == 13
-        for argv, (code, out, _) in zip(free, result["free"]):
-            expected = run(capsys, argv)
-            assert (code, untimed(out)) == (expected[0], untimed(expected[1])), argv
-        code, out, err = result["free"][-1]
-        assert code == 2 and out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
-
-    def test_builders_and_estimators_load_numpy(self, gate):
-        _, result = gate
-        assert result["loaded"]
-        (gnp_code, gnp, _), (dense_code, dense, _) = result["drawing"]
-        assert gnp_code == dense_code == 0
-        assert json.loads(gnp)["hypergraph"]["edges"] == [
-            [0, 1, 2], [0, 1, 3], [0, 2, 3], [0, 2, 4], [0, 2, 5], [0, 3, 4], [0, 4, 5], [1, 2, 3], [1, 2, 5],
-            [2, 3, 4], [3, 4, 5]]
-        assert json.loads(dense)["report"]["worst_deficit"] == 0.06018518518518518
-
-
-# Run one argv through cli.main in a fresh interpreter; print its exit code
-# and the sorted factorlab modules it left in sys.modules.
+# Run one argv through cli.main in a fresh interpreter; print its exit code,
+# the sorted factorlab modules it left in sys.modules, whether numpy is among
+# them, and its stdout.
 MODULE_GATE = """
 import contextlib, io, json, sys
 
 import factorlab.cli
 
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+out = io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
     code = factorlab.cli.main(json.loads(sys.argv[1]))
-print(json.dumps([code, sorted(name for name in sys.modules if name.startswith("factorlab"))]))
+print(json.dumps([code, sorted(name for name in sys.modules if name.startswith("factorlab")),
+                  "numpy" in sys.modules, out.getvalue()]))
 """
 
 LOADER = ["factorlab", "factorlab.cli", "factorlab.hypergraph"]
@@ -692,26 +608,35 @@ TRANS = sorted([*DECIDE, "factorlab.lattice"])
 VERIFY = sorted([*LOADER, "factorlab.verification"])
 CORPUS = sorted([*LOADER, "factorlab.corpus"])
 CONSTRUCT = sorted([*LOADER, "factorlab.constructions"])
-# (argv with {name} for the gate's files, exit code, factorlab modules loaded)
+# (argv with {name} for the gate's files, exit code, factorlab modules loaded,
+# whether numpy is loaded); only the seeded builders and the denseness
+# estimators import numpy.
 MODULE_CASES = [
-    *[(["decide", prop, "{k222}"], 0, DECIDE)
+    *[(["decide", prop, "{k222}"], 0, DECIDE, False)
       for prop in ("turan-zero", "kpartite-link", "cover-partition", "factor3", "partition-k")],
-    (["decide", "trans", "{k222}", "--s", "2"], 0, TRANS),
-    (["lattice", "{k222}", "--s", "2"], 0, TRANS),
-    (["corpus", "list"], 0, CORPUS),
-    (["corpus", "k222"], 0, CORPUS),
-    (["verify", "factor", "--F", "{edge}", "--H", "{k6}"], 0, VERIFY),
-    (["verify", "cover", "--F", "{edge}", "--H", "{k6}"], 0, VERIFY),
-    (["verify", "rooted", "--F", "{edge}", "--H", "{k6}", "--w", "0"], 0, VERIFY),
-    (["decide", "factor3", "{malformed}"], 2, LOADER),
-    (["construct", "gnp", "--n", "6", "--p", "0.5", "--seed", "3"], 0, CONSTRUCT),
-    (["verify", "denseness", "--H", "{k222}", "--p", "0.5", "--samples", "5", "--seed", "1"], 0, VERIFY),
+    (["decide", "trans", "{k222}", "--s", "2"], 0, TRANS, False),
+    (["lattice", "{k222}", "--s", "2"], 0, TRANS, False),
+    (["corpus", "list"], 0, CORPUS, False),
+    (["corpus", "k222"], 0, CORPUS, False),
+    (["verify", "factor", "--F", "{edge}", "--H", "{k6}"], 0, VERIFY, False),
+    (["verify", "cover", "--F", "{edge}", "--H", "{k6}"], 0, VERIFY, False),
+    (["verify", "rooted", "--F", "{edge}", "--H", "{k6}", "--w", "0"], 0, VERIFY, False),
+    (["decide", "factor3", "{malformed}"], 2, LOADER, False),
+    (["construct", "gnp", "--n", "6", "--p", "0.5", "--seed", "3"], 0, CONSTRUCT, True),
+    (["verify", "denseness", "--H", "{k222}", "--p", "0.5", "--samples", "5", "--seed", "1"], 0, VERIFY, True),
 ]
+# The seeded answers of the two commands that draw, pinned on their stdout.
+DRAWN = {
+    "construct": lambda payload: payload["hypergraph"]["edges"] == [
+        [0, 1, 2], [0, 1, 3], [0, 2, 3], [0, 2, 4], [0, 2, 5], [0, 3, 4], [0, 4, 5], [1, 2, 3], [1, 2, 5],
+        [2, 3, 4], [3, 4, 5]],
+    "verify": lambda payload: payload["report"]["worst_deficit"] == 0.06018518518518518,
+}
 
 
 class TestModulesOnlyWhereUsed:
-    """Each command of the numpy gate loads only the library modules it
-    uses, and a refused input loads none but the loader's."""
+    """Each command loads only the library modules it uses, and numpy only
+    when it draws or estimates; a refused input loads none but the loader's."""
 
     @pytest.fixture(scope="class")
     def paths(self, tmp_path_factory):
@@ -724,16 +649,19 @@ class TestModulesOnlyWhereUsed:
             (root / f"{name}.hg").write_text(text)
         return {name: str(root / f"{name}.hg") for name in texts}
 
-    @pytest.mark.parametrize("argv, code, modules", MODULE_CASES,
-                             ids=[" ".join(argv) for argv, _, _ in MODULE_CASES])
-    def test_command_loads_its_modules(self, paths, argv, code, modules):
+    @pytest.mark.parametrize("argv, code, modules, numpy", MODULE_CASES,
+                             ids=[" ".join(argv) for argv, *_ in MODULE_CASES])
+    def test_command_loads_its_modules(self, paths, argv, code, modules, numpy):
         argv = [tok.format(**paths) for tok in argv]
         src = str(Path(factorlab.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         done = subprocess.run([sys.executable, "-c", MODULE_GATE, json.dumps(argv)],
                               capture_output=True, text=True, env=env, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout) == [code, modules]
+        got_code, got_modules, got_numpy, out = json.loads(done.stdout)
+        assert [got_code, got_modules, got_numpy] == [code, modules, numpy]
+        if numpy:
+            assert DRAWN[argv[0]](json.loads(out))
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -1,3 +1,5 @@
+import tracemalloc
+from collections import Counter
 from itertools import combinations, product
 
 import numpy as np
@@ -14,7 +16,7 @@ from factorlab import (
     size_generators,
 )
 from factorlab.corpus import k222, single_edge
-from factorlab.lattice import shared_sum_contains
+from factorlab.lattice import bipartition_sizes, shared_sum_contains
 from factorlab.oracles import bounded_combination_oracle
 
 TWO_SHARED = Hypergraph(3, 4, [(0, 1, 2), (0, 1, 3)])
@@ -110,6 +112,31 @@ class TestBipartitions:
             enumerate_shadow_disjoint_bipartitions(single_edge(), 1)
         with pytest.raises(ValueError):
             enumerate_shadow_disjoint_bipartitions(single_edge(), 3)
+
+    def test_size_counts_match_the_listing(self):
+        """One walk's count per |A| is the listing's, for every s."""
+        rng = np.random.default_rng(206)
+        for k, n in ((3, 6), (3, 8), (4, 7), (4, 8)):
+            sets = list(combinations(range(n), k))
+            for p in (0.05, 0.15, 0.3):
+                f = Hypergraph(k, n, [e for e, keep in zip(sets, rng.random(len(sets)) < p) if keep])
+                for s in range(2, k):
+                    bips = enumerate_shadow_disjoint_bipartitions(f, s)
+                    sizes = bipartition_sizes(f, s)
+                    assert sizes == Counter(len(bp.parts[0]) for bp in bips)
+                    assert list(sizes) == sorted(sizes) and sum(sizes.values()) == len(bips)
+
+    def test_sizes_hold_no_bipartition(self):
+        """The 2^12 bipartitions of one edge on 12 vertices are counted, not kept."""
+        f = Hypergraph(3, 12, [(0, 1, 2)])
+        tracemalloc.start()
+        try:
+            gens = size_generators(f, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gens == [(a, 12 - a) for a in range(13)]
+        assert peak < 64 * 1024
 
 
 class TestLattice2:
