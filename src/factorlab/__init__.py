@@ -31,6 +31,7 @@ _EXPORTS = {
         "validate_cover_witness",
         "validate_partition_witness",
         "validate_shadow_coloring",
+        "validate_turan_zero_refutation",
     ],
     "hypergraph": ["FormatError", "Hypergraph", "Partition", "load_hypergraph"],
     "lattice": [

@@ -7,6 +7,12 @@ of this module; the validators share no machinery with the searches.
 Searches iterate candidates in ascending vertex-id order, so witnesses are
 deterministic and lexicographically smallest.
 
+A false turan-zero verdict found from a K4⁻ (three edges on four vertices)
+carries that K4⁻ as its ``refutation``, checked by
+:func:`validate_turan_zero_refutation`.  It is a proof because consistency
+is monotone: an ordering of F with a consistent forced colouring restricts
+to one of every F′ ⊆ F, and no ordering of K4⁻ has one.
+
 The cover-partition condition for 3-graphs is the partition condition at
 k = 3, so both deciders run one search per candidate vstar: a 2-colouring at
 k = 3, with no backtracking, and a part-assignment search at k >= 4.  No
@@ -39,12 +45,14 @@ class DecisionReport:
     witness: dict | None
     flags: list[str] = field(default_factory=list)
     stats: dict = field(default_factory=dict)
+    refutation: dict | None = None  # a false verdict's checkable reason, if it has one
 
     def to_json_obj(self) -> dict:
         return {
             "property": self.property_name,
             "verdict": self.verdict,
             "witness": self.witness,
+            "refutation": self.refutation,
             "flags": self.flags,
             "stats": self.stats,
         }
@@ -92,12 +100,53 @@ def forced_coloring(f: Hypergraph, ordering: list[int] | tuple[int, ...]) -> Pai
     return colors
 
 
+def _k4_minus(f: Hypergraph) -> list[list[int]] | None:
+    """The first K4⁻ of a 3-graph, as its three edges, or None.
+
+    A K4⁻ is a pair {a, b} in two edges abc and abd, with acd or bcd an edge
+    too.  Pairs are scanned in the order of ``subset_edges(2)`` (by the
+    first edge holding them, edges in lexicographic order), the two edges
+    through a pair by ascending index (i before j, then j ascending), and
+    the third edge is the lowest-index edge on {c, d} through a or b.  The
+    answer lists the edges in that order: abc, abd, then the third.
+    """
+    pairs = f.subset_edges(2)
+    edges = f.edges
+    for (a, b), members in pairs.items():
+        if len(members) < 2:
+            continue
+        thirds = [sum(edges[i]) - a - b for i in members]
+        for i in range(len(members) - 1):
+            c = thirds[i]
+            for j in range(i + 1, len(members)):
+                d = thirds[j]
+                for h in pairs.get((c, d) if c < d else (d, c), ()):
+                    if a in edges[h] or b in edges[h]:
+                        return [list(edges[members[i]]), list(edges[members[j]]), list(edges[h])]
+    return None
+
+
 def decide_turan_zero_3(f: Hypergraph) -> DecisionReport:
     """Is some vertex ordering's forced shadow colouring consistent?
 
-    Backtracking over orderings in lexicographic order, with forward
-    checking: an edge's three colours are fixed once two of its vertices are
-    placed.  Placing v assigns, for each edge {v, x, y} through it:
+    First, :func:`_k4_minus` looks for three edges on four vertices.  On a
+    hit the answer is False, with ``nodes`` 0 and the K4⁻ as a ``k4-minus``
+    refutation.  That is sound:
+
+    * three edges on four vertices form a K4⁻, {abc, abd, acd} up to names;
+    * no ordering of K4⁻ is consistent.  A pair's forced colour is fixed by
+      where its third vertex falls: before, between or after the pair.  With
+      u the middle one of b, c, d in the ordering, the pair au lies in two
+      edges, and their third vertices fall on either side of u, so in two
+      of those regions;
+    * an ordering of F with a consistent forced colouring restricts to one
+      of every F′ ⊆ F, since each edge's colours depend only on the order
+      of its own vertices.
+
+    Otherwise the search below runs.  It backtracks over orderings in
+    lexicographic order, with forward checking: an edge's three colours are
+    fixed once two of its vertices are placed.  Placing v assigns, for each
+    edge {v, x, y} through it:
 
     * neither x nor y placed: both come after v, so xy is green;
     * x placed, y not: x comes first and y last, so xv is red and xy blue
@@ -115,6 +164,11 @@ def decide_turan_zero_3(f: Hypergraph) -> DecisionReport:
     if f.k != 3:
         raise PreconditionError(f"applicable to 3-graphs only, got k={f.k}")
     t0 = time.perf_counter()
+    k4_minus = _k4_minus(f)
+    if k4_minus is not None:
+        stats = {"nodes": 0, "time_s": time.perf_counter() - t0}
+        return DecisionReport("turan-zero", False, None, _base_flags(f), stats,
+                              {"kind": "k4-minus", "edges": k4_minus})
     n = f.n
     pair_id: dict[tuple[int, int], int] = {}
     # through[v]: (x, y, id of vx, id of vy, id of xy) for each edge {v, x, y}
@@ -272,7 +326,10 @@ def decide_cover_partition_3(f: Hypergraph) -> DecisionReport:
 
 
 def decide_factor_3(f: Hypergraph) -> DecisionReport:
-    """Both the orderable-colouring condition and the cover-partition condition."""
+    """Both the orderable-colouring condition and the cover-partition condition.
+
+    When condition (i) fails, turan-zero's refutation is the report's.
+    """
     first = decide_turan_zero_3(f)
     second = decide_cover_partition_3(f)
     verdict = first.verdict and second.verdict
@@ -294,7 +351,7 @@ def decide_factor_3(f: Hypergraph) -> DecisionReport:
         "nodes": first.stats["nodes"] + second.stats["nodes"],
         "time_s": first.stats["time_s"] + second.stats["time_s"],
     }
-    return DecisionReport("factor3", verdict, witness, flags, stats)
+    return DecisionReport("factor3", verdict, witness, flags, stats, first.refutation)
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +510,26 @@ def validate_shadow_coloring(
     if f.k != 3 or not is_vertex_list(ordering) or sorted(ordering) != list(range(f.n)):
         return False
     return isinstance(coloring, dict) and forced_coloring(f, ordering) == coloring
+
+
+def validate_turan_zero_refutation(f: Hypergraph, refutation) -> bool:
+    """Does ``refutation`` prove that no ordering of f is consistent?
+
+    A ``k4-minus`` refutation names three distinct edges of f on four
+    vertices, which form a K4⁻; see :func:`decide_turan_zero_3` for why that
+    is a proof.  The edges are compared as plain sets, never through
+    ``subset_edges``, which the search's scan reads.
+    """
+    if f.k != 3 or not isinstance(refutation, dict) or refutation.keys() != {"kind", "edges"}:
+        return False
+    named = refutation["edges"]
+    if refutation["kind"] != "k4-minus" or not isinstance(named, list) or len(named) != 3:
+        return False
+    if not all(map(is_vertex_list, named)):
+        return False
+    triples = {frozenset(e) for e in named}
+    own = {frozenset(e) for e in f.edges}
+    return len(triples) == 3 and triples <= own and len(frozenset().union(*triples)) == 4
 
 
 def coloring_from_witness(witness: dict) -> PairColoring:

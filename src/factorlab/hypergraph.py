@@ -14,6 +14,8 @@ complete or not at all, and a race at worst computes an equal value twice:
 * ``overlap_classes(s)``: the classes of edge indices under the transitive
   closure of "share >= s vertices", read off ``subset_edges(s)``.  Every
   criterion beyond a colouring rests on this relation;
+* ``components()``: the vertex sets of the connected components, from one
+  union-find pass over the edges; ``is_k_partite`` colours each alone;
 * ``embedding_masks()``: vertex bitmasks for copy searches (which vertices
   complete a (k-1)-set to an edge, which share an edge with a vertex, which
   have at least a given degree), built in one pass over the edges' bitmasks.
@@ -250,15 +252,57 @@ class Hypergraph:
 
     # -- structure ----------------------------------------------------------
 
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """The vertex sets of the connected components, each ascending and
+        ordered by smallest vertex; an isolated vertex is its own."""
+
+        def compute():
+            uf = UnionFind(self.n)
+            for e in self.edges:
+                for v in e[1:]:
+                    uf.union(e[0], v)
+            comps: dict[int, list[int]] = {}
+            for v in range(self.n):
+                comps.setdefault(uf.find(v), []).append(v)
+            return tuple(map(tuple, comps.values()))
+
+        return self._cached("components", compute)
+
     def is_k_partite(self) -> Partition | None:
         """A k-part partition with every edge rainbow, or None.
 
         The first answer of :class:`PartAssignments` with k parts, where each
         vertex must take another part than every vertex sharing an edge with
         it; empty parts are allowed so subgraphs of k-partite graphs validate.
+
+        Each component is coloured alone, relabelled in vertex order, and the
+        answer is the union of the components' first colourings.  It is the
+        first colouring of the whole graph: no constraint joins two
+        components, so the colourings are the unions of per-component ones,
+        and one that came earlier would differ first at some vertex v, where
+        its restriction to v's component would come before that component's
+        first colouring.  An isolated vertex takes part 0.
         """
-        part_of = next(iter(PartAssignments(self, self.k, self.embedding_masks().neighbours)), None)
-        return None if part_of is None else Partition.from_assignment(part_of, self.k)
+        comps = self.components()
+        if len(comps) == 1:
+            pieces = [(comps[0], self)]
+        else:
+            where = [(0, 0)] * self.n  # vertex -> (its component, its index there)
+            for ci, comp in enumerate(comps):
+                for i, v in enumerate(comp):
+                    where[v] = (ci, i)
+            edges_of: dict[int, list[list[int]]] = {}
+            for e in self.edges:
+                edges_of.setdefault(where[e[0]][0], []).append([where[v][1] for v in e])
+            pieces = [(comps[ci], Hypergraph(self.k, len(comps[ci]), es)) for ci, es in edges_of.items()]
+        part_of = [0] * self.n
+        for comp, g in pieces:
+            first = next(iter(PartAssignments(g, self.k, g.embedding_masks().neighbours)), None)
+            if first is None:
+                return None
+            for v, p in zip(comp, first):
+                part_of[v] = p
+        return Partition.from_assignment(part_of, self.k)
 
     def induced(self, vertices: Iterable[int]) -> tuple["Hypergraph", dict[int, int]]:
         """Induced subgraph on the given vertices, relabelled to 0..m-1."""

@@ -124,6 +124,24 @@ class TestDecide:
         code, _, err = run(capsys, ["decide", "kpartite-link", str(triangle)])
         assert code == 2 and "not k-partite" in err and "Traceback" not in err
 
+    def test_kpartite_link_refuses_matching_plus_triangle_at_once(self, capsys, tmp_path):
+        # Each component is coloured alone, so the triangle fails without
+        # a retry of the matching's 2^18 colourings.
+        graph = tmp_path / "pmtriangle.hg"
+        edges = [(2 * i, 2 * i + 1) for i in range(18)] + [(36, 37), (36, 38), (37, 38)]
+        graph.write_text(f"2 39 {len(edges)}\n" + "".join(f"{a} {b}\n" for a, b in edges))
+        code, out, err = within(1.0, run, capsys, ["decide", "kpartite-link", str(graph)])
+        assert code == 2 and out == "" and "not k-partite" in err
+
+    def test_turan_zero_reports_a_checkable_k4_minus(self, capsys, tmp_path):
+        graph = tmp_path / "pmk4.hg"
+        f = Hypergraph(3, 12, [(0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 9, 10), (0, 9, 11), (0, 10, 11)])
+        graph.write_text(f.to_text())
+        code, out, _ = within(1.0, run, capsys, ["decide", "turan-zero", str(graph), "--expect", "false"])
+        report = json.loads(out)["report"]
+        assert code == 0 and report["witness"] is None and report["stats"]["nodes"] == 0
+        assert factorlab.validate_turan_zero_refutation(f, report["refutation"])
+
     def test_kpartite_link_on_a_path(self, capsys, tmp_path):
         path = tmp_path / "path.hg"
         path.write_text("2 3 2\n0 1\n1 2\n")

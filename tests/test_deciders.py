@@ -18,6 +18,7 @@ from factorlab import (
     validate_cover_witness,
     validate_partition_witness,
     validate_shadow_coloring,
+    validate_turan_zero_refutation,
 )
 from factorlab.deciders import BLUE, GREEN, RED
 from factorlab.corpus import cherry, k4, k4_minus, k222, loose_path, single_edge
@@ -127,6 +128,126 @@ class TestTuranZero:
             if report.verdict:
                 coloring = coloring_from_witness(report.witness)
                 assert validate_shadow_coloring(f, report.witness["ordering"], coloring)
+
+
+def has_k4_minus(f):
+    """Do some four vertices span three or more edges (plain scan)?"""
+    return any(sum(frozenset(t) in f.edge_set for t in combinations(quad, 3)) >= 3
+               for quad in combinations(range(f.n), 4))
+
+
+# The 3-graph perfect matching on 0..8 plus a K4⁻ through vertex 0.
+MATCHING_K4_MINUS = Hypergraph(
+    3, 12, [(0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 9, 10), (0, 9, 11), (0, 10, 11)])
+
+
+class TestTuranZeroRefutation:
+    def test_k4_minus_answered_without_a_search(self):
+        report = decide_turan_zero_3(k4_minus())
+        assert not report.verdict and report.witness is None and report.stats["nodes"] == 0
+        assert report.refutation == {"kind": "k4-minus", "edges": [[0, 1, 2], [0, 1, 3], [0, 2, 3]]}
+        assert report.to_json_obj()["refutation"] == report.refutation
+
+    def test_refutation_exactly_when_a_k4_minus_exists(self):
+        rng = np.random.default_rng(131)
+        hits = 0
+        for n in (4, 5, 6, 7):
+            for f in random_3graphs(rng, 80, n, p=0.3):
+                report = decide_turan_zero_3(f)
+                assert (report.refutation is not None) == has_k4_minus(f)
+                if report.refutation is not None:
+                    hits += 1
+                    assert not report.verdict and report.stats["nodes"] == 0
+                    assert validate_turan_zero_refutation(f, report.refutation)
+        assert hits > 50
+
+    def test_k4_minus_free_verdicts_match_exhaustive_scan(self):
+        # The scan answers most negatives, so the search's own "false" path
+        # is checked on graphs without a K4⁻.
+        rng = np.random.default_rng(137)
+        verdicts = []
+        for n, p, count in ((5, 0.4, 120), (6, 0.35, 120), (7, 0.3, 300)):
+            for f in random_3graphs(rng, count, n, p):
+                if has_k4_minus(f):
+                    continue
+                report = decide_turan_zero_3(f)
+                assert report.verdict == turan_zero_oracle(f) and report.refutation is None
+                assert report.stats["nodes"] > 0
+                verdicts.append(report.verdict)
+        assert verdicts.count(False) >= 10 and verdicts.count(True) >= 50
+
+    def test_factor3_passes_the_refutation_through(self):
+        report = decide_factor_3(MATCHING_K4_MINUS)
+        assert report.refutation == decide_turan_zero_3(MATCHING_K4_MINUS).refutation
+        assert report.stats["condition_i"] is False and report.stats["condition_ii"] is True
+        assert report.refutation == {"kind": "k4-minus", "edges": [[0, 9, 10], [0, 9, 11], [0, 10, 11]]}
+        assert decide_factor_3(k222()).refutation is None  # condition (i) holds
+
+    def test_validator_rejects_corruption(self):
+        rng = np.random.default_rng(139)
+        checked = 0
+        for f in random_3graphs(rng, 40, 7, p=0.3):
+            ref = decide_turan_zero_3(f).refutation
+            if ref is None:
+                continue
+            assert validate_turan_zero_refutation(f, ref)
+            edges = ref["edges"]
+            quad = set().union(*edges)
+            non_edge = next(list(t) for t in combinations(range(f.n), 3) if t not in f.edges)
+            beyond = [list(e) for e in f.edges if not set(e) <= quad]
+            corrupt = [{"kind": "k4", "edges": edges}, {"edges": edges}, {**ref, "note": 0},
+                       {"kind": "k4-minus", "edges": [*edges, edges[0]]}]
+            for i in range(3):
+                rest = edges[:i] + edges[i + 1:]
+                corrupt.append({"kind": "k4-minus", "edges": rest})  # an edge dropped
+                corrupt.append({"kind": "k4-minus", "edges": [*rest, rest[0]]})  # an edge repeated
+                corrupt.append({"kind": "k4-minus", "edges": [*rest, non_edge]})
+                corrupt.extend({"kind": "k4-minus", "edges": [*rest, e]} for e in beyond[:2])  # a fifth vertex
+            for bad in corrupt:
+                assert not validate_turan_zero_refutation(f, bad)
+            checked += len(corrupt)
+        assert checked > 100
+
+    @pytest.mark.parametrize("f, ref", [
+        (single_edge(), {"kind": "k4-minus", "edges": [[0, 1, 2]] * 3}),
+        (k4_minus(), {"kind": "k4-minus", "edges": [[0, 1, 2], [0, 1, 3], [True, 2, 3]]}),
+        (k4_minus(), {"kind": "k4-minus", "edges": ((0, 1, 2), (0, 1, 3), (0, 2, 3))}),
+        (k4_minus(), {"kind": "k4-minus", "edges": [[0, 1, 2], [0, 1, 3], None]}),
+        (k4_minus(), [[0, 1, 2], [0, 1, 3], [0, 2, 3]]),
+        (Hypergraph(4, 5, [(0, 1, 2, 3), (0, 1, 2, 4)]), {"kind": "k4-minus", "edges": [[0, 1, 2]] * 3}),
+    ])
+    def test_validator_refuses_malformed(self, f, ref):
+        assert validate_turan_zero_refutation(f, ref) is False
+
+    def test_validator_reads_no_incidence_index(self, monkeypatch):
+        # The scan reads subset_edges(2); the validator must not check
+        # itself through it.
+        rng = np.random.default_rng(149)
+        refuted = [(f, report.refutation) for f in random_3graphs(rng, 30, 6, p=0.4)
+                   for report in [decide_turan_zero_3(f)] if report.refutation is not None]
+
+        def refuse(*args):
+            raise AssertionError("the validator read the incidence index")
+
+        monkeypatch.setattr(Hypergraph, "subset_edges", refuse)
+        assert len(refuted) > 10
+        for f, ref in refuted:
+            assert validate_turan_zero_refutation(Hypergraph(f.k, f.n, f.edges), ref)
+
+    @pytest.mark.parametrize("f", [
+        pytest.param(Hypergraph(3, 11, k4_minus().edges), id="k4-minus-plus-7-isolated"),
+        pytest.param(MATCHING_K4_MINUS, id="matching-plus-k4-minus"),
+    ])
+    def test_k4_minus_with_free_vertices_answers_at_once(self, f):
+        # The ordering search alone backtracks over every ordering of the
+        # vertices outside the K4⁻: over 10 s on each of these graphs.
+        report = within(1, decide_turan_zero_3, f)
+        assert not report.verdict and validate_turan_zero_refutation(f, report.refutation)
+
+    def test_factor3_on_a_45_vertex_graph_answers_at_once(self):
+        report = within(1, decide_factor_3, MATCHING_ODD_LINK)
+        assert not report.verdict and report.stats["condition_i"] is False
+        assert validate_turan_zero_refutation(MATCHING_ODD_LINK, report.refutation)
 
 
 class TestCoverPartition:
@@ -247,6 +368,15 @@ class TestLinkDisjointKPartite:
             decide_linkdisjoint_kpartite(k4())
         with pytest.raises(PreconditionError, match="not k-partite"):
             decide_linkdisjoint_kpartite(Hypergraph(2, 3, [(0, 1), (0, 2), (1, 2)]))
+
+    def test_matching_plus_triangle_refused_at_once(self):
+        # is_k_partite colours each component alone.  A search over the
+        # whole graph retries every colouring of the matching before the
+        # triangle fails: 0.68 s at 35 vertices, doubling per matching edge.
+        f = Hypergraph(2, 39, [(2 * i, 2 * i + 1) for i in range(18)] + [(36, 37), (36, 38), (37, 38)])
+        assert within(1, Hypergraph.is_k_partite, f) is None
+        with pytest.raises(PreconditionError, match="not k-partite"):
+            within(1, decide_linkdisjoint_kpartite, f)
 
     def test_two_graph_path(self):
         f = Hypergraph(2, 3, [(0, 1), (1, 2)])

@@ -334,6 +334,31 @@ class TestStructure:
                 answers.append(want is None)
         assert True in answers and False in answers
 
+    def test_components(self):
+        f = Hypergraph(3, 8, [(0, 4, 6), (1, 2, 5), (4, 6, 7)])
+        assert f.components() == ((0, 4, 6, 7), (1, 2, 5), (3,))
+        assert f.components() is f.components()
+        assert Hypergraph(2, 0, []).components() == ()
+
+    def test_is_k_partite_per_component_is_the_first_colouring(self):
+        # Disjoint unions with their vertices shuffled, so the components
+        # interleave in vertex order and some hold no edge.
+        rng = np.random.default_rng(13)
+        answers = []
+        for k, sizes in ((2, (3, 3, 2)), (2, (4, 3, 1)), (3, (4, 3, 1)), (3, (5, 3))):
+            for _ in range(12):
+                edges, start = [], 0
+                for size in sizes:
+                    part = random_graph(rng, size, k, 0.5)
+                    edges += [tuple(start + v for v in e) for e in part.edges]
+                    start += size
+                f = Hypergraph(k, start, edges).relabel([int(v) for v in rng.permutation(start)])
+                got = f.is_k_partite()
+                want = first_rainbow_colouring(f)
+                assert (None if got is None else got.parts) == want
+                answers.append((len(f.components()) > 1, want is None))
+        assert {(True, True), (True, False)} <= set(answers)
+
     def test_empty_parts_allowed(self):
         h = Hypergraph(3, 3, [(0, 1, 2)])
         sub = Hypergraph(3, 2, [])  # subgraph of a 3-partite graph

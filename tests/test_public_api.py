@@ -54,6 +54,7 @@ PUBLIC = [
     "validate_partition_witness",
     "validate_refutation",
     "validate_shadow_coloring",
+    "validate_turan_zero_refutation",
     "verification",
 ]
 

@@ -294,6 +294,22 @@ def test_searches_read_nothing_their_validators_read(monkeypatch):
     assert digest("deciders") == json.loads(PINS.read_text())["deciders"]
 
 
+def test_every_refutation_of_the_corpus_validates():
+    """Each turan-zero or factor3 refutation of the ``deciders`` and ``cli``
+    inputs passes ``validate_turan_zero_refutation``."""
+    refuted = 0
+    for f in corpus() + [build() for build in NAMED.values()]:
+        if f.k != 3:
+            continue
+        for decide in (deciders.decide_turan_zero_3, deciders.decide_factor_3):
+            report = decide(f)
+            if report.refutation is not None:
+                assert not report.verdict
+                assert deciders.validate_turan_zero_refutation(f, report.refutation)
+                refuted += 1
+    assert refuted > 20
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--pin"]:
         raise SystemExit("usage: python tests/test_seeded_outputs.py --pin")
