@@ -29,9 +29,10 @@ EXIT_USAGE = 2
 
 # The turan-zero decider recurses once per pattern vertex, so a larger
 # pattern would exhaust the interpreter's recursion limit (1000 frames by
-# default).  It bounds time only loosely: trans and lattice on a 256-vertex
-# one-edge pattern still walk all 2^256 bipartitions, in exponential time,
-# though in flat memory, since they count bipartitions by size and hold none.
+# default).  It bounds time only loosely: trans and lattice count the sides
+# of isolated vertices by binomials, but walk every bipartition of the rest,
+# so a pattern without isolated vertices (disjoint edges, say) still takes
+# exponential time, though flat memory, since they hold no bipartition.
 PATTERN_VERTEX_LIMIT = 256
 
 

@@ -15,7 +15,7 @@ complete or not at all, and a race at worst computes an equal value twice:
   closure of "share >= s vertices", read off ``subset_edges(s)``.  Every
   criterion beyond a colouring rests on this relation;
 * ``components()``: the vertex sets of the connected components, from one
-  union-find pass over the edges; ``is_k_partite`` colours each alone;
+  union-find pass over the edges; the part-assignment search jumps by them;
 * ``embedding_masks()``: vertex bitmasks for copy searches (which vertices
   complete a (k-1)-set to an edge, which share an edge with a vertex, which
   have at least a given degree), built in one pass over the edges' bitmasks.
@@ -25,7 +25,8 @@ not cached, since each set S asked about would add an entry.
 
 :class:`PartAssignments`, the one search placing vertices in parts, serves the
 partition condition, the shadow-disjoint bipartitions and ``is_k_partite``;
-it checks each overlap class against one leading edge, so it keeps no undo trail.
+it checks each overlap class against one leading edge, so it keeps no undo
+trail, and until its first answer it backjumps within components.
 
 Vertex subsets handed to operations may be any iterable of ints; results use
 sorted tuples.  A :class:`Partition` (ordered disjoint parts covering
@@ -273,36 +274,12 @@ class Hypergraph:
 
         The first answer of :class:`PartAssignments` with k parts, where each
         vertex must take another part than every vertex sharing an edge with
-        it; empty parts are allowed so subgraphs of k-partite graphs validate.
-
-        Each component is coloured alone, relabelled in vertex order, and the
-        answer is the union of the components' first colourings.  It is the
-        first colouring of the whole graph: no constraint joins two
-        components, so the colourings are the unions of per-component ones,
-        and one that came earlier would differ first at some vertex v, where
-        its restriction to v's component would come before that component's
-        first colouring.  An isolated vertex takes part 0.
+        it; empty parts are allowed so subgraphs of k-partite graphs validate,
+        and an isolated vertex takes part 0.  A component that cannot be
+        coloured ends the search without retrying the others.
         """
-        comps = self.components()
-        if len(comps) == 1:
-            pieces = [(comps[0], self)]
-        else:
-            where = [(0, 0)] * self.n  # vertex -> (its component, its index there)
-            for ci, comp in enumerate(comps):
-                for i, v in enumerate(comp):
-                    where[v] = (ci, i)
-            edges_of: dict[int, list[list[int]]] = {}
-            for e in self.edges:
-                edges_of.setdefault(where[e[0]][0], []).append([where[v][1] for v in e])
-            pieces = [(comps[ci], Hypergraph(self.k, len(comps[ci]), es)) for ci, es in edges_of.items()]
-        part_of = [0] * self.n
-        for comp, g in pieces:
-            first = next(iter(PartAssignments(g, self.k, g.embedding_masks().neighbours)), None)
-            if first is None:
-                return None
-            for v, p in zip(comp, first):
-                part_of[v] = p
-        return Partition.from_assignment(part_of, self.k)
+        first = next(iter(PartAssignments(self, self.k, self.embedding_masks().neighbours)), None)
+        return None if first is None else Partition.from_assignment(first, self.k)
 
     def induced(self, vertices: Iterable[int]) -> tuple["Hypergraph", dict[int, int]]:
         """Induced subgraph on the given vertices, relabelled to 0..m-1."""
@@ -348,7 +325,13 @@ class PartAssignments:
     assignment is yielded, in lexicographic order, and nothing else.  Each
     is ``part_of`` (vertex -> part), one list reused throughout, which
     :meth:`Partition.from_assignment` reads into parts; ``nodes`` counts the
-    part choices tried.  Every class edge needs a free vertex.
+    part choices tried.  Every class edge needs a free vertex, and
+    ``conflicts`` may only join vertices sharing an edge, so no check crosses
+    components of ``f``: a vertex left without a part failed on the placed
+    vertices of its own component (fixed ones never move).  Until the first
+    answer the search jumps back to the previous free vertex of that
+    component, withdrawing those between, or stops; from then on it steps back
+    one vertex, so no later answer is skipped.
     """
 
     def __init__(self, f: Hypergraph, parts: int, conflicts: Sequence[int],
@@ -374,11 +357,13 @@ class PartAssignments:
         members = [0] * parts  # bitmask of the free vertices placed in each part
         vector: list[list[int]] = [[] for _ in classes]  # sorted parts of each leading edge
         nodes = self.nodes
+        back, answered = None, False
         depth = 0
         while depth >= 0:
             if depth == len(free):
                 self.nodes = nodes
                 yield part_of
+                answered = True
                 depth -= 1
                 continue
             v = free[depth]
@@ -402,7 +387,22 @@ class PartAssignments:
                     break
             else:
                 part_of[v] = -1
-                depth -= 1
+                if answered:  # from the first answer on, step back one
+                    depth -= 1
+                    continue
+                if back is None:  # depth -> depth of the previous free vertex of its component
+                    back, at = [-1] * len(free), {u: d for d, u in enumerate(free)}
+                    for comp in f.components():
+                        ds = [at[u] for u in comp if u in at]
+                        for a, b in zip(ds, ds[1:]):
+                            back[b] = a
+                target = back[depth]
+                while depth > target + 1:  # withdraw other components' vertices
+                    depth -= 1
+                    u = free[depth]
+                    members[part_of[u]] ^= 1 << u
+                    part_of[u] = -1
+                depth = target
         self.nodes = nodes
 
 

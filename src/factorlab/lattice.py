@@ -9,6 +9,9 @@ the two-part assignments, A as part 0, of the part-assignment search shared
 with the deciders, :class:`factorlab.hypergraph.PartAssignments`.  The
 answers read only their sizes, so one walk counts the bipartitions by |A|
 and holds none of them; the listing is kept for callers that want the sides.
+An isolated vertex may join either side, so the walk keeps those in A and
+binomials count their sides.  A pattern without isolated vertices (disjoint
+edges, say) still has every bipartition walked.
 
 Membership is computed twice on every decision — once through an integer
 echelon form over Z^d, which also gives the witness combination, and once
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import gcd
+from math import comb, gcd
 
 from .deciders import DecisionReport, PreconditionError, _base_flags
 from .hypergraph import Hypergraph, PartAssignments, Partition
@@ -69,11 +72,24 @@ def enumerate_shadow_disjoint_bipartitions(f: Hypergraph, s: int) -> list[Partit
 
 def bipartition_sizes(f: Hypergraph, s: int) -> dict[int, int]:
     """|A| -> number of s-shadow-disjoint bipartitions (A, B), by ascending
-    |A|, from one walk that reads each assignment in place and keeps none."""
+    |A|, from one walk that reads each assignment in place and keeps none.
+
+    An isolated vertex lies in no edge, so it may join either side of any
+    bipartition: the walk keeps the t isolated vertices in A, and a count at
+    |A| = a is spread as comb(t, j) bipartitions at a - t + j, for j <= t.
+    """
     _check_shadow_order(f, s)
+    covered = set().union(*f.edges)
+    isolated = [v for v in range(f.n) if v not in covered]
+    t = len(isolated)
+    walked = [0] * (f.n + 1)
+    for part_of in PartAssignments(f, 2, [0] * f.n, s=s, fixed=dict.fromkeys(isolated, 0)):
+        walked[part_of.count(0) - t] += 1
     counts = [0] * (f.n + 1)
-    for part_of in PartAssignments(f, 2, [0] * f.n, s=s):
-        counts[part_of.count(0)] += 1
+    for a, c in enumerate(walked):
+        if c:
+            for j in range(t + 1):
+                counts[a + j] += c * comb(t, j)
     return {a: c for a, c in enumerate(counts) if c}
 
 

@@ -370,9 +370,10 @@ class TestLinkDisjointKPartite:
             decide_linkdisjoint_kpartite(Hypergraph(2, 3, [(0, 1), (0, 2), (1, 2)]))
 
     def test_matching_plus_triangle_refused_at_once(self):
-        # is_k_partite colours each component alone.  A search over the
-        # whole graph retries every colouring of the matching before the
-        # triangle fails: 0.68 s at 35 vertices, doubling per matching edge.
+        # The triangle's last vertex sends is_k_partite's search back within
+        # the triangle alone.  A search stepping back one vertex at a time
+        # retries every colouring of the matching before the triangle fails:
+        # 0.68 s at 35 vertices, doubling per matching edge.
         f = Hypergraph(2, 39, [(2 * i, 2 * i + 1) for i in range(18)] + [(36, 37), (36, 38), (37, 38)])
         assert within(1, Hypergraph.is_k_partite, f) is None
         with pytest.raises(PreconditionError, match="not k-partite"):
@@ -444,6 +445,18 @@ class TestPartitionConditionK:
                 assert report.witness == {"vstar": expected[0], "parts": expected[1]}
             outcomes.add((f.k, report.verdict))
         assert outcomes == {(3, False), (3, True), (4, False), (4, True)}
+
+    def test_matching_plus_unrainbow_link_answers_at_once(self):
+        # link(0) holds {1, 2, 3} and the four triples of {44..47}, which no
+        # three parts make rainbow, and that shows only once 47 is placed.
+        # The search jumps back within 0's component; stepping back one
+        # vertex at a time retries the colourings of the matching on 4..43
+        # first, for over 20 s.
+        edges = [tuple(range(i, i + 4)) for i in range(0, 44, 4)]
+        edges += [(0, *t) for t in combinations(range(44, 48), 3)]
+        report = within(1, decide_partition_condition_k, Hypergraph(4, 48, edges))
+        assert report.verdict
+        assert report.witness == {"vstar": 1, "parts": [[0, *range(4, 48)], [2], [3]]}
 
     def test_odd_cycle_of_classes_refused(self):
         # Vertex 0 is unblocked, but the classes {2, 3}, {4, 5} and {6, 1}

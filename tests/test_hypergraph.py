@@ -6,6 +6,7 @@ import pytest
 
 from factorlab import FormatError, Hypergraph, load_hypergraph
 from factorlab.corpus import complete, k4, k222, single_edge
+from factorlab.hypergraph import PartAssignments
 from factorlab.verification import _edge_tuple_counts, _edges_array
 
 K222_TEXT = "3 6 8\n" + "\n".join(
@@ -25,6 +26,30 @@ def first_rainbow_colouring(f):
         if all(len({colour[v] for v in e}) == f.k for e in f.edges):
             return tuple(tuple(v for v in range(f.n) if colour[v] == c) for c in range(f.k))
     return None
+
+
+def shuffled_union(rng, k, sizes):
+    """Random k-graphs on ``sizes`` vertices side by side, with the vertices
+    shuffled, so the components interleave in vertex order."""
+    edges, start = [], 0
+    for size in sizes:
+        part = random_graph(rng, size, k, 0.5)
+        edges += [tuple(start + v for v in e) for e in part.edges]
+        start += size
+    return Hypergraph(k, start, edges).relabel([int(v) for v in rng.permutation(start)])
+
+
+def assignment_ok(f, conflicts, classes, part_of):
+    """No two placed vertices in conflict share a part, and the fully placed
+    edges of each class have one sorted part vector (-1 marks unplaced)."""
+    placed = [v for v in range(f.n) if part_of[v] >= 0]
+    if any(conflicts[v] >> u & 1 and part_of[u] == part_of[v] for v in placed for u in placed):
+        return False
+    return all(
+        len({tuple(sorted(part_of[u] for u in f.edges[i])) for i in cls
+             if min(part_of[u] for u in f.edges[i]) >= 0}) <= 1
+        for cls in classes
+    )
 
 
 class TestLoading:
@@ -347,17 +372,49 @@ class TestStructure:
         answers = []
         for k, sizes in ((2, (3, 3, 2)), (2, (4, 3, 1)), (3, (4, 3, 1)), (3, (5, 3))):
             for _ in range(12):
-                edges, start = [], 0
-                for size in sizes:
-                    part = random_graph(rng, size, k, 0.5)
-                    edges += [tuple(start + v for v in e) for e in part.edges]
-                    start += size
-                f = Hypergraph(k, start, edges).relabel([int(v) for v in rng.permutation(start)])
+                f = shuffled_union(rng, k, sizes)
                 got = f.is_k_partite()
                 want = first_rainbow_colouring(f)
                 assert (None if got is None else got.parts) == want
                 answers.append((len(f.components()) > 1, want is None))
         assert {(True, True), (True, False)} <= set(answers)
+
+    def test_part_assignments_list_every_answer_in_order(self):
+        # Until its first answer the search jumps back within a component;
+        # from then on it steps back one vertex, or it would skip answers
+        # that differ only in the components it jumped over.  The conflicts
+        # join random pairs inside edges.
+        rng = np.random.default_rng(14)
+        stuck = set()
+        for k, sizes, parts, s in ((2, (4, 3, 1), 2, None), (3, (4, 3, 1), 2, None),
+                                   (3, (5, 3), 2, 2), (4, (5, 3), 3, 2)):
+            for _ in range(15):
+                f = shuffled_union(rng, k, sizes)
+                conflicts = [0] * f.n
+                for e in f.edges:
+                    a, b = (int(v) for v in rng.choice(e, 2, replace=False))
+                    conflicts[a] |= 1 << b
+                    conflicts[b] |= 1 << a
+                classes = [] if s is None else f.overlap_classes(s)
+                listing = [list(a) for a in PartAssignments(f, parts, conflicts, s=s)]
+                want = [list(a) for a in product(range(parts), repeat=f.n)
+                        if assignment_ok(f, conflicts, classes, a)]
+                assert listing == want
+                # Does the first-fit descent get stuck before the first answer?
+                part_of = [-1] * f.n
+                for v in range(f.n):
+                    part_of[v] = next((p for p in range(parts) if assignment_ok(
+                        f, conflicts, classes, part_of[:v] + [p] + part_of[v + 1:])), -1)
+                    if part_of[v] < 0:
+                        stuck.add((k, bool(want)))
+                        break
+        assert {(2, True), (3, True), (4, True), (3, False)} <= stuck
+        # With no answer the jumps end the listing at the dead component: a
+        # triangle after a matching on 0..23 fails within itself, without
+        # the matching's 2^12 colourings being retried.
+        f = Hypergraph(2, 27, [(2 * i, 2 * i + 1) for i in range(12)] + [(24, 25), (24, 26), (25, 26)])
+        search = PartAssignments(f, 2, f.embedding_masks().neighbours)
+        assert list(search) == [] and search.nodes < 100
 
     def test_empty_parts_allowed(self):
         h = Hypergraph(3, 3, [(0, 1, 2)])

@@ -1,6 +1,8 @@
+import signal
 import tracemalloc
 from collections import Counter
 from itertools import combinations, product
+from math import comb
 
 import numpy as np
 import pytest
@@ -30,6 +32,20 @@ def random_generators(rng):
     """1 to 3 generators in Z^1..Z^4 with entries in [-3, 3]."""
     dim, count = int(rng.integers(1, 5)), int(rng.integers(1, 4))
     return [tuple(int(v) for v in rng.integers(-3, 4, size=dim)) for _ in range(count)]
+
+
+def within(seconds, fn, *args):
+    """fn(*args), raising TimeoutError instead of hanging once ``seconds`` pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def brute_force_bipartitions(f, s):
@@ -114,17 +130,25 @@ class TestBipartitions:
             enumerate_shadow_disjoint_bipartitions(single_edge(), 3)
 
     def test_size_counts_match_the_listing(self):
-        """One walk's count per |A| is the listing's, for every s."""
+        """One walk's count per |A| is the listing's, for every s, also with
+        isolated vertices, whose counts are spread by binomials."""
         rng = np.random.default_rng(206)
         for k, n in ((3, 6), (3, 8), (4, 7), (4, 8)):
             sets = list(combinations(range(n), k))
             for p in (0.05, 0.15, 0.3):
                 f = Hypergraph(k, n, [e for e, keep in zip(sets, rng.random(len(sets)) < p) if keep])
-                for s in range(2, k):
-                    bips = enumerate_shadow_disjoint_bipartitions(f, s)
-                    sizes = bipartition_sizes(f, s)
+                padded = Hypergraph(k, n + 2, f.edges).relabel([int(v) for v in rng.permutation(n + 2)])
+                for g, s in product((f, padded), range(2, k)):
+                    bips = enumerate_shadow_disjoint_bipartitions(g, s)
+                    sizes = bipartition_sizes(g, s)
                     assert sizes == Counter(len(bp.parts[0]) for bp in bips)
                     assert list(sizes) == sorted(sizes) and sum(sizes.values()) == len(bips)
+
+    def test_isolated_vertices_are_counted_not_walked(self):
+        """One edge on 40 vertices: 37 isolated vertices join either side of
+        each of the edge's 8 bipartitions, 2^40 in all."""
+        f = Hypergraph(3, 40, [(0, 1, 2)])
+        assert within(1, bipartition_sizes, f, 2) == {a: comb(40, a) for a in range(41)}
 
     def test_sizes_hold_no_bipartition(self):
         """The 2^12 bipartitions of one edge on 12 vertices are counted, not kept."""
