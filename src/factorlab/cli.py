@@ -27,12 +27,12 @@ EXIT_OK = 0
 EXIT_EXPECT = 1
 EXIT_USAGE = 2
 
-# The turan-zero decider recurses once per pattern vertex, so a larger
-# pattern would exhaust the interpreter's recursion limit (1000 frames by
-# default).  It bounds time only loosely: trans and lattice count the sides
-# of isolated vertices by binomials, but walk every bipartition of the rest,
-# so a pattern without isolated vertices (disjoint edges, say) still takes
-# exponential time, though flat memory, since they hold no bipartition.
+# No pattern search recurses, but `verify factor`'s symmetry breaking gives
+# every pair of isolated pattern vertices a floor: a one-edge pattern into
+# itself took 0.04 s and 3 MB at 256 vertices, and 2.8 s and 49 MB at 1024
+# (traced peak; 2-vCPU Xeon).  trans and lattice count isolated vertices'
+# sides by binomials but walk every bipartition of the rest: exponential
+# time, though flat memory, for a pattern without isolated vertices.
 PATTERN_VERTEX_LIMIT = 256
 
 

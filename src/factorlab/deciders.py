@@ -143,10 +143,10 @@ def decide_turan_zero_3(f: Hypergraph) -> DecisionReport:
       of every F′ ⊆ F, since each edge's colours depend only on the order
       of its own vertices.
 
-    Otherwise the search below runs.  It backtracks over orderings in
-    lexicographic order, with forward checking: an edge's three colours are
-    fixed once two of its vertices are placed.  Placing v assigns, for each
-    edge {v, x, y} through it:
+    Otherwise one loop, whose depth is the number of vertices placed (at
+    most v(F)), backtracks over orderings in lexicographic order, checking
+    forward: an edge's three colours are fixed once two of its vertices are
+    placed.  Placing v assigns, for each edge {v, x, y} through it:
 
     * neither x nor y placed: both come after v, so xy is green;
     * x placed, y not: x comes first and y last, so xv is red and xy blue
@@ -154,7 +154,7 @@ def decide_turan_zero_3(f: Hypergraph) -> DecisionReport:
     * both placed: nothing new.
 
     A pair already holding another colour prunes the placement; colours are
-    kept in an array indexed by pair id and undone from a trail.  Every
+    indexed by ``subset_edges(2)`` position and undone from a trail.  Every
     colour assigned is one that each completion of the prefix forces, so no
     prefix with a consistent completion is pruned: the first complete
     ordering is the lexicographically smallest consistent one (the oracle in
@@ -170,20 +170,20 @@ def decide_turan_zero_3(f: Hypergraph) -> DecisionReport:
         return DecisionReport("turan-zero", False, None, _base_flags(f), stats,
                               {"kind": "k4-minus", "edges": k4_minus})
     n = f.n
-    pair_id: dict[tuple[int, int], int] = {}
+    pairs = f.subset_edges(2)
+    pair_id = dict(zip(pairs, range(len(pairs))))
     # through[v]: (x, y, id of vx, id of vy, id of xy) for each edge {v, x, y}
     through: list[list[tuple[int, int, int, int, int]]] = [[] for _ in range(n)]
     for a, b, c in f.edges:
-        ab = pair_id.setdefault((a, b), len(pair_id))
-        ac = pair_id.setdefault((a, c), len(pair_id))
-        bc = pair_id.setdefault((b, c), len(pair_id))
+        ab, ac, bc = pair_id[a, b], pair_id[a, c], pair_id[b, c]
         through[a].append((b, c, ab, ac, bc))
         through[b].append((a, c, ab, bc, ac))
         through[c].append((a, b, ac, bc, ab))
-    color: list[str | None] = [None] * len(pair_id)
+    color: list[str | None] = [None] * len(pairs)
     trail: list[int] = []
-    placed = [False] * n
-    order: list[int] = []
+    placed = [False] * (n + 1)  # placed[n] stays False, to end each scan
+    order: list[int] = []  # the placed vertices, in order
+    marks: list[int] = []  # the trail's length before each placed vertex
     nodes = 0
 
     def force(p: int, col: str) -> bool:
@@ -208,35 +208,33 @@ def decide_turan_zero_3(f: Hypergraph) -> DecisionReport:
                 return False
         return True
 
-    def extend() -> bool:
-        nonlocal nodes
-        if len(order) == n:
-            return True
-        for v in range(n):
-            if placed[v]:
-                continue
+    v = 0  # the next vertex to try at depth len(order)
+    while len(order) < n:
+        v = placed.index(False, v)
+        if v < n:
             nodes += 1
             mark = len(trail)
             if place(v):
                 placed[v] = True
                 order.append(v)
-                if extend():
-                    return True
-                order.pop()
-                placed[v] = False
-            for p in trail[mark:]:
-                color[p] = None
-            del trail[mark:]
-        return False
-
-    found = extend()
+                marks.append(mark)
+                v = 0
+                continue
+        elif not order:
+            break
+        else:  # withdraw the last placed vertex
+            v = order.pop()
+            placed[v] = False
+            mark = marks.pop()
+        for p in trail[mark:]:  # undo v's colours, then resume after v
+            color[p] = None
+        del trail[mark:]
+        v += 1
+    found = len(order) == n
     stats = {"nodes": nodes, "time_s": time.perf_counter() - t0}
     witness = None
     if found:
-        witness = {
-            "ordering": list(order),
-            "coloring": [[u, v, color[i]] for (u, v), i in sorted(pair_id.items())],
-        }
+        witness = {"ordering": order, "coloring": [[u, w, col] for (u, w), col in sorted(zip(pairs, color))]}
     return DecisionReport("turan-zero", found, witness, _base_flags(f), stats)
 
 

@@ -3,7 +3,6 @@ import json
 import os
 import re
 import shlex
-import signal
 import subprocess
 import sys
 from itertools import combinations
@@ -18,6 +17,7 @@ from factorlab.constructions import partite_structure_ok
 from factorlab.corpus import by_name, k222
 from factorlab.hypergraph import MAX_VERTICES, Partition
 from factorlab.verification import DEFAULT_CAP, DENSE_CELL_LIMIT
+from alarm import within
 
 
 @pytest.fixture
@@ -47,20 +47,6 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def within(seconds, fn, *args):
-    """fn(*args), raising TimeoutError instead of hanging once ``seconds`` pass."""
-    def expire(signum, frame):
-        raise TimeoutError(f"ran past {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        return fn(*args)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def parser_rejects(capsys, argv, message):
@@ -500,7 +486,8 @@ class TestSizeBounds:
         path = tmp_path / "limit.hg"
         path.write_text(f"3 {PATTERN_VERTEX_LIMIT} 1\n0 1 2\n")
         for argv in (["decide", "turan-zero", str(path)], ["decide", "partition-k", str(path)],
-                     ["decide", "kpartite-link", str(path)],
+                     ["decide", "kpartite-link", str(path)], ["decide", "factor3", str(path)],
+                     ["decide", "cover-partition", str(path)], ["decide", "trans", str(path), "--s", "2"],
                      ["verify", "cover", "--F", str(path), "--H", str(path)]):
             code, out, err = run(capsys, argv)
             assert code == 0 and "Traceback" not in err

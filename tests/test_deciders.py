@@ -1,4 +1,3 @@
-import signal
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -29,6 +28,7 @@ from factorlab.oracles import (
     turan_zero_oracle,
 )
 from factorlab.verification import validate_embedding, validate_factor_certificate
+from alarm import within
 
 TWO_EDGES = Hypergraph(3, 6, [(0, 1, 2), (3, 4, 5)])
 
@@ -48,20 +48,6 @@ def all_3graphs(n):
     triples = list(combinations(range(n), 3))
     for mask in range(1 << len(triples)):
         yield Hypergraph(3, n, [t for i, t in enumerate(triples) if mask >> i & 1])
-
-
-def within(seconds, fn, f):
-    """fn(f), raising TimeoutError instead of hanging once ``seconds`` pass."""
-    def expire(signum, frame):
-        raise TimeoutError(f"{fn.__name__} ran past {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        return fn(f)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 # A perfect matching whose vertex 0 also has the odd cycle 42-43-44 in its
@@ -248,6 +234,24 @@ class TestTuranZeroRefutation:
         report = within(1, decide_factor_3, MATCHING_ODD_LINK)
         assert not report.verdict and report.stats["condition_i"] is False
         assert validate_turan_zero_refutation(MATCHING_ODD_LINK, report.refutation)
+
+
+class TestDeepPatterns:
+    def test_3000_vertex_matching_meets_no_recursion_limit(self):
+        # The ordering search is one loop: 3000 vertices placed, none withdrawn.
+        n = 3000
+        f = Hypergraph(3, n, [(v, v + 1, v + 2) for v in range(0, n, 3)])
+
+        def answer():
+            cover = decide_cover_partition_3(f).witness
+            return (decide_turan_zero_3(f), decide_factor_3(f),
+                    build_compatible_enumeration(f, cover["vstar"], cover["X"], cover["Y"])[0])
+
+        turan, factor, ordering = within(5, answer)
+        assert turan.verdict and turan.witness["ordering"] == list(range(n)) and turan.stats["nodes"] == n
+        assert validate_shadow_coloring(f, turan.witness["ordering"], coloring_from_witness(turan.witness))
+        assert factor.verdict
+        assert sorted(ordering) == list(range(n))
 
 
 class TestCoverPartition:

@@ -1,4 +1,3 @@
-import signal
 import tracemalloc
 from collections import Counter
 from itertools import combinations, product
@@ -20,6 +19,7 @@ from factorlab import (
 from factorlab.corpus import k222, single_edge
 from factorlab.lattice import bipartition_sizes, shared_sum_contains
 from factorlab.oracles import bounded_combination_oracle
+from alarm import within
 
 TWO_SHARED = Hypergraph(3, 4, [(0, 1, 2), (0, 1, 3)])
 
@@ -32,20 +32,6 @@ def random_generators(rng):
     """1 to 3 generators in Z^1..Z^4 with entries in [-3, 3]."""
     dim, count = int(rng.integers(1, 5)), int(rng.integers(1, 4))
     return [tuple(int(v) for v in rng.integers(-3, 4, size=dim)) for _ in range(count)]
-
-
-def within(seconds, fn, *args):
-    """fn(*args), raising TimeoutError instead of hanging once ``seconds`` pass."""
-    def expire(signum, frame):
-        raise TimeoutError(f"ran past {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        return fn(*args)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def brute_force_bipartitions(f, s):

@@ -1,5 +1,4 @@
 import random
-import signal
 import threading
 from itertools import combinations, permutations, product
 
@@ -29,25 +28,12 @@ from factorlab.constructions import (
 from factorlab.corpus import NAMED, cherry, complete, k222, k4_minus, loose_path, single_edge
 from factorlab.oracles import copy_images_oracle, factor_oracle
 from factorlab.verification import DEFAULT_CAP, DENSE_CELL_LIMIT, canonical_family, copy_images, iter_embeddings
+from alarm import within
 
 
 def random_graph(rng, n, p=0.4):
     edges = [e for e in combinations(range(n), 3) if rng.random() < p]
     return Hypergraph(3, n, edges)
-
-
-def within(seconds, fn, *args):
-    """fn(*args), raising TimeoutError instead of hanging once ``seconds`` pass."""
-    def expire(signum, frame):
-        raise TimeoutError(f"ran past {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        return fn(*args)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 class TestEmbeddings:
