@@ -27,12 +27,13 @@ EXIT_OK = 0
 EXIT_EXPECT = 1
 EXIT_USAGE = 2
 
-# No pattern search recurses, but `verify factor`'s symmetry breaking gives
-# every pair of isolated pattern vertices a floor: a one-edge pattern into
-# itself took 0.04 s and 3 MB at 256 vertices, and 2.8 s and 49 MB at 1024
-# (traced peak; 2-vCPU Xeon).  trans and lattice count isolated vertices'
-# sides by binomials but walk every bipartition of the rest: exponential
-# time, though flat memory, for a pattern without isolated vertices.
+# No pattern search recurses, and `verify factor`'s symmetry breaking keeps
+# one floor per pattern vertex: a one-edge pattern into itself takes 2 ms and
+# 0.07 MB at 256 vertices, and 9-12 ms and 0.65 MB at 1024 (traced peak;
+# 2-vCPU Xeon).  What still grows with the pattern: trans and lattice count
+# isolated vertices' sides by binomials but walk every bipartition of the
+# rest (exponential time, flat memory, for a pattern without isolated
+# vertices), and turan-zero and partition-k backtrack.
 PATTERN_VERTEX_LIMIT = 256
 
 

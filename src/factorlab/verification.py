@@ -110,61 +110,58 @@ def _plan(f: Hypergraph, root: int | None) -> _Plan:
     return f._cached(("embedding_plan", root), compute)
 
 
-# Per step of the root-less plan: the earlier vertices whose images its image
-# must exceed, and how many later steps must take images above its own.
-_Floors = tuple[tuple[tuple[int, ...], int], ...]
+# Per step of the root-less plan: the vertex whose image its image must
+# exceed (-1 for none), and how many later steps take images above its own.
+_Floors = tuple[tuple[int, int], ...]
 
 
 def _class_floors(f: Hypergraph) -> _Floors:
-    """Symmetry-breaking constraints for the root-less plan.
+    """Symmetry-breaking constraints for the root-less plan, one floor per
+    step.
 
-    Along the search order o_0, o_1, ..., the image of o_j must be smaller
-    than the image of every other vertex of its orbit under the automorphisms
-    fixing o_0..o_{j-1} (Grochow-Kellis).  Exactly one embedding of each
-    Aut(F) class meets all of them: the one whose images, read in search
-    order, are lexicographically smallest, which is the first of its class
-    the search reaches.  Orbits are found with the same search, embedding f
-    into f with vertices pinned.  A step's ``need`` counts the later steps
-    whose floors reach it, directly or through other floors: each of them
-    takes its own host vertex above the step's image.
+    Along the search order o_0, o_1, ..., let O_j be the orbit of o_j under
+    the automorphisms fixing o_0..o_{j-1}: the image of o_j must be smaller
+    than the image of every other vertex of O_j (Grochow-Kellis).  Exactly
+    one embedding of each Aut(F) class meets all of them: the one whose
+    images, read in search order, are lexicographically smallest, which is
+    the first of its class the search reaches.  Step i's floor is o_j for the
+    latest j < i with o_i in O_j.  Any j' < j with o_i in O_j' follows along
+    the chain: the automorphisms fixing o_0..o_{j-1} fix o_0..o_{j'-1}, so o_j
+    lies in o_i's orbit O_j', and step j's chain enforces o_j' < o_j < o_i.
+    Orbits are found with the same search, embedding f into f with vertices
+    pinned.  A step's ``need`` is its number of descendants in the forest of
+    floors: each of them takes its own host vertex above the step's image.
     """
 
     def compute() -> _Floors:
         order = [step[0] for step in _plan(f, None)]
-        rank = {v: i for i, v in enumerate(order)}
         degs = f.embedding_masks().degrees
-        floors: list[list[int]] = [[] for _ in order]
-        for j, a in enumerate(order):
-            fixed = {b: b for b in order[:j]}
-            for i in range(j + 1, len(order)):
-                v = order[i]
-                if degs[v] != degs[a]:
+        floors = [-1] * len(order)  # per step: the step of its floor
+        for i, v in enumerate(order):
+            for j in range(i - 1, -1, -1):
+                a = order[j]
+                if degs[a] != degs[v]:
                     continue
                 # Swapping two isolated vertices fixes every other vertex, so
                 # only a vertex on an edge needs a pinned search.
                 if degs[a]:
-                    pins = {**fixed, a: v}
-                    if next(_walk(f, _steps(f, f, min(pins), pins)), None) is None:
+                    pins = {b: b for b in order[:j]} | {a: v}
+                    if next(_walk(f, _steps(f, f, None, pins)), None) is None:
                         continue
-                floors[i].append(a)
+                floors[i] = j
+                break
         need = [0] * len(order)
-        reach: list[set[int]] = []  # per step: the earlier steps its image must exceed
-        for below in floors:
-            exceeded = set()
-            for a in below:
-                exceeded |= reach[rank[a]]
-                exceeded.add(rank[a])
-            reach.append(exceeded)
-            for i in exceeded:
-                need[i] += 1
-        return tuple(zip(map(tuple, floors), need))
+        for i in range(len(order) - 1, 0, -1):
+            if floors[i] >= 0:
+                need[floors[i]] += need[i] + 1
+        return tuple((order[j] if j >= 0 else -1, n) for j, n in zip(floors, need))
 
     return f._cached("class_floors", compute)
 
 
 # A prepared search step: (vertex, start mask, ready keys, earlier
-# neighbours, floor vertices, need).
-_Step = tuple[int, int, tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...], int]
+# neighbours, floor vertex or -1, need).
+_Step = tuple[int, int, tuple[tuple[int, ...], ...], tuple[int, ...], int, int]
 
 
 def _steps(
@@ -175,8 +172,8 @@ def _steps(
 
     A step's start mask is the host's mask of vertices of at least its
     vertex's degree, narrowed to its image when ``pre`` pins it and less the
-    images ``pre`` pins for other vertices; floors and needs come from
-    ``floors`` (see :func:`_class_floors`), and are empty and 0 without it.
+    images ``pre`` pins for other vertices; floor and need come from
+    ``floors`` (see :func:`_class_floors`), and are -1 and 0 without it.
     """
     at_least = h.embedding_masks().at_least
     pre = pre or {}
@@ -187,7 +184,7 @@ def _steps(
     for i, (u, ready, earlier, degree) in enumerate(_plan(f, root)):
         start = at_least[degree] if degree < len(at_least) else 0
         start &= (1 << pre[u]) if u in pre else ~pinned
-        below, need = floors[i] if floors else ((), 0)
+        below, need = floors[i] if floors else (-1, 0)
         steps.append((u, start, ready, earlier, below, need))
     return steps
 
@@ -198,8 +195,8 @@ def _walk(h: Hypergraph, steps: list[_Step]) -> Iterator[tuple[int, ...]]:
 
     A step's candidates are one int: its start mask, AND the completion mask
     of each edge the step closes, AND the neighbour mask of each earlier
-    neighbour's image, less the used vertices (and, with floors, less the
-    vertices up to the largest image of the step's floor vertices).  A
+    neighbour's image, less the used vertices (and, with a floor, less the
+    vertices up to its image, which exceeds every image along its chain).  A
     candidate is cut when fewer unused host vertices lie above it than the
     step's ``need``; later candidates are larger, so the step is done.
 
@@ -245,8 +242,8 @@ def _walk(h: Hypergraph, steps: list[_Step]) -> Iterator[tuple[int, ...]]:
                 cand &= completion.get(key, 0)
             for v in earlier:
                 cand &= neighbours[image[v]]
-            if below:
-                floor = max([image[v] for v in below]) + 1
+            if below >= 0:
+                floor = image[below] + 1
                 cand = cand >> floor << floor
         elif i:
             i -= 1

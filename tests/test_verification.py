@@ -1,5 +1,6 @@
 import random
 import threading
+import tracemalloc
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -309,7 +310,12 @@ class TestIsolatedVertices:
     def test_pruned_listing_matches_labelled_firsts(self):
         # the cut only drops subtrees without a leaf: one embedding per copy,
         # in labelled order, on patterns with isolated vertices
-        for n_f, n_h, edges in ((5, 6, [(0, 1, 2)]), (6, 7, [(0, 1, 2), (1, 2, 3)]), (6, 8, [(0, 1, 2)])):
+        # K222, K4^(3) and two disjoint K4^(3): steps with two or more
+        # pairwise floors, and an automorphism that swaps components
+        k4 = list(combinations(range(4), 3))
+        for n_f, n_h, edges in ((5, 6, [(0, 1, 2)]), (6, 7, [(0, 1, 2), (1, 2, 3)]), (6, 8, [(0, 1, 2)]),
+                                (6, 7, k222().edges), (4, 6, k4),
+                                (8, 8, k4 + [tuple(v + 4 for v in e) for e in k4])):
             f = Hypergraph(3, n_f, edges)
             for h in (complete(n_h, 3), random_uniform_hypergraph(n_h, 3, 0.5, n_h)):
                 firsts = {}
@@ -323,6 +329,21 @@ class TestIsolatedVertices:
         f = Hypergraph(3, 256, [(0, 1, 2)])
         res = within(1, find_factor, f, f)
         assert res.status == "found" and res.certificate == [tuple(range(256))]
+
+    def test_floors_linear_in_isolated_vertices(self):
+        # one floor per step: a chain, not a floor per pair of the 1021
+        # isolated vertices
+        f = Hypergraph(3, 1024, [(0, 1, 2)])
+        res = within(1, find_factor, f, f)
+        assert res.status == "found" and res.certificate == [tuple(range(1024))]
+        f = Hypergraph(3, 1024, [(0, 1, 2)])  # floors are cached per pattern
+        tracemalloc.start()
+        try:
+            find_factor(f, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 1024 * 1024
 
     def test_class_floors_match_pairwise_search(self):
         # reference: one pinned search for every equal-degree pair, isolated
@@ -343,7 +364,17 @@ class TestIsolatedVertices:
                     pins = {**fixed, a: order[i]}
                     if degs[order[i]] == degs[a] and next(iter_embeddings(f, f, pins), None) is not None:
                         expected[i].append(a)
-            assert [list(below) for below, _ in verification._class_floors(f)] == expected
+            floors = verification._class_floors(f)
+            rank = {v: i for i, v in enumerate(order)}
+            for i, (below, need) in enumerate(floors):
+                # one floor per step, the last pairwise one; its chain reaches the rest
+                assert below == (expected[i][-1] if expected[i] else -1)
+                chain = []
+                while below >= 0:
+                    chain.append(below)
+                    below = floors[rank[below]][0]
+                assert chain[::-1] == expected[i]
+                assert need == sum(order[i] in later for later in expected)
 
 
 def reference_factor(f, h):
