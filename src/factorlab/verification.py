@@ -921,32 +921,45 @@ def estimate_S_denseness(
 EXHAUSTIVE_LIMIT = 12
 
 
-def _row_bounds(flat: np.ndarray, subsets: np.ndarray, sizes: np.ndarray, p: float) -> np.ndarray:
-    """(2^n, n+1) table: entry [X, b] bounds from above the pair deficit of X
+def _bounds_by_size(tensor: np.ndarray, subsets: np.ndarray, sizes: np.ndarray, p: float) -> np.ndarray:
+    """(n+1, 2^n) table: entry [b, X] bounds from above the pair deficit of X
     with any set of b vertices, taken either way round.
 
     The pair counts of X with a b-set Y are, per vertex v, sums over Y of
-    column v of X's (n, n) count matrix, so each is at least the sum L_b(v)
-    of that column's b smallest entries.  Thresholds are the larger of
-    (p·|X|)·b and (p·b)·|X| in floating point, so one table bounds the pair
-    as the scan computes it with X first or with Y first.
+    column v of X's (n, n) count matrix M_X, so each is at least the sum
+    L_b(v) of that column's b smallest entries.  The counts are exact small
+    integers, held as bytes in one (n+1, 2^n, n) array whose plane u+1 holds
+    row u of every M_X (the tensor is symmetric, so row u is column u) and
+    whose plane 0 stays zero, as L_0.  An odd-even transposition network
+    sorts planes 1..n, comparing whole planes per step, and running sums
+    turn them into L_1..L_n in place.  An entry of M_X is at most n-2, so
+    L_n is at most (n-1)(n-2), and the dtype is chosen to hold that.
+    Thresholds are the larger of (p·|X|)·b and (p·b)·|X| in floating point,
+    so one table bounds the pair as the scan computes it with X first or
+    with Y first; each X's n clipped terms are summed as one contiguous row,
+    as the scan sums its own.
     """
     import numpy as np
 
     n = subsets.shape[1]
-    b = np.arange(n + 1, dtype=np.float64)
-    bounds = np.empty((len(subsets), n + 1))
-    for start in range(0, len(subsets), 256):  # a few hundred KB per block
-        block = slice(start, start + 256)
-        columns = (subsets[block] @ flat).reshape(-1, n, n)
-        columns.sort(axis=1)
-        least = np.zeros((len(columns), n + 1, n))
-        np.cumsum(columns, axis=1, out=least[:, 1:])
-        a = sizes[block][:, None]
-        terms = np.maximum(p * a * b, p * b * a)[:, :, None] - least
+    least = np.zeros((n + 1, len(subsets), n), dtype=np.min_scalar_type((n - 1) * (n - 2)))
+    for u in range(n):
+        least[u + 1] = subsets @ tensor[u]
+    planes = least[1:]
+    for step in range(n):
+        low, high = planes[step % 2:n - 1:2], planes[step % 2 + 1:n:2]
+        smaller = np.minimum(low, high)
+        np.maximum(low, high, out=high)
+        low[...] = smaller
+    for b in range(2, n + 1):
+        np.add(least[b], least[b - 1], out=least[b])
+    by_size = np.empty((n + 1, len(subsets)))
+    terms = np.empty((len(subsets), n))
+    for b in range(n + 1):
+        np.subtract(np.maximum(p * sizes * b, p * b * sizes)[:, None], least[b], out=terms)
         np.maximum(terms, 0.0, out=terms)
-        bounds[block] = terms.sum(axis=2)
-    return bounds
+        terms.sum(axis=1, out=by_size[b])
+    return by_size
 
 
 def exact_denseness_small(h: Hypergraph, p: float) -> DensenessEstimate:
@@ -963,7 +976,10 @@ def exact_denseness_small(h: Hypergraph, p: float) -> DensenessEstimate:
       at once.  The comparison and the clipping are monotone in floating
       point and the n terms are summed the same way, so the bound is never
       below the scanned value.  The bound of X_2 with |X_1| bounds the same
-      pair (see :func:`_row_bounds`).
+      pair.  :func:`_bounds_by_size` builds the whole (n+1, 2^n) table in
+      integers: byte counts, one matmul per vertex, sorted by a network of
+      whole-array min/max steps and summed in place, and then one float
+      pass per size b.
     * Best-first rows.  X_1 rows are visited in stable descending order of
       their largest bound, and the scan stops at the first row whose bound
       is at most the running worst.  Within a row only the X_2 whose two
@@ -974,8 +990,9 @@ def exact_denseness_small(h: Hypergraph, p: float) -> DensenessEstimate:
       1e-12 (far above the n·2^-53 either order can lose), and only rows that
       can beat the worst are summed again in the scan's own order.
 
-    Memory is O(2^n · n): the subsets and the bound table, and one block of
-    count matrices at a time.
+    Memory is O(2^n · n) floats (the subsets, the bound table and one size's
+    terms) plus O(2^n · n²) bytes (the sorted counts, 640 KB at n = 12); no
+    (2^n, n, n) float array is ever built.
     """
     if h.k != 3:
         raise ValueError("exhaustive mode is implemented for 3-graphs only")
@@ -986,14 +1003,15 @@ def exact_denseness_small(h: Hypergraph, p: float) -> DensenessEstimate:
         return DensenessEstimate(p, 1, 0.0, "exhaustive")
     import numpy as np
 
-    flat = _edge_tensor(h).astype(np.float64).reshape(n, n * n)
+    tensor = _edge_tensor(h).astype(np.float64)
+    flat = tensor.reshape(n, n * n)
     count = 1 << n
     subsets = ((np.arange(count)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.float64)
     sizes = subsets.sum(axis=1)
     size_index = sizes.astype(np.intp)
-    bounds = _row_bounds(flat, subsets, sizes, p)
-    by_size = bounds.T.copy()  # each row reads one size's bounds contiguously
-    row_best = bounds.max(axis=1)
+    by_size = _bounds_by_size(tensor, subsets, sizes, p)
+    bounds = by_size.T
+    row_best = by_size.max(axis=0)
     ones = np.ones(n)
     worst = 0.0
     for i in np.argsort(-row_best, kind="stable"):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from factorlab import Hypergraph, exact_denseness_small
 from factorlab.corpus import complete
+from factorlab.verification import _bounds_by_size
 
 FUZZ = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -132,3 +133,72 @@ def hosts(draw) -> Hypergraph:
 @given(hosts(), st.floats(min_value=0.0, max_value=1.0))
 def test_any_host_matches_full_scan(h, p):
     assert exact_denseness_small(h, p).worst_deficit == reference_worst_deficit(h, p)
+
+
+def _subsets(n: int) -> np.ndarray:
+    return ((np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.float64)
+
+
+def reference_bounds(h: Hypergraph, p: float) -> np.ndarray:
+    """The (n+1, 2^n) bound table built one X at a time: sort each column of
+    X's (n, n) count matrix, take its prefix sums, subtract them from the
+    thresholds of each size b, clip at 0 and sum over the columns."""
+    n = h.n
+    tensor = _dense_tensor(h)
+    subsets = _subsets(n)
+    table = np.empty((n + 1, len(subsets)))
+    b = np.arange(n + 1, dtype=np.float64)
+    for x, row in enumerate(subsets):
+        counts = np.sort(np.tensordot(row, tensor, axes=1), axis=0)
+        least = np.vstack([np.zeros(n), np.cumsum(counts, axis=0)])
+        a = row.sum()
+        terms = np.maximum(p * a * b, p * b * a)[:, None] - least
+        np.maximum(terms, 0.0, out=terms)
+        table[:, x] = terms.sum(axis=1)
+    return table
+
+
+def bound_table(h: Hypergraph, p: float) -> np.ndarray:
+    subsets = _subsets(h.n)
+    return _bounds_by_size(_dense_tensor(h), subsets, subsets.sum(axis=1), p)
+
+
+BOUND_CASES = [case for n in sorted(SWEEP) if n <= 9 for case in sweep_cases(n)] + [
+    (h, p) for h in EDGE_HOSTS if h.n for p in (0.0, 0.37, 1.0)]
+
+
+def test_bound_table_matches_per_set_reference():
+    mismatches = [(h.n, h.edges, p) for h, p in BOUND_CASES
+                  if not np.array_equal(bound_table(h, p), reference_bounds(h, p))]
+    assert mismatches == []
+
+
+def test_bound_table_bounds_every_scanned_pair():
+    """The property the pruning rests on: the deficit of (X_1, X_2), as the
+    scan computes it with X_1 first, is at most the bound of X_1 at size
+    |X_2| and the bound of X_2 at size |X_1|."""
+    for h, p in BOUND_CASES:
+        if h.n > 6:
+            continue
+        tensor = _dense_tensor(h)
+        subsets = _subsets(h.n)
+        sizes = subsets.sum(axis=1).astype(np.intp)
+        table = bound_table(h, p)
+        for i, row in enumerate(subsets):
+            pair_counts = subsets @ np.tensordot(row, tensor, axes=1)
+            terms = (p * sizes[i] * sizes)[:, None] - pair_counts
+            np.maximum(terms, 0.0, out=terms)
+            deficits = terms.sum(axis=1)
+            assert (deficits <= table[sizes, i]).all(), (h.edges, p, i)
+            assert (deficits <= table[sizes[i]]).all(), (h.edges, p, i)
+
+
+@pytest.mark.parametrize("p, deficit", [(1.0, 408), (1 - 2**-10, 406.3125)])
+def test_complete_host_fills_every_column(p, deficit):
+    """K_12^(3) puts n-2 = 10 in every off-diagonal count and (n-1)(n-2) = 110
+    in the longest prefix sum, the most the byte table must hold.  With all
+    three sets V, 12^3 - 12·11·10 = 408 ordered triples repeat a vertex and
+    1,320 do not, and at p near 1 dropping any vertex from a set loses more
+    than it saves."""
+    h = complete(12, 3)
+    assert exact_denseness_small(h, p).worst_deficit == deficit / 12**3
