@@ -14,10 +14,12 @@ steps for every host vertex.  Labelled listings (``iter_embeddings``,
 symmetry-breaking order constraints and sees one embedding per copy, so its
 ``cap`` (and ``find_factor``'s) counts copies.
 The factor solver collapses copies to their vertex images, each an int host
-bitmask (bit w is host vertex w) keyed to one witness embedding.  It first
-tries to refute a factor with a certificate: divisibility, a parity vector
-that every image meets evenly (a lattice barrier mod 2), or a small vertex
-set that every image meets (a space barrier).  Such an "absent" carries the
+bitmask (bit w is host vertex w) keyed to one witness embedding.  It tries,
+in order: divisibility; a small vertex set meeting every host edge, and so
+every copy (a space barrier, found before any copy is listed); the copy
+listing; a parity vector that every image meets evenly (a lattice barrier
+mod 2); a small vertex set meeting every image (a space barrier seen only on
+the images); and the exact cover.  A refuted "absent" carries its
 certificate in ``refutation``, and :func:`validate_refutation` re-checks it
 against copy images listed by a plain search of its own.  Every other
 answer comes from a complete exact-cover search over the image masks, so
@@ -35,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import permutations
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .hypergraph import DEFAULT_CAP, Hypergraph, UnionFind, is_vertex_list
 
@@ -484,6 +486,28 @@ def _image_refutation(masks: list[int], at_vertex: list[int], n: int, size: int)
     return None if side is None else {"kind": "space", "A": side}
 
 
+def _edge_refutation(h: Hypergraph, size: int) -> list[int] | None:
+    """At most ``size`` host vertices meeting every edge of h, or None.
+
+    Every copy of a pattern with an edge holds a host edge, so such a set
+    meets every copy image.  When the ``size`` largest degrees sum to less
+    than e(H), no such set exists and no search runs."""
+    if sum(sorted(h.embedding_masks().degrees, reverse=True)[:size]) < len(h.edges):
+        return None
+    masks = [sum(1 << v for v in e) for e in h.edges]
+    return _space_refutation(masks, _incidence(h.edges, h.n), size)
+
+
+def _incidence(members: Sequence[tuple[int, ...]], n: int) -> list[int]:
+    """Per vertex v < n, the int of the indices of ``members`` (vertex lists)
+    that contain v."""
+    ids: list[list[int]] = [[] for _ in range(n)]
+    for idx, vs in enumerate(members):
+        for v in vs:
+            ids[v].append(idx)
+    return [_bitset(vs, len(members)) for vs in ids]
+
+
 def _options(
     f: Hypergraph, h: Hypergraph, cap: int
 ) -> tuple[list[int], list[tuple[int, ...]], list[int], bool]:
@@ -493,11 +517,7 @@ def _options(
     images, truncated = copy_images(f, h, cap)
     masks = sorted(images, key=lambda m: sorted(images[m]))
     witnesses = [images[m] for m in masks]
-    ids: list[list[int]] = [[] for _ in range(h.n)]
-    for idx, phi in enumerate(witnesses):
-        for v in phi:
-            ids[v].append(idx)
-    return masks, witnesses, [_bitset(vs, len(masks)) for vs in ids], truncated
+    return masks, witnesses, _incidence(witnesses, h.n), truncated
 
 
 def _exact_cover(
@@ -571,9 +591,9 @@ def find_factor(f: Hypergraph, h: Hypergraph, cap: int = DEFAULT_CAP) -> FactorS
 
     The options are the host bitmasks of the copy images, ordered by their
     sorted vertices; each option's vertices are read from its witness
-    embedding.  Before the exact cover (:func:`_exact_cover`), three
-    refutations may answer "absent" with a certificate in ``refutation``
-    that :func:`validate_refutation` checks without this search:
+    embedding.  Before the exact cover (:func:`_exact_cover`), refutations
+    may answer "absent" with a certificate in ``refutation`` that
+    :func:`validate_refutation` checks without this search:
 
     * ``{"kind": "divisibility"}``: v(F) does not divide v(H).
     * ``{"kind": "lattice", "q": 2, "w": [...]}``: a 0/1 vector of odd
@@ -584,7 +604,12 @@ def find_factor(f: Hypergraph, h: Hypergraph, cap: int = DEFAULT_CAP) -> FactorS
       disjoint (a space barrier).  Its search stops at
       ``SPACE_NODE_LIMIT`` nodes.
 
-    Both image refutations are tried only when the copy listing is complete,
+    The tries run in this order: divisibility; the space search on the host
+    edges (:func:`_edge_refutation`), since a set meeting every edge meets
+    every copy; the copy listing; parity and then the space search on the
+    copy images; the exact cover.  The edge try runs whatever ``cap``, and
+    an answer from it lists no copy (``stats["copies"]`` None).  The two
+    image refutations are tried only when the copy listing is complete,
     since a sub-family proves nothing.  Whatever they leave goes to the
     exact cover, whose "absent" is a proof only through that search and
     carries no ``refutation``; a refuted answer has ``stats["nodes"]`` 0.
@@ -609,6 +634,9 @@ def find_factor(f: Hypergraph, h: Hypergraph, cap: int = DEFAULT_CAP) -> FactorS
         blocks = [tuple(range(i, i + f.n)) for i in range(0, h.n, f.n)]
         return FactorSearchResult("found", blocks, stats)
 
+    side = _edge_refutation(h, (h.n - 1) // f.n)
+    if side is not None:
+        return FactorSearchResult("absent", None, stats, {"kind": "space", "A": side})
     masks, witnesses, at_vertex, truncated = _options(f, h, cap)
     stats.update(copies=len(masks), truncated=truncated)
     refutation = None if truncated else _image_refutation(masks, at_vertex, h.n, f.n)

@@ -432,6 +432,27 @@ def parity_barrier(rng, n, a, p):
                              if len(side & set(e)) % 2 == 0 and rng.random() < p])
 
 
+def star_hosts(seed, count, n=15):
+    """Seeded hosts for the loose path and the cherry: triples through a
+    centre, each kept with probability 0.35, plus three edges avoiding it.
+    The avoiding edges often keep two vertices from meeting every edge,
+    while two vertices may still meet every copy image.  At n = 10 an image-level
+    space certificate {a} never shows: every image then has 5 vertices and
+    holds a, so the 9 other vertices meet each one evenly."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        c = rng.randrange(n)
+        rest = [v for v in range(n) if v != c]
+        edges = [(c,) + pair for pair in combinations(rest, 2) if rng.random() < 0.35]
+        edges += [tuple(rng.sample(rest, 3)) for _ in range(3)]
+        yield Hypergraph(3, n, edges)
+
+
+def star(n):
+    """Every triple through vertex 0 on n vertices."""
+    return Hypergraph(3, n, [(0,) + pair for pair in combinations(range(1, n), 2)])
+
+
 def pin_cases():
     """Seeded (pattern, host) pairs: random hosts for the single edge, the
     loose path and K222, and space and parity barriers without a factor."""
@@ -505,7 +526,8 @@ class TestFactor:
             (single_edge(), Hypergraph(3, 0, []), DEFAULT_CAP, "found", None, False),
             (Hypergraph(3, 3, []), complete(6, 3), DEFAULT_CAP, "found", None, False),
             (single_edge(), parity_barrier(random.Random(5), 12, 5, 1.0), DEFAULT_CAP, "absent", "lattice", True),
-            (single_edge(), space_barrier(random.Random(4), 15, 4, 1.0), DEFAULT_CAP, "absent", "space", True),
+            (single_edge(), space_barrier(random.Random(4), 15, 4, 1.0), DEFAULT_CAP, "absent", "space", False),
+            (loose_path(), next(star_hosts(0, 1)), DEFAULT_CAP, "absent", "space", True),
             (single_edge(), complete(6, 3), DEFAULT_CAP, "found", None, True),
             (single_edge(), barrier, DEFAULT_CAP, "absent", None, True),
             (single_edge(), complete(12, 3), 30, "inconclusive", None, True),
@@ -614,6 +636,12 @@ def proofs_barrier_hosts(seed):
     """The barrier hosts of one pass of the ``proofs`` benchmark workload at
     ``seed``, rebuilt with the same draws: space and parity barriers for the
     edge, loose-path space barriers and parity-absent obs62 hosts for K222."""
+    return [(f, h) for _, f, h in proofs_barriers(seed)]
+
+
+def proofs_barriers(seed):
+    """``proofs_barrier_hosts(seed)`` with each host's barrier kind first:
+    "space", "parity" or "obs62"."""
     rng = random.Random(seed)
     patterns = {"edge": single_edge(), "loose": loose_path()}
     for kind, name, n, a, p, copies in (
@@ -625,10 +653,10 @@ def proofs_barrier_hosts(seed):
     ):
         make = space_barrier if kind == "space" else parity_barrier
         for _ in range(copies):
-            yield patterns[name], make(rng, n, a, p)
+            yield kind, patterns[name], make(rng, n, a, p)
     for n, x in ((30, 11), (30, 11), (24, 9), (24, 9)):
         params = ConstructionParams(n=n, k=3, s=2, seed=rng.randrange(2**32), part_sizes=(x, n - x))
-        yield k222(), construct_shadow_disjoint(params).hypergraph
+        yield "obs62", k222(), construct_shadow_disjoint(params).hypergraph
 
 
 class TestRefutation:
@@ -695,6 +723,57 @@ class TestRefutation:
             res = find_factor(f, h)
             assert res.status == "absent" and res.stats["nodes"] == 0
             assert validate_refutation(f, h, res.refutation)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_proofs_space_barriers_need_no_listing(self, seed, monkeypatch):
+        """The workload's space barriers are refuted from the host's edges:
+        the edge's certificate is the one the image masks gave, and the
+        loose path's is the one vertex on every edge."""
+        hosts = [(f, h) for kind, f, h in proofs_barriers(seed) if kind == "space"]
+        assert len(hosts) == 25
+        expected = []
+        for f, h in hosts:
+            if f.edges == single_edge().edges:
+                masks, _, at_vertex, _ = verification._options(f, h, DEFAULT_CAP)
+                expected.append(verification._space_refutation(masks, at_vertex, (h.n - 1) // f.n))
+            else:
+                expected.append(sorted(set.intersection(*map(set, h.edges))))
+                assert len(expected[-1]) == 1
+
+        def refuse(*args):
+            raise AssertionError("copies listed")
+
+        monkeypatch.setattr(verification, "copy_images", refuse)
+        for (f, h), side in zip(hosts, expected):
+            res = find_factor(f, h)
+            assert res.status == "absent" and res.refutation == {"kind": "space", "A": side}
+            assert res.stats["copies"] is None and res.stats["nodes"] == 0
+
+    def test_image_space_search_after_edge_try(self):
+        """A space certificate that meets every copy image but not every
+        edge still comes from the image-level search."""
+        from_images = 0
+        for f, h in zip((loose_path(), cherry()) * 2, star_hosts(1, 4)):
+            res = find_factor(f, h)
+            if res.refutation is not None:
+                from_images += res.refutation["kind"] == "space" and res.stats["copies"] is not None
+                assert res.status == "absent" and validate_refutation(f, h, res.refutation)
+                assert not factor_oracle(f, h)
+        assert from_images
+
+    def test_capped_listing_keeps_space_barrier(self):
+        """The edge try runs before the listing, whatever the cap, so a cap
+        can neither hide a space barrier nor make it wait for the listing."""
+        edge, loose = single_edge(), loose_path()
+        res = find_factor(edge, star(9), cap=1)
+        assert res.status == "absent" and res.refutation == {"kind": "space", "A": [0]}
+        assert res.stats["copies"] is None and validate_refutation(edge, star(9), res.refutation)
+        res = find_factor(loose, star(10))
+        assert res.refutation == {"kind": "space", "A": [0]} and validate_refutation(loose, star(10), res.refutation)
+        # listing the 135,751 images of the loose path in this star takes about a second
+        res = within(1, find_factor, loose, star(45))
+        assert res.status == "absent" and res.refutation == {"kind": "space", "A": [0]}
+        assert res.stats["copies"] is None
 
     def test_status_and_certificate_match_exact_cover(self):
         rng = np.random.default_rng(66)
