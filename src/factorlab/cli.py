@@ -31,9 +31,10 @@ EXIT_USAGE = 2
 # one floor per pattern vertex: a one-edge pattern into itself takes 2 ms and
 # 0.07 MB at 256 vertices, and 9-12 ms and 0.65 MB at 1024 (traced peak;
 # 2-vCPU Xeon).  What still grows with the pattern: trans and lattice count
-# isolated vertices' sides by binomials but walk every bipartition of the
-# rest (exponential time, flat memory, for a pattern without isolated
-# vertices), and turan-zero and partition-k backtrack.
+# in closed form only where the s- and (k-1)-overlap classes agree (always at
+# s = k-1, and on disjoint or linear edges); elsewhere they walk every
+# bipartition of the vertices in s-classes of two or more edges (exponential
+# time, flat memory), and turan-zero and partition-k backtrack.
 PATTERN_VERTEX_LIMIT = 256
 
 

@@ -325,13 +325,14 @@ class PartAssignments:
     assignment is yielded, in lexicographic order, and nothing else.  Each
     is ``part_of`` (vertex -> part), one list reused throughout, which
     :meth:`Partition.from_assignment` reads into parts; ``nodes`` counts the
-    part choices tried.  Every class edge needs a free vertex, and
-    ``conflicts`` may only join vertices sharing an edge, so no check crosses
-    components of ``f``: a vertex left without a part failed on the placed
-    vertices of its own component (fixed ones never move).  Until the first
-    answer the search jumps back to the previous free vertex of that
-    component, withdrawing those between, or stops; from then on it steps back
-    one vertex, so no later answer is skipped.
+    part choices tried.  Every class edge needs a free vertex (``__init__``
+    refuses one without with a ``ValueError``), and ``conflicts`` may only
+    join vertices sharing an edge, so no check crosses components of ``f``: a
+    vertex left without a part failed on the placed vertices of its own
+    component (fixed ones never move).  Until the first answer the search
+    jumps back to the previous free vertex of that component, withdrawing
+    those between, or stops; from then on it steps back one vertex, so no
+    later answer is skipped.
     """
 
     def __init__(self, f: Hypergraph, parts: int, conflicts: Sequence[int],
@@ -339,6 +340,11 @@ class PartAssignments:
         self.f, self.parts, self.conflicts, self.s = f, parts, conflicts, s
         self.fixed = fixed or {}
         self.nodes = 0
+        if s is not None and self.fixed:
+            stuck = next((f.edges[ei] for cls in f.overlap_classes(s) if len(cls) > 1 for ei in cls
+                          if self.fixed.keys() >= set(f.edges[ei])), None)
+            if stuck is not None:
+                raise ValueError(f"overlap-class edge {stuck} has no free vertex")
 
     def __iter__(self) -> Iterator[list[int]]:
         f, parts, conflicts, fixed = self.f, self.parts, self.conflicts, self.fixed

@@ -4,14 +4,28 @@ resulting transferral membership test.
 A bipartition {A, B} of the vertex set is s-shadow disjoint when any two
 edges whose index vectors w.r.t. {A, B} differ meet in fewer than s vertices.
 The size vectors (|A|, |B|) of all such bipartitions generate a lattice in
-Z^2; membership of (1, -1) is the decided property.  The bipartitions are
-the two-part assignments, A as part 0, of the part-assignment search shared
-with the deciders, :class:`factorlab.hypergraph.PartAssignments`.  The
-answers read only their sizes, so one walk counts the bipartitions by |A|
-and holds none of them; the listing is kept for callers that want the sides.
-An isolated vertex may join either side, so the walk keeps those in A and
-binomials count their sides.  A pattern without isolated vertices (disjoint
-edges, say) still has every bipartition walked.
+Z^2; membership of (1, -1) is the decided property.  The answers read only the
+bipartitions' sizes, and count them by |A| without holding any.
+
+A bipartition is valid exactly when each class of ``overlap_classes(s)``
+keeps one index vector.  The classes of ``overlap_classes(k-1)`` refine those,
+since s <= k-1, so when there are as many of them the two partitions are
+equal.  A (k-1)-class is closed under "meet in k-1 vertices", and two edges
+T+x and T+y meeting in a (k-1)-set T have equal index vectors exactly when x
+and y lie on one side.  So then a bipartition is valid exactly when it keeps
+x and y on one side for every such pair: when each class of the union-find
+of those same-side pairs lies within A or within B.  The counts by |A| are
+the coefficients of the product of (1 + x^|c|) over its classes c (a vertex
+in no pair is a class of its own), and no bipartition is visited.  The
+partitions are always equal at s = k-1, and on linear patterns and disjoint
+edges, where every class is one edge.
+
+Otherwise the bipartitions are walked as the two-part assignments, A as part
+0, of the part-assignment search shared with the deciders,
+:class:`factorlab.hypergraph.PartAssignments`.  A vertex in no s-class of two
+or more edges may join either side of any bipartition, so the walk keeps
+those in A and binomials count their sides.  The listing is kept for callers
+that want the sides.
 
 Membership is computed twice on every decision — once through an integer
 echelon form over Z^d, which also gives the witness combination, and once
@@ -22,11 +36,12 @@ v(F) — and the two must agree.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from math import comb, gcd
 
 from .deciders import DecisionReport, PreconditionError, _base_flags
-from .hypergraph import Hypergraph, PartAssignments, Partition
+from .hypergraph import Hypergraph, PartAssignments, Partition, UnionFind
 
 
 @dataclass(frozen=True)
@@ -70,26 +85,56 @@ def enumerate_shadow_disjoint_bipartitions(f: Hypergraph, s: int) -> list[Partit
     return [Partition.from_assignment(part_of, 2) for part_of in PartAssignments(f, 2, [0] * f.n, s=s)]
 
 
+def _times_binomials(counts: list[int], c: int, m: int) -> list[int]:
+    """The polynomial ``counts`` (coefficients by degree) times (1 + x^c)^m:
+    m classes of c vertices, each lying wholly in A or wholly in B."""
+    out = [0] * (len(counts) + c * m)
+    for j in range(m + 1):
+        ways, shift = comb(m, j), c * j
+        for a, count in enumerate(counts):
+            if count:
+                out[a + shift] += ways * count
+    return out
+
+
 def bipartition_sizes(f: Hypergraph, s: int) -> dict[int, int]:
     """|A| -> number of s-shadow-disjoint bipartitions (A, B), by ascending
-    |A|, from one walk that reads each assignment in place and keeps none.
+    |A|, holding none of them.
 
-    An isolated vertex lies in no edge, so it may join either side of any
-    bipartition: the walk keeps the t isolated vertices in A, and a count at
-    |A| = a is spread as comb(t, j) bipartitions at a - t + j, for j <= t.
+    When ``overlap_classes(s)`` and ``overlap_classes(k-1)`` have as many
+    classes they are equal, and a bipartition is valid exactly when it keeps
+    x and y on one side for every two edges T+x, T+y of a ``subset_edges(k-1)``
+    bucket T (see the module docstring).  The counts are then the product of
+    (1 + x^|c|) over the classes c of the union-find of those pairs, each
+    group of m classes of one size multiplied in as binomials.
+
+    Otherwise one walk of :class:`PartAssignments` reads each assignment in
+    place.  The t vertices in no s-class of two or more edges are not
+    constrained, so the walk keeps them in A, and a count at |A| = a is
+    spread as comb(t, j) bipartitions at a - t + j, for j <= t.
     """
     _check_shadow_order(f, s)
-    covered = set().union(*f.edges)
-    isolated = [v for v in range(f.n) if v not in covered]
-    t = len(isolated)
-    walked = [0] * (f.n + 1)
-    for part_of in PartAssignments(f, 2, [0] * f.n, s=s, fixed=dict.fromkeys(isolated, 0)):
-        walked[part_of.count(0) - t] += 1
-    counts = [0] * (f.n + 1)
-    for a, c in enumerate(walked):
-        if c:
-            for j in range(t + 1):
-                counts[a + j] += c * comb(t, j)
+    if len(f.overlap_classes(s)) == len(f.overlap_classes(f.k - 1)):
+        uf = UnionFind(f.n)
+        for sub, members in f.subset_edges(f.k - 1).items():
+            if len(members) > 1:
+                # each edge of the bucket is sub plus the vertex its sum exceeds sub's by
+                rest = sum(sub)
+                first = sum(f.edges[members[0]]) - rest
+                for i in members[1:]:
+                    uf.union(first, sum(f.edges[i]) - rest)
+        groups = Counter(Counter(map(uf.find, range(f.n))).values())  # class size -> classes
+        counts = [1]
+        for c, m in groups.items():
+            counts = _times_binomials(counts, c, m)
+    else:
+        bound = {v for cls in f.overlap_classes(s) if len(cls) > 1 for i in cls for v in f.edges[i]}
+        unbound = [v for v in range(f.n) if v not in bound]
+        t = len(unbound)
+        walked = [0] * (len(bound) + 1)
+        for part_of in PartAssignments(f, 2, [0] * f.n, s=s, fixed=dict.fromkeys(unbound, 0)):
+            walked[part_of.count(0) - t] += 1
+        counts = _times_binomials(walked, 1, t)
     return {a: c for a, c in enumerate(counts) if c}
 
 

@@ -149,8 +149,10 @@ class TestLatticeCommand:
         assert report["generators"] == [[0, 6], [2, 4], [4, 2], [6, 0]]
         assert report["bipartition_count"] == 8
 
-    def test_lists_bipartitions_once(self, capsys, monkeypatch, k222_file):
-        """``lattice`` and ``decide trans`` each walk the bipartitions once."""
+    def test_lists_bipartitions_once(self, capsys, monkeypatch, k222_file, tmp_path):
+        """``lattice`` and ``decide trans`` each walk the bipartitions at most
+        once: K222 at s = 2 = k-1 is counted from its same-side classes with
+        no walk, and two 4-edges meeting in a pair at s = 2 are walked once."""
         from factorlab import lattice
 
         walks = []
@@ -161,10 +163,14 @@ class TestLatticeCommand:
                 return super().__iter__()
 
         monkeypatch.setattr(lattice, "PartAssignments", Counted)
-        code, _, _ = run(capsys, ["lattice", k222_file, "--s", "2"])
-        assert code == 0 and walks == [2]
-        code, _, _ = run(capsys, ["decide", "trans", k222_file, "--s", "2"])
-        assert code == 0 and walks == [2, 2]
+        pair = tmp_path / "pair.hg"
+        pair.write_text("4 6 2\n0 1 2 3\n0 1 4 5\n")
+        for graph, once in ((k222_file, []), (str(pair), [2])):
+            code, _, _ = run(capsys, ["lattice", graph, "--s", "2"])
+            assert code == 0 and walks == once
+            code, _, _ = run(capsys, ["decide", "trans", graph, "--s", "2"])
+            assert code == 0 and walks == once * 2
+            del walks[:]
 
 
 class TestConstruct:

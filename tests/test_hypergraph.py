@@ -416,6 +416,14 @@ class TestStructure:
         search = PartAssignments(f, 2, f.embedding_masks().neighbours)
         assert list(search) == [] and search.nodes < 100
 
+    def test_part_assignments_refuse_a_class_edge_with_no_free_vertex(self):
+        f = Hypergraph(3, 7, [(0, 1, 2), (0, 1, 3), (4, 5, 6)])
+        with pytest.raises(ValueError, match=r"^overlap-class edge \(0, 1, 2\) has no free vertex$"):
+            PartAssignments(f, 2, [0] * f.n, s=2, fixed={0: 0, 1: 0, 2: 1})
+        # an edge alone in its class may be fixed whole, a class edge may keep one free vertex
+        search = PartAssignments(f, 2, [0] * f.n, s=2, fixed={0: 0, 1: 0, 4: 0, 5: 1, 6: 1})
+        assert [part_of[2:4] for part_of in search] == [[0, 0], [1, 1]]
+
     def test_empty_parts_allowed(self):
         h = Hypergraph(3, 3, [(0, 1, 2)])
         sub = Hypergraph(3, 2, [])  # subgraph of a 3-partite graph

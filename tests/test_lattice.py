@@ -17,6 +17,7 @@ from factorlab import (
     size_generators,
 )
 from factorlab.corpus import k222, single_edge
+from factorlab.hypergraph import PartAssignments
 from factorlab.lattice import bipartition_sizes, shared_sum_contains
 from factorlab.oracles import bounded_combination_oracle
 from alarm import within
@@ -47,6 +48,48 @@ def brute_force_bipartitions(f, s):
         if ok:
             good.append(frozenset(a))
     return good
+
+
+def blocks(copies, pad=0):
+    """``copies`` blocks {b, b+1, b+2, b+3}, {b, b+1, b+4, b+5} of a 4-graph,
+    each pair meeting in two vertices, then ``pad`` vertices in disjoint
+    edges: one 2-class per block, but two 3-classes."""
+    n = 6 * copies
+    edges = [e for b in range(0, n, 6) for e in ((b, b + 1, b + 2, b + 3), (b, b + 1, b + 4, b + 5))]
+    return Hypergraph(4, n + pad, edges + [tuple(range(v, v + 4)) for v in range(n, n + pad, 4)])
+
+
+def random_linear(rng, k, n, tries):
+    """Edges drawn at random, each kept when it meets every kept edge in at
+    most one vertex."""
+    edges = []
+    for _ in range(tries):
+        e = set(int(v) for v in rng.choice(n, k, replace=False))
+        if all(len(e.intersection(d)) <= 1 for d in edges):
+            edges.append(e)
+    return Hypergraph(k, n, edges)
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The ``fixed`` map of every part-assignment walk started from now on."""
+    started = []
+    original = PartAssignments.__iter__
+
+    def spy(self):
+        started.append(dict(self.fixed))
+        return original(self)
+
+    monkeypatch.setattr(PartAssignments, "__iter__", spy)
+    return started
+
+
+@pytest.fixture
+def no_walk(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a bipartition walk was started")
+
+    monkeypatch.setattr(PartAssignments, "__iter__", refuse)
 
 
 class TestBipartitions:
@@ -115,20 +158,57 @@ class TestBipartitions:
         with pytest.raises(ValueError):
             enumerate_shadow_disjoint_bipartitions(single_edge(), 3)
 
-    def test_size_counts_match_the_listing(self):
-        """One walk's count per |A| is the listing's, for every s, also with
-        isolated vertices, whose counts are spread by binomials."""
+    def test_size_counts_match_the_listing(self, walks):
+        """The counts per |A| are the listing's and the brute force's, for
+        every s, also with isolated vertices and relabelled: in closed form,
+        with no walk, exactly when the s- and (k-1)-overlap classes are as
+        many, and otherwise from one walk that fixes every vertex outside
+        the s-classes of two or more edges."""
         rng = np.random.default_rng(206)
-        for k, n in ((3, 6), (3, 8), (4, 7), (4, 8)):
+        routes = Counter()
+        for k, n in ((3, 6), (3, 8), (4, 7), (4, 8), (5, 7), (5, 8)):
             sets = list(combinations(range(n), k))
             for p in (0.05, 0.15, 0.3):
                 f = Hypergraph(k, n, [e for e, keep in zip(sets, rng.random(len(sets)) < p) if keep])
                 padded = Hypergraph(k, n + 2, f.edges).relabel([int(v) for v in rng.permutation(n + 2)])
                 for g, s in product((f, padded), range(2, k)):
                     bips = enumerate_shadow_disjoint_bipartitions(g, s)
+                    del walks[:]
                     sizes = bipartition_sizes(g, s)
                     assert sizes == Counter(len(bp.parts[0]) for bp in bips)
+                    assert sizes == Counter(map(len, brute_force_bipartitions(g, s)))
                     assert list(sizes) == sorted(sizes) and sum(sizes.values()) == len(bips)
+                    closed = len(g.overlap_classes(s)) == len(g.overlap_classes(k - 1))
+                    bound = {v for c in g.overlap_classes(s) if len(c) > 1 for i in c for v in g.edges[i]}
+                    assert walks == ([] if closed else [{v: 0 for v in range(g.n) if v not in bound}])
+                    routes[closed, g is padded] += 1
+        assert set(routes) == set(product((False, True), repeat=2))
+
+    def test_same_side_classes_walk_nothing(self, no_walk):
+        """At s = k-1, and wherever the s- and (k-1)-classes agree, the counts
+        come from the same-side classes alone."""
+        assert bipartition_sizes(k222(), 2) == {0: 1, 2: 3, 4: 3, 6: 1}
+        assert bipartition_sizes(single_edge(), 2) == {0: 1, 1: 3, 2: 3, 3: 1}
+        rng = np.random.default_rng(207)
+        for k, n in ((3, 7), (4, 7), (5, 8)):
+            sets = list(combinations(range(n), k))
+            for p in (0.1, 0.3, 0.6):
+                f = Hypergraph(k, n, [e for e, keep in zip(sets, rng.random(len(sets)) < p) if keep])
+                assert bipartition_sizes(f, k - 1) == Counter(map(len, brute_force_bipartitions(f, k - 1)))
+
+    def test_blocks_meeting_in_two_vertices_are_walked(self, walks):
+        """Three blocks of two 4-edges meeting in a pair, at s = 2: each keeps
+        as many of its own pairs in A, 24 ways per block.  Four vertices in a
+        disjoint edge stay out of the walk and double the count four times."""
+        assert sum(bipartition_sizes(blocks(3), 2).values()) == 24 ** 3 == 13824
+        assert sum(bipartition_sizes(blocks(3, pad=4), 2).values()) == 13824 * 16
+        assert walks == [{}, dict.fromkeys(range(18, 22), 0)]
+
+    def test_disjoint_edges_are_counted_not_walked(self):
+        """85 disjoint edges on 255 vertices: every bipartition qualifies."""
+        f = Hypergraph(3, 255, [(v, v + 1, v + 2) for v in range(0, 255, 3)])
+        assert within(1, bipartition_sizes, f, 2) == {a: comb(255, a) for a in range(256)}
+        assert within(1, decide_trans, f, 2).verdict is True
 
     def test_isolated_vertices_are_counted_not_walked(self):
         """One edge on 40 vertices: 37 isolated vertices join either side of
@@ -301,6 +381,18 @@ class TestDecideTrans:
     def test_s_guard(self):
         with pytest.raises(PreconditionError):
             decide_trans(single_edge(), 1)
+
+    def test_linear_patterns_are_members(self, no_walk):
+        """Two edges of a linear pattern meet in at most one vertex, so every
+        bipartition qualifies and the sizes 0..v(F) give (1, -1)."""
+        rng = np.random.default_rng(208)
+        for k, n in ((3, 7), (3, 12), (4, 9), (4, 13)):
+            for _ in range(5):
+                f = random_linear(rng, k, n, 3 * n)
+                for s in range(2, k):
+                    report = decide_trans(f, s)
+                    assert report.verdict is True
+                    assert report.stats["generators"] == [[a, n - a] for a in range(n + 1)]
 
     def test_empty_graph(self):
         # One bipartition, both sides empty: the generators sum to 0.
