@@ -21,7 +21,6 @@ _EXPORTS = {
         "DecisionReport",
         "PreconditionError",
         "build_compatible_enumeration",
-        "check_link_chain_free",
         "decide_cover_partition_3",
         "decide_factor_3",
         "decide_linkdisjoint_kpartite",

@@ -25,7 +25,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .hypergraph import Hypergraph, PartAssignments, Partition, UnionFind, is_vertex_list
+from .hypergraph import Hypergraph, PartAssignments, Partition, is_vertex_list
 
 RED, BLUE, GREEN = "red", "blue", "green"
 
@@ -272,21 +272,6 @@ def build_compatible_enumeration(
     return candidate, colors
 
 
-def check_link_chain_free(f: Hypergraph, ordering: list[int] | tuple[int, ...]) -> bool:
-    """No vertex has two edges chaining through a shared middle vertex.
-
-    A chain is a vertex v and positions i<j<k with edges {v, v_i, v_j} and
-    {v, v_j, v_k}.  Then v_j lies between v_i and v_k, the third vertices of
-    the pair {v, v_j}, so they fall in two of the regions before, between and
-    after the pair; a pair's forced colour is fixed by that region, so the
-    pair gets two colours.  Every ordering with a consistent forced colouring
-    is therefore chain-free; the others raise, as the property is undefined.
-    """
-    if forced_coloring(f, ordering) is None:
-        raise PreconditionError("inconsistent ordering supplied")
-    return True
-
-
 # ---------------------------------------------------------------------------
 # cover-partition condition for 3-graphs
 # ---------------------------------------------------------------------------
@@ -300,13 +285,13 @@ def decide_cover_partition_3(f: Hypergraph) -> DecisionReport:
     This is the partition condition at k = 3, with parts (X, Y).  Both ask
     link(vstar) to cross X and Y.  Two edges sharing a pair have equal index
     vectors w.r.t. (X, Y, {vstar}) exactly when their third vertices lie in
-    one of X, Y and {vstar}.  Third vertices u and w of one pair make that
-    pair a member of link(u) ∩ link(w), and every member arises so.  Equal
-    vectors on all such edges therefore say that cross links are disjoint and
-    that link(vstar) meets no other link.  So the answer is that of
-    :func:`decide_partition_condition_k`, relabelled, with its ``nodes`` and
-    flags, plus "same-side-links-intersect" on a true verdict when some pair
-    lies in two edges.
+    one part (see :meth:`Hypergraph.same_side_classes`).  Third vertices u
+    and w of one pair make that pair a member of link(u) ∩ link(w), and
+    every member arises so.  Equal vectors on all such edges therefore say
+    that cross links are disjoint and that link(vstar) meets no other link.
+    So the answer is that of :func:`decide_partition_condition_k`,
+    relabelled, with its ``nodes`` and flags, plus "same-side-links-intersect"
+    on a true verdict when some pair lies in two edges.
     """
     if f.k != 3:
         raise PreconditionError(f"applicable to 3-graphs only, got k={f.k}")
@@ -405,7 +390,9 @@ def decide_partition_condition_k(f: Hypergraph) -> DecisionReport:
     skipped without a search: its edge through it and its edge avoiding it
     differ in the {vstar} coordinate.  Every other vstar goes in part k-1,
     and the first assignment of the rest to parts 0..k-2 is the witness.  At
-    k = 3 :func:`_two_sides` finds it in linear time.  At k >= 4 a
+    k = 3 :func:`_two_sides` finds it in linear time, as a 2-colouring of
+    the classes of :meth:`Hypergraph.same_side_classes` (the argument is in
+    that method's docstring), built at the first unblocked vstar.  At k >= 4 a
     :class:`PartAssignments` search finds it, with two vertices sharing an
     edge through vstar in conflict (so link(vstar) is rainbow).  ``nodes``
     counts the choices made over the vstars searched: components coloured at
@@ -419,27 +406,17 @@ def decide_partition_condition_k(f: Hypergraph) -> DecisionReport:
     if k >= 4:
         # The characterization is proven for k = 3 and conjectured beyond.
         flags.append("conjectural-for-k>=4")
-    through = f.subset_edges(1)
     blocked = blocked_vertices(f)
-    if k == 3:
-        # The third vertices of the edges through one pair share a part.
-        same = UnionFind(n)
-        for pair, members in f.subset_edges(2).items():
-            if len(members) > 1:
-                thirds = [next(v for v in edges[i] if v not in pair) for i in members]
-                for u in thirds[1:]:
-                    same.union(thirds[0], u)
-        class_of = [same.find(v) for v in range(n)]
     nodes = 0
     for vstar in range(n):
         if vstar in blocked:
             continue
         if k == 3:
-            part_of, choices = _two_sides(f, vstar, class_of, through)
+            part_of, choices = _two_sides(f, vstar)
             nodes += choices
         else:
             mates = [0] * n
-            for i in through.get((vstar,), ()):
+            for i in f.subset_edges(1).get((vstar,), ()):
                 rest = [u for u in edges[i] if u != vstar]
                 bits = sum(1 << u for u in rest)
                 for u in rest:
@@ -455,21 +432,22 @@ def decide_partition_condition_k(f: Hypergraph) -> DecisionReport:
     return DecisionReport("partition-k", False, None, flags, stats)
 
 
-def _two_sides(f: Hypergraph, vstar: int, class_of: list[int],
-               through: dict[tuple[int, ...], tuple[int, ...]]) -> tuple[list[int] | None, int]:
+def _two_sides(f: Hypergraph, vstar: int) -> tuple[list[int] | None, int]:
     """The first partition-k assignment at k = 3 for an unblocked vstar, or
     None; and the number of components coloured.
 
-    At k = 3 two edges sharing a pair have equal index vectors exactly when
-    their third vertices share a part, so each class of ``class_of`` lies in
-    one part.  vstar is unblocked, so its class is {vstar}.  An edge through
-    vstar asks its other two classes to differ, so the rest is a 2-colouring
-    of the classes.  Each component takes part 0 at its smallest vertex, and
-    that one choice fixes the component.  So the colouring found is the
+    Two edges sharing a pair have equal index vectors exactly when their
+    third vertices share a part, so each class of ``f.same_side_classes()``
+    lies in one part (the argument is in that method's docstring).  vstar is
+    unblocked, so its class is {vstar}.  An edge through vstar asks its
+    other two classes to differ, so the rest is a 2-colouring of the
+    classes.  Each component takes part 0 at its smallest vertex, and that
+    one choice fixes the component.  So the colouring found is the
     lexicographically first, as a part-assignment search would find it.
     """
+    class_of = f.same_side_classes()
     differ: dict[int, list[int]] = {}
-    for i in through.get((vstar,), ()):
+    for i in f.subset_edges(1).get((vstar,), ()):
         a, b = (class_of[u] for u in f.edges[i] if u != vstar)
         if a == b:
             return None, 0

@@ -14,6 +14,10 @@ complete or not at all, and a race at worst computes an equal value twice:
 * ``overlap_classes(s)``: the classes of edge indices under the transitive
   closure of "share >= s vertices", read off ``subset_edges(s)``.  Every
   criterion beyond a colouring rests on this relation;
+* ``same_side_classes()``: per vertex, the smallest vertex of its class in
+  the union-find joining x and y whenever T+x and T+y are edges, read off
+  ``subset_edges(k-1)``; partition-k at k = 3 and the bipartition counts
+  read it;
 * ``components()``: the vertex sets of the connected components, from one
   union-find pass over the edges; the part-assignment search jumps by them;
 * ``embedding_masks()``: vertex bitmasks for copy searches (which vertices
@@ -224,6 +228,29 @@ class Hypergraph:
             return tuple(map(tuple, classes.values()))
 
         return self._cached(("overlap_classes", s), compute)
+
+    def same_side_classes(self) -> tuple[int, ...]:
+        """Per vertex, the smallest vertex of its class in the union-find
+        joining x and y whenever T+x and T+y are edges (T a (k-1)-set).
+
+        The argument its readers rest on: T+x and T+y agree on T, so w.r.t.
+        any partition their index vectors are equal exactly when x and y lie
+        in one part.  So a partition gives each class of
+        ``overlap_classes(k-1)`` one index vector exactly when each
+        same-side class lies within one part.
+        """
+        def compute():
+            uf = UnionFind(self.n)
+            for sub, members in self.subset_edges(self.k - 1).items():
+                if len(members) > 1:
+                    # each edge of the bucket is sub plus the vertex its sum exceeds sub's by
+                    rest = sum(sub)
+                    first = sum(self.edges[members[0]]) - rest
+                    for i in members[1:]:
+                        uf.union(first, sum(self.edges[i]) - rest)
+            return tuple(map(uf.find, range(self.n)))
+
+        return self._cached("same_side_classes", compute)
 
     def embedding_masks(self) -> EmbeddingMasks:
         """Completion masks, neighbour masks and degrees, built in one pass

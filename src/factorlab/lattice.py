@@ -10,15 +10,12 @@ bipartitions' sizes, and count them by |A| without holding any.
 A bipartition is valid exactly when each class of ``overlap_classes(s)``
 keeps one index vector.  The classes of ``overlap_classes(k-1)`` refine those,
 since s <= k-1, so when there are as many of them the two partitions are
-equal.  A (k-1)-class is closed under "meet in k-1 vertices", and two edges
-T+x and T+y meeting in a (k-1)-set T have equal index vectors exactly when x
-and y lie on one side.  So then a bipartition is valid exactly when it keeps
-x and y on one side for every such pair: when each class of the union-find
-of those same-side pairs lies within A or within B.  The counts by |A| are
-the coefficients of the product of (1 + x^|c|) over its classes c (a vertex
-in no pair is a class of its own), and no bipartition is visited.  The
-partitions are always equal at s = k-1, and on linear patterns and disjoint
-edges, where every class is one edge.
+equal.  Then a bipartition is valid exactly when each class of
+:meth:`factorlab.hypergraph.Hypergraph.same_side_classes` lies within A or
+within B (the argument is in that method's docstring).  The counts by |A|
+are the coefficients of the product of (1 + x^|c|) over those classes c, and
+no bipartition is visited.  The partitions are always equal at s = k-1, and
+on linear patterns and disjoint edges, where every class is one edge.
 
 Otherwise the bipartitions are walked as the two-part assignments, A as part
 0, of the part-assignment search shared with the deciders,
@@ -41,7 +38,7 @@ from dataclasses import dataclass
 from math import comb, gcd
 
 from .deciders import DecisionReport, PreconditionError, _base_flags
-from .hypergraph import Hypergraph, PartAssignments, Partition, UnionFind
+from .hypergraph import Hypergraph, PartAssignments, Partition
 
 
 @dataclass(frozen=True)
@@ -102,11 +99,10 @@ def bipartition_sizes(f: Hypergraph, s: int) -> dict[int, int]:
     |A|, holding none of them.
 
     When ``overlap_classes(s)`` and ``overlap_classes(k-1)`` have as many
-    classes they are equal, and a bipartition is valid exactly when it keeps
-    x and y on one side for every two edges T+x, T+y of a ``subset_edges(k-1)``
-    bucket T (see the module docstring).  The counts are then the product of
-    (1 + x^|c|) over the classes c of the union-find of those pairs, each
-    group of m classes of one size multiplied in as binomials.
+    classes they are equal, and a bipartition is valid exactly when each of
+    ``f.same_side_classes()`` lies on one side (the argument is in
+    :meth:`Hypergraph.same_side_classes`).  The counts are then the product of (1 + x^|c|) over those classes c,
+    each group of m classes of one size multiplied in as binomials.
 
     Otherwise one walk of :class:`PartAssignments` reads each assignment in
     place.  The t vertices in no s-class of two or more edges are not
@@ -115,15 +111,7 @@ def bipartition_sizes(f: Hypergraph, s: int) -> dict[int, int]:
     """
     _check_shadow_order(f, s)
     if len(f.overlap_classes(s)) == len(f.overlap_classes(f.k - 1)):
-        uf = UnionFind(f.n)
-        for sub, members in f.subset_edges(f.k - 1).items():
-            if len(members) > 1:
-                # each edge of the bucket is sub plus the vertex its sum exceeds sub's by
-                rest = sum(sub)
-                first = sum(f.edges[members[0]]) - rest
-                for i in members[1:]:
-                    uf.union(first, sum(f.edges[i]) - rest)
-        groups = Counter(Counter(map(uf.find, range(f.n))).values())  # class size -> classes
+        groups = Counter(Counter(f.same_side_classes()).values())  # class size -> classes
         counts = [1]
         for c, m in groups.items():
             counts = _times_binomials(counts, c, m)

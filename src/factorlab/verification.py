@@ -476,13 +476,14 @@ def _space_refutation(masks: list[int], at_vertex: list[int], size: int) -> list
     return None
 
 
-def _image_refutation(masks: list[int], at_vertex: list[int], n: int, size: int) -> dict | None:
-    """A lattice or else a space certificate that no ``size``-vertex images
-    among ``masks`` partition the n host vertices, or None."""
+def _image_refutation(masks: list[int], at_vertex: list[int], n: int, size: int, space: bool) -> dict | None:
+    """A lattice or else, with ``space``, a space certificate that no
+    ``size``-vertex images among ``masks`` partition the n host vertices, or
+    None."""
     w = _parity_refutation(masks, n)
     if w is not None:
         return {"kind": "lattice", "q": 2, "w": w}
-    side = _space_refutation(masks, at_vertex, (n - 1) // size)
+    side = _space_refutation(masks, at_vertex, (n - 1) // size) if space else None
     return None if side is None else {"kind": "space", "A": side}
 
 
@@ -607,14 +608,15 @@ def find_factor(f: Hypergraph, h: Hypergraph, cap: int = DEFAULT_CAP) -> FactorS
     The tries run in this order: divisibility; the space search on the host
     edges (:func:`_edge_refutation`), since a set meeting every edge meets
     every copy; the copy listing; parity and then the space search on the
-    copy images; the exact cover.  The edge try runs whatever ``cap``, and
-    an answer from it lists no copy (``stats["copies"]`` None).  The two
-    image refutations are tried only when the copy listing is complete,
-    since a sub-family proves nothing.  Whatever they leave goes to the
-    exact cover, whose "absent" is a proof only through that search and
-    carries no ``refutation``; a refuted answer has ``stats["nodes"]`` 0.
-    ``cap`` bounds the copies listed by :func:`copy_images`; a hit cap
-    downgrades "absent" to "inconclusive".
+    copy images; the exact cover.  A single edge's images are the host's
+    edges, so it skips the image space search, a repeat of the edge try.
+    The edge try runs whatever ``cap``, and an answer from it lists no copy
+    (``stats["copies"]`` None).  The image refutations are tried only when
+    the copy listing is complete, since a sub-family proves nothing.
+    Whatever they leave goes to the exact cover, whose "absent" is a proof
+    only through that search and carries no ``refutation``; a refuted
+    answer has ``stats["nodes"]`` 0.  ``cap`` bounds the copies listed by
+    :func:`copy_images`; a hit cap downgrades "absent" to "inconclusive".
 
     Every answer's ``stats`` holds ``nodes`` (exact-cover options tried),
     ``copies`` (copy images listed, None when no listing ran),
@@ -639,7 +641,8 @@ def find_factor(f: Hypergraph, h: Hypergraph, cap: int = DEFAULT_CAP) -> FactorS
         return FactorSearchResult("absent", None, stats, {"kind": "space", "A": side})
     masks, witnesses, at_vertex, truncated = _options(f, h, cap)
     stats.update(copies=len(masks), truncated=truncated)
-    refutation = None if truncated else _image_refutation(masks, at_vertex, h.n, f.n)
+    single_edge = f.n == f.k and len(f.edges) == 1
+    refutation = None if truncated else _image_refutation(masks, at_vertex, h.n, f.n, not single_edge)
     if refutation is not None:
         return FactorSearchResult("absent", None, stats, refutation)
     certificate, stats["nodes"], stats["node_limit_hit"] = _exact_cover(h.n, witnesses, at_vertex, truncated)

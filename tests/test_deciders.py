@@ -7,7 +7,6 @@ from factorlab import (
     Hypergraph,
     PreconditionError,
     build_compatible_enumeration,
-    check_link_chain_free,
     decide_cover_partition_3,
     decide_factor_3,
     decide_linkdisjoint_kpartite,
@@ -468,13 +467,24 @@ class TestPartitionConditionK:
         f = Hypergraph(3, 13, [(0, 1, 2), (0, 3, 4), (0, 5, 6), (7, 8, 2), (7, 8, 3),
                                (9, 10, 4), (9, 10, 5), (11, 12, 6), (11, 12, 1)])
         assert 0 not in blocked_vertices(f)
-        class_of = [0, 1, 2, 2, 4, 4, 1, 7, 8, 9, 10, 11, 12]
-        assert _two_sides(f, 0, class_of, f.subset_edges(1)) == (None, 1)
+        assert f.same_side_classes() == (0, 1, 2, 2, 4, 4, 1, 7, 8, 9, 10, 11, 12)
+        assert _two_sides(f, 0) == (None, 1)
         parts = [[0, 1, 2, 3, 4, 5, 6, 9, 10, 11, 12], [8]]
         assert partition_condition_oracle(f) == (7, parts)
         assert cover_partition_oracle(f) == (7, *parts)
         assert decide_partition_condition_k(f).witness == {"vstar": 7, "parts": parts}
         assert decide_cover_partition_3(f).witness == {"vstar": 7, "X": parts[0], "Y": parts[1]}
+
+    def test_all_blocked_builds_no_classes(self, monkeypatch):
+        # Every vertex of K4^(3) is blocked, so no vstar reaches _two_sides.
+        def refuse(self):
+            raise AssertionError("same-side classes built")
+
+        monkeypatch.setattr(Hypergraph, "same_side_classes", refuse)
+        assert blocked_vertices(k4()) == {0, 1, 2, 3}
+        report = decide_partition_condition_k(k4())
+        assert not report.verdict and report.stats["nodes"] == 0
+        assert not decide_cover_partition_3(k4()).verdict
 
     def test_cover_partition_is_partition_condition_at_k3(self):
         # decide_cover_partition_3 answers through the partition condition;
@@ -521,7 +531,6 @@ class TestCompatibleEnumeration:
         ordering, coloring = build_compatible_enumeration(f, w["vstar"], w["X"], w["Y"])
         assert ordering[0] == w["vstar"]
         assert validate_shadow_coloring(f, ordering, coloring)
-        assert check_link_chain_free(f, ordering)
 
     def test_random_positive_instances(self):
         rng = np.random.default_rng(23)
@@ -599,37 +608,12 @@ def random_orderings(seed, graphs):
 
 
 class TestLinkChainFree:
-    def test_single_edge(self):
-        assert check_link_chain_free(single_edge(), [0, 1, 2])
-
-    def test_two_disjoint_edges_block_order(self):
-        assert check_link_chain_free(TWO_EDGES, [0, 1, 2, 3, 4, 5])
-
-    def test_inconsistent_ordering_refused(self):
-        with pytest.raises(PreconditionError):
-            check_link_chain_free(k4_minus(), [0, 1, 2, 3])
-
-    def test_holds_for_every_consistent_ordering(self):
-        rng = np.random.default_rng(31)
-        checked = 0
-        for f in random_3graphs(rng, 40, 5):
-            for perm in permutations(range(5)):
-                if forced_coloring(f, list(perm)) is not None:
-                    assert check_link_chain_free(f, list(perm))
-                    checked += 1
-        assert checked > 100
-
-    def test_matches_cubic_scan_on_consistent_orderings(self):
-        checked = 0
-        for f, ordering in random_orderings(37, 1500):
-            if forced_coloring(f, ordering) is not None:
-                assert check_link_chain_free(f, ordering) == link_chain_free_reference(f, ordering)
-                checked += 1
-        assert checked >= 5000
-
     def test_every_chain_makes_the_ordering_inconsistent(self):
-        # The argument in check_link_chain_free's docstring: a chain forces
-        # one pair two colours, so the precondition already rules it out.
+        # A chain is a vertex v and positions i < j < k with edges
+        # {v, v_i, v_j} and {v, v_j, v_k}.  v_j lies between v_i and v_k,
+        # the third vertices of the pair {v, v_j}, so they fall in two of the
+        # regions before, between and after the pair.  A pair's forced colour
+        # is fixed by that region, so the pair gets two colours.
         chains = 0
         for f, ordering in random_orderings(38, 300):
             if not link_chain_free_reference(f, ordering):

@@ -265,6 +265,35 @@ class TestOverlaps:
         h = k4()
         assert h.subset_edges(2) is h.subset_edges(2)
         assert h.overlap_classes(2) is h.overlap_classes(2)
+        assert h.same_side_classes() is h.same_side_classes()
+
+    def test_same_side_classes_match_plain_closure(self):
+        """Per vertex, the smallest vertex of its class under the closure of
+        "x ~ y when T+x and T+y are edges for one (k-1)-set T"."""
+        rng = np.random.default_rng(19)
+        graphs = [*seeded_graphs(), *(random_graph(rng, n, 5, p) for n in range(10) for p in (0.05, 0.2, 0.5)),
+                  Hypergraph(3, 0, []), Hypergraph(4, 6, []), Hypergraph(3, 8, [(1, 2, 3), (1, 2, 5)]),
+                  Hypergraph(5, 12, [(0, 1, 2, 3, 4), (0, 1, 2, 3, 9), (0, 1, 2, 9, 11)])]
+        isolated = 0
+        for h in graphs:
+            mates = [[] for _ in range(h.n)]
+            for x, y in combinations(range(h.n), 2):
+                rest = [v for v in range(h.n) if v not in (x, y)]
+                if any({*t, x} in h.edge_set and {*t, y} in h.edge_set for t in combinations(rest, h.k - 1)):
+                    mates[x].append(y)
+                    mates[y].append(x)
+            expected = list(range(h.n))
+            for v in range(h.n):
+                stack = [v]
+                while stack:
+                    for u in mates[stack.pop()]:
+                        if expected[u] > v:
+                            expected[u] = v
+                            stack.append(u)
+            assert h.same_side_classes() == tuple(expected)
+            isolated += sum(not any(v in e for e in h.edges) for v in range(h.n))
+        assert graphs[-1].same_side_classes() == (0, 1, 2, 3, 4, 5, 6, 7, 8, 4, 10, 3)
+        assert isolated > 50
 
     def test_embedding_masks_match_plain_rebuild(self):
         graphs = list(seeded_graphs()) + [Hypergraph(3, 0, []), Hypergraph(3, 6, [(0, 2, 4)]),

@@ -9,6 +9,7 @@ import pytest
 from factorlab import (
     Hypergraph,
     PreconditionError,
+    decide_factor_3,
     decide_trans,
     enumerate_shadow_disjoint_bipartitions,
     lattice_combination,
@@ -195,6 +196,24 @@ class TestBipartitions:
             for p in (0.1, 0.3, 0.6):
                 f = Hypergraph(k, n, [e for e, keep in zip(sets, rng.random(len(sets)) < p) if keep])
                 assert bipartition_sizes(f, k - 1) == Counter(map(len, brute_force_bipartitions(f, k - 1)))
+
+    def test_deciders_share_one_build_of_the_classes(self, monkeypatch):
+        """factor3 and then trans at s = 2 on one graph read one cached
+        union-find: cover-partition builds it, the counts reuse it."""
+        builds = []
+        cached = Hypergraph._cached
+
+        def spy(self, key, compute):
+            return cached(self, key, lambda: builds.append(key) or compute())
+
+        monkeypatch.setattr(Hypergraph, "_cached", spy)
+        f = Hypergraph(3, 7, [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 2, 3)])
+        assert decide_factor_3(f).witness["cover-partition"]["vstar"] == 1
+        assert builds.count("same_side_classes") == 1
+        assert decide_trans(f, 2).verdict
+        # The classes are {0, 3} and five singletons: (1 + x^2)(1 + x)^5.
+        assert bipartition_sizes(f, 2) == {0: 1, 1: 5, 2: 11, 3: 15, 4: 15, 5: 11, 6: 5, 7: 1}
+        assert builds.count("same_side_classes") == 1
 
     def test_blocks_meeting_in_two_vertices_are_walked(self, walks):
         """Three blocks of two 4-edges meeting in a pair, at s = 2: each keeps

@@ -20,7 +20,6 @@ PUBLIC = [
     "Partition",
     "PreconditionError",
     "build_compatible_enumeration",
-    "check_link_chain_free",
     "construct_partite_coloring",
     "construct_shadow_disjoint",
     "constructions",

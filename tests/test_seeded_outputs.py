@@ -20,7 +20,7 @@ import json
 import random
 import sys
 import tempfile
-from itertools import combinations, permutations
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -86,22 +86,6 @@ def section_deciders() -> list:
     for f in corpus():
         out.append([_answer(decide, f) for decide in DECIDERS])
         out.append([_answer(lattice.decide_trans, f, s) for s in range(2, f.k)])
-    return out
-
-
-def section_link_chain() -> list:
-    """The check on each witness ordering, and on every consistent ordering
-    of the graphs on at most 5 vertices."""
-    out = []
-    for f in corpus():
-        if f.k != 3:
-            continue
-        report = deciders.decide_turan_zero_3(f)
-        if report.verdict:
-            out.append(deciders.check_link_chain_free(f, report.witness["ordering"]))
-        if f.n <= 5:
-            out.append([deciders.check_link_chain_free(f, order) for order in permutations(range(f.n))
-                        if deciders.forced_coloring(f, order) is not None])
     return out
 
 
@@ -260,7 +244,6 @@ def section_cli_commands() -> list:
 
 SECTIONS = {
     "deciders": section_deciders,
-    "link_chain": section_link_chain,
     "copy_images": section_copy_images,
     "factor": section_factor,
     "cover": section_cover,

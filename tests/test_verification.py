@@ -761,6 +761,26 @@ class TestRefutation:
                 assert not factor_oracle(f, h)
         assert from_images
 
+    def test_single_edge_images_skip_the_repeated_space_search(self, monkeypatch):
+        """A single edge's copy images are the host's edges, so the space
+        search runs once, on the edges, and not again on the same masks.
+        Hubs 0..6 on pairs of 7..23 plus three disjoint edges: a factor
+        exists, so no 9 vertices meet all 202 edges and the search fails."""
+        rng = random.Random(3)
+        edges = [(hub, *pair) for hub in range(7) for pair in combinations(range(7, 24), 2) if rng.random() < 0.2]
+        h = Hypergraph(3, 30, edges + [(7, 8, 9), (24, 25, 26), (27, 28, 29)])
+        calls = []
+        search = verification._space_refutation
+
+        def spy(masks, at_vertex, size):
+            calls.append(len(masks))
+            return search(masks, at_vertex, size)
+
+        monkeypatch.setattr(verification, "_space_refutation", spy)
+        res = find_factor(single_edge(), h)
+        assert res.status == "found" and validate_factor_certificate(single_edge(), h, res.certificate)
+        assert res.stats["copies"] == 202 and calls == [202]
+
     def test_capped_listing_keeps_space_barrier(self):
         """The edge try runs before the listing, whatever the cap, so a cap
         can neither hide a space barrier nor make it wait for the listing."""
