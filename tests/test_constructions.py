@@ -213,7 +213,96 @@ class TestMonochromaticCliques:
                 seen = {colour_of[b] for b in combinations(e, s)}
                 if len(seen) == 1:
                     expected.append((e, seen.pop()))
-            assert sorted(constructions._monochromatic_cliques(n, k, s, colours)) == expected
+            slots = [[(1 << n) - 1] * k] * palette
+            assert sorted(constructions._monochromatic_cliques(n, k, s, colours, slots)) == expected
+
+    @pytest.mark.parametrize("n,k,s,palette", [(9, 3, 2, 2), (10, 4, 2, 2), (9, 5, 2, 1), (10, 4, 3, 2),
+                                               (10, 5, 3, 2), (9, 5, 4, 3), (3, 3, 2, 1), (4, 3, 2, 5)])
+    def test_slots_match_per_kset_filter(self, n, k, s, palette):
+        # Random slot masks, each vertex in a slot with probability 0.7: e is
+        # listed in colour j exactly when all its s-subsets have colour j and
+        # e[i] lies in slots[j][i].
+        for seed in range(3):
+            rng = np.random.default_rng(100 + seed)
+            colours = rng.integers(0, palette, size=comb(n, s)).tolist()
+            colour_of = dict(zip(combinations(range(n), s), colours))
+            slots = [[sum(1 << v for v in range(n) if rng.random() < 0.7) for _ in range(k)] for _ in range(palette)]
+            expected = sorted(
+                (e, j)
+                for e in combinations(range(n), k)
+                for j in range(palette)
+                if all(colour_of[b] == j for b in combinations(e, s)) and all(slots[j][i] >> v & 1 for i, v in enumerate(e))
+            )
+            assert sorted(constructions._monochromatic_cliques(n, k, s, colours, slots)) == expected
+
+
+def skewed_stream(monkeypatch):
+    """Give each base s-set colour ``seed % palette`` with probability 0.9 and
+    a uniform colour from the seeded stream otherwise, so builds at k >= 4
+    keep edges of a different colour for each seed."""
+    real = np.random.default_rng
+
+    def rng(seed):
+        gen = real(seed)
+        return SimpleNamespace(integers=lambda lo, hi, size: np.where(
+            gen.random(size) < 0.9, seed % hi, gen.integers(lo, hi, size)))
+
+    monkeypatch.setattr(np.random, "default_rng", rng)
+
+
+def _seeded_reference(n, k, r, palette, seed, colour_of_kset):
+    """The base colours of the r-sets, drawn from ``default_rng(seed)``, and
+    the plain per-k-set filter: keep e when every r-subset has the colour
+    ``colour_of_kset(e)``."""
+    colours = dict(zip(combinations(range(n), r),
+                       np.random.default_rng(seed).integers(0, palette, size=comb(n, r)).tolist()))
+    edges = tuple(e for e in combinations(range(n), k)
+                  if len(set(map(colours.get, combinations(e, r)))) == 1 and colour_of_kset(e) == colours[e[:r]])
+    return edges, colours
+
+
+class TestSeededSweep:
+    """Both colouring builds equal the per-k-set reference, edges and base
+    colours, over seeds 0-9, under the seeded stream and a skewed one."""
+
+    @pytest.mark.parametrize("n, k, sizes", [(45, 3, None), (36, 3, (22, 13, 1)), (22, 4, None),
+                                             (20, 4, (5, 9, 5, 1)), (17, 5, None), (16, 5, (3, 6, 2, 4, 1))])
+    @pytest.mark.parametrize("skewed", [False, True])
+    def test_lemma51(self, n, k, sizes, skewed, monkeypatch):
+        if skewed:
+            skewed_stream(monkeypatch)
+        part = [p for p, size in enumerate(sizes or default_partite_sizes(n, k)) for _ in range(size)]
+        colour_of_vector = {(1,) * k: 0}
+        for j, vec in enumerate(crossing_index_vectors(k), start=1):
+            colour_of_vector[vec] = j
+
+        def colour_of_kset(e):
+            vec = [0] * k
+            for v in e:
+                vec[part[v]] += 1
+            return colour_of_vector.get(tuple(vec))
+
+        palette = comb(2 * k - 2, k) + 1
+        for seed in range(10):
+            built = construct_partite_coloring(ConstructionParams(n=n, k=k, seed=seed, part_sizes=sizes))
+            edges, colours = _seeded_reference(n, k, 2, palette, seed, colour_of_kset)
+            assert built.hypergraph.edges == edges
+            assert built.base_colors == colours
+
+    @pytest.mark.parametrize("n, k, s, sizes", [
+        (45, 3, 2, None), (36, 3, 2, (13, 23)), (22, 4, 2, None), (22, 4, 2, (8, 14)), (22, 4, 3, None),
+        (22, 4, 3, (14, 8)), (17, 5, 2, None), (17, 5, 2, (6, 11)), (17, 5, 3, None), (17, 5, 3, (11, 6)),
+        (16, 5, 4, None), (16, 5, 4, (6, 10))])
+    @pytest.mark.parametrize("skewed", [False, True])
+    def test_obs62(self, n, k, s, sizes, skewed, monkeypatch):
+        if skewed:
+            skewed_stream(monkeypatch)
+        n1 = sizes[0] if sizes else n // 2
+        for seed in range(10):
+            built = construct_shadow_disjoint(ConstructionParams(n=n, k=k, seed=seed, s=s, part_sizes=sizes))
+            edges, colours = _seeded_reference(n, k, s, k + 1, seed, lambda e: sum(1 for v in e if v < n1))
+            assert built.hypergraph.edges == edges
+            assert built.base_colors == colours
 
 
 class TestDrawLimit:
@@ -331,6 +420,36 @@ class TestStructuralChecks:
                 for e, f in combinations(h.edges, 2)
             )
             assert partite_structure_ok(h, 6, partition) == expected
+
+    def test_chain_of_overlaps_with_one_odd_label(self):
+        # e1, e2 share {1, 2} and e2, e3 share {2, 3}; e1, e3 share one vertex.
+        # Labels e1 = e3 != e2 break the predicate, whichever pair is compared.
+        h = Hypergraph(3, 6, [(0, 1, 2), (1, 2, 3), (2, 3, 4)])
+        assert not constructions._constant_on_overlaps(h, 2, [0, 1, 0])
+        assert constructions._constant_on_overlaps(h, 2, [1, 1, 1])
+        assert not shadow_disjoint_ok(h, (0, 4), 2)  # |e ∩ A| = 1, 0, 1
+        assert not partite_structure_ok(h, 5, Partition(((0, 4), (1, 2, 3), (5,))))
+        # Three edges through the pair {0, 1}: the last one's label differs.
+        fan = Hypergraph(3, 5, [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
+        assert not constructions._constant_on_overlaps(fan, 2, [0, 0, 1])
+
+    def test_partite_check_matches_index_vectors_off_the_parts(self):
+        # Parts that leave vertices out: the check still answers as the pair
+        # loop over Partition.index_vector does.
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            p = rng.choice([0.03, 0.08, 0.15])
+            h = Hypergraph(3, 8, [e for e in combinations(range(8), 3) if rng.random() < p])
+            part = rng.integers(-1, 3, size=8).tolist()  # -1: in no part
+            partition = Partition(tuple(tuple(v for v in range(8) if part[v] == i) for i in range(3)))
+            z = int(rng.integers(0, 8))
+            expected = all(
+                partition.index_vector(set(e) - {z})[:-1] == (1, 1) for e in h.edges if z in e
+            ) and all(
+                len(set(e) & set(f)) < 2 or partition.index_vector(e) == partition.index_vector(f)
+                for e, f in combinations(h.edges, 2)
+            )
+            assert partite_structure_ok(h, z, partition) == expected
 
     def test_lemma51_checked_above_old_limit(self, monkeypatch):
         monkeypatch.setattr(constructions, "partite_structure_ok", lambda *args: False)
