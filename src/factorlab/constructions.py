@@ -45,8 +45,8 @@ from .hypergraph import Hypergraph, Partition
 # palette.  Checked before anything is drawn or listed.  At the limit a
 # colouring keeps up to a few hundred thousand edges: lemma51 at n = 447
 # and obs62 (k = 3, s = 2) at n = 447 are the largest builds allowed.  At
-# seed 5 they keep 117,530 and 229,573 edges in about 0.9 s and 1.2 s, with
-# peak RSS 93 and 119 MB (2-vCPU Xeon, Python 3.11).
+# seed 5 they keep 117,530 and 229,573 edges in 0.8-1.1 s and 0.9-1.5 s,
+# with peak RSS 92 and 118 MB (2-vCPU Xeon, Python 3.11).
 MAX_DRAWS = 10**5
 
 
@@ -128,7 +128,7 @@ def _monochromatic_cliques(n: int, k: int, s: int, colours: list[int],
     """
     masks: dict[tuple[int, ...], dict[int, int]] = {}  # (s-1)-set -> colour -> mask
     run = iter(colours)
-    for t in combinations(range(n), s - 1):
+    for t in combinations(range(n - 1), s - 1):  # n - 1 is below no vertex
         masks[t] = by_colour = {}
         for v, j in zip(range(t[-1] + 1, n), run):
             by_colour[j] = by_colour.get(j, 0) | 1 << v
@@ -147,7 +147,7 @@ def _monochromatic_cliques(n: int, k: int, s: int, colours: list[int],
                 continue
             nxt = cand  # the mask of (..., v) holds only vertices above v
             for t in combinations(clique, s - 2):
-                nxt &= masks[t + (v,)].get(j, 0)
+                nxt &= masks.get(t + (v,), {}).get(j, 0)
             if nxt.bit_count() >= need:
                 yield from extend(e, nxt, j)
 
@@ -165,15 +165,21 @@ def _colouring(name: str, n: int, k: int, s: int, palette: int, seed: int,
     in part ``parts_of_colour[j][i]`` of the consecutive blocks of ``sizes``.
 
     ``parts_of_colour`` (one part tuple per colour) is read, and the slot
-    masks of ``1 << n`` bits built, only once the draw is accepted.
+    masks of ``1 << n`` bits built, only once the draw is accepted, and only
+    when some k-set exists.  obs62's slots are a table of (k + 1) * k
+    entries, which C(n, s) does not bound when k > n; at k <= n it holds at
+    most (n + 1) * n, the order of the s * C(n, s) >= n * (n - 1) entries of
+    the base colours' keys.
     """
     colours = _seeded_draw(n, s, seed, f"{name} colour draws",
                            lambda rng, count: rng.integers(0, palette, size=count))
+    base_colors = dict(zip(combinations(range(n), s), colours))
+    if k > n:
+        return [], base_colors
     ends = list(accumulate(sizes))
     blocks = [(1 << end) - (1 << (end - size)) for size, end in zip(sizes, ends)]
     slots = [[blocks[p] for p in parts] for parts in parts_of_colour]
-    edges = [e for e, _ in _monochromatic_cliques(n, k, s, colours, slots)]
-    return edges, dict(zip(combinations(range(n), s), colours))
+    return [e for e, _ in _monochromatic_cliques(n, k, s, colours, slots)], base_colors
 
 
 def construct_partite_coloring(params: ConstructionParams) -> Construction:
@@ -211,23 +217,10 @@ def construct_partite_coloring(params: ConstructionParams) -> Construction:
 def partite_structure_ok(h: Hypergraph, z: int, partition: Partition) -> bool:
     """Exhaustive check: link(z) crosses the parts, and edges sharing >= 2
     vertices have equal index vectors."""
-    parts_of: dict[int, list[int]] = {}
-    for p, part in enumerate(partition.parts):
-        for v in set(part):
-            parts_of.setdefault(v, []).append(p)
-
-    def index_vector(vertices: Iterable[int]) -> tuple[int, ...]:
-        # Partition.index_vector, read from the vertex -> parts lookup
-        vec = [0] * len(partition.parts)
-        for v in vertices:
-            for p in parts_of.get(v, ()):
-                vec[p] += 1
-        return tuple(vec)
-
     crossing = (1,) * (len(partition.parts) - 1)
-    if any(z in e and index_vector(v for v in e if v != z)[:-1] != crossing for e in h.edges):
+    if any(z in e and partition.index_vector(set(e) - {z})[:-1] != crossing for e in h.edges):
         return False
-    return _constant_on_overlaps(h, 2, [index_vector(e) for e in h.edges])
+    return _constant_on_overlaps(h, 2, [partition.index_vector(e) for e in h.edges])
 
 
 def construct_shadow_disjoint(params: ConstructionParams) -> Construction:

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import IO, Iterable, Iterator, KeysView, NamedTuple, Sequence
@@ -79,9 +80,24 @@ class Partition:
         """Parts ``0..count-1`` of ``part_of`` (vertex -> part), the one reader of an assignment."""
         return cls(tuple([tuple([v for v, p in enumerate(part_of) if p == c]) for c in range(count)]))
 
+    @cached_property
+    def _parts_of(self) -> dict[int, list[int]]:
+        """Vertex -> the indices of the parts holding it, built once."""
+        parts_of: dict[int, list[int]] = {}
+        for p, part in enumerate(self.parts):
+            for v in set(part):
+                parts_of.setdefault(v, []).append(p)
+        return parts_of
+
     def index_vector(self, vertices: Iterable[int]) -> tuple[int, ...]:
-        vs = set(vertices)
-        return tuple(len(vs.intersection(part)) for part in self.parts)
+        """|vertices ∩ P| for each part P, at the cost of the vertices, not
+        of the parts."""
+        vec = [0] * len(self.parts)
+        parts_of = self._parts_of
+        for v in set(vertices):
+            for p in parts_of.get(v, ()):
+                vec[p] += 1
+        return tuple(vec)
 
     def to_json_obj(self) -> list[list[int]]:
         return [list(p) for p in self.parts]

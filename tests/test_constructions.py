@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations, product
 from math import comb
 from types import SimpleNamespace
@@ -40,17 +41,19 @@ def _partite_reference(built, n, k):
     return expected
 
 
-def mostly_rainbow(monkeypatch):
+def mostly_rainbow(monkeypatch, by_seed=False):
     """Seeded colourings keep almost no edge at k >= 4 on small hosts, so give
-    each base pair colour 0 (the all-ones index vector) with probability 0.9
-    and a uniform colour from the seeded stream otherwise: a rainbow k-set
-    then survives with probability 0.9^C(k, 2)."""
+    each base s-set a favoured colour with probability 0.9 and a uniform
+    colour from the seeded stream otherwise: a k-set of that colour then
+    survives with probability 0.9^C(k, s).  The favoured colour is 0 (the
+    all-ones index vector in lemma51), or ``seed % palette`` when
+    ``by_seed``, so that each seed keeps edges of another colour."""
     real = np.random.default_rng
 
     def rng(seed):
         gen = real(seed)
         return SimpleNamespace(integers=lambda lo, hi, size: np.where(
-            gen.random(size) < 0.9, 0, gen.integers(lo, hi, size)))
+            gen.random(size) < 0.9, seed % hi if by_seed else 0, gen.integers(lo, hi, size)))
 
     monkeypatch.setattr(np.random, "default_rng", rng)
 
@@ -141,17 +144,24 @@ class TestPartiteColoring:
         assert partite_structure_ok(built.hypergraph, built.z, built.partition)
 
     def test_edge_set_rederives_from_base_colors(self, monkeypatch):
-        cases = [(14, 3, None), (20, 3, (12, 7, 1)), (13, 4, None), (15, 4, (2, 6, 6, 1)),
-                 (13, 5, None), (14, 5, (4, 1, 3, 5, 1))]
+        cases = [(14, 3, None), (20, 3, (12, 7, 1)), (45, 3, None), (36, 3, (22, 13, 1)), (13, 4, None),
+                 (15, 4, (2, 6, 6, 1)), (20, 4, (5, 9, 5, 1)), (13, 5, None), (14, 5, (4, 1, 3, 5, 1)),
+                 (16, 5, (3, 6, 2, 4, 1))]
         for n, k, sizes in cases:
-            with monkeypatch.context() as patch:
-                if k >= 4:  # the k = 3 cases keep edges under the seeded stream itself
-                    mostly_rainbow(patch)
-                for seed in (6, 7, 8):
-                    built = construct_partite_coloring(ConstructionParams(n=n, k=k, seed=seed, part_sizes=sizes))
-                    assert list(built.base_colors) == list(combinations(range(n), 2))
-                    assert built.hypergraph.edges == tuple(_partite_reference(built, n, k))
-                    assert built.hypergraph.edges
+            # the k = 3 cases keep edges under the seeded stream itself
+            for by_seed in (False,) if k == 3 else (False, True):
+                with monkeypatch.context() as patch:
+                    if k >= 4:
+                        mostly_rainbow(patch, by_seed)
+                    seeds_kept, colours_kept = 0, set()
+                    for seed in range(10):
+                        built = construct_partite_coloring(ConstructionParams(n=n, k=k, seed=seed, part_sizes=sizes))
+                        assert list(built.base_colors) == list(combinations(range(n), 2))
+                        assert built.hypergraph.edges == tuple(_partite_reference(built, n, k))
+                        seeds_kept += bool(built.hypergraph.edges)
+                        colours_kept.update(built.base_colors[e[:2]] for e in built.hypergraph.edges)
+                    # the by-seed stream keeps edges of colours other than 0
+                    assert len(colours_kept) > 1 if by_seed else seeds_kept >= 7
 
 
 class TestShadowDisjoint:
@@ -182,20 +192,51 @@ class TestShadowDisjoint:
         with pytest.raises(ValueError, match="summing to 12"):
             construct_shadow_disjoint(ConstructionParams(n=12, k=3, seed=1, s=2, part_sizes=sizes))
 
-    def test_edge_set_rederives_from_base_colors(self):
-        cases = [(12, 3, 2, None), (16, 3, 2, (7, 9)), (12, 4, 2, None), (13, 4, 3, (5, 8)),
-                 (11, 5, 3, None), (12, 5, 4, (6, 6))]
+    def test_edge_set_rederives_from_base_colors(self, monkeypatch):
+        cases = [(12, 3, 2, None), (16, 3, 2, (7, 9)), (45, 3, 2, None), (12, 4, 2, None), (22, 4, 2, (8, 14)),
+                 (13, 4, 3, (5, 8)), (22, 4, 3, None), (17, 5, 2, (6, 11)), (11, 5, 3, None), (17, 5, 3, (11, 6)),
+                 (12, 5, 4, (6, 6)), (16, 5, 4, None)]
         for n, k, s, sizes in cases:
-            for seed in (5, 6, 7):
-                built = construct_shadow_disjoint(ConstructionParams(n=n, k=k, seed=seed, s=s, part_sizes=sizes))
-                assert list(built.base_colors) == list(combinations(range(n), s))
-                n1 = len(built.partition.parts[0])
-                expected = [
-                    e
-                    for e in combinations(range(n), k)
-                    if all(built.base_colors[b] == sum(1 for v in e if v < n1) for b in combinations(e, s))
-                ]
-                assert built.hypergraph.edges == tuple(expected)
+            for by_seed in (False, True):
+                with monkeypatch.context() as patch:
+                    if by_seed:
+                        mostly_rainbow(patch, by_seed)
+                    colours_kept = set()
+                    for seed in range(10):
+                        built = construct_shadow_disjoint(ConstructionParams(n=n, k=k, seed=seed, s=s, part_sizes=sizes))
+                        assert list(built.base_colors) == list(combinations(range(n), s))
+                        n1 = len(built.partition.parts[0])
+                        expected = [
+                            e
+                            for e in combinations(range(n), k)
+                            if all(built.base_colors[b] == sum(1 for v in e if v < n1) for b in combinations(e, s))
+                        ]
+                        assert built.hypergraph.edges == tuple(expected)
+                        colours_kept.update(built.base_colors[e[:s]] for e in built.hypergraph.edges)
+                    assert len(colours_kept) > 1 or not by_seed
+
+    def test_k_above_n_builds_no_slots(self):
+        # No k-set exists, and the (k + 1) x k slot table is not bounded by
+        # the C(3, 2) = 3 accepted draws: the part tuples stay unread.
+        def unread():
+            raise AssertionError("read the part tuples")
+            yield
+
+        edges, colours = constructions._colouring("obs62", 3, 10**6, 2, 10**6 + 1, 1, (1, 2), unread())
+        assert edges == [] and list(colours) == [(0, 1), (0, 2), (1, 2)]
+        built = construct_shadow_disjoint(ConstructionParams(n=3, k=10**6, s=2, seed=1))
+        assert built.hypergraph.edges == () and built.palette_size == 10**6 + 1
+
+    def test_s_near_n_masks_only_sets_below_a_vertex(self):
+        # C(447, 446) = 447 draws; an (s-1)-set ending at n - 1 has no vertex
+        # above it, and keying all C(447, 445) = 99,681 of them took ~355 MB.
+        tracemalloc.start()
+        try:
+            built = construct_shadow_disjoint(ConstructionParams(n=447, k=447, s=446, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built.hypergraph.edges == () and peak < 40 * 2**20
 
 
 class TestMonochromaticCliques:
@@ -234,75 +275,6 @@ class TestMonochromaticCliques:
                 if all(colour_of[b] == j for b in combinations(e, s)) and all(slots[j][i] >> v & 1 for i, v in enumerate(e))
             )
             assert sorted(constructions._monochromatic_cliques(n, k, s, colours, slots)) == expected
-
-
-def skewed_stream(monkeypatch):
-    """Give each base s-set colour ``seed % palette`` with probability 0.9 and
-    a uniform colour from the seeded stream otherwise, so builds at k >= 4
-    keep edges of a different colour for each seed."""
-    real = np.random.default_rng
-
-    def rng(seed):
-        gen = real(seed)
-        return SimpleNamespace(integers=lambda lo, hi, size: np.where(
-            gen.random(size) < 0.9, seed % hi, gen.integers(lo, hi, size)))
-
-    monkeypatch.setattr(np.random, "default_rng", rng)
-
-
-def _seeded_reference(n, k, r, palette, seed, colour_of_kset):
-    """The base colours of the r-sets, drawn from ``default_rng(seed)``, and
-    the plain per-k-set filter: keep e when every r-subset has the colour
-    ``colour_of_kset(e)``."""
-    colours = dict(zip(combinations(range(n), r),
-                       np.random.default_rng(seed).integers(0, palette, size=comb(n, r)).tolist()))
-    edges = tuple(e for e in combinations(range(n), k)
-                  if len(set(map(colours.get, combinations(e, r)))) == 1 and colour_of_kset(e) == colours[e[:r]])
-    return edges, colours
-
-
-class TestSeededSweep:
-    """Both colouring builds equal the per-k-set reference, edges and base
-    colours, over seeds 0-9, under the seeded stream and a skewed one."""
-
-    @pytest.mark.parametrize("n, k, sizes", [(45, 3, None), (36, 3, (22, 13, 1)), (22, 4, None),
-                                             (20, 4, (5, 9, 5, 1)), (17, 5, None), (16, 5, (3, 6, 2, 4, 1))])
-    @pytest.mark.parametrize("skewed", [False, True])
-    def test_lemma51(self, n, k, sizes, skewed, monkeypatch):
-        if skewed:
-            skewed_stream(monkeypatch)
-        part = [p for p, size in enumerate(sizes or default_partite_sizes(n, k)) for _ in range(size)]
-        colour_of_vector = {(1,) * k: 0}
-        for j, vec in enumerate(crossing_index_vectors(k), start=1):
-            colour_of_vector[vec] = j
-
-        def colour_of_kset(e):
-            vec = [0] * k
-            for v in e:
-                vec[part[v]] += 1
-            return colour_of_vector.get(tuple(vec))
-
-        palette = comb(2 * k - 2, k) + 1
-        for seed in range(10):
-            built = construct_partite_coloring(ConstructionParams(n=n, k=k, seed=seed, part_sizes=sizes))
-            edges, colours = _seeded_reference(n, k, 2, palette, seed, colour_of_kset)
-            assert built.hypergraph.edges == edges
-            assert built.base_colors == colours
-
-    @pytest.mark.parametrize("n, k, s, sizes", [
-        (45, 3, 2, None), (36, 3, 2, (13, 23)), (22, 4, 2, None), (22, 4, 2, (8, 14)), (22, 4, 3, None),
-        (22, 4, 3, (14, 8)), (17, 5, 2, None), (17, 5, 2, (6, 11)), (17, 5, 3, None), (17, 5, 3, (11, 6)),
-        (16, 5, 4, None), (16, 5, 4, (6, 10))])
-    @pytest.mark.parametrize("skewed", [False, True])
-    def test_obs62(self, n, k, s, sizes, skewed, monkeypatch):
-        if skewed:
-            skewed_stream(monkeypatch)
-        n1 = sizes[0] if sizes else n // 2
-        for seed in range(10):
-            built = construct_shadow_disjoint(ConstructionParams(n=n, k=k, seed=seed, s=s, part_sizes=sizes))
-            edges, colours = _seeded_reference(n, k, s, k + 1, seed, lambda e: sum(1 for v in e if v < n1))
-            assert built.hypergraph.edges == edges
-            assert built.base_colors == colours
 
 
 class TestDrawLimit:
@@ -356,11 +328,12 @@ class TestDrawContract:
     from ``default_rng(seed)``."""
 
     @pytest.mark.parametrize("n, k, s, sizes", [(15, 3, None, None), (20, 3, None, (12, 7, 1)), (13, 5, None, None),
-                                                (12, 3, 2, None), (16, 3, 2, (7, 9)), (13, 4, 3, (5, 8))])
+                                                (12, 3, 2, None), (16, 3, 2, (7, 9)), (13, 4, 3, (5, 8)),
+                                                (20, 4, None, (5, 9, 5, 1)), (22, 4, 2, None), (16, 5, 4, (6, 10))])
     def test_base_colors_are_the_seeded_stream(self, n, k, s, sizes):
         r, palette = (2, comb(2 * k - 2, k) + 1) if s is None else (s, k + 1)
         build = construct_partite_coloring if s is None else construct_shadow_disjoint
-        for seed in range(3):
+        for seed in range(10):
             built = build(ConstructionParams(n=n, k=k, seed=seed, s=s, part_sizes=sizes))
             colours = np.random.default_rng(seed).integers(0, palette, size=comb(n, r)).tolist()
             assert list(built.base_colors.items()) == list(zip(combinations(range(n), r), colours))
@@ -432,24 +405,6 @@ class TestStructuralChecks:
         # Three edges through the pair {0, 1}: the last one's label differs.
         fan = Hypergraph(3, 5, [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
         assert not constructions._constant_on_overlaps(fan, 2, [0, 0, 1])
-
-    def test_partite_check_matches_index_vectors_off_the_parts(self):
-        # Parts that leave vertices out: the check still answers as the pair
-        # loop over Partition.index_vector does.
-        rng = np.random.default_rng(29)
-        for _ in range(100):
-            p = rng.choice([0.03, 0.08, 0.15])
-            h = Hypergraph(3, 8, [e for e in combinations(range(8), 3) if rng.random() < p])
-            part = rng.integers(-1, 3, size=8).tolist()  # -1: in no part
-            partition = Partition(tuple(tuple(v for v in range(8) if part[v] == i) for i in range(3)))
-            z = int(rng.integers(0, 8))
-            expected = all(
-                partition.index_vector(set(e) - {z})[:-1] == (1, 1) for e in h.edges if z in e
-            ) and all(
-                len(set(e) & set(f)) < 2 or partition.index_vector(e) == partition.index_vector(f)
-                for e, f in combinations(h.edges, 2)
-            )
-            assert partite_structure_ok(h, z, partition) == expected
 
     def test_lemma51_checked_above_old_limit(self, monkeypatch):
         monkeypatch.setattr(constructions, "partite_structure_ok", lambda *args: False)

@@ -1,5 +1,6 @@
 """Deeper randomized differential checks between independent code paths."""
 
+import random
 from itertools import combinations, permutations
 
 import numpy as np
@@ -147,6 +148,16 @@ class TestPartitionHelpers:
     def test_k222_partition_index_vectors(self):
         part = Partition(((0, 1), (2, 3), (4, 5)))
         assert all(part.index_vector(e) == (1, 1, 1) for e in k222().edges)
+
+    def test_index_vector_counts_distinct_vertices_per_part(self):
+        # Strays (in no part), repeated vertices and overlapping parts; the
+        # vertices may come as a one-pass iterator.
+        rng = random.Random(5)
+        for _ in range(500):
+            parts = tuple(tuple(sorted(rng.choices(range(8), k=rng.randint(0, 5)))) for _ in range(rng.randint(0, 4)))
+            vs = rng.choices(range(10), k=rng.randint(0, 6))
+            expected = tuple(sum(1 for v in set(vs) if v in part) for part in parts)
+            assert Partition(parts).index_vector(iter(vs)) == expected
 
 
 class TestDisjointUnionFactor:
