@@ -27,9 +27,10 @@ Every seeded build, the binomial model's too, draws one number per r-set
 (colour per s-set, coin flip per k-set) in lexicographic order from numpy's
 PCG64 stream seeded with the given 64-bit seed, so equal parameters yield
 bit-identical hypergraphs on every platform.  A build that would draw more
-than ``MAX_DRAWS`` numbers is refused with ``ValueError`` before anything is
-drawn.  numpy is imported at the draw, because it is most of the package's
-import time and no other CLI command needs it.
+than ``MAX_DRAWS`` numbers, or key more than ``MAX_KEY_ENTRIES`` vertices
+for its cliques, is refused with ``ValueError`` before anything is drawn.
+numpy is imported at the draw, because it is most of the package's import
+time and no other CLI command needs it.
 """
 
 from __future__ import annotations
@@ -48,6 +49,14 @@ from .hypergraph import Hypergraph, Partition
 # seed 5 they keep 117,530 and 229,573 edges in 0.8-1.1 s and 0.9-1.5 s,
 # with peak RSS 92 and 118 MB (2-vCPU Xeon, Python 3.11).
 MAX_DRAWS = 10**5
+
+# Most vertex entries in the keys of one colouring's clique growth: C(n - 1,
+# s - 1) (s-1)-sets of s - 1 vertices each, checked before the draw.  The
+# draw limit alone lets obs62 at k = n and s = n - 1 key about n^2 entries
+# for n up to MAX_DRAWS.  obs62 at n = k = 447 and s = 446 keys 198,470;
+# at n = k = 1001 and s = 1000, the largest such build allowed, it keys
+# 999,000 and builds in 0.2 s with peak RSS 50 MB (2-vCPU Xeon, Python 3.11).
+MAX_KEY_ENTRIES = 10**6
 
 
 @dataclass(frozen=True)
@@ -69,7 +78,6 @@ class Construction:
     z: int | None
     partition: Partition
     palette_size: int
-    base_colors: dict  # s-set of the complete base s-graph (pairs for lemma51) -> colour index
 
 
 def default_partite_sizes(n: int, k: int) -> tuple[int, ...]:
@@ -86,8 +94,8 @@ def default_partite_sizes(n: int, k: int) -> tuple[int, ...]:
     return sizes + (1,)
 
 
-def _bounded_comb(n: int, r: int, what: str) -> int:
-    """C(n, r), refused with ValueError once it passes ``MAX_DRAWS``.
+def _bounded_comb(n: int, r: int, what: str, limit: int = MAX_DRAWS) -> int:
+    """C(n, r), refused with ValueError once it passes ``limit``.
 
     Counts up one factor at a time, so a huge n and r never build a huge
     integer before the refusal.
@@ -97,16 +105,15 @@ def _bounded_comb(n: int, r: int, what: str) -> int:
     count = 1 if r <= n else 0
     for i in range(min(r, n - r)):
         count = count * (n - i) // (i + 1)
-        if count > MAX_DRAWS:
-            raise ValueError(f"{what}: C({n}, {r}) exceeds the limit of {MAX_DRAWS}")
+        if count > limit:
+            raise ValueError(f"{what}: C({n}, {r}) exceeds the limit of {limit}")
     return count
 
 
-def _seeded_draw(n: int, r: int, seed: int, what: str, draw: Callable) -> list:
-    """``draw(rng, count)`` as a list, one value per r-set of ``range(n)`` in
-    lexicographic order, ``rng`` being PCG64 seeded with ``seed``; refused,
-    naming ``what``, before numpy is imported once C(n, r) passes MAX_DRAWS."""
-    count = _bounded_comb(n, r, what)
+def _seeded_draw(count: int, seed: int, draw: Callable) -> list:
+    """``draw(rng, count)`` as a list, ``rng`` being PCG64 seeded with
+    ``seed``: one value per r-set of ``range(n)`` in lexicographic order, for
+    the ``count`` = C(n, r) that :func:`_bounded_comb` accepted."""
     import numpy as np
 
     return draw(np.random.default_rng(seed), count).tolist()
@@ -158,28 +165,30 @@ def _monochromatic_cliques(n: int, k: int, s: int, colours: list[int],
 
 
 def _colouring(name: str, n: int, k: int, s: int, palette: int, seed: int,
-               sizes: tuple[int, ...], parts_of_colour: Iterable[tuple[int, ...]]) -> tuple[list, dict]:
-    """The kept k-sets and the base colour of every s-set: each s-set gets a
-    colour drawn uniformly from ``range(palette)``, and an ascending k-set e
-    is kept in colour j when all its s-sets have colour j and each e[i] lies
-    in part ``parts_of_colour[j][i]`` of the consecutive blocks of ``sizes``.
+               sizes: tuple[int, ...], parts_of_colour: Iterable[tuple[int, ...]]) -> list:
+    """The kept k-sets: each s-set gets a colour drawn uniformly from
+    ``range(palette)``, and an ascending k-set e is kept in colour j when all
+    its s-sets have colour j and each e[i] lies in part
+    ``parts_of_colour[j][i]`` of the consecutive blocks of ``sizes``.
 
-    ``parts_of_colour`` (one part tuple per colour) is read, and the slot
-    masks of ``1 << n`` bits built, only once the draw is accepted, and only
-    when some k-set exists.  obs62's slots are a table of (k + 1) * k
-    entries, which C(n, s) does not bound when k > n; at k <= n it holds at
-    most (n + 1) * n, the order of the s * C(n, s) >= n * (n - 1) entries of
-    the base colours' keys.
+    The C(n, s) draws are checked against ``MAX_DRAWS`` first.  When k > n
+    no k-set exists, and nothing more is checked, drawn or read.  Otherwise
+    the C(n - 1, s - 1) (s-1)-sets that :func:`_monochromatic_cliques` keys,
+    of s - 1 vertices each, are checked against ``MAX_KEY_ENTRIES`` before
+    the draw.  Only then is ``parts_of_colour`` (one part tuple per colour)
+    read into slot masks of ``1 << n`` bits.  obs62's slots are a table of
+    (k + 1) * k references to its two block masks, and at k <= n the two
+    limits keep n <= 447, or n <= 1001 when s = n - 1.
     """
-    colours = _seeded_draw(n, s, seed, f"{name} colour draws",
-                           lambda rng, count: rng.integers(0, palette, size=count))
-    base_colors = dict(zip(combinations(range(n), s), colours))
+    count = _bounded_comb(n, s, f"{name} colour draws")
     if k > n:
-        return [], base_colors
+        return []
+    _bounded_comb(n - 1, s - 1, f"{name} clique keys of {s - 1} vertices", MAX_KEY_ENTRIES // (s - 1))
+    colours = _seeded_draw(count, seed, lambda rng, size: rng.integers(0, palette, size=size))
     ends = list(accumulate(sizes))
     blocks = [(1 << end) - (1 << (end - size)) for size, end in zip(sizes, ends)]
     slots = [[blocks[p] for p in parts] for parts in parts_of_colour]
-    return [e for e, _ in _monochromatic_cliques(n, k, s, colours, slots)], base_colors
+    return [e for e, _ in _monochromatic_cliques(n, k, s, colours, slots)]
 
 
 def construct_partite_coloring(params: ConstructionParams) -> Construction:
@@ -205,13 +214,12 @@ def construct_partite_coloring(params: ConstructionParams) -> Construction:
     crossing = reversed(list(combinations_with_replacement(range(k - 1), k)))
     parts_of_colour = [tuple(range(k)), *crossing]
     palette = len(parts_of_colour)  # == comb(2k-2, k) + 1
-    edges, colors = _colouring("lemma51", n, k, 2, palette, params.seed, sizes, parts_of_colour)
-    h = Hypergraph(k, n, edges)
+    h = Hypergraph(k, n, _colouring("lemma51", n, k, 2, palette, params.seed, sizes, parts_of_colour))
     z = n - 1
     partition = Partition(tuple(tuple(range(end - size, end)) for size, end in zip(sizes, accumulate(sizes))))
     if not partite_structure_ok(h, z, partition):
         raise RuntimeError("structural guarantee violated by construction output")
-    return Construction(h, z, partition, palette, colors)
+    return Construction(h, z, partition, palette)
 
 
 def partite_structure_ok(h: Hypergraph, z: int, partition: Partition) -> bool:
@@ -241,13 +249,12 @@ def construct_shadow_disjoint(params: ConstructionParams) -> Construction:
         raise ValueError(f"both sides must have at least n/3 vertices, got ({n1}, {n2})")
 
     # |e ∩ X| = j for an ascending e exactly when its first j vertices lie in X
-    edges, colors = _colouring("obs62", n, k, s, k + 1, params.seed, (n1, n2),
-                               ((0,) * j + (1,) * (k - j) for j in range(k + 1)))
-    h = Hypergraph(k, n, edges)
+    h = Hypergraph(k, n, _colouring("obs62", n, k, s, k + 1, params.seed, (n1, n2),
+                                    ((0,) * j + (1,) * (k - j) for j in range(k + 1))))
     x_side = tuple(range(n1))
     if not shadow_disjoint_ok(h, x_side, s):
         raise RuntimeError("s-shadow disjointness violated by construction output")
-    return Construction(h, None, Partition((x_side, tuple(range(n1, n)))), k + 1, colors)
+    return Construction(h, None, Partition((x_side, tuple(range(n1, n)))), k + 1)
 
 
 def shadow_disjoint_ok(h: Hypergraph, a_side, s: int) -> bool:
@@ -272,5 +279,5 @@ def random_uniform_hypergraph(n: int, k: int, p: float, seed: int) -> Hypergraph
     """Each k-set is an edge independently with probability p (binomial model)."""
     if not 0 <= p <= 1:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
-    kept = _seeded_draw(n, k, seed, "gnp coin flips", lambda rng, count: rng.random(count) < p)
+    kept = _seeded_draw(_bounded_comb(n, k, "gnp coin flips"), seed, lambda rng, count: rng.random(count) < p)
     return Hypergraph(k, n, compress(combinations(range(n), k), kept))

@@ -2,15 +2,23 @@
 
 A :class:`Hypergraph` is immutable after construction: edges are stored as
 lexicographically sorted tuples of strictly increasing vertex ids, which is
-the canonical form used for equality and serialization.  Derived data is
-computed lazily and cached.  Instances can be shared across threads without a
-lock: a value is stored whole, after it is computed, so a reader sees it
-complete or not at all, and a race at worst computes an equal value twice:
+the canonical form used for equality and serialization.  A list of more
+than 8 edges handed over in that form (k-tuples, each strictly ascending
+inside ``[0, n)``, as the loaders, the seeded builders and ``induced`` give
+them) is kept without sorting or re-checking each edge: a C-level pass over
+each pair of neighbouring columns tells it apart.  Any other input, and any
+shorter list, where the loop costs no more than those passes, is
+canonicalised edge by edge.  Either way the edge list is then sorted and
+checked for duplicates, so every input gives the same edges and errors.
+Derived data is computed lazily and cached.  Instances can be shared across
+threads without a lock: a value is stored whole, after it is computed, so a
+reader sees it complete or not at all, and a race at worst computes an equal
+value twice:
 
 * ``subset_edges(s)``: each s-set lying in some edge, mapped to the ascending
   indices of the edges containing it, built in one pass over the edges.  It is
-  the one incidence index: ``shadow(r)``, the r-sets lying in some edge, is a
-  view of its keys;
+  the one incidence index, and its keys are the s-shadow, the s-sets lying in
+  some edge;
 * ``overlap_classes(s)``: the classes of edge indices under the transitive
   closure of "share >= s vertices", read off ``subset_edges(s)``.  Every
   criterion beyond a colouring rests on this relation;
@@ -43,9 +51,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
-from typing import IO, Iterable, Iterator, KeysView, NamedTuple, Sequence
+from operator import eq, lt
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 # Largest vertex count, and uniformity, the loaders accept: derived data and
 # the deciders allocate O(n) and O(k) per graph, so a header may not ask for
@@ -145,20 +154,38 @@ class Hypergraph:
             raise ValueError(f"uniformity k must be >= 2, got {k}")
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
-        canon = []
-        for e in edges:
-            t = tuple(sorted(e))
-            if len(t) != k:
-                raise ValueError(f"edge {t} does not have {k} vertices")
-            if len(set(t)) != k:
-                raise ValueError(f"edge {t} has a repeated vertex")
-            if t[0] < 0 or t[-1] >= n:
-                raise ValueError(f"edge {t} has a vertex outside [0, {n})")
-            canon.append(t)
+        canon = list(edges)
+        kept = False
+        # Canonical edges (strictly ascending k-tuples inside [0, n)) are kept
+        # as they are, checked by columns: one C-level pass per column pair.
+        # On 8 edges or fewer the per-edge loop below costs no more.
+        if len(canon) > 8 and {*map(type, canon)} == {tuple} and {*map(len, canon)} == {k}:
+            columns = zip(*canon)
+            first = low = next(columns)
+            try:
+                for high in columns:
+                    if not all(map(lt, low, high)):
+                        break
+                    low = high
+                else:
+                    kept = min(first) >= 0 and max(low) < n
+            except TypeError:  # vertices that do not compare: the loop below raises as it always has
+                pass
+        if not kept:
+            given, canon = canon, []
+            for e in given:
+                t = tuple(sorted(e))
+                if len(t) != k:
+                    raise ValueError(f"edge {t} does not have {k} vertices")
+                if len(set(t)) != k:
+                    raise ValueError(f"edge {t} has a repeated vertex")
+                if t[0] < 0 or t[-1] >= n:
+                    raise ValueError(f"edge {t} has a vertex outside [0, {n})")
+                canon.append(t)
         canon.sort()
-        for a, b in zip(canon, canon[1:]):
-            if a == b:
-                raise ValueError(f"duplicate edge {a}")
+        dup = next(compress(canon, map(eq, canon, canon[1:])), None)
+        if dup is not None:
+            raise ValueError(f"duplicate edge {dup}")
         self.k = k
         self.n = n
         self.edges: tuple[tuple[int, ...], ...] = tuple(canon)
@@ -190,14 +217,7 @@ class Hypergraph:
     def edge_set(self) -> frozenset[frozenset[int]]:
         return self._cached("edge_set", lambda: frozenset(map(frozenset, self.edges)))
 
-    # -- shadows, links, degrees -------------------------------------------
-
-    def shadow(self, r: int) -> KeysView[tuple[int, ...]]:
-        """All r-subsets of the vertex set contained in at least one edge:
-        the keys of ``subset_edges(r)``."""
-        if not 1 <= r < self.k:
-            raise ValueError(f"shadow order r must satisfy 1 <= r < k, got {r}")
-        return self.subset_edges(r).keys()
+    # -- links, degrees ----------------------------------------------------
 
     def link(self, vertices: Iterable[int]) -> frozenset[tuple[int, ...]]:
         """Neighbourhood of a set S: the (k-|S|)-sets completing S to an edge."""
@@ -530,7 +550,7 @@ def _parse_json(text: str) -> Hypergraph:
             if type(v) is not int:
                 raise FormatError(f"vertex ids must be integers, got {json.dumps(v)}")
     try:
-        return Hypergraph(obj["k"], obj["n"], obj["edges"])
+        return Hypergraph(obj["k"], obj["n"], map(tuple, obj["edges"]))  # tuples, so canonical edges are kept
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 

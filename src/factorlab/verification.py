@@ -26,9 +26,14 @@ answer comes from a complete exact-cover search over the image masks, so
 its "absent" is a proof through that search, not a heuristic — unless the
 copy cap was hit, in which case the result is explicitly inconclusive.
 That search is iterative and keeps the options of each vertex and the live
-options as ints over option ids.  numpy is imported only inside the
-denseness functions and their array helpers, so the copy, cover and factor
-searches never pay its import time.
+options as ints over option ids.  Its options are the images in the order
+of their sorted vertex tuples.  Every image has v(F) vertices, so of two
+images the one holding the smallest vertex where they differ comes first;
+that is the descending order of the masks' little-endian bytes with the
+bits of every byte reversed, which one bytes sort gives, and each vertex's
+option int is read off one transposition of those bytes.  numpy is
+imported only inside the denseness functions and their array helpers, so
+the copy, cover and factor searches never pay its import time.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from dataclasses import asdict, dataclass, field
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import permutations
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .hypergraph import DEFAULT_CAP, Hypergraph, UnionFind, is_vertex_list
 
@@ -405,12 +410,35 @@ TRUNCATED_NODE_LIMIT = 10**5
 SPACE_NODE_LIMIT = 10**4
 
 
-def _bitset(ids: list[int], size: int) -> int:
-    """The int with bits ``ids`` set, built in one pass over a byte buffer."""
-    buf = bytearray(size // 8 + 1)
-    for i in ids:
-        buf[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(buf, "little")
+# A byte with its bits reversed, as a ``bytes.translate`` table.
+_REVERSED = bytes(int(f"{x:08b}"[::-1], 2) for x in range(256))
+
+# Per bit b, a table taking a byte of ``_rows`` to the digit b"0" or b"1" of
+# its vertex 8j + b, the byte's bit 7 - b: over the bytes 0..255 in order,
+# bit p is 2^p zeros then 2^p ones, repeated.
+_DIGITS = [(b"0" * (128 >> b) + b"1" * (128 >> b)) * (1 << b) for b in range(8)]
+
+
+def _rows(masks: Iterable[int], n: int) -> list[bytes]:
+    """Each mask of vertices below n as ``(n + 7) // 8`` bytes listing its
+    vertices from 0 up: byte j holds vertices 8j..8j+7, vertex 8j at its top
+    bit (the mask's little-endian bytes, each with its bits reversed)."""
+    width = (n + 7) >> 3
+    return [m.to_bytes(width, "little").translate(_REVERSED) for m in masks]
+
+
+def _transpose(rows: list[bytes], n: int) -> list[int]:
+    """Per vertex v < n, the int whose bit i is set when ``rows[i]`` (of
+    :func:`_rows`) holds v: byte v // 8 of every row, one C-level slice of
+    the joined rows, is translated to the digits of v and read, reversed, as
+    a base-2 int."""
+    width = (n + 7) >> 3
+    blob = b"".join(rows)
+    at_vertex: list[int] = []
+    for j in range(width):
+        column = blob[j::width]
+        at_vertex += [int(column.translate(digits)[::-1] or b"0", 2) for digits in _DIGITS[:n - 8 * j]]
+    return at_vertex
 
 
 def _parity_refutation(masks: list[int], n: int) -> list[int] | None:
@@ -496,17 +524,7 @@ def _edge_refutation(h: Hypergraph, size: int) -> list[int] | None:
     if sum(sorted(h.embedding_masks().degrees, reverse=True)[:size]) < len(h.edges):
         return None
     masks = [sum(1 << v for v in e) for e in h.edges]
-    return _space_refutation(masks, _incidence(h.edges, h.n), size)
-
-
-def _incidence(members: Sequence[tuple[int, ...]], n: int) -> list[int]:
-    """Per vertex v < n, the int of the indices of ``members`` (vertex lists)
-    that contain v."""
-    ids: list[list[int]] = [[] for _ in range(n)]
-    for idx, vs in enumerate(members):
-        for v in vs:
-            ids[v].append(idx)
-    return [_bitset(vs, len(members)) for vs in ids]
+    return _space_refutation(masks, _transpose(_rows(masks, h.n), h.n), size)
 
 
 def _options(
@@ -514,11 +532,20 @@ def _options(
 ) -> tuple[list[int], list[tuple[int, ...]], list[int], bool]:
     """The exact-cover options: the copy-image masks ordered by their sorted
     vertices, their witness embeddings, ``at_vertex[v]`` (the int of the
-    options containing host vertex v) and whether the listing was truncated."""
+    options containing host vertex v) and whether the listing was truncated.
+
+    Every image has v(F) vertices, so of two images the one holding the
+    smallest vertex where they differ has the smaller sorted vertex tuple:
+    below that vertex the tuples agree, and the other image's next vertex is
+    larger.  Its row (:func:`_rows`) is the larger one, since a row lists the
+    vertices from 0 up, most significant bit first; so the options are the
+    rows in descending order, sorted as bytes, and ``at_vertex`` is their
+    transpose."""
     images, truncated = copy_images(f, h, cap)
-    masks = sorted(images, key=lambda m: sorted(images[m]))
-    witnesses = [images[m] for m in masks]
-    return masks, witnesses, _incidence(witnesses, h.n), truncated
+    keyed = sorted(zip(_rows(images, h.n), images), reverse=True)
+    masks = [m for _, m in keyed]
+    at_vertex = _transpose([row for row, _ in keyed], h.n)
+    return masks, list(map(images.__getitem__, masks)), at_vertex, truncated
 
 
 def _exact_cover(

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from itertools import combinations, product
 from math import comb
@@ -26,17 +27,25 @@ def crossing_index_vectors(k):
     return [v + (0,) for v in product(range(k + 1), repeat=k - 1) if sum(v) == k]
 
 
-def _partite_reference(built, n, k):
+def replayed_colours(n, s, palette, seed):
+    """The colour of each s-set of ``range(n)``, in lexicographic order, from
+    a replay of the seeded draw of a colouring build with ``palette`` colours."""
+    colours = constructions._seeded_draw(comb(n, s), seed, lambda rng, count: rng.integers(0, palette, size=count))
+    return dict(zip(combinations(range(n), s), colours))
+
+
+def _partite_reference(built, n, k, seed):
     """The plain per-k-set filter: keep e when every pair of e has the colour
     matched to e's index vector: 0 for the all-ones vector, then 1, 2, ...
     for the crossing vectors in lexicographic order."""
     color_of_vector = {(1,) * k: 0}
     for j, vec in enumerate(crossing_index_vectors(k), start=1):
         color_of_vector[vec] = j
+    colour_of = replayed_colours(n, 2, built.palette_size, seed)
     expected = []
     for e in combinations(range(n), k):
         j = color_of_vector.get(built.partition.index_vector(e))
-        if j is not None and all(built.base_colors[p] == j for p in combinations(e, 2)):
+        if j is not None and all(colour_of[p] == j for p in combinations(e, 2)):
             expected.append(e)
     return expected
 
@@ -79,7 +88,7 @@ class TestIndexVectors:
             monkeypatch.setattr(np.random, "default_rng",
                                 lambda seed: SimpleNamespace(integers=lambda lo, hi, size: np.full(size, j)))
             built = construct_partite_coloring(ConstructionParams(n=n, k=k, seed=0, part_sizes=sizes))
-            assert built.hypergraph.edges and built.hypergraph.edges == tuple(_partite_reference(built, n, k))
+            assert built.hypergraph.edges and built.hypergraph.edges == tuple(_partite_reference(built, n, k, 0))
 
     def test_k3_palette(self):
         built = construct_partite_coloring(ConstructionParams(n=9, k=3, seed=0))
@@ -156,10 +165,10 @@ class TestPartiteColoring:
                     seeds_kept, colours_kept = 0, set()
                     for seed in range(10):
                         built = construct_partite_coloring(ConstructionParams(n=n, k=k, seed=seed, part_sizes=sizes))
-                        assert list(built.base_colors) == list(combinations(range(n), 2))
-                        assert built.hypergraph.edges == tuple(_partite_reference(built, n, k))
+                        assert built.hypergraph.edges == tuple(_partite_reference(built, n, k, seed))
                         seeds_kept += bool(built.hypergraph.edges)
-                        colours_kept.update(built.base_colors[e[:2]] for e in built.hypergraph.edges)
+                        colour_of = replayed_colours(n, 2, built.palette_size, seed)
+                        colours_kept.update(colour_of[e[:2]] for e in built.hypergraph.edges)
                     # the by-seed stream keeps edges of colours other than 0
                     assert len(colours_kept) > 1 if by_seed else seeds_kept >= 7
 
@@ -204,26 +213,30 @@ class TestShadowDisjoint:
                     colours_kept = set()
                     for seed in range(10):
                         built = construct_shadow_disjoint(ConstructionParams(n=n, k=k, seed=seed, s=s, part_sizes=sizes))
-                        assert list(built.base_colors) == list(combinations(range(n), s))
+                        colour_of = replayed_colours(n, s, k + 1, seed)
                         n1 = len(built.partition.parts[0])
                         expected = [
                             e
                             for e in combinations(range(n), k)
-                            if all(built.base_colors[b] == sum(1 for v in e if v < n1) for b in combinations(e, s))
+                            if all(colour_of[b] == sum(1 for v in e if v < n1) for b in combinations(e, s))
                         ]
                         assert built.hypergraph.edges == tuple(expected)
-                        colours_kept.update(built.base_colors[e[:s]] for e in built.hypergraph.edges)
+                        colours_kept.update(colour_of[e[:s]] for e in built.hypergraph.edges)
                     assert len(colours_kept) > 1 or not by_seed
 
-    def test_k_above_n_builds_no_slots(self):
+    def test_k_above_n_builds_no_slots(self, monkeypatch):
         # No k-set exists, and the (k + 1) x k slot table is not bounded by
-        # the C(3, 2) = 3 accepted draws: the part tuples stay unread.
+        # the C(3, 2) = 3 accepted draws: nothing is drawn, and the part
+        # tuples stay unread.
         def unread():
             raise AssertionError("read the part tuples")
             yield
 
-        edges, colours = constructions._colouring("obs62", 3, 10**6, 2, 10**6 + 1, 1, (1, 2), unread())
-        assert edges == [] and list(colours) == [(0, 1), (0, 2), (1, 2)]
+        def refuse(*args):
+            raise AssertionError("drew with no k-set to keep")
+
+        monkeypatch.setattr(constructions, "_seeded_draw", refuse)
+        assert constructions._colouring("obs62", 3, 10**6, 2, 10**6 + 1, 1, (1, 2), unread()) == []
         built = construct_shadow_disjoint(ConstructionParams(n=3, k=10**6, s=2, seed=1))
         assert built.hypergraph.edges == () and built.palette_size == 10**6 + 1
 
@@ -293,11 +306,20 @@ class TestDrawLimit:
         ConstructionParams(n=448, k=3, seed=1, s=2),
         ConstructionParams(n=86, k=4, seed=1, s=3),
         ConstructionParams(n=10**9, k=10**6, seed=1, s=10**5),
+        ConstructionParams(n=20000, k=20000, seed=1, s=19999),  # 20,000 draws keying 4 * 10^8 vertices
     ])
     def test_colourings_refused(self, params):
         build = construct_partite_coloring if params.s is None else construct_shadow_disjoint
         with pytest.raises(ValueError, match="exceeds the limit"):
             build(params)
+
+    def test_key_limit_is_inclusive(self):
+        # obs62 at k = n and s = n - 1 draws only n colours but keys the
+        # C(n - 1, n - 2) sets of n - 2 vertices below n - 1.
+        assert comb(1000, 999) * 999 <= constructions.MAX_KEY_ENTRIES < comb(1001, 1000) * 1000
+        assert construct_shadow_disjoint(ConstructionParams(n=1001, k=1001, s=1000, seed=1)).hypergraph.edges == ()
+        with pytest.raises(ValueError, match=r"keys of 1000 vertices: C\(1001, 1000\) exceeds the limit"):
+            construct_shadow_disjoint(ConstructionParams(n=1002, k=1002, s=1001, seed=1))
 
     def test_gnp_refused_for_huge_k(self):
         with pytest.raises(ValueError, match="exceeds the limit"):
@@ -313,6 +335,7 @@ class TestDrawLimit:
         (construct_shadow_disjoint, (ConstructionParams(n=10**9, k=10**6, seed=1, s=10**5),)),
         (random_uniform_hypergraph, (448, 2, 0.0, 1)),
         (random_uniform_hypergraph, (10**18, 10**9, 0.5, 1)),
+        (construct_shadow_disjoint, (ConstructionParams(n=20000, k=20000, seed=1, s=19999),)),
     ])
     def test_refused_before_drawing(self, build, args, monkeypatch):
         def refuse(seed):
@@ -330,13 +353,20 @@ class TestDrawContract:
     @pytest.mark.parametrize("n, k, s, sizes", [(15, 3, None, None), (20, 3, None, (12, 7, 1)), (13, 5, None, None),
                                                 (12, 3, 2, None), (16, 3, 2, (7, 9)), (13, 4, 3, (5, 8)),
                                                 (20, 4, None, (5, 9, 5, 1)), (22, 4, 2, None), (16, 5, 4, (6, 10))])
-    def test_base_colors_are_the_seeded_stream(self, n, k, s, sizes):
+    def test_base_colors_are_the_seeded_stream(self, n, k, s, sizes, monkeypatch):
+        # What the build draws, recorded at _seeded_draw, and the tests'
+        # replay of that draw are both the plain stream.
         r, palette = (2, comb(2 * k - 2, k) + 1) if s is None else (s, k + 1)
         build = construct_partite_coloring if s is None else construct_shadow_disjoint
+        drawn = []
+        real = constructions._seeded_draw
+        monkeypatch.setattr(constructions, "_seeded_draw", lambda *args: drawn.append(real(*args)) or drawn[-1])
         for seed in range(10):
-            built = build(ConstructionParams(n=n, k=k, seed=seed, s=s, part_sizes=sizes))
+            drawn.clear()
+            build(ConstructionParams(n=n, k=k, seed=seed, s=s, part_sizes=sizes))
             colours = np.random.default_rng(seed).integers(0, palette, size=comb(n, r)).tolist()
-            assert list(built.base_colors.items()) == list(zip(combinations(range(n), r), colours))
+            assert drawn == [colours]
+            assert replayed_colours(n, r, palette, seed) == dict(zip(combinations(range(n), r), colours))
 
     @pytest.mark.parametrize("n, k, p", [(10, 3, 0.3), (12, 4, 0.5), (30, 2, 0.1)])
     def test_gnp_edges_are_the_plain_filter(self, n, k, p):
@@ -363,6 +393,26 @@ class TestRandomUniform:
     def test_probability_guard(self):
         with pytest.raises(ValueError):
             random_uniform_hypergraph(5, 3, 1.5, 0)
+
+
+class TestCanonicalOutput:
+    """Each builder hands Hypergraph canonical edges, which it keeps as they
+    are: the result equals the hypergraph built from the same edges
+    shuffled and each reversed, which takes the per-edge loop."""
+
+    def test_builds_equal_the_checked_form(self):
+        rng = random.Random(11)
+        builds = [construct_partite_coloring(ConstructionParams(n=n, k=3, seed=seed)).hypergraph
+                  for n, seed in ((12, 1), (30, 2), (45, 3))]
+        builds += [construct_shadow_disjoint(ConstructionParams(n=n, k=k, s=s, seed=seed)).hypergraph
+                   for n, k, s, seed in ((12, 3, 2, 1), (30, 3, 2, 4), (22, 4, 3, 5))]
+        builds += [random_uniform_hypergraph(n, k, p, seed) for n, k, p, seed in ((12, 3, 0.3, 1), (16, 4, 0.2, 2))]
+        assert sum(len(h.edges) for h in builds) > 500
+        for h in builds:
+            edges = [e[::-1] for e in h.edges]
+            rng.shuffle(edges)
+            assert Hypergraph(h.k, h.n, edges).edges == h.edges
+            assert all(type(e) is tuple for e in h.edges)
 
 
 class TestStructuralChecks:

@@ -1,8 +1,11 @@
 import json
+from collections import namedtuple
 from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorlab import FormatError, Hypergraph, load_hypergraph
 from factorlab.corpus import complete, k4, k222, single_edge
@@ -148,27 +151,153 @@ class TestLoading:
             assert load_hypergraph(json.dumps(h.to_json_obj())) == h
 
 
+def plain_canonical(k, n, edges):
+    """The edges a Hypergraph stores, by the plain per-edge loop, or the text
+    of the ValueError it raises."""
+    canon = []
+    for e in edges:
+        t = tuple(sorted(e))
+        if len(t) != k:
+            return f"edge {t} does not have {k} vertices"
+        if len(set(t)) != k:
+            return f"edge {t} has a repeated vertex"
+        if t[0] < 0 or t[-1] >= n:
+            return f"edge {t} has a vertex outside [0, {n})"
+        canon.append(t)
+    canon.sort()
+    for a, b in zip(canon, canon[1:]):
+        if a == b:
+            return f"duplicate edge {a}"
+    return tuple(canon)
+
+
+def constructed(k, n, edges):
+    """``Hypergraph(k, n, edges).edges``, or the text of its ValueError."""
+    try:
+        return Hypergraph(k, n, edges).edges
+    except ValueError as exc:
+        return str(exc)
+
+
+EDGE_FORMS = {
+    "tuple": tuple,
+    "sorted": lambda e: tuple(sorted(e)),
+    "reversed": lambda e: tuple(sorted(e, reverse=True)),
+    "list": list,
+    "generator": lambda e: (v for v in e),
+}
+LIST_FORMS = {
+    "list": list,
+    "tuple": tuple,
+    "sorted": sorted,
+    "reversed": lambda edges: edges[::-1],
+    "generator": lambda edges: (e for e in edges),
+    "set": set,
+}
+
+
+@st.composite
+def edge_inputs(draw):
+    """(k, n, vertex lists, edge form, list form): ascending k-subsets of
+    range(n) in any order, repeats allowed or not, and at times one edge with
+    a wrong length, a repeated vertex or a vertex outside [0, n) among them.
+    Lists of up to 20 edges reach both sides of the 8-edge cut."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(0, 9))
+    ksets = list(combinations(range(n), k))
+    if ksets:
+        if draw(st.booleans()):  # distinct edges
+            chosen = draw(st.permutations(ksets))[:draw(st.integers(0, 20))]
+        else:
+            chosen = draw(st.lists(st.sampled_from(ksets), min_size=draw(st.sampled_from([0, 9])), max_size=20))
+        edges = [list(e) for e in chosen]
+    else:
+        edges = []
+    if draw(st.booleans()):
+        vertex_lists = st.lists(st.integers(-1, n), min_size=k - 1, max_size=k + 1)
+        noisy = draw(st.one_of(vertex_lists.map(sorted), vertex_lists))
+        edges.insert(draw(st.integers(0, len(edges))), noisy)
+    # ascending tuples, the form kept as it is, half the time
+    edge_form = draw(st.sampled_from(["tuple"] * 4 + sorted(EDGE_FORMS)))
+    return k, n, edges, edge_form, draw(st.sampled_from(sorted(LIST_FORMS)))
+
+
+class TestConstructor:
+    """Canonical edge lists are kept as they are, and every input gives the
+    edges, or the ValueError text, of the plain per-edge loop."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(edge_inputs())
+    def test_matches_plain_canonicaliser(self, case):
+        k, n, edges, edge_form, list_form = case
+        if (edge_form, list_form) in (("list", "set"), ("generator", "set"), ("generator", "sorted")):
+            list_form = "list"  # a set holds only hashable edges, and generators do not compare
+
+        def make():
+            return LIST_FORMS[list_form]([EDGE_FORMS[edge_form](e) for e in edges])
+
+        assert constructed(k, n, make()) == plain_canonical(k, n, make())
+
+    @pytest.mark.parametrize("edges", [
+        [],
+        [(0, 1, 2)],
+        [(0, 1, 2), (0, 1, 2)],
+        [(1, 2, 3), (0, 1, 2), (1, 2, 3)],
+        [(0, 1, 2), (0, 1)],
+        [(0, 1, 2), (0, 1, 2, 3)],
+        [(0, 1, 1)],
+        [(0, 2, 1)],
+        [(-1, 0, 1)],
+        [(2, 3, 6)],
+        [(0, 1, 2.5)],
+        [(False, True, 2), (0, 1, 2)],
+    ])
+    def test_each_error_and_edge_list(self, edges):
+        # each case alone, and before and after nine ascending triples, past
+        # the 8-edge cut
+        nine = [*combinations(range(6), 3)][-9:]
+        for case in (edges, nine + edges, edges + nine):
+            assert constructed(3, 6, case) == plain_canonical(3, 6, case)
+            assert constructed(3, 6, iter(case)) == plain_canonical(3, 6, case)
+
+    def test_list_order_subclasses_and_incomparable_vertices(self):
+        # Ascending tuples in any list order come out sorted; an edge of a
+        # tuple subclass, or of vertices that do not compare, takes the loop.
+        ksets = [*combinations(range(6), 3)]
+        assert Hypergraph(3, 6, ksets[::-1]).edges == tuple(ksets)
+        Edge = namedtuple("Edge", "a b c")
+        h = Hypergraph(3, 6, ksets[1:] + [Edge(0, 1, 2)])
+        assert h.edges == tuple(ksets) and all(type(e) is tuple for e in h.edges)
+        for odd in ((0, 1, "a"), (None, 1, 2)):
+            edges = ksets[1:] + [odd]
+            with pytest.raises(TypeError) as got:
+                Hypergraph(3, 6, edges)
+            with pytest.raises(TypeError) as want:
+                plain_canonical(3, 6, edges)
+            assert str(got.value) == str(want.value)
+
+
 class TestShadowLinkDegree:
     def test_shadow_of_one_edge(self):
-        assert single_edge().shadow(2) == frozenset({(0, 1), (0, 2), (1, 2)})
+        assert single_edge().subset_edges(2).keys() == frozenset({(0, 1), (0, 2), (1, 2)})
 
     def test_k222_shadow_has_only_cross_pairs(self):
-        pairs = k222().shadow(2)
+        pairs = k222().subset_edges(2).keys()
         assert len(pairs) == 12
         assert not any({(0, 1), (2, 3), (4, 5)} & pairs)
 
     def test_empty_shadow(self):
-        assert Hypergraph(3, 5, []).shadow(2) == frozenset()
+        assert Hypergraph(3, 5, []).subset_edges(2).keys() == frozenset()
 
     def test_shadow_out_of_range(self):
         with pytest.raises(ValueError):
-            single_edge().shadow(3)
+            single_edge().subset_edges(3)
 
     def test_shadow_downward_closure(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             h = random_graph(rng, 8, k=4, p=0.3)
-            sh3, sh2 = h.shadow(3), h.shadow(2)
+            sh3, sh2 = h.subset_edges(3).keys(), h.subset_edges(2).keys()
             for triple in sh3:
                 for pair in combinations(triple, 2):
                     assert pair in sh2

@@ -21,6 +21,7 @@ import random
 import sys
 import tempfile
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -187,7 +188,8 @@ def section_cli() -> list:
 
 def section_constructions() -> list:
     """Seeded lemma51 and obs62 builds, with default and explicit part sizes,
-    and binomial builds: edges, z, partition, palette size and base colours."""
+    and binomial builds: edges, z, partition, palette size and base colours,
+    the last replayed from the build's seeded draw."""
     out = []
     plans = [(constructions.construct_partite_coloring, k, None, n, sizes)
              for k, n, sizes in ((3, 10, None), (3, 10, (4, 5, 1)), (4, 12, None), (4, 12, (3, 4, 4, 1)))]
@@ -197,8 +199,11 @@ def section_constructions() -> list:
     for build, k, s, n, sizes in plans:
         for seed in (0, 7):
             built = build(constructions.ConstructionParams(n=n, k=k, seed=seed, s=s, part_sizes=sizes))
+            r = 2 if s is None else s
+            colours = constructions._seeded_draw(
+                comb(n, r), seed, lambda rng, count: rng.integers(0, built.palette_size, size=count))
             out.append([built.hypergraph.to_json_obj(), built.z, built.partition.to_json_obj(),
-                        built.palette_size, [[list(t), c] for t, c in built.base_colors.items()]])
+                        built.palette_size, [[list(t), c] for t, c in zip(combinations(range(n), r), colours)]])
     for k, n, p in ((3, 9, 0.3), (4, 9, 0.2), (3, 12, 0.05)):
         out.append(constructions.random_uniform_hypergraph(n, k, p, seed=n).to_json_obj())
     return out

@@ -659,6 +659,36 @@ def proofs_barriers(seed):
         yield "obs62", k222(), construct_shadow_disjoint(params).hypergraph
 
 
+class TestOptions:
+    """The exact-cover options against their plain forms: masks ordered by
+    sorted vertex tuple, and one int per vertex of the options holding it."""
+
+    SIZES = [0, 1, 7, 8, 9, 15, 16, 17, 64, 65]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_transpose_is_the_per_vertex_incidence(self, n):
+        rng = random.Random(n)
+        for count in (0, 1, 2, 7, 8, 9, 100):
+            masks = [rng.getrandbits(n) for _ in range(count)] + [(1 << n) - 1, 0]
+            expected = [sum(1 << i for i, m in enumerate(masks) if m >> v & 1) for v in range(n)]
+            assert verification._transpose(verification._rows(masks, n), n) == expected
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_order_and_incidence_of_every_listing(self, n):
+        rng = random.Random(100 + n)
+        hosts = [Hypergraph(3, n, []), random_graph(rng, n, min(0.5, 40 / max(n, 1) ** 2))]
+        listed = 0
+        for h in hosts:
+            for f in (single_edge(), loose_path(), k4_minus()):
+                masks, witnesses, at_vertex, truncated = verification._options(f, h, DEFAULT_CAP)
+                images, _ = copy_images(f, h)
+                assert masks == sorted(images, key=lambda m: sorted(images[m]))
+                assert witnesses == [images[m] for m in masks] and not truncated
+                assert at_vertex == [sum(1 << i for i, phi in enumerate(witnesses) if v in phi) for v in range(n)]
+                listed += len(masks)
+        assert listed > 0 or n < 5
+
+
 class TestRefutation:
     def test_validator_agrees_with_oracle_on_pin_cases(self):
         """Fixed, found and corrupted certificates on every pin case but K222
