@@ -354,12 +354,6 @@ class Hypergraph:
         edges = [tuple(remap[v] for v in e) for e in self.edges if ks.issuperset(e)]
         return Hypergraph(self.k, len(keep), edges), remap
 
-    def relabel(self, perm: Sequence[int]) -> "Hypergraph":
-        """Apply a vertex permutation (``perm[old] = new``)."""
-        if sorted(perm) != list(range(self.n)):
-            raise ValueError("perm is not a permutation of the vertex set")
-        return Hypergraph(self.k, self.n, [tuple(perm[v] for v in e) for e in self.edges])
-
     # -- serialization -------------------------------------------------------
 
     def to_text(self) -> str:

@@ -834,17 +834,20 @@ def _sampled_worst(h: Hypergraph, p: float, fam, sample_count: int, seed: int) -
     """Worst deficit over samples 0..sample_count-1 of the canonical family
     ``fam``.
 
-    Sample i draws the members' tables in family order, from one stream
-    seeded by (seed, i); a cell is allowed when its draw is below 1/2.  Up to
-    ``_SAMPLE_BATCH`` samples are drawn into one boolean array, a row per
-    sample, with B times the cells one sample holds (its draws, its joint
-    tables and a tally cell per edge) within ``DENSE_CELL_LIMIT`` unless one
-    sample alone holds more.  Members that share positions are ANDed into
-    one joint table over the union of their positions.  A sample's
-    allowed-tuple count is the product, in Python ints, of its joint tables'
-    counts and n per free position; the edge count reads each joint table
-    transposed to (cells, B).  Each deficit goes through :func:`_deficit`
-    with the same ints as one sample at a time would give it.
+    One generator seeded by ``seed`` serves the whole call: sample i takes
+    the i-th block of ``cells`` draws of its stream, which fills the
+    members' tables in family order, and a cell is allowed when its draw is
+    below 1/2.  Up to ``_SAMPLE_BATCH`` samples are drawn, a row at a time,
+    into one boolean array, with B times the cells one sample holds (its
+    draws, its joint tables and a tally cell per edge) within
+    ``DENSE_CELL_LIMIT`` unless one sample alone holds more.  Members that
+    share positions are ANDed into one joint table over the union of their
+    positions.  A sample's allowed-tuple count is the product, in Python
+    ints, of its joint tables' counts and n per free position; the edge
+    count reads each joint table transposed to (cells, B).  Each deficit
+    goes through :func:`_deficit` with the same ints as one sample at a time
+    would give it, so neither the batch width nor ``sample_count`` changes
+    any sample's deficit.
     """
     import numpy as np
 
@@ -866,24 +869,25 @@ def _sampled_worst(h: Hypergraph, p: float, fam, sample_count: int, seed: int) -
     held = cells + sum(n ** len(axes) for axes, _ in joints) + len(edges)
     width = max(1, min(_SAMPLE_BATCH, DENSE_CELL_LIMIT // max(1, held)))
     n_pow_k = n**k
+    rng = np.random.default_rng(seed)
     draws = np.empty(cells)
     drawn = np.empty((width, cells), dtype=bool)
     worst = float("-inf")
     for start in range(0, sample_count, width):
-        batch = range(start, min(start + width, sample_count))
-        for row, i in enumerate(batch):
-            np.random.default_rng([seed, i]).random(out=draws)
+        size = min(width, sample_count - start)
+        for row in range(size):
+            rng.random(out=draws)
             np.less(draws, 0.5, out=drawn[row])
-        samples = drawn[:len(batch)]
-        allowed = [free] * len(batch)
+        samples = drawn[:size]
+        allowed = [free] * size
         tables = []
         for axes, members in joints:
             joint = reduce(np.logical_and, [
-                samples[:, tables_of[s]].reshape([len(batch)] + [n if pos in s else 1 for pos in axes])
-                for s in members]).reshape(len(batch), -1)
-            allowed = [a * int(np.count_nonzero(row)) for a, row in zip(allowed, joint)]
+                samples[:, tables_of[s]].reshape([size] + [n if pos in s else 1 for pos in axes])
+                for s in members]).reshape(size, -1)
+            allowed = [a * c for a, c in zip(allowed, np.count_nonzero(joint, axis=1).tolist())]
             tables.append((axes, np.ascontiguousarray(joint.T)))
-        counts = _edge_tuple_counts(edges, tables, n, len(batch)).tolist()
+        counts = _edge_tuple_counts(edges, tables, n, size).tolist()
         worst = max(worst, *(_deficit(p, a, c, n_pow_k) for a, c in zip(allowed, counts)))
     return worst
 
@@ -894,10 +898,12 @@ def estimate_denseness(
     """Worst deficit p·|X_1|···|X_k| - e(X_1..X_k), normalized by n^k, over
     uniformly sampled subset tuples.
 
-    Sample i draws its subsets from an independent stream seeded by (seed, i).
-    Samples are drawn and counted in batches of up to 64 on the calling
-    thread, and only the worst deficit so far is kept, so memory is bounded by
-    the batch, not by ``sample_count``.  ``workers`` is accepted and ignored.
+    One generator seeded by ``seed`` draws every sample: sample i takes the
+    next k·n draws of its stream, one vertex mask per position, so the first
+    samples of a longer run are the samples of a shorter one.  Samples are
+    drawn and counted in batches of up to 64 on the calling thread, and only
+    the worst deficit so far is kept, so memory is bounded by the batch, not
+    by ``sample_count``.  ``workers`` is accepted and ignored.
     A sampled report is a lower bound on the slack a denseness verdict would
     need, never a verdict itself.
     """
@@ -949,14 +955,16 @@ def estimate_S_denseness(
     families G = {G_S ⊆ V^S : S in family}.
 
     Each G_S is a uniform subset of V^S (elements drawn in lexicographic
-    order), sharing the sample streams of :func:`estimate_denseness`; with the
-    singleton family {{1},...,{k}} the two estimators agree bit for bit under
-    equal seeds.  As there, samples are drawn and counted in batches of up to
-    64 on the calling thread, keeping only the worst deficit so far, and
-    ``workers`` is accepted and ignored.  A sample holds its tables (n^|S|
-    cells each) and, for members that share positions, one joint table of up
-    to n^k cells, so hosts with more than ``DENSE_CELL_LIMIT`` cells are
-    refused with ``ValueError``.
+    order).  As in :func:`estimate_denseness`, one generator seeded by
+    ``seed`` draws every sample, sample i taking the next Σ_S n^|S| draws of
+    its stream for the members in canonical order; with the singleton family
+    {{1},...,{k}} the two estimators agree bit for bit under equal seeds.
+    As there, samples are drawn and counted in batches of up to 64 on the
+    calling thread, keeping only the worst deficit so far, and ``workers``
+    is accepted and ignored.  A sample holds its tables (n^|S| cells each)
+    and, for members that share positions, one joint table of up to n^k
+    cells, so hosts with more than ``DENSE_CELL_LIMIT`` cells are refused
+    with ``ValueError``.
     """
     if sample_count < 1:
         raise ValueError("need at least one sample")

@@ -641,7 +641,7 @@ DRAWN = {
     "construct": lambda payload: payload["hypergraph"]["edges"] == [
         [0, 1, 2], [0, 1, 3], [0, 2, 3], [0, 2, 4], [0, 2, 5], [0, 3, 4], [0, 4, 5], [1, 2, 3], [1, 2, 5],
         [2, 3, 4], [3, 4, 5]],
-    "verify": lambda payload: payload["report"]["worst_deficit"] == 0.06018518518518518,
+    "verify": lambda payload: payload["report"]["worst_deficit"] == 0.0625,
 }
 
 

@@ -28,6 +28,7 @@ from factorlab.oracles import (
 )
 from factorlab.verification import validate_embedding, validate_factor_certificate
 from alarm import within
+from relabelling import relabel
 
 TWO_EDGES = Hypergraph(3, 6, [(0, 1, 2), (3, 4, 5)])
 
@@ -324,7 +325,7 @@ class TestFactor3:
         rng = np.random.default_rng(55)
         for f in random_3graphs(rng, 30, 5):
             perm = list(int(v) for v in rng.permutation(5))
-            g = f.relabel(perm)
+            g = relabel(f, perm)
             assert decide_factor_3(g).verdict == decide_factor_3(f).verdict
             assert decide_turan_zero_3(g).verdict == decide_turan_zero_3(f).verdict
             assert decide_cover_partition_3(g).verdict == decide_cover_partition_3(f).verdict

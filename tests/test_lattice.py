@@ -22,6 +22,7 @@ from factorlab.hypergraph import PartAssignments
 from factorlab.lattice import bipartition_sizes, shared_sum_contains
 from factorlab.oracles import bounded_combination_oracle
 from alarm import within
+from relabelling import relabel
 
 TWO_SHARED = Hypergraph(3, 4, [(0, 1, 2), (0, 1, 3)])
 
@@ -171,7 +172,7 @@ class TestBipartitions:
             sets = list(combinations(range(n), k))
             for p in (0.05, 0.15, 0.3):
                 f = Hypergraph(k, n, [e for e, keep in zip(sets, rng.random(len(sets)) < p) if keep])
-                padded = Hypergraph(k, n + 2, f.edges).relabel([int(v) for v in rng.permutation(n + 2)])
+                padded = relabel(Hypergraph(k, n + 2, f.edges), [int(v) for v in rng.permutation(n + 2)])
                 for g, s in product((f, padded), range(2, k)):
                     bips = enumerate_shadow_disjoint_bipartitions(g, s)
                     del walks[:]

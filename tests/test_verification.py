@@ -883,8 +883,8 @@ class TestDenseness:
         n, p, seed = 6, 0.42, 3
         est = estimate_denseness(Hypergraph(3, n, []), p, 20, seed=seed)
         volumes = []
-        for i in range(20):
-            rng = np.random.default_rng([seed, i])
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
             volumes.append(np.prod([int((rng.random(n) < 0.5).sum()) for _ in range(3)]))
         assert est.worst_deficit == pytest.approx(p * max(volumes) / n**3, abs=1e-12)
         assert est.worst_deficit > 0
@@ -946,15 +946,16 @@ class TestDenseness:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_shared_positions_family_matches_brute_force(self, n):
         # The family {12, 13, 23} of Reiher-Rodl-Schacht: its three tables meet
-        # pairwise on one axis.  Draw them from the same (seed, i) streams, in
-        # canonical family order, and count over V^3 directly.
+        # pairwise on one axis.  Draw them from one stream seeded by seed, a
+        # sample at a time in canonical family order, and count over V^3
+        # directly.
         family = [[1, 2], [1, 3], [2, 3]]
         for seed, p in ((n, 0.3), (n + 10, 0.6)):
             h = random_uniform_hypergraph(n, 3, 0.6, seed)
             edges = set(h.edges)
             deficits = []
-            for i in range(12):
-                rng = np.random.default_rng([seed, i])
+            rng = np.random.default_rng(seed)
+            for _ in range(12):
                 t12, t13, t23 = ((rng.random(n * n) < 0.5).reshape(n, n).tolist() for _ in family)
                 allowed = [x for x in product(range(n), repeat=3)
                            if t12[x[0]][x[1]] and t13[x[0]][x[2]] and t23[x[1]][x[2]]]
@@ -980,10 +981,11 @@ class TestDenseness:
 
 
 def reference_sample_deficits(h, p, family, count, seed):
-    """Deficits of samples 0..count-1, one sample at a time: the plain loop
-    the batched estimators replaced.  ``family=None`` draws k vertex masks
-    and counts edges over all k! orderings of the masks; a family draws its
-    tables in canonical order and counts against the dense n^k edge tensor."""
+    """Deficits of samples 0..count-1, one sample at a time from one stream
+    seeded by ``seed``: the plain loop the batched estimators replaced.
+    ``family=None`` draws k vertex masks and counts edges over all k!
+    orderings of the masks; a family draws its tables in canonical order and
+    counts against the dense n^k edge tensor."""
     n, k = h.n, h.k
     edges = np.array(h.edges, dtype=np.int64).reshape(-1, k)
     tensor = np.zeros((n,) * k, dtype=bool)
@@ -991,8 +993,8 @@ def reference_sample_deficits(h, p, family, count, seed):
         for order in permutations(e):
             tensor[order] = True
     deficits = []
-    for i in range(count):
-        rng = np.random.default_rng([seed, i])
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
         if family is None:
             masks = [rng.random(n) < 0.5 for _ in range(k)]
             allowed = 1
@@ -1050,6 +1052,24 @@ class TestBatchedSampling:
             deficits = reference_sample_deficits(h, 0.3, family, 65, 5)
             for count in (1, 65):
                 assert self.estimate(h, 0.3, family, count, 5).worst_deficit == max(deficits[:count])
+
+    @pytest.mark.parametrize("count", [1, 65, 300])
+    def test_one_generator_per_call(self, monkeypatch, count):
+        # Every sample is drawn from the stream of one generator seeded by
+        # seed, whatever the sample count and however many batches it takes.
+        h = random_uniform_hypergraph(10, 3, 0.5, 11)
+        seeds = []
+        real = np.random.default_rng
+
+        def counted(*args, **kwargs):
+            seeds.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        for family in (None, [[1, 2], [3]]):
+            seeds.clear()
+            self.estimate(h, 0.5, family, count, 9)
+            assert seeds == [(9,)], family
 
     def test_batch_of_one_gives_the_same_deficits(self, monkeypatch):
         # With DENSE_CELL_LIMIT at n^3, every batch holds one sample: a
