@@ -987,31 +987,69 @@ def estimate_S_denseness(
 EXHAUSTIVE_LIMIT = 12
 
 
+def _vertex_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum of the rows of ``terms``, a (v, m) float array with 1 <= v <= 128,
+    added in the order ``ndarray.sum(axis=1)`` adds one contiguous row of
+    length v, so ``_vertex_sum(a)`` equals ``a.T.copy().sum(axis=1)`` bit for
+    bit.  That order is numpy's pairwise block: below 8 rows, left to right;
+    from 8, eight running partial sums over whole blocks of 8 rows, combined
+    as ((0+1)+(2+3))+((4+5)+(6+7)), and then the leftover rows left to right.
+    Either way the sum starts from +0.0, numpy's identity for add, so a sum
+    of negative zeros is +0.0 as there.
+    """
+    count = len(terms)
+    if count < 8:
+        total = 0.0 + terms[0]
+        for row in terms[1:]:
+            total += row
+        return total
+    tail = count - count % 8
+    partial = terms[:8]
+    for start in range(8, tail, 8):
+        partial = partial + terms[start:start + 8]
+    pairs = partial[0::2] + partial[1::2]
+    total = 0.0 + ((pairs[0] + pairs[1]) + (pairs[2] + pairs[3]))
+    for row in terms[tail:]:
+        total += row
+    return total
+
+
 def _bounds_by_size(tensor: np.ndarray, subsets: np.ndarray, sizes: np.ndarray, p: float) -> np.ndarray:
     """(n+1, 2^n) table: entry [b, X] bounds from above the pair deficit of X
     with any set of b vertices, taken either way round.
 
-    The pair counts of X with a b-set Y are, per vertex v, sums over Y of
-    column v of X's (n, n) count matrix M_X, so each is at least the sum
-    L_b(v) of that column's b smallest entries.  The counts are exact small
-    integers, held as bytes in one (n+1, 2^n, n) array whose plane u+1 holds
-    row u of every M_X (the tensor is symmetric, so row u is column u) and
-    whose plane 0 stays zero, as L_0.  An odd-even transposition network
-    sorts planes 1..n, comparing whole planes per step, and running sums
-    turn them into L_1..L_n in place.  An entry of M_X is at most n-2, so
-    L_n is at most (n-1)(n-2), and the dtype is chosen to hold that.
-    Thresholds are the larger of (p·|X|)·b and (p·b)·|X| in floating point,
-    so one table bounds the pair as the scan computes it with X first or
-    with Y first; each X's n clipped terms are summed as one contiguous row,
-    as the scan sums its own.
+    ``subsets`` holds the masks 0..2^n-1 in order, one row each, and the
+    table's columns follow them.  The pair counts of X with a b-set Y are,
+    per vertex v, sums over Y of column v of X's (n, n) count matrix M_X, so
+    each is at least the sum L_b(v) of that column's b smallest entries.
+    The counts are exact small integers, held vertex-major as bytes in one
+    (n+1, n, 2^n) array ``least[b, v, X]``: plane u+1 holds row u of every
+    M_X (the tensor is symmetric, so row u is column u), and plane 0 stays
+    zero, as L_0.  They are built by doubling: the sets whose top vertex is
+    j, the block [2^j, 2^(j+1)) of every plane, are the sets below 2^j plus
+    j, so M_X = M_{X-j} + T[j] is one byte ``np.add`` per vertex.  An
+    odd-even transposition network sorts planes 1..n, comparing whole
+    (n, 2^n) planes per step, and running sums turn them into L_1..L_n in
+    place.  An entry of M_X is at most n-2, so L_n is at most (n-1)(n-2),
+    and the dtype is chosen to hold that.  Thresholds are the larger of
+    (p·|X|)·b and (p·b)·|X| in floating point, so one table bounds the pair
+    as the scan computes it with X first or with Y first.  The scan sums
+    each pair's n clipped terms as one contiguous row, and a bound one ulp
+    below that sum would prune a pair that ties the worst; so the n vertex
+    rows of each size's terms are added by :func:`_vertex_sum`, in that
+    row sum's own order, and each entry equals the sum of X's n terms taken
+    as a row.
     """
     import numpy as np
 
     n = subsets.shape[1]
-    least = np.zeros((n + 1, len(subsets), n), dtype=np.min_scalar_type((n - 1) * (n - 2)))
-    for u in range(n):
-        least[u + 1] = subsets @ tensor[u]
+    count = len(subsets)
+    dtype = np.min_scalar_type((n - 1) * (n - 2))
+    byte_tensor = tensor.astype(dtype)
+    least = np.zeros((n + 1, n, count), dtype=dtype)
     planes = least[1:]
+    for j in range(n):
+        np.add(planes[:, :, :1 << j], byte_tensor[j][:, :, None], out=planes[:, :, 1 << j:2 << j])
     for step in range(n):
         low, high = planes[step % 2:n - 1:2], planes[step % 2 + 1:n:2]
         smaller = np.minimum(low, high)
@@ -1019,12 +1057,13 @@ def _bounds_by_size(tensor: np.ndarray, subsets: np.ndarray, sizes: np.ndarray, 
         low[...] = smaller
     for b in range(2, n + 1):
         np.add(least[b], least[b - 1], out=least[b])
-    by_size = np.empty((n + 1, len(subsets)))
-    terms = np.empty((len(subsets), n))
+    by_size = np.empty((n + 1, count))
+    terms = np.empty((n, count))
     for b in range(n + 1):
-        np.subtract(np.maximum(p * sizes * b, p * b * sizes)[:, None], least[b], out=terms)
+        np.copyto(terms, least[b])
+        np.subtract(np.maximum(p * sizes * b, p * b * sizes), terms, out=terms)
         np.maximum(terms, 0.0, out=terms)
-        terms.sum(axis=1, out=by_size[b])
+        by_size[b] = _vertex_sum(terms)
     return by_size
 
 
@@ -1040,12 +1079,15 @@ def exact_denseness_small(h: Hypergraph, p: float) -> DensenessEstimate:
       least the sum of the b smallest entries of column v of X_1's (n, n)
       count matrix, so replacing c(v) by that sum bounds every X_2 of size b
       at once.  The comparison and the clipping are monotone in floating
-      point and the n terms are summed the same way, so the bound is never
-      below the scanned value.  The bound of X_2 with |X_1| bounds the same
-      pair.  :func:`_bounds_by_size` builds the whole (n+1, 2^n) table in
-      integers: byte counts, one matmul per vertex, sorted by a network of
-      whole-array min/max steps and summed in place, and then one float
-      pass per size b.
+      point and the n terms are added in the same order, so the bound is
+      never below the scanned value, not even by one ulp on a pair that
+      ties the worst.  The bound of X_2 with |X_1| bounds the same pair.
+      :func:`_bounds_by_size` builds the whole (n+1, 2^n) table in integers,
+      vertex-major as (n, 2^n) planes: byte counts doubled from the sets
+      without each top vertex, one ``np.add`` per vertex, sorted by a
+      network of whole-plane min/max steps and summed in place, and then
+      one float pass per size b that adds the n vertex rows in the order
+      the scan's ``.sum(axis=1)`` adds a row.
     * Best-first rows.  X_1 rows are visited in stable descending order of
       their largest bound, and the scan stops at the first row whose bound
       is at most the running worst.  Within a row only the X_2 whose two

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from factorlab import Hypergraph, exact_denseness_small
 from factorlab.corpus import complete
-from factorlab.verification import _bounds_by_size
+from factorlab.verification import _bounds_by_size, _vertex_sum
 
 FUZZ = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -163,8 +163,26 @@ def bound_table(h: Hypergraph, p: float) -> np.ndarray:
     return _bounds_by_size(_dense_tensor(h), subsets, subsets.sum(axis=1), p)
 
 
+# The n = 12 cases compare the doubling blocks of vertices 9-11 entry by
+# entry; K_12^(3) at p = 0.5 has 990 entries that tie its worst deficit.
 BOUND_CASES = [case for n in sorted(SWEEP) if n <= 9 for case in sweep_cases(n)] + [
-    (h, p) for h in EDGE_HOSTS if h.n for p in (0.0, 0.37, 1.0)]
+    (h, p) for h in EDGE_HOSTS if h.n for p in (0.0, 0.37, 1.0)] + [
+    (complete(12, 3), 0.5), (_random_host(random.Random(1212), 12, 0.45), 0.37)]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e-3])
+def test_vertex_sum_adds_rows_in_numpy_row_sum_order(scale):
+    """The bound table adds its n vertex rows as the scan's ``.sum(axis=1)``
+    adds one row of n terms; if numpy changes that order, this fails before
+    a bound can end up one ulp below a scanned tie."""
+    rng = np.random.default_rng(128)
+    mismatches = []
+    for n in range(1, 129):
+        a = (rng.random((n, 64)) - 0.25) * scale
+        a[:, 0] = -0.0
+        if _vertex_sum(a).tobytes() != a.T.copy().sum(axis=1).tobytes():
+            mismatches.append(n)
+    assert mismatches == []
 
 
 def test_bound_table_matches_per_set_reference():
