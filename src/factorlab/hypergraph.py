@@ -28,6 +28,8 @@ value twice:
   read it;
 * ``components()``: the vertex sets of the connected components, from one
   union-find pass over the edges; the part-assignment search jumps by them;
+* ``degrees()``: per vertex, the number of edges containing it, counted in
+  one pass over the flattened edge list; ``embedding_masks()`` reads it;
 * ``embedding_masks()``: vertex bitmasks for copy searches (which vertices
   complete a (k-1)-set to an edge, which share an edge with a vertex, which
   have at least a given degree), built in one pass over the edges' bitmasks.
@@ -51,7 +53,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, compress
+from itertools import chain, combinations, compress
 from math import comb
 from operator import eq, lt
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
@@ -226,6 +228,17 @@ class Hypergraph:
             raise ValueError(f"link requires |S| < k, got |S|={len(s)}")
         return frozenset([tuple([v for v in e if v not in s]) for e in self.edges if s.issubset(e)])
 
+    def degrees(self) -> tuple[int, ...]:
+        """Per vertex, the number of edges containing it."""
+
+        def compute():
+            degrees = [0] * self.n
+            for v in chain.from_iterable(self.edges):
+                degrees[v] += 1
+            return tuple(degrees)
+
+        return self._cached("degrees", compute)
+
     def min_s_degree(self, s: int) -> int:
         """Smallest number of edges containing an s-set of ``range(n)``."""
         buckets = self.subset_edges(s)
@@ -289,13 +302,12 @@ class Hypergraph:
         return self._cached("same_side_classes", compute)
 
     def embedding_masks(self) -> EmbeddingMasks:
-        """Completion masks, neighbour masks and degrees, built in one pass
-        over the edges' bitmasks."""
+        """Completion and neighbour masks, built in one pass over the edges'
+        bitmasks, with ``degrees()`` and the degree masks read off it."""
 
         def compute():
             completion: dict[int, int] = {}
             neighbours = [0] * self.n
-            degrees = [0] * self.n
             for e in self.edges:
                 bits = 0
                 for v in e:
@@ -304,13 +316,13 @@ class Hypergraph:
                     key = bits ^ 1 << v
                     completion[key] = completion.get(key, 0) | 1 << v
                     neighbours[v] |= key
-                    degrees[v] += 1
+            degrees = self.degrees()
             at_least = [0] * (max(degrees, default=0) + 1)
             for w, d in enumerate(degrees):
                 at_least[d] |= 1 << w
             for d in range(len(at_least) - 2, -1, -1):
                 at_least[d] |= at_least[d + 1]
-            return EmbeddingMasks(completion, tuple(neighbours), tuple(degrees), tuple(at_least))
+            return EmbeddingMasks(completion, tuple(neighbours), degrees, tuple(at_least))
 
         return self._cached("embedding_masks", compute)
 

@@ -9,10 +9,16 @@ static order and draws each vertex's candidates from one int, scanned in
 ascending vertex order, so every listing is deterministic.  The search is
 iterative, one loop over an explicit stack, and is prepared once per
 (pattern, host, root) as a list of steps; ``find_cover`` reuses each root's
-steps for every host vertex.  Labelled listings (``iter_embeddings``,
-``rooted_copies``, ``find_cover``) see every embedding; ``copy_images`` adds
-symmetry-breaking order constraints and sees one embedding per copy, so its
-``cap`` (and ``find_factor``'s) counts copies.
+steps for every host vertex, and tries one root per Aut(f) orbit.  It
+hands over each last step whole, as the other steps' images and mask and
+the last step's candidate int, which ``iter_embeddings`` expands low bit
+first, ``rooted_copies`` counts, ``find_cover`` reads once and
+``copy_images`` keys as the mask plus one bit.
+Labelled listings (``iter_embeddings``, ``rooted_copies``, ``find_cover``)
+see every embedding; ``copy_images`` adds symmetry-breaking order
+constraints and sees one embedding per copy, so its ``cap`` (and
+``find_factor``'s) counts copies.  A one-edge pattern's copies are the
+host's edges, listed with no search.
 The factor solver collapses copies to their vertex images, each an int host
 bitmask (bit w is host vertex w) keyed to one witness embedding.  It tries,
 in order: divisibility; a small vertex set meeting every host edge, and so
@@ -42,6 +48,7 @@ from dataclasses import asdict, dataclass, field
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import permutations
+from operator import add
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .hypergraph import DEFAULT_CAP, Hypergraph, UnionFind, is_vertex_list
@@ -166,6 +173,30 @@ def _class_floors(f: Hypergraph) -> _Floors:
     return f._cached("class_floors", compute)
 
 
+def _root_classes(f: Hypergraph) -> tuple[int, ...]:
+    """Per vertex of f, the smallest vertex of its orbit under Aut(f).
+
+    Composing with an automorphism that sends u to u' turns an embedding
+    sending u' to w into one sending u to w, so vertices of one orbit are
+    roots through the same host vertices.  Orbits are found with the same
+    pinned search as :func:`_class_floors`; isolated vertices share one
+    orbit without a search."""
+
+    def compute() -> tuple[int, ...]:
+        degs = f.embedding_masks().degrees
+        classes = list(range(f.n))
+        for u in range(f.n):
+            for a in range(u):
+                if classes[a] != a or degs[a] != degs[u]:
+                    continue
+                if not degs[a] or next(_walk(f, _steps(f, f, None, {a: u})), None) is not None:
+                    classes[u] = a
+                    break
+        return tuple(classes)
+
+    return f._cached("root_classes", compute)
+
+
 # A prepared search step: (vertex, start mask, ready keys, earlier
 # neighbours, floor vertex or -1, need).
 _Step = tuple[int, int, tuple[tuple[int, ...], ...], tuple[int, ...], int, int]
@@ -196,25 +227,30 @@ def _steps(
     return steps
 
 
-def _walk(h: Hypergraph, steps: list[_Step]) -> Iterator[tuple[int, ...]]:
-    """Embeddings into h along ``steps``, one step per pattern vertex; host
-    vertices ascending at each step.
+def _walk(h: Hypergraph, steps: list[_Step]) -> Iterator[tuple[list[int], int, int, int]]:
+    """The embeddings into h along ``steps`` (not empty), one step per
+    pattern vertex, handed over one last-step frame at a time:
+    ``(image, u, cand, used)``.  ``image`` holds the images of every pattern
+    vertex but u, the last step's; each bit of ``cand`` (never 0) completes
+    one embedding as ``image[u]``; ``used`` is the mask of the other images.
+    Candidates read low bit first, frame after frame, give the embeddings in
+    search order, host vertices ascending at each step.  ``image`` is
+    reused: a caller reads a frame before the next and may write
+    ``image[u]``.
 
     A step's candidates are one int: its start mask, AND the completion mask
     of each edge the step closes, AND the neighbour mask of each earlier
     neighbour's image, less the used vertices (and, with a floor, less the
     vertices up to its image, which exceeds every image along its chain).  A
     candidate is cut when fewer unused host vertices lie above it than the
-    step's ``need``; later candidates are larger, so the step is done.
+    step's ``need``; later candidates are larger, so the step is done.  The
+    last step's ``need`` is 0, so none of its candidates is cut.
 
     The search is one loop over an explicit stack (``left[i]``: the untried
     candidates of step i), like the exact cover's trail, so its depth is not
-    bounded by the interpreter's recursion limit and each embedding resumes
-    this one frame.
+    bounded by the interpreter's recursion limit and each frame resumes this
+    one loop.
     """
-    if not steps:
-        yield ()
-        return
     masks = h.embedding_masks()
     completion, neighbours = masks.completion, masks.neighbours
     everything = (1 << h.n) - 1
@@ -224,6 +260,10 @@ def _walk(h: Hypergraph, steps: list[_Step]) -> Iterator[tuple[int, ...]]:
     left = [0] * len(steps)
     i = used = 0
     u, cand, _, _, _, need = steps[0]  # the first step closes no edge and has no floor
+    if not last:
+        if cand:
+            yield image, u, cand, used
+        return
     while True:
         if cand:
             low = cand & -cand
@@ -234,9 +274,6 @@ def _walk(h: Hypergraph, steps: list[_Step]) -> Iterator[tuple[int, ...]]:
                 continue
             image[u] = w
             bit[u] = low
-            if i == last:
-                yield tuple(image)
-                continue
             left[i] = cand
             used |= low
             i += 1
@@ -252,6 +289,10 @@ def _walk(h: Hypergraph, steps: list[_Step]) -> Iterator[tuple[int, ...]]:
             if below >= 0:
                 floor = image[below] + 1
                 cand = cand >> floor << floor
+            if i == last:
+                if cand:
+                    yield image, u, cand, used
+                cand = 0
         elif i:
             i -= 1
             u, need = steps[i][0], steps[i][5]
@@ -266,15 +307,12 @@ def _check_uniformity(f: Hypergraph, h: Hypergraph) -> None:
         raise ValueError(f"uniformity mismatch: pattern k={f.k}, host k={h.k}")
 
 
-def iter_embeddings(
-    f: Hypergraph, h: Hypergraph, pre: dict[int, int] | None = None, *, per_copy: bool = False
-) -> Iterator[tuple[int, ...]]:
-    """Labelled embeddings of f into h in deterministic order.
-
-    ``pre`` pins pattern vertices to host vertices before the search starts.
-    With ``per_copy`` (no ``pre``) only the first embedding of each copy,
-    that is of each Aut(f) class, is yielded; the order is unchanged.
-    """
+def _frames(
+    f: Hypergraph, h: Hypergraph, pre: dict[int, int] | None = None, per_copy: bool = False
+) -> Iterator[tuple[list[int], int, int, int]]:
+    """The last-step frames (see :func:`_walk`) of the listing that
+    :func:`iter_embeddings` expands, after its checks of the arguments; a
+    pattern without vertices has none."""
     _check_uniformity(f, h)
     pre = pre or {}
     for u, w in pre.items():
@@ -284,10 +322,29 @@ def iter_embeddings(
             raise ValueError(f"host vertex {w} out of range")
     if per_copy and pre:
         raise ValueError("per_copy listing takes no pinned vertices")
-    if f.n > h.n:
-        return
-    floors = _class_floors(f) if per_copy else None
-    yield from _walk(h, _steps(f, h, min(pre) if pre else None, pre, floors))
+    if 0 < f.n <= h.n:
+        floors = _class_floors(f) if per_copy else None
+        yield from _walk(h, _steps(f, h, min(pre) if pre else None, pre, floors))
+
+
+def iter_embeddings(
+    f: Hypergraph, h: Hypergraph, pre: dict[int, int] | None = None, *, per_copy: bool = False
+) -> Iterator[tuple[int, ...]]:
+    """Labelled embeddings of f into h in deterministic order.
+
+    ``pre`` pins pattern vertices to host vertices before the search starts.
+    With ``per_copy`` (no ``pre``) only the first embedding of each copy,
+    that is of each Aut(f) class, is yielded; the order is unchanged.  A
+    pattern without vertices has one embedding, the empty one.
+    """
+    for image, u, cand, _ in _frames(f, h, pre, per_copy):
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            image[u] = low.bit_length() - 1
+            yield tuple(image)
+    if not f.n:
+        yield ()
 
 
 @dataclass
@@ -299,12 +356,14 @@ class RootedCount:
 def rooted_copies(
     f: Hypergraph, vstar: int, h: Hypergraph, w: int, cap: int = DEFAULT_CAP
 ) -> RootedCount:
-    """Number (capped) of labelled embeddings sending ``vstar`` to ``w``."""
+    """Number (capped) of labelled embeddings sending ``vstar`` to ``w``:
+    each last-step frame adds its candidates' count, and a total above a
+    non-negative ``cap`` answers ``(cap, truncated)``."""
     count = 0
-    for _ in iter_embeddings(f, h, {vstar: w}):
-        if count == cap:
+    for _, _, cand, _ in _frames(f, h, {vstar: w}):
+        count += cand.bit_count()
+        if 0 <= cap < count:
             return RootedCount(cap, True)
-        count += 1
     return RootedCount(count, False)
 
 
@@ -340,7 +399,10 @@ def find_cover(f: Hypergraph, h: Hypergraph) -> CoverReport:
 
     Host vertex w's witness is the first embedding, over pattern roots u in
     ascending order, that sends u to w (as ``iter_embeddings(f, h, {u: w})``
-    would list it), unless an earlier witness already covers w.  The steps
+    would list it), unless an earlier witness already covers w.  Only the
+    smallest root of each Aut(f) orbit is tried (see :func:`_root_classes`):
+    another root of the orbit has a copy through w exactly when the smallest
+    does, and is reached only after the smallest found none.  The steps
     rooted at u are prepared once; each w only narrows the root's start mask
     to w, since every later step already avoids the used w.
     """
@@ -348,20 +410,24 @@ def find_cover(f: Hypergraph, h: Hypergraph) -> CoverReport:
     witnesses: list[tuple[int, ...] | None] = [None] * h.n
     if f.n > h.n:
         return CoverReport(witnesses)
-    rooted: list[tuple[list[_Step], _Step]] = []  # per root u: its steps and its own first step
+    roots = [u for u, a in enumerate(_root_classes(f)) if a == u]
+    rooted: list[tuple[list[_Step], _Step]] = []  # per tried root: its steps and its own first step
     for w in range(h.n):
         if witnesses[w] is not None:
             continue
-        for u in range(f.n):
-            if u == len(rooted):
+        for i, u in enumerate(roots):
+            if i == len(rooted):
                 steps = _steps(f, h, u)
                 rooted.append((steps, steps[0]))
-            steps, first = rooted[u]
+            steps, first = rooted[i]
             if not first[1] >> w & 1:
                 continue  # w has a lower degree than u
             steps[0] = (u, 1 << w) + first[2:]
-            phi = next(_walk(h, steps), None)
-            if phi is not None:
+            frame = next(_walk(h, steps), None)
+            if frame is not None:
+                image, last, cand, _ = frame
+                image[last] = (cand & -cand).bit_length() - 1
+                phi = tuple(image)
                 for target in phi:
                     if witnesses[target] is None:
                         witnesses[target] = phi
@@ -377,6 +443,26 @@ class FactorSearchResult:
     refutation: dict | None = None  # an "absent" answer's checkable reason, if it has one
 
 
+def _is_one_edge(f: Hypergraph) -> bool:
+    """Is f a single edge on its k vertices?  Its copies are the host's
+    edges."""
+    return f.n == f.k and len(f.edges) == 1
+
+
+def _edge_masks(h: Hypergraph) -> list[int]:
+    """The host's edges as int bitmasks, in edge order, cached on h; each
+    edge column's bits are added in one C-level pass."""
+
+    def compute() -> list[int]:
+        bits = [1 << v for v in range(h.n)]
+        masks = [0] * len(h.edges)
+        for column in zip(*h.edges):
+            masks = list(map(add, masks, map(bits.__getitem__, column)))
+        return masks
+
+    return h._cached("edge_masks", compute)
+
+
 def copy_images(
     f: Hypergraph, h: Hypergraph, cap: int = DEFAULT_CAP
 ) -> tuple[dict[int, tuple[int, ...]], bool]:
@@ -385,16 +471,32 @@ def copy_images(
     witness; keys are in the order their images were first reached.
 
     One embedding is listed per copy (per Aut(f) class), so ``cap`` counts
-    copies; ``truncated`` flags that more than ``cap`` copies exist.
+    copies; ``truncated`` flags that more than ``cap`` copies exist.  Each
+    last-step candidate w (see :func:`_walk`) keys the image
+    ``used | 1 << w``, and only a new key builds a witness tuple.  A one-edge
+    pattern's copies are the host's edges, listed with no search: its plan
+    visits the vertices in order and the floors chain them, so each copy's
+    first embedding is its ascending edge, reached in sorted edge order.
     """
+    _check_uniformity(f, h)
+    if _is_one_edge(f):
+        listed = h.edges[:cap] if cap >= 0 else h.edges
+        return dict(zip(_edge_masks(h), listed)), len(listed) < len(h.edges)
+    if not f.n:  # one copy, the empty embedding
+        return ({}, True) if cap == 0 else ({0: ()}, False)
     images: dict[int, tuple[int, ...]] = {}
-    for count, phi in enumerate(iter_embeddings(f, h, per_copy=True)):
-        if count == cap:
-            return images, True
-        mask = 0
-        for w in phi:
-            mask |= 1 << w
-        images.setdefault(mask, phi)
+    count = 0
+    for image, u, cand, used in _frames(f, h, per_copy=True):
+        while cand:
+            if count == cap:
+                return images, True
+            count += 1
+            low = cand & -cand
+            cand ^= low
+            key = used | low
+            if key not in images:
+                image[u] = low.bit_length() - 1
+                images[key] = tuple(image)
     return images, False
 
 
@@ -520,10 +622,11 @@ def _edge_refutation(h: Hypergraph, size: int) -> list[int] | None:
 
     Every copy of a pattern with an edge holds a host edge, so such a set
     meets every copy image.  When the ``size`` largest degrees sum to less
-    than e(H), no such set exists and no search runs."""
-    if sum(sorted(h.embedding_masks().degrees, reverse=True)[:size]) < len(h.edges):
+    than e(H), no such set exists and no search runs.  It reads
+    ``h.degrees()`` and the cached edge masks, never the embedding masks."""
+    if sum(sorted(h.degrees(), reverse=True)[:size]) < len(h.edges):
         return None
-    masks = [sum(1 << v for v in e) for e in h.edges]
+    masks = _edge_masks(h)
     return _space_refutation(masks, _transpose(_rows(masks, h.n), h.n), size)
 
 
@@ -636,7 +739,8 @@ def find_factor(f: Hypergraph, h: Hypergraph, cap: int = DEFAULT_CAP) -> FactorS
     edges (:func:`_edge_refutation`), since a set meeting every edge meets
     every copy; the copy listing; parity and then the space search on the
     copy images; the exact cover.  A single edge's images are the host's
-    edges, so it skips the image space search, a repeat of the edge try.
+    edges, which :func:`copy_images` lists with no search, so it skips the
+    image space search, a repeat of the edge try.
     The edge try runs whatever ``cap``, and an answer from it lists no copy
     (``stats["copies"]`` None).  The image refutations are tried only when
     the copy listing is complete, since a sub-family proves nothing.
@@ -668,8 +772,7 @@ def find_factor(f: Hypergraph, h: Hypergraph, cap: int = DEFAULT_CAP) -> FactorS
         return FactorSearchResult("absent", None, stats, {"kind": "space", "A": side})
     masks, witnesses, at_vertex, truncated = _options(f, h, cap)
     stats.update(copies=len(masks), truncated=truncated)
-    single_edge = f.n == f.k and len(f.edges) == 1
-    refutation = None if truncated else _image_refutation(masks, at_vertex, h.n, f.n, not single_edge)
+    refutation = None if truncated else _image_refutation(masks, at_vertex, h.n, f.n, not _is_one_edge(f))
     if refutation is not None:
         return FactorSearchResult("absent", None, stats, refutation)
     certificate, stats["nodes"], stats["node_limit_hit"] = _exact_cover(h.n, witnesses, at_vertex, truncated)

@@ -443,6 +443,15 @@ class TestOverlaps:
             assert masks.neighbours == neighbours
             assert masks.degrees == degrees and masks.at_least == at_least
 
+    def test_degrees_match_plain_count(self):
+        graphs = list(seeded_graphs()) + [Hypergraph(3, 0, []), Hypergraph(3, 6, [(0, 2, 4)])]
+        for h in graphs:
+            degrees = h.degrees()
+            assert degrees == tuple(sum(v in e for e in h.edges) for v in range(h.n))
+            assert degrees is h.embedding_masks().degrees
+        fresh = Hypergraph(3, 6, [(0, 2, 4), (1, 2, 5)])
+        assert fresh.embedding_masks().degrees is fresh.degrees()
+
     @pytest.mark.parametrize("s", [0, 3])
     def test_order_out_of_range(self, s):
         for method in ("subset_edges", "overlap_classes", "min_s_degree"):

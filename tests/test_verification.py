@@ -200,7 +200,59 @@ class TestSearch:
             list(iter_embeddings(single_edge(), complete(6, 3), {0: 0}, per_copy=True))
 
 
+def reference_copy_images(f, h, cap):
+    """The per-embedding copy listing: the first embedding onto each image,
+    over the per-copy embeddings, counted against ``cap`` one by one."""
+    images = {}
+    for count, phi in enumerate(iter_embeddings(f, h, per_copy=True)):
+        if count == cap:
+            return images, True
+        images.setdefault(sum(1 << w for w in phi), phi)
+    return images, False
+
+
+class TestOneEdgeListing:
+    """A one-edge pattern's copies are read off the host's edges, with the
+    keys, witnesses and ``truncated`` of the per-embedding listing."""
+
+    def hosts(self):
+        rng = np.random.default_rng(81)
+        for k in (3, 4):
+            for n, p in ((k, 1.0), (6, 0.5), (8, 0.3), (9, 0.7)):
+                yield Hypergraph(k, n, [e for e in combinations(range(n), k) if rng.random() < p])
+        yield Hypergraph(3, 5, [])
+        yield Hypergraph(3, 2, [])
+
+    def test_matches_per_embedding_listing(self):
+        for h in self.hosts():
+            f = Hypergraph(h.k, h.k, [tuple(range(h.k))])
+            m = len(h.edges)
+            for cap in (0, 1, m - 1, m, m + 1):
+                images, truncated = copy_images(f, h, cap)
+                want, want_truncated = reference_copy_images(f, h, cap)
+                assert list(images.items()) == list(want.items()) and truncated == want_truncated
+
+
 class TestRootedCopies:
+    def test_frames_match_plain_capped_count(self):
+        # the last step of each case has many candidates, counted per frame
+        def plain(embeddings, cap):
+            count = 0
+            for _ in embeddings:
+                if count == cap:
+                    return verification.RootedCount(cap, True)
+                count += 1
+            return verification.RootedCount(count, False)
+
+        rng = np.random.default_rng(82)
+        dense = Hypergraph(3, 8, [e for e in combinations(range(8), 3) if rng.random() < 0.85])
+        for f, h in ((single_edge(), complete(7, 3)), (k222(), dense)):
+            for vstar, w in ((0, 0), (f.n - 1, 3)):
+                total = sum(1 for _ in iter_embeddings(f, h, {vstar: w}))
+                assert total > 1
+                for cap in (total - 1, total, total + 1):
+                    assert rooted_copies(f, vstar, h, w, cap) == plain(iter_embeddings(f, h, {vstar: w}), cap)
+
     def test_edge_rooted_in_k4(self):
         for w in range(4):
             assert rooted_copies(single_edge(), 0, complete(4, 3), w).count == 6
@@ -375,6 +427,20 @@ class TestIsolatedVertices:
                     below = floors[rank[below]][0]
                 assert chain[::-1] == expected[i]
                 assert need == sum(order[i] in later for later in expected)
+
+    def test_root_classes_match_pairwise_search(self):
+        # reference: the smallest vertex that one pinned search of f into f
+        # sends to u, isolated vertices included
+        rng = random.Random(25)
+        patterns = [make() for make in NAMED.values()]
+        for _ in range(150):
+            k = rng.choice((2, 3, 4))
+            n = rng.randint(k, 9)
+            patterns.append(Hypergraph(k, n, [e for e in combinations(range(n), k) if rng.random() < 0.15]))
+        for f in patterns:
+            expected = tuple(next(a for a in range(u + 1) if next(iter_embeddings(f, f, {a: u}), None) is not None)
+                             for u in range(f.n))
+            assert verification._root_classes(f) == expected, f
 
 
 def reference_factor(f, h):
