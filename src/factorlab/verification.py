@@ -643,8 +643,13 @@ def _options(
     larger.  Its row (:func:`_rows`) is the larger one, since a row lists the
     vertices from 0 up, most significant bit first; so the options are the
     rows in descending order, sorted as bytes, and ``at_vertex`` is their
-    transpose."""
+    transpose.  A one-edge pattern's images are the host's first edges,
+    which ``h.edges`` holds sorted, so they come in option order and are
+    taken as they are."""
     images, truncated = copy_images(f, h, cap)
+    if _is_one_edge(f):
+        masks = list(images)
+        return masks, list(images.values()), _transpose(_rows(masks, h.n), h.n), truncated
     keyed = sorted(zip(_rows(images, h.n), images), reverse=True)
     masks = [m for _, m in keyed]
     at_vertex = _transpose([row for row, _ in keyed], h.n)
@@ -877,6 +882,12 @@ def _deficit(p: float, tuple_family_size: int, edge_tuple_count: int, n_pow_k: i
     return (p * tuple_family_size - edge_tuple_count) / n_pow_k
 
 
+def _check_p(p: float) -> None:
+    """Refuse a target density outside [0, 1]; NaN fails both comparisons."""
+    if not 0 <= p <= 1:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+
+
 def _edges_array(h: Hypergraph) -> np.ndarray:
     import numpy as np
 
@@ -1010,6 +1021,7 @@ def estimate_denseness(
     A sampled report is a lower bound on the slack a denseness verdict would
     need, never a verdict itself.
     """
+    _check_p(p)
     if sample_count < 1:
         raise ValueError("need at least one sample")
     if h.n == 0:
@@ -1026,9 +1038,9 @@ def _edge_tensor(h: Hypergraph) -> np.ndarray:
     import numpy as np
 
     tensor = np.zeros((h.n,) * h.k, dtype=bool)
-    for e in h.edges:
-        for perm in permutations(e):
-            tensor[perm] = True
+    columns = _edges_array(h).T
+    for order in permutations(range(h.k)):
+        tensor[tuple(columns[list(order)])] = True
     return tensor
 
 
@@ -1069,6 +1081,7 @@ def estimate_S_denseness(
     cells, so hosts with more than ``DENSE_CELL_LIMIT`` cells are refused
     with ``ValueError``.
     """
+    _check_p(p)
     if sample_count < 1:
         raise ValueError("need at least one sample")
     if h.n == 0:
@@ -1091,7 +1104,7 @@ EXHAUSTIVE_LIMIT = 12
 
 
 def _vertex_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum of the rows of ``terms``, a (v, m) float array with 1 <= v <= 128,
+    """Sum of the rows of ``terms``, a (v, ...) float array with 1 <= v <= 128,
     added in the order ``ndarray.sum(axis=1)`` adds one contiguous row of
     length v, so ``_vertex_sum(a)`` equals ``a.T.copy().sum(axis=1)`` bit for
     bit.  That order is numpy's pairwise block: below 8 rows, left to right;
@@ -1117,42 +1130,77 @@ def _vertex_sum(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _bounds_by_size(tensor: np.ndarray, subsets: np.ndarray, sizes: np.ndarray, p: float) -> np.ndarray:
-    """(n+1, 2^n) table: entry [b, X] bounds from above the pair deficit of X
-    with any set of b vertices, taken either way round.
+def _pair_counts(tensor: np.ndarray) -> np.ndarray:
+    """(n, n, 2^n) array of exact counts: entry [u, v, X] is M_X[u, v], the
+    number of x in X with {x, u, v} an edge, for every set X (the masks
+    0..2^n-1 in order).  It is built by doubling: the sets whose top vertex
+    is j, the block [2^j, 2^(j+1)), are the sets below 2^j plus j, so
+    M_X = M_{X-j} + T[j] is one ``np.add`` per vertex.  The tensor is
+    symmetric, so row u of M_X is also its column u.  The dtype is the
+    smallest that holds (n-1)(n-2), the largest sum of a column of M_X."""
+    import numpy as np
 
-    ``subsets`` holds the masks 0..2^n-1 in order, one row each, and the
-    table's columns follow them.  The pair counts of X with a b-set Y are,
-    per vertex v, sums over Y of column v of X's (n, n) count matrix M_X, so
-    each is at least the sum L_b(v) of that column's b smallest entries.
-    The counts are exact small integers, held vertex-major as bytes in one
-    (n+1, n, 2^n) array ``least[b, v, X]``: plane u+1 holds row u of every
-    M_X (the tensor is symmetric, so row u is column u), and plane 0 stays
-    zero, as L_0.  They are built by doubling: the sets whose top vertex is
-    j, the block [2^j, 2^(j+1)) of every plane, are the sets below 2^j plus
-    j, so M_X = M_{X-j} + T[j] is one byte ``np.add`` per vertex.  An
-    odd-even transposition network sorts planes 1..n, comparing whole
-    (n, 2^n) planes per step, and running sums turn them into L_1..L_n in
-    place.  An entry of M_X is at most n-2, so L_n is at most (n-1)(n-2),
-    and the dtype is chosen to hold that.  Thresholds are the larger of
+    n = len(tensor)
+    dtype = np.min_scalar_type((n - 1) * (n - 2))
+    byte_tensor = tensor.astype(dtype)
+    counts = np.zeros((n, n, 1 << n), dtype=dtype)
+    for j in range(n):
+        np.add(counts[:, :, :1 << j], byte_tensor[j][:, :, None], out=counts[:, :, 1 << j:2 << j])
+    return counts
+
+
+def _row_bounds(counts: np.ndarray, sizes: np.ndarray, p: float) -> np.ndarray:
+    """U[X] = the sum over u, v of max(0, p|X| - M_X[u, v]), for every set X
+    of :func:`_pair_counts`, with ``sizes`` the set sizes as floats.
+
+    With t = p|X|, the entries below t are the integers at most ceil(t) - 1,
+    so U = t·(their number) - (their sum): one byte compare, one byte
+    multiply and integer sums, first over v (a row of M_X sums to at most
+    (n-1)(n-2), which the dtype holds) and then over u.  No sort and no
+    float pass over the counts."""
+    import numpy as np
+
+    n = len(counts)
+    t = p * sizes
+    held = np.less(counts, np.ceil(t).astype(counts.dtype)).view(counts.dtype)
+    wide = np.min_scalar_type(n * (n - 1) * (n - 2))
+
+    def total(a: np.ndarray) -> np.ndarray:
+        return np.add.reduce(np.add.reduce(a, axis=1, dtype=counts.dtype), axis=0, dtype=wide)
+
+    number = total(held)
+    np.multiply(held, counts, out=held)
+    return t * number - total(held)
+
+
+def _bounds_by_size(counts: np.ndarray, columns: np.ndarray, sizes: np.ndarray, p: float) -> np.ndarray:
+    """(n+1, m) table for the m sets X at ``columns`` of :func:`_pair_counts`,
+    whose sizes are ``sizes``: entry [b, j] bounds from above the pair
+    deficit of X = columns[j] with any set of b vertices, taken either way
+    round.
+
+    The pair counts of X with a b-set Y are, per vertex v, sums over Y of
+    column v of M_X, so each is at least the sum L_b(v) of that column's b
+    smallest entries.  The counts of the m sets are gathered vertex-major
+    into one (n+1, n, m) array ``least[b, v, j]``: plane u+1 holds row u of
+    every M_X, and plane 0 stays zero, as L_0.  An odd-even transposition
+    network sorts planes 1..n, comparing whole (n, m) planes per step, and
+    running sums turn them into L_1..L_n in place; L_n is at most
+    (n-1)(n-2), which the dtype holds.  Thresholds are the larger of
     (p·|X|)·b and (p·b)·|X| in floating point, so one table bounds the pair
     as the scan computes it with X first or with Y first.  The scan sums
     each pair's n clipped terms as one contiguous row, and a bound one ulp
     below that sum would prune a pair that ties the worst; so the n vertex
-    rows of each size's terms are added by :func:`_vertex_sum`, in that
-    row sum's own order, and each entry equals the sum of X's n terms taken
-    as a row.
+    rows of each size's terms are added by :func:`_vertex_sum`, in that row
+    sum's own order, and each entry equals the sum of X's n terms taken as
+    a row.
     """
     import numpy as np
 
-    n = subsets.shape[1]
-    count = len(subsets)
-    dtype = np.min_scalar_type((n - 1) * (n - 2))
-    byte_tensor = tensor.astype(dtype)
-    least = np.zeros((n + 1, n, count), dtype=dtype)
+    n = len(counts)
+    least = np.zeros((n + 1, n, len(columns)), dtype=counts.dtype)
     planes = least[1:]
-    for j in range(n):
-        np.add(planes[:, :, :1 << j], byte_tensor[j][:, :, None], out=planes[:, :, 1 << j:2 << j])
+    np.take(counts, columns, axis=2, out=planes)
     for step in range(n):
         low, high = planes[step % 2:n - 1:2], planes[step % 2 + 1:n:2]
         smaller = np.minimum(low, high)
@@ -1160,13 +1208,17 @@ def _bounds_by_size(tensor: np.ndarray, subsets: np.ndarray, sizes: np.ndarray, 
         low[...] = smaller
     for b in range(2, n + 1):
         np.add(least[b], least[b - 1], out=least[b])
-    by_size = np.empty((n + 1, count))
-    terms = np.empty((n, count))
-    for b in range(n + 1):
-        np.copyto(terms, least[b])
-        np.subtract(np.maximum(p * sizes * b, p * b * sizes), terms, out=terms)
+    by_size = np.empty((n + 1, len(columns)))
+    b = np.arange(n + 1.0)[:, None]
+    width = 256
+    for start in range(0, len(columns), width):
+        part = slice(start, start + width)
+        block = sizes[part]
+        terms = np.empty((n, n + 1, len(block)))
+        np.copyto(terms, least[:, :, part].transpose(1, 0, 2))
+        np.subtract(np.maximum(p * block * b, p * b * block), terms, out=terms)
         np.maximum(terms, 0.0, out=terms)
-        by_size[b] = _vertex_sum(terms)
+        by_size[:, part] = _vertex_sum(terms)
     return by_size
 
 
@@ -1176,35 +1228,54 @@ def exact_denseness_small(h: Hypergraph, p: float) -> DensenessEstimate:
     For a pair (X_1, X_2) the optimal X_3 keeps exactly the vertices v whose
     pair count c(v) is below p|X_1||X_2|, so the pair's deficit is
     sum_v max(0, p|X_1||X_2| - c(v)); each unordered pair is scanned once,
-    with X_1 the lower bitmask.  Most pairs are never scanned:
+    with X_1 the lower bitmask, its n terms summed as one row.  Most pairs
+    are never scanned.  Both tiers of bounds read the (n, n) count matrix
+    M_X of every set X (M_X[u, v] counts the x in X with {x, u, v} an edge),
+    built in bytes by :func:`_pair_counts`; c(v) is the sum over y in X_2 of
+    M_{X_1}[y, v], and, the count being symmetric in the two sets, the sum
+    over y in X_1 of M_{X_2}[y, v].
 
-    * Column-minimum bound.  With |X_1| = a, c(v) for any b-set X_2 is at
-      least the sum of the b smallest entries of column v of X_1's (n, n)
-      count matrix, so replacing c(v) by that sum bounds every X_2 of size b
-      at once.  The comparison and the clipping are monotone in floating
-      point and the n terms are added in the same order, so the bound is
-      never below the scanned value, not even by one ulp on a pair that
-      ties the worst.  The bound of X_2 with |X_1| bounds the same pair.
-      :func:`_bounds_by_size` builds the whole (n+1, 2^n) table in integers,
-      vertex-major as (n, 2^n) planes: byte counts doubled from the sets
-      without each top vertex, one ``np.add`` per vertex, sorted by a
-      network of whole-plane min/max steps and summed in place, and then
-      one float pass per size b that adds the n vertex rows in the order
-      the scan's ``.sum(axis=1)`` adds a row.
-    * Best-first rows.  X_1 rows are visited in stable descending order of
-      their largest bound, and the scan stops at the first row whose bound
-      is at most the running worst.  Within a row only the X_2 whose two
-      bounds both exceed it are scanned, in one matmul.  A skipped pair's
-      deficit is at most the worst at the time, and the worst only grows, so
-      skipping never changes the maximum, which is bit-identical to the full
-      scan.  Sums are screened in any order first, with a relative slack of
-      1e-12 (far above the n·2^-53 either order can lose), and only rows that
-      can beat the worst are summed again in the scan's own order.
+    * Tier 1, a sort-free row bound (:func:`_row_bounds`).  With a = |X|,
+      U[X] = sum over u, v of max(0, p·a - M_X[u, v]).  The pair term at v
+      with |X_2| = b is max(0, sum over y in X_2 of (p·a - M_X[y, v])), at
+      most sum over y of max(0, p·a - M_X[y, v]); summed over v, every
+      deficit of X with any set, in either role, is at most U[X].  (U
+      swaps the column-minimum bound's max over b with the sum over v.)
+      The row of the set with the largest U is scanned first, over the X_2
+      at or above it, and its best pair is the starting worst.  A set whose
+      U is at most that worst less a slack is dead: no pair it is in can
+      beat the worst.  The slack, 1e-12·p·n^3, is far above the rounding of
+      either side (about n·2^-53 times p·n^3, the scale of every deficit
+      and of U), which is real: on the edgeless 6-vertex host at p = 0.01,
+      ({0..4}, V) scans 1.8000000000000003 where U of {0..4} is 1.8.
+    * Tier 2, the column-minimum bound, on the live sets only.  With
+      |X_1| = a, c(v) for any b-set X_2 is at least the sum of the b
+      smallest entries of column v of M_{X_1}, so replacing c(v) by that sum
+      bounds every X_2 of size b at once.  The comparison and the clipping
+      are monotone in floating point and the n terms are added in the same
+      order, so the bound is never below the scanned value, not even by one
+      ulp on a pair that ties the worst.  The bound of X_2 with |X_1|
+      bounds the same pair.  :func:`_bounds_by_size` builds it for the live
+      sets as (n+1, m) columns: their byte counts sorted by a network of
+      whole-plane min/max steps and summed in place, then a float pass over
+      every size at once per block of 256 sets that adds the n vertex rows
+      in the order the scan's ``.sum(axis=1)`` adds a row.
+    * Best-first rows.  Live X_1 rows are visited in stable descending
+      order of their largest bound, and the scan stops at the first row
+      whose bound is at most the running worst.  Within a row only the
+      live X_2 above it whose two bounds both exceed the worst are scanned,
+      in one matmul.  A pair with a dead side, or skipped, has a deficit at
+      most the worst at the time, and the worst only grows, so skipping
+      never changes the maximum, which is bit-identical to the full scan.
+      Sums are screened in any order first, with a relative slack of 1e-12
+      (far above the n·2^-53 either order can lose), and only rows that can
+      beat the worst are summed again in the scan's own order.
 
-    Memory is O(2^n · n) floats (the subsets, the bound table and one size's
-    terms) plus O(2^n · n²) bytes (the sorted counts, 640 KB at n = 12); no
-    (2^n, n, n) float array is ever built.
+    Memory is O(2^n · n) floats (the subsets) plus O(2^n · n²) bytes (the
+    counts and U's compare mask, 590 KB each at n = 12, and the sorted
+    counts of the live sets); no (2^n, n, n) float array is built.
     """
+    _check_p(p)
     if h.k != 3:
         raise ValueError("exhaustive mode is implemented for 3-graphs only")
     if h.n > EXHAUSTIVE_LIMIT:
@@ -1214,33 +1285,44 @@ def exact_denseness_small(h: Hypergraph, p: float) -> DensenessEstimate:
         return DensenessEstimate(p, 1, 0.0, "exhaustive")
     import numpy as np
 
-    tensor = _edge_tensor(h).astype(np.float64)
-    flat = tensor.reshape(n, n * n)
     count = 1 << n
-    subsets = ((np.arange(count)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.float64)
-    sizes = subsets.sum(axis=1)
-    size_index = sizes.astype(np.intp)
-    by_size = _bounds_by_size(tensor, subsets, sizes, p)
-    bounds = by_size.T
-    row_best = by_size.max(axis=0)
+    subsets = np.empty((count, n))  # row X holds the 0/1 members of X, doubled like the counts
+    subsets[0] = 0.0
+    for j in range(n):
+        block = subsets[1 << j:2 << j]
+        block[...] = subsets[:1 << j]
+        block[:, j] = 1.0
     ones = np.ones(n)
-    worst = 0.0
-    for i in np.argsort(-row_best, kind="stable"):
-        if row_best[i] <= worst:
-            break
-        alive = (bounds[i] > worst)[size_index[i:]] & (by_size[size_index[i], i:] > worst)
-        keep = i + np.flatnonzero(alive)
-        if keep.size == 0:
-            continue
-        pair_counts = np.take(subsets, keep, axis=0) @ (subsets[i] @ flat).reshape(n, n)
-        thresholds = p * sizes[i] * sizes[keep]
-        terms = thresholds[:, None] - pair_counts
+    sizes = subsets @ ones
+    size_index = sizes.astype(np.intp)
+    counts = _pair_counts(_edge_tensor(h))
+
+    def scan(i: int, columns: np.ndarray, worst: float) -> float:
+        """The larger of ``worst`` and the deficits of set i with the sets at
+        ``columns``, all at or above i, each summed as one row."""
+        pair_counts = np.take(subsets, columns, axis=0) @ counts[:, :, i].astype(np.float64)
+        terms = (p * sizes[i] * sizes[columns])[:, None] - pair_counts
         np.maximum(terms, 0.0, out=terms)
         close = terms @ ones > worst * (1 - 1e-12)
         if close.any():
-            best = float(terms[close].sum(axis=1).max())
-            if best > worst:
-                worst = best
+            worst = max(worst, float(terms[close].sum(axis=1).max()))
+        return worst
+
+    row_bound = _row_bounds(counts, sizes, p)
+    top = int(np.argmax(row_bound))
+    worst = scan(top, np.arange(top, count), 0.0)
+    live = np.flatnonzero(row_bound > worst - 1e-12 * p * n**3)
+    by_size = _bounds_by_size(counts, live, sizes[live], p)
+    bounds = by_size.T
+    row_best = by_size.max(axis=0)
+    live_size = size_index[live]
+    for r in np.argsort(-row_best, kind="stable"):
+        if row_best[r] <= worst:
+            break
+        i = live[r]
+        alive = (bounds[r] > worst)[live_size[r:]] & (by_size[size_index[i], r:] > worst)
+        if alive.any():
+            worst = scan(i, live[r:][alive], worst)
     return DensenessEstimate(p, count**3, worst / n**3, "exhaustive")
 
 

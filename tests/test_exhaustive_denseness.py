@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from factorlab import Hypergraph, exact_denseness_small
 from factorlab.corpus import complete
-from factorlab.verification import _bounds_by_size, _vertex_sum
+from factorlab.constructions import random_uniform_hypergraph
+from factorlab.verification import _bounds_by_size, _pair_counts, _row_bounds, _vertex_sum
+from alarm import within
 
 FUZZ = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -160,7 +162,7 @@ def reference_bounds(h: Hypergraph, p: float) -> np.ndarray:
 
 def bound_table(h: Hypergraph, p: float) -> np.ndarray:
     subsets = _subsets(h.n)
-    return _bounds_by_size(_dense_tensor(h), subsets, subsets.sum(axis=1), p)
+    return _bounds_by_size(_pair_counts(_dense_tensor(h)), np.arange(len(subsets)), subsets.sum(axis=1), p)
 
 
 # The n = 12 cases compare the doubling blocks of vertices 9-11 entry by
@@ -209,6 +211,54 @@ def test_bound_table_bounds_every_scanned_pair():
             deficits = terms.sum(axis=1)
             assert (deficits <= table[sizes, i]).all(), (h.edges, p, i)
             assert (deficits <= table[sizes[i]]).all(), (h.edges, p, i)
+
+
+def test_row_bound_bounds_every_scanned_pair():
+    """The property the first tier rests on: the deficit of (X_1, X_2), as
+    the scan computes it with X_1 first, is at most U[X_1] and U[X_2] up to
+    the slack the pruning allows for rounding (on the edgeless 6-vertex host
+    at p = 0.01 the pair ({0..4}, V) scans 1.8000000000000003, and U of
+    {0..4} is 1.8)."""
+    for h, p in BOUND_CASES:
+        if h.n > 6:
+            continue
+        tensor = _dense_tensor(h)
+        subsets = _subsets(h.n)
+        sizes = subsets.sum(axis=1)
+        counts = _pair_counts(tensor)
+        row_bound = _row_bounds(counts, sizes, p) + 1e-12 * p * h.n**3
+        for i, row in enumerate(subsets):
+            pair_counts = subsets @ np.tensordot(row, tensor, axes=1)
+            terms = (p * sizes[i] * sizes)[:, None] - pair_counts
+            np.maximum(terms, 0.0, out=terms)
+            deficits = terms.sum(axis=1)
+            assert (deficits <= row_bound[i]).all(), (h.edges, p, i)
+            assert (deficits <= row_bound).all(), (h.edges, p, i)
+
+
+def _sparse_host() -> Hypergraph:
+    """A G(12, 0.1) with 29 edges, where p·|X_1||X_2| < 1 leaves most pairs
+    to the scan at p = 0.01: the last host drawn from random.Random(20213)
+    over n = 0-11 at densities 0.1 and 0.6, then n = 12 at 0.1."""
+    rng = random.Random(20213)
+    for n in range(12):
+        for density in (0.1, 0.6):
+            _random_host(rng, n, density)
+    return _random_host(rng, 12, 0.1)
+
+
+@pytest.mark.parametrize("case", ["below-density", "sparse", "complete"])
+def test_slow_end_answers_within_three_seconds(case):
+    """Hosts where the row bound prunes little: p below the density, the
+    sparse scan, and K_12^(3), whose 4,095 nonempty sets all stay live at
+    p = 0.5.  Each took 0.03-0.3 s on a 2-vCPU Xeon."""
+    h, p, deficit = {
+        "below-density": (random_uniform_hypergraph(12, 3, 0.5, 3), 0.1, None),
+        "sparse": (_sparse_host(), 0.01, 2.16),
+        "complete": (complete(12, 3), 0.5, 8.0),
+    }[case]
+    est = within(3.0, exact_denseness_small, h, p)
+    assert est.worst_deficit > 0 and deficit in (None, est.worst_deficit * 12**3)
 
 
 @pytest.mark.parametrize("p, deficit", [(1.0, 408), (1 - 2**-10, 406.3125)])

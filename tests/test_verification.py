@@ -705,10 +705,20 @@ def proofs_barrier_hosts(seed):
     return [(f, h) for _, f, h in proofs_barriers(seed)]
 
 
-def proofs_barriers(seed):
-    """``proofs_barrier_hosts(seed)`` with each host's barrier kind first:
-    "space", "parity" or "obs62"."""
+def proofs_exhaustive_hosts(seed):
+    """The six G(n, 0.45) hosts of the ``proofs`` exhaustive-denseness ops at
+    ``seed``, whose seeds are drawn after every barrier's."""
     rng = random.Random(seed)
+    for _ in proofs_barriers(seed, rng):
+        pass
+    return [random_uniform_hypergraph(n, 3, 0.45, rng.randrange(2**32)) for n in (10, 11, 11, 11, 11, 12)]
+
+
+def proofs_barriers(seed, rng=None):
+    """``proofs_barrier_hosts(seed)`` with each host's barrier kind first:
+    "space", "parity" or "obs62"; ``rng``, when given, makes the draws in
+    place of a fresh ``random.Random(seed)``."""
+    rng = random.Random(seed) if rng is None else rng
     patterns = {"edge": single_edge(), "loose": loose_path()}
     for kind, name, n, a, p, copies in (
         ("space", "edge", 15, 4, 1.0, 1), ("parity", "edge", 15, 7, 1.0, 1),
@@ -753,6 +763,23 @@ class TestOptions:
                 assert at_vertex == [sum(1 << i for i, phi in enumerate(witnesses) if v in phi) for v in range(n)]
                 listed += len(masks)
         assert listed > 0 or n < 5
+
+    def test_one_edge_options_match_sorted_construction(self):
+        """A one-edge pattern's options are taken in listing order; they
+        equal the options built by sorting the rows, at every cap."""
+        rng = random.Random(40)
+        hosts = [random_graph(rng, n, p) for n, p in ((3, 1.0), (7, 0.5), (12, 0.3), (30, 0.15))]
+        hosts += [Hypergraph(4, n, [e for e in combinations(range(n), 4) if rng.random() < 0.3]) for n in (6, 9)]
+        for h in hosts:
+            f = Hypergraph(h.k, h.k, [tuple(range(h.k))])
+            m = len(h.edges)
+            for cap in (0, 1, m - 1, m, -1):
+                images, truncated = copy_images(f, h, cap)
+                keyed = sorted(zip(verification._rows(images, h.n), images), reverse=True)
+                masks = [mask for _, mask in keyed]
+                sorted_options = (masks, [images[mask] for mask in masks],
+                                  verification._transpose([row for row, _ in keyed], h.n), truncated)
+                assert verification._options(f, h, cap) == sorted_options
 
 
 class TestRefutation:
@@ -968,6 +995,38 @@ class TestDenseness:
             exact = exact_denseness_small(h, 0.5).worst_deficit
             sampled = estimate_denseness(h, 0.5, 100, seed=7).worst_deficit
             assert exact >= sampled - 1e-9
+
+    @pytest.mark.parametrize("p", [1.5, -0.25, float("nan"), float("inf"), -float("inf")])
+    def test_every_denseness_function_refuses_p_outside_unit_interval(self, p):
+        h = complete(6, 3)
+        for call in (lambda: exact_denseness_small(h, p), lambda: estimate_denseness(h, p, 10, seed=1),
+                     lambda: estimate_S_denseness(h, p, [[1], [2, 3]], 10, seed=1)):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                call()
+
+    def test_proofs_hosts_build_the_sorted_table_on_few_sets(self, monkeypatch):
+        """The row bound leaves the sorted bound table a few dozen sets on
+        all but one of the 18 exhaustive hosts of three ``proofs`` passes,
+        and at most 5% of a pass's 13,312 sets (54, 20 and 621 at these
+        seeds).  The one is an n = 11 host at seed 19 that keeps 605: the
+        best pair of its top-U row, the whole set with itself, scans 99
+        against a worst deficit of 122."""
+        widths = []
+
+        def spy(counts, columns, sizes, p):
+            widths.append(len(columns))
+            return bounds_by_size(counts, columns, sizes, p)
+
+        bounds_by_size = verification._bounds_by_size
+        monkeypatch.setattr(verification, "_bounds_by_size", spy)
+        passes = []
+        for seed in (1, 2, 19):
+            widths.clear()
+            for h in proofs_exhaustive_hosts(seed):
+                exact_denseness_small(h, 0.5)
+            assert len(widths) == 6 and sum(widths) <= 13312 // 20, (seed, widths)
+            passes += widths
+        assert sorted(passes)[-2] <= 50, passes
 
     def test_exhaustive_refused_for_large_hosts(self):
         with pytest.raises(ValueError):
