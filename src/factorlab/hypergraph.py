@@ -29,7 +29,8 @@ value twice:
 * ``components()``: the vertex sets of the connected components, from one
   union-find pass over the edges; the part-assignment search jumps by them;
 * ``degrees()``: per vertex, the number of edges containing it, counted in
-  one pass over the flattened edge list; ``embedding_masks()`` reads it;
+  one pass over the flattened edge list, or by ``embedding_masks()`` if that
+  is built first;
 * ``embedding_masks()``: vertex bitmasks for copy searches (which vertices
   complete a (k-1)-set to an edge, which share an edge with a vertex, which
   have at least a given degree), built in one pass over the edges' bitmasks.
@@ -302,21 +303,26 @@ class Hypergraph:
         return self._cached("same_side_classes", compute)
 
     def embedding_masks(self) -> EmbeddingMasks:
-        """Completion and neighbour masks, built in one pass over the edges'
-        bitmasks, with ``degrees()`` and the degree masks read off it."""
+        """Completion and neighbour masks and the degrees, built in one pass
+        over the edges' bitmasks (which fills the ``degrees()`` cache if it
+        is empty), with the degree masks read off them."""
 
         def compute():
             completion: dict[int, int] = {}
             neighbours = [0] * self.n
+            counted = [0] * self.n
+            get = completion.get
             for e in self.edges:
                 bits = 0
                 for v in e:
                     bits |= 1 << v
                 for v in e:
-                    key = bits ^ 1 << v
-                    completion[key] = completion.get(key, 0) | 1 << v
+                    one = 1 << v
+                    key = bits ^ one
+                    completion[key] = get(key, 0) | one
                     neighbours[v] |= key
-            degrees = self.degrees()
+                    counted[v] += 1
+            degrees = self._cached("degrees", lambda: tuple(counted))
             at_least = [0] * (max(degrees, default=0) + 1)
             for w, d in enumerate(degrees):
                 at_least[d] |= 1 << w

@@ -47,7 +47,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from functools import reduce
 from heapq import heapify, heappop, heappush
-from itertools import permutations
+from itertools import chain, pairwise, permutations
+from math import comb, factorial
 from operator import add
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -891,57 +892,94 @@ def _check_p(p: float) -> None:
 def _edges_array(h: Hypergraph) -> np.ndarray:
     import numpy as np
 
-    if not h.edges:
-        return np.empty((0, h.k), dtype=np.int64)
-    return np.array(h.edges, dtype=np.int64)
+    flat = np.fromiter(chain.from_iterable(h.edges), dtype=np.int64, count=len(h.edges) * h.k)
+    return flat.reshape(-1, h.k)
 
 
-# Largest uniformity sampled denseness accepts: each batch sums over all k!
-# orderings of the edge columns.  On a one-edge k-graph on k vertices that
-# takes about 0.03 ms per sample at k = 4, 0.07 ms at k = 5 and 0.3 ms at
-# k = 6 (640 samples, 2-vCPU Xeon, Python 3.11); k = 7 would add a factor 7
-# and has not been measured.  The singleton family of estimate_S_denseness
-# gives the same deficit.
+# Largest uniformity sampled denseness accepts: a batch sums over the k!
+# orderings of the edges, or the (k-1)! of their (k-1)-sets where
+# _sampled_worst groups them.  A one-edge k-graph on k vertices takes about
+# 0.005 ms per sample at k = 4, 0.023 ms at k = 5 and 0.15-0.19 ms at k = 6;
+# the complete k-graph on 12 vertices, grouped, 0.0035, 0.017-0.021 and
+# 0.11-0.13 ms (640 samples, best of 7, 2-vCPU Xeon, Python 3.11).  k = 7
+# would add a factor 7.  The singleton family of estimate_S_denseness gives
+# the same deficit.
 _SAMPLED_K_LIMIT = 6
 
 # Most cells n^k of a host that directed-family sampling accepts (ten
-# million): a sample's joint tables hold up to n^k cells, and its draws take
-# 8 bytes per cell while it is drawn.  A sampling batch of B samples holds B
-# times the cells of one sample, and that too stays within this limit.
+# million): a sample's joint tables hold up to n^k cells.  A sampling batch
+# of B samples holds B times the cells of one sample, and that too stays
+# within this limit; so do its draws, one float64 array of B times the cells.
 DENSE_CELL_LIMIT = 10**7
 
 # Most samples drawn and counted together.
 _SAMPLE_BATCH = 64
 
 
-def _edge_tuple_counts(edges: np.ndarray, tables: list, n: int, width: int) -> np.ndarray:
-    """Per sample, the ordered tuples (x_1, ..., x_k) of distinct vertices
-    that every joint table allows and whose vertices form an edge.
+def _completion_words(edges: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Group the pairs (T, v) of ``edges``, T a (k-1)-set and T + v an edge,
+    by v's 64-bit word and by T: one int64 key each, (word, T in base n,
+    v & 63), and one sort.  The caller checks that the keys fit.
+
+    Returns (sets, bits, bounds): entry j is T = ``sets[j]`` with the bits
+    v & 63 of its completions v in one word set in ``bits[j]``; word w's
+    entries are ``bounds[w]:bounds[w + 1]``.
+    """
+    import numpy as np
+
+    k = edges.shape[1]
+    radix = n ** np.arange(k - 2, -1, -1)
+    keys = [((edges[:, j] >> 6) * n ** (k - 1) + np.delete(edges, j, axis=1) @ radix) << 6 | edges[:, j] & 63
+            for j in range(k)]
+    keys = np.sort(np.concatenate(keys))
+    words_sets = keys >> 6
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = words_sets[1:] != words_sets[:-1]
+    entries = np.flatnonzero(new)
+    bits = np.bitwise_or.reduceat(np.left_shift(np.uint64(1), (keys & 63).astype(np.uint64)), entries)
+    words, code = np.divmod(words_sets[entries], n ** (k - 1))
+    sets = np.empty((len(entries), k - 1), dtype=np.int64)
+    for col in range(k - 2, -1, -1):
+        code, sets[:, col] = np.divmod(code, n)
+    return sets, bits, np.searchsorted(words, np.arange(-(-n // 64) + 1))
+
+
+def _edge_tuple_counts(rows: np.ndarray, tables: list, n: int, width: int,
+                       weights: np.ndarray | None = None) -> np.ndarray:
+    """Per sample, the ordered tuples of distinct vertices that every joint
+    table allows and whose vertices form an edge.
 
     ``tables`` holds pairs (axes, table): ``table`` has one row per cell
     of V^axes in lexicographic order and one column per sample.  Each
-    ordering of the edge columns puts one edge vertex at each position; the
-    tables' rows at the edges' cells are gathered, ANDed and added to an
-    int16 tally, which is summed once.  A tally cell gains at most k! <= 7!:
-    a host with an edge has n >= k, and the estimators refuse k > 6 or
+    ordering of the columns of ``rows`` puts one row vertex at each
+    position; the tables' rows at the rows' cells are gathered, ANDed and
+    added to an int16 tally, which is summed once.  The rows are the edges,
+    or (k-1)-sets T with tables over positions 1..k-1 and ``weights[T, s]``
+    the vertices completing T that sample s allows at the position left
+    out, which weight the tally.  A tally cell gains at most k! <= 7!: a
+    host with an edge has n >= k, and the estimators refuse k > 6 or
     n^k > ``DENSE_CELL_LIMIT``.
     """
     import numpy as np
 
-    m, k = edges.shape
+    m = len(rows)
     tally = np.zeros((m, width), dtype=np.int16)
     hit = np.empty((m, width), dtype=bool)
-    rows = np.empty((m, width), dtype=bool)
-    for perm in permutations(edges.T) if m else ():  # perm[pos - 1]: the vertices at position pos
+    gathered = np.empty((m, width), dtype=bool)
+    for perm in permutations(rows.T) if m else ():  # perm[pos - 1]: the vertices at position pos
         for t, (axes, table) in enumerate(tables):
             cell = perm[axes[0] - 1]
             for pos in axes[1:]:
                 cell = cell * n + perm[pos - 1]
-            np.take(table, cell, axis=0, out=rows if t else hit)
+            np.take(table, cell, axis=0, out=gathered if t else hit)
             if t:
-                hit &= rows
+                hit &= gathered
         tally += hit if tables else 1
-    return tally.sum(axis=0)
+    if weights is None:
+        return tally.sum(axis=0)
+    # a weight is one word's popcount, at most 64
+    wide = m * 64 * factorial(rows.shape[1]) >= 2**31
+    return np.einsum("ij,ij->j", tally, weights, dtype=np.int64 if wide else np.int32)
 
 
 def _sampled_worst(h: Hypergraph, p: float, fam, sample_count: int, seed: int) -> float:
@@ -951,17 +989,23 @@ def _sampled_worst(h: Hypergraph, p: float, fam, sample_count: int, seed: int) -
     One generator seeded by ``seed`` serves the whole call: sample i takes
     the i-th block of ``cells`` draws of its stream, which fills the
     members' tables in family order, and a cell is allowed when its draw is
-    below 1/2.  Up to ``_SAMPLE_BATCH`` samples are drawn, a row at a time,
-    into one boolean array, with B times the cells one sample holds (its
-    draws, its joint tables and a tally cell per edge) within
+    below 1/2.  Up to ``_SAMPLE_BATCH`` samples are drawn by one call into
+    one float64 array, with B times the cells one sample holds (its draws,
+    its joint tables and a tally cell per counted row) within
     ``DENSE_CELL_LIMIT`` unless one sample alone holds more.  Members that
     share positions are ANDed into one joint table over the union of their
     positions.  A sample's allowed-tuple count is the product, in Python
     ints, of its joint tables' counts and n per free position; the edge
-    count reads each joint table transposed to (cells, B).  Each deficit
-    goes through :func:`_deficit` with the same ints as one sample at a time
-    would give it, so neither the batch width nor ``sample_count`` changes
-    any sample's deficit.
+    count reads each joint table transposed to (cells, B).
+
+    When a position q is a member alone and the host is dense enough (see
+    ``grouped``), the edges are grouped once by their (k-1)-sets T, and per
+    batch N[T, s] is the popcount of T's completion words ANDed with sample
+    s's packed table at q: the counter then takes the (k-1)! orderings of
+    the T rows, weighted by N, in place of the k! orderings of the edges.
+    Each deficit goes through :func:`_deficit` with the same ints as one
+    sample at a time would give it, so neither the batch width, nor
+    ``sample_count``, nor the rows counted change any sample's deficit.
     """
     import numpy as np
 
@@ -979,29 +1023,49 @@ def _sampled_worst(h: Hypergraph, p: float, fam, sample_count: int, seed: int) -
         groups.setdefault(shared.find(s[0]), []).append(s)
     joints = [(sorted({pos for s in members for pos in s}), members) for members in groups.values()]
     free = n ** (k - sum(len(axes) for axes, _ in joints))
-    edges = _edges_array(h)
-    held = cells + sum(n ** len(axes) for axes, _ in joints) + len(edges)
+    rows = _edges_array(h)
+    # Completion words pay off where the (k-1)-sets average four completions
+    # per word, so that they give at most a quarter of the k·m rows the edges
+    # give; every key of _completion_words must also fit an int64.
+    words = -(-n // 64)
+    grouped = 0 < 4 * comb(n, k - 1) * words <= k * len(rows) and words * 64 * n ** (k - 1) <= 2**63
+    q = next((axes[0] for axes, _ in joints if len(axes) == 1), None) if grouped else None
+    place = list(range(k + 1))  # position -> the counter's position
+    if q is not None:
+        rows, bits, bounds = _completion_words(rows, n)
+        place = [pos - (pos > q) for pos in place]
+    held = cells + sum(n ** len(axes) for axes, _ in joints) + len(rows)
     width = max(1, min(_SAMPLE_BATCH, DENSE_CELL_LIMIT // max(1, held)))
     n_pow_k = n**k
     rng = np.random.default_rng(seed)
-    draws = np.empty(cells)
+    draws = np.empty((width, cells))
     drawn = np.empty((width, cells), dtype=bool)
+    if q is not None:  # reused by every batch: fresh arrays per batch cost page faults
+        packed = np.zeros((width, 8 * words), dtype=np.uint8)
+        selected = np.empty((len(rows), width), dtype=np.uint64)
+        popcounts = np.empty((len(rows), width), dtype=np.uint8)
     worst = float("-inf")
     for start in range(0, sample_count, width):
         size = min(width, sample_count - start)
-        for row in range(size):
-            rng.random(out=draws)
-            np.less(draws, 0.5, out=drawn[row])
-        samples = drawn[:size]
+        rng.random(out=draws[:size])
+        samples = np.less(draws[:size], 0.5, out=drawn[:size])
         allowed = [free] * size
-        tables = []
+        tables, weights = [], None
         for axes, members in joints:
             joint = reduce(np.logical_and, [
                 samples[:, tables_of[s]].reshape([size] + [n if pos in s else 1 for pos in axes])
                 for s in members]).reshape(size, -1)
             allowed = [a * c for a, c in zip(allowed, np.count_nonzero(joint, axis=1).tolist())]
-            tables.append((axes, np.ascontiguousarray(joint.T)))
-        counts = _edge_tuple_counts(edges, tables, n, size).tolist()
+            if axes == [q]:
+                masks = np.packbits(joint, axis=1, bitorder="little")
+                packed[:size, :masks.shape[1]] = masks
+                xq = packed[:size].view("<u8")
+                for w, (lo, hi) in enumerate(pairwise(bounds)):
+                    np.bitwise_and(bits[lo:hi, None], xq[:, w], out=selected[lo:hi, :size])
+                weights = np.bitwise_count(selected[:, :size], out=popcounts[:, :size])
+            else:
+                tables.append(([place[pos] for pos in axes], np.ascontiguousarray(joint.T)))
+        counts = _edge_tuple_counts(rows, tables, n, size, weights).tolist()
         worst = max(worst, *(_deficit(p, a, c, n_pow_k) for a, c in zip(allowed, counts)))
     return worst
 
@@ -1015,9 +1079,13 @@ def estimate_denseness(
     One generator seeded by ``seed`` draws every sample: sample i takes the
     next k·n draws of its stream, one vertex mask per position, so the first
     samples of a longer run are the samples of a shorter one.  Samples are
-    drawn and counted in batches of up to 64 on the calling thread, and only
-    the worst deficit so far is kept, so memory is bounded by the batch, not
-    by ``sample_count``.  ``workers`` is accepted and ignored.
+    drawn, by one call per batch, and counted in batches of up to 64 on the
+    calling thread, and only the worst deficit so far is kept, so memory is
+    bounded by the batch, not by ``sample_count``.  Where the (k-1)-sets
+    average four completions per 64-bit word, a batch counts the edges
+    through those words: per sample, the popcount of a set's words within
+    X_1 weights the set's (k-1)! orderings over X_2..X_k.  ``workers`` is
+    accepted and ignored.
     A sampled report is a lower bound on the slack a denseness verdict would
     need, never a verdict itself.
     """

@@ -452,6 +452,16 @@ class TestOverlaps:
         fresh = Hypergraph(3, 6, [(0, 2, 4), (1, 2, 5)])
         assert fresh.embedding_masks().degrees is fresh.degrees()
 
+    def test_degrees_agree_whichever_is_built_first(self):
+        # a seeded sparse 3-graph on 40 vertices, several of them isolated
+        rng = np.random.default_rng(23)
+        edges = {tuple(sorted(rng.choice(40, 3, replace=False).tolist())) for _ in range(12)}
+        plain = tuple(sum(v in e for e in edges) for v in range(40))
+        assert plain.count(0) > 3
+        degrees_first, masks_first = Hypergraph(3, 40, edges), Hypergraph(3, 40, edges)
+        assert degrees_first.degrees() == degrees_first.embedding_masks().degrees == plain
+        assert masks_first.embedding_masks().degrees == masks_first.degrees() == plain
+
     @pytest.mark.parametrize("s", [0, 3])
     def test_order_out_of_range(self, s):
         for method in ("subset_edges", "overlap_classes", "min_s_degree"):

@@ -1140,6 +1140,15 @@ def reference_sample_deficits(h, p, family, count, seed):
     return deficits
 
 
+def drawn_host(k, n, m, seed):
+    """m distinct k-sets of range(n), drawn by a generator seeded by ``seed``."""
+    rng = np.random.default_rng(seed)
+    edges = set()
+    while len(edges) < m:
+        edges.add(tuple(sorted(rng.choice(n, k, replace=False).tolist())))
+    return Hypergraph(k, n, edges)
+
+
 def sweep_families(k):
     """The directed families of the bit-identity sweep that fit uniformity k."""
     families = [None, [[pos] for pos in range(1, k + 1)], [[1, 2], [3]], [list(range(1, k + 1))],
@@ -1178,6 +1187,36 @@ class TestBatchedSampling:
             for count in (1, 65):
                 assert self.estimate(h, 0.3, family, count, 5).worst_deficit == max(deficits[:count])
 
+    # Singleton families count edges through the (k-1)-sets' completion
+    # masks, held as 64-bit words, where the sets average four completions
+    # per word: seeded hosts on each side of one and two words, all dense
+    # enough.  In the matching host most (k-1)-sets have one completion, and
+    # {0, 1} and {63, 64} have one in each word: it counts the edges.  The
+    # clique-and-star host is K_64 plus 130's edges to 5 and 64..127, so
+    # {130} is the last set with a completion in word 0 and the first with
+    # one in word 1: its two words are adjacent entries.
+    BOUNDARY_HOSTS = {
+        **{f"{k}-{n}": lambda k=k, n=n, m=m: drawn_host(k, n, m, n + k) for k, n, m in
+           [(3, 63, 12000), (3, 64, 12000), (3, 65, 12000), (3, 130, 40000), (2, 64, 1000), (2, 65, 1000),
+            (2, 200, 6000)]},
+        "edgeless-65": lambda: Hypergraph(3, 65, []),
+        "matching-66": lambda: Hypergraph(3, 66, [(i, i + 1, i + 2) for i in range(0, 66, 3)] + [(0, 1, 65),
+                                                                                                  (2, 63, 64)]),
+        "clique-star-131": lambda: Hypergraph(2, 131, [*combinations(range(64), 2), (5, 130),
+                                                       *((v, 130) for v in range(64, 128))]),
+    }
+
+    @pytest.mark.parametrize("name", BOUNDARY_HOSTS)
+    def test_matches_the_per_sample_loop_across_word_boundaries(self, name, monkeypatch):
+        h, grouped = self.BOUNDARY_HOSTS[name](), []
+        group = verification._completion_words
+        monkeypatch.setattr(verification, "_completion_words", lambda edges, n: grouped.append(n) or group(edges, n))
+        for family in sweep_families(h.k):
+            deficits = reference_sample_deficits(h, 0.41, family, 65, 3)
+            for count in (1, 2, 3, 4, 65):
+                assert self.estimate(h, 0.41, family, count, 3).worst_deficit == max(deficits[:count]), family
+        assert bool(grouped) == (name not in ("edgeless-65", "matching-66"))
+
     @pytest.mark.parametrize("count", [1, 65, 300])
     def test_one_generator_per_call(self, monkeypatch, count):
         # Every sample is drawn from the stream of one generator seeded by
@@ -1206,15 +1245,34 @@ class TestBatchedSampling:
         widths = []
         counter = verification._edge_tuple_counts
 
-        def spy(edges, tables, n, width):
+        def spy(rows, tables, n, width, weights=None):
             widths.append(width)
-            return counter(edges, tables, n, width)
+            return counter(rows, tables, n, width, weights)
 
         monkeypatch.setattr(verification, "_edge_tuple_counts", spy)
         for (family, limit), deficit in zip(runs, wide):
             monkeypatch.setattr(verification, "DENSE_CELL_LIMIT", limit)
             assert self.estimate(h, 0.5, family, 70, 2).worst_deficit == deficit
         assert widths == [1] * (70 * len(runs))
+
+    def test_batch_of_one_on_grouped_rows(self, monkeypatch):
+        # The 5-vertex host above is too sparse for completion words; a
+        # G(70, 0.5) counts its samples through two words per (k-1)-set, and
+        # with DENSE_CELL_LIMIT at 1 every such batch holds one sample.
+        h = random_uniform_hypergraph(70, 3, 0.5, 8)
+        wide = estimate_denseness(h, 0.5, 70, 2).worst_deficit
+        calls = []
+        counter = verification._edge_tuple_counts
+
+        def spy(rows, tables, n, width, weights=None):
+            calls.append((width, weights is not None))
+            return counter(rows, tables, n, width, weights)
+
+        monkeypatch.setattr(verification, "_edge_tuple_counts", spy)
+        monkeypatch.setattr(verification, "DENSE_CELL_LIMIT", 1)
+        assert estimate_denseness(h, 0.5, 70, 2).worst_deficit == wide
+        assert calls == [(1, True)] * 70
+
 
 class TestReachability:
     def test_complete_host(self):
